@@ -3,14 +3,18 @@
 The scalar field is the Gaussian rationals: numbers a + b*i with
 arbitrary-precision rational a, b.  Every symbolic computation in the
 package runs over this field so that zero tests are exact decisions.
+Closures (zero tests, minimization) run on a fraction-free echelon kernel
+over the Gaussian integers Z[i] instead, after denominators are cleared.
 Float matrices (numpy complex arrays) are used only by the numeric
 samplers and falsifiers.
 """
 
 from __future__ import annotations
 
-import json
+from bisect import insort
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 import numpy as np
 
@@ -437,28 +441,6 @@ def rref(rows):
     return work, pivots
 
 
-def solve_exact(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Solve a @ X = b for a with full column rank; b must be consistent.
-
-    Raises SingularMatrixError when the system has no solution or the
-    solution is not unique (rank deficient a).
-    """
-    if a.rows != b.rows:
-        raise DimensionMismatch("solve: row counts differ")
-    aug = [list(a.row(i)) + list(b.row(i)) for i in range(a.rows)]
-    red, pivots = rref(aug)
-    main_piv = [p for p in pivots if p < a.cols]
-    if len(main_piv) != a.cols:
-        raise SingularMatrixError("solve: coefficient matrix is rank deficient")
-    if any(p >= a.cols for p in pivots):
-        raise SingularMatrixError("solve: inconsistent system")
-    out = [ZERO] * (a.cols * b.cols)
-    for r, col in enumerate(main_piv):
-        for j in range(b.cols):
-            out[col * b.cols + j] = red[r][a.cols + j]
-    return ExactMatrix(a.cols, b.cols, out)
-
-
 def rank_factor(a: ExactMatrix):
     """Exact rank factorization a = C * R with inner dimension rank(a)."""
     red, pivots = rref([a.row(i) for i in range(a.rows)])
@@ -470,44 +452,169 @@ def rank_factor(a: ExactMatrix):
     return C, R
 
 
-class EchelonBasis:
-    """Incrementally maintained echelon basis of a subspace of Scalar^n.
 
-    Used for Krylov-style reachability/observability closures.  Inserted
-    vectors are reduced against the current rows; an independent residual
-    is normalized (leading entry 1) and kept.
+# ---------------------------------------------------------------------------
+# Fraction-free elimination over the Gaussian integers
+# ---------------------------------------------------------------------------
+#
+# A Gaussian-integer vector is a pair (re, im) of int lists; im is None when
+# every entry is real, so real data pays for one list only.  Scaling a
+# vector or a matrix by a nonzero constant changes no span, so callers clear
+# denominators once per vector or matrix and keep the scale beside it.
+
+
+def _common_denominator(values) -> int:
+    return lcm(*{x.re.denominator for x in values}, *{x.im.denominator for x in values})
+
+
+def _numerators(values, d: int):
+    """d * values as a Gaussian-integer vector (d a common denominator)."""
+    re = [x.re.numerator * (d // x.re.denominator) for x in values]
+    if not any(x.im for x in values):
+        return re, None
+    return re, [x.im.numerator * (d // x.im.denominator) for x in values]
+
+
+def gaussian_vector(values):
+    """(d, v): the least common denominator d > 0 of a sequence of Scalars
+    and the Gaussian-integer vector v = d * values."""
+    values = tuple(values)
+    d = _common_denominator(values)
+    return d, _numerators(values, d)
+
+
+def gaussian_rows(rows):
+    """Clear the denominators of a sparse matrix ``{row: {col: Scalar}}``.
+
+    Returns (d, out): d > 0 is the least common denominator and ``out`` lists
+    d * the matrix as ``(row, cols, re, im)`` with int lists re, im; im is
+    None in every row when the matrix is real.
+    """
+    d = _common_denominator([x for row in rows.values() for x in row.values()])
+    real = not any(x.im for row in rows.values() for x in row.values())
+    out = []
+    for i, row in rows.items():
+        vals = tuple(row.values())
+        re, im = _numerators(vals, d)
+        out.append((i, list(row), re, None if real else im or [0] * len(re)))
+    return d, out
+
+
+def gaussian_matvec(rows, v, n: int):
+    """rows @ v, of length n, for ``rows`` from gaussian_rows and a
+    Gaussian-integer vector v."""
+    vr, vi = v
+    out_re = [0] * n
+    if vi is None and (not rows or rows[0][3] is None):
+        for i, cols, re, _ in rows:
+            out_re[i] = sum(map(mul, re, map(vr.__getitem__, cols)))
+        return out_re, None
+    if vi is None:
+        vi = [0] * len(vr)
+    out_im = [0] * n
+    for i, cols, re, im in rows:
+        xr = [vr[j] for j in cols]
+        xi = [vi[j] for j in cols]
+        if im is None:
+            out_re[i] = sum(map(mul, re, xr))
+            out_im[i] = sum(map(mul, re, xi))
+        else:
+            out_re[i] = sum(map(mul, re, xr)) - sum(map(mul, im, xi))
+            out_im[i] = sum(map(mul, re, xi)) + sum(map(mul, im, xr))
+    return out_re, out_im
+
+
+def gaussian_scalar(re: int, im: int, den: int = 1) -> Scalar:
+    """The Scalar (re + im*i) / den."""
+    return Scalar(Fraction(re, den), Fraction(im, den))
+
+
+class FractionFreeBasis:
+    """Echelon basis of a subspace of Q(i)^n kept as Gaussian-integer rows.
+
+    Each row is scaled so that its pivot (first nonzero entry) is a positive
+    integer N and its entries have no common factor.  A vector v is reduced
+    against a row by cross-multiplication, v <- t*v - f*row with t = N/g,
+    f = v[pivot]/g and g = gcd(N, v[pivot]), so no division ever leaves Z[i]
+    (Bareiss-style fraction-free elimination).
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.rows = []  # list of (pivot_index, row list)
+        self.vectors = []  # the rows in insertion order
+        self._rows = []  # (pivot, N, re, im, index), sorted by pivot
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.vectors)
 
-    def reduce(self, vec):
-        """Return vec reduced modulo the span (a fresh list)."""
-        v = list(vec)
-        for piv, row in self.rows:
-            f = v[piv]
-            if f:
-                v = [x - f * y for x, y in zip(v, row)]
-        return v
+    def reduce(self, v, coords=None):
+        """Return (s, r): r = s*v - sum_k c_k row_k vanishes at every pivot,
+        and s is a positive integer.
 
-    def add(self, vec):
-        """Insert vec; returns the reduced new basis row, or None if dependent."""
-        v = self.reduce(vec)
-        piv = next((i for i, x in enumerate(v) if x), None)
+        When ``coords`` is a list, one ``(index, re, im, den)`` is appended
+        per row used, so that v = r/s + sum (re + im*i)/den * vectors[index].
+        """
+        vr, vi = v
+        s = 1
+        for piv, N, rr, ri, k in self._rows:
+            a = vr[piv]
+            b = 0 if vi is None else vi[piv]
+            if not a and not b:
+                continue
+            g = gcd(N, a, b)
+            t, a, b = N // g, a // g, b // g
+            s *= t
+            if coords is not None:
+                coords.append((k, a, b, s))
+            if vi is None and ri is None:
+                vr = [t * x - a * y for x, y in zip(vr, rr)]
+            else:
+                zero = [0] * self.n
+                vi, ri = vi or zero, ri or zero
+                vr, vi = (
+                    [t * x - a * y + b * z for x, y, z in zip(vr, rr, ri)],
+                    [t * x - a * z - b * y for x, y, z in zip(vi, rr, ri)],
+                )
+        return s, (vr, vi)
+
+    def add(self, v, coords=None):
+        """Insert v; return its index in ``vectors``, or None if v lies in
+        the span.  ``coords`` as in reduce; the new row, when there is one,
+        gets the last entry."""
+        s, (vr, vi) = self.reduce(v, coords)
+        if vi is None:
+            piv = next((q for q, x in enumerate(vr) if x), None)
+        else:
+            piv = next((q for q, (x, y) in enumerate(zip(vr, vi)) if x or y), None)
         if piv is None:
             return None
-        inv_p = v[piv].inverse()
-        v = [x * inv_p for x in v]
-        self.rows.append((piv, v))
-        self.rows.sort(key=lambda t: t[0])
-        return v
-
-    def basis_vectors(self):
-        return [row for _, row in self.rows]
+        # multiply by u = conj(pivot) (or its sign, if real) to make the pivot
+        # a positive integer, then divide by the content c
+        a, b = vr[piv], (0 if vi is None else vi[piv])
+        if b:
+            vr, vi = (
+                [a * x + b * y for x, y in zip(vr, vi)],
+                [a * y - b * x for x, y in zip(vr, vi)],
+            )
+            ua, ub, norm = a, b, a * a + b * b  # conj(u) and |u|^2
+            if not any(vi):
+                vi = None
+        else:
+            ua, ub, norm = (1, 0, 1) if a > 0 else (-1, 0, 1)
+            if a < 0:
+                vr = [-x for x in vr]
+                vi = None if vi is None else [-y for y in vi]
+        c = gcd(*vr) if vi is None else gcd(*vr, *vi)
+        if c != 1:
+            vr = [x // c for x in vr]
+            vi = None if vi is None else [y // c for y in vi]
+        k = len(self.vectors)
+        if coords is not None:
+            # the residual is row * c / u, i.e. row * c * conj(u) / |u|^2
+            coords.append((k, c * ua, c * ub, norm * s))
+        self.vectors.append((vr, vi))
+        insort(self._rows, (piv, vr[piv], vr, vi, k))  # pivots are distinct
+        return k
 
 
 # ---------------------------------------------------------------------------
@@ -587,17 +694,3 @@ def float_from_json(obj) -> np.ndarray:
     r, c = int(obj["rows"]), int(obj["cols"])
     flat = [complex(p[0], p[1]) for p in obj["entries"]]
     return np.array(flat, dtype=complex).reshape(r, c)
-
-
-def check_finite(a) -> np.ndarray:
-    a = np.asarray(a)
-    if not np.all(np.isfinite(a)):
-        raise ArithmeticError("non-finite entries in float matrix")
-    return a
-
-
-def matrices_to_json(mats) -> str:
-    out = []
-    for m in mats:
-        out.append(m.to_json() if isinstance(m, ExactMatrix) else float_to_json(m))
-    return json.dumps(out)

@@ -165,9 +165,6 @@ class NcPoly:
             raise ZeroPolynomialError("degree of the zero polynomial")
         return max(len(w) for w in self.terms), len(self.terms)
 
-    def uses_star(self) -> bool:
-        return any(l.starred for w in self.terms for l in w)
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
@@ -345,17 +342,3 @@ def _lookup(binding, letter: Letter):
         return binding[letter]
     except KeyError:
         raise MissingLetter(f"letter {letter} not bound by evaluation point") from None
-
-
-def poly_arith(f: NcPoly, h, kind: str) -> NcPoly:
-    """Ring operations by name; ``scalar-mul`` takes a Scalar (or a constant
-    polynomial) as the second operand."""
-    if kind == "add":
-        return f + h
-    if kind == "mul":
-        return f * h
-    if kind == "scalar-mul":
-        if isinstance(h, NcPoly):
-            h = h.coeff(EMPTY_WORD)
-        return f.scale(h)
-    raise ValueError(f"unknown poly_arith kind {kind!r}")

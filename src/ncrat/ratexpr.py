@@ -112,9 +112,6 @@ class RatExpr:
         _collect_letters(self.node, out)
         return out
 
-    def uses_star(self) -> bool:
-        return any(l.starred for l in self.letters_used())
-
     def __str__(self):
         return self.format()
 

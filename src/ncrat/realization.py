@@ -26,16 +26,19 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
-    EchelonBasis,
     ExactMatrix,
+    FractionFreeBasis,
     Scalar,
     ZERO,
     _coerce,
     block_matrix,
     embed,
+    gaussian_matvec,
+    gaussian_rows,
+    gaussian_scalar,
+    gaussian_vector,
     matrix_inverse,
     rank_factor,
-    solve_exact,
     split_blocks,
 )
 from .errors import (
@@ -473,17 +476,6 @@ class SparseMatrix:
             if not row:
                 del self.rows[i]
 
-    def matvec(self, v):
-        out = [ZERO] * self.n
-        for i, row in self.rows.items():
-            acc = ZERO
-            for j, val in row.items():
-                x = v[j]
-                if x:
-                    acc = acc + val * x
-            out[i] = acc
-        return out
-
     def vecmat(self, u):
         out = [ZERO] * self.n
         for i, row in self.rows.items():
@@ -521,10 +513,6 @@ class ScalarRep:
     A: tuple  # SparseMatrix per scalar letter
     B: ExactMatrix  # dim x m
     alphabet: object = None
-
-    def scalar_letter(self, slot: int, i: int, j: int) -> int:
-        """Index of the scalar letter for block (i, j) of base letter slot."""
-        return slot * self.m * self.m + i * self.m + j
 
     def word_value(self, word) -> ExactMatrix:
         """C A^w B for a word of scalar letter indices."""
@@ -599,36 +587,26 @@ def is_zero(s: LinRep) -> bool:
 
 
 def scalar_rep_is_zero(sr: ScalarRep) -> bool:
-    basis = EchelonBasis(sr.dim)
-    queue = deque(list(sr.B.col(j)) for j in range(sr.B.cols))
-    m, D = sr.C.rows, sr.dim
-    while queue:
-        v = queue.popleft()
-        red = basis.add(v)
-        if red is None:
-            continue
-        for r in range(m):
-            acc = ZERO
-            crow = sr.C.row(r)
-            for q in range(D):
-                x = red[q]
-                if x:
-                    acc = acc + crow[q] * x
-            if acc:
-                return False
-        for mat in sr.A:
-            if mat.rows:
-                queue.append(mat.matvec(red))
-    return True
+    """Exact zero test of a scalarized representation: whether C
+    annihilates the fraction-free reachability closure of B."""
+    _, c_rows = gaussian_rows(_sparse_rows(sr.C))
+    m = sr.C.rows
+
+    def observed(row):
+        re, im = gaussian_matvec(c_rows, row, m)
+        return any(re) or (im is not None and any(im))
+
+    return _closure(sr, stop=observed) is not None
 
 
-def is_zero_by_enumeration(s: LinRep) -> bool:
-    """Cross-check oracle: test all scalar words of length < m*n directly.
+def is_zero_by_enumeration(s: LinRep | ScalarRep) -> bool:
+    """Cross-check oracle: test all scalar words of length < dim directly
+    (dim = m*n for a scalarized LinRep).
 
-    Exponential in the dimension; intended for m*n <= 4 desk checks.
+    Exponential in the dimension; intended for dim <= 4 desk checks.
     """
-    sr = scalarize(s)
-    bound = sr.dim  # words of length < m*n, and dim == m*n here
+    sr = s if isinstance(s, ScalarRep) else scalarize(s)
+    bound = sr.dim
 
     def dfs(rows, depth):
         for r in rows:
@@ -881,105 +859,132 @@ def eval_rep(s: LinRep, point) -> ExactMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _reach_basis(sr: ScalarRep) -> list:
-    basis = EchelonBasis(sr.dim)
-    queue = deque(list(sr.B.col(j)) for j in range(sr.B.cols))
-    while queue:
-        v = queue.popleft()
-        red = basis.add(v)
-        if red is None:
-            continue
-        for mat in sr.A:
-            if mat.rows:
-                queue.append(mat.matvec(red))
-    return basis.basis_vectors()
+def _sparse_rows(a: ExactMatrix) -> dict:
+    """The nonzero entries of a as ``{row: {col: Scalar}}``."""
+    out = {}
+    for i in range(a.rows):
+        row = {j: x for j, x in enumerate(a.row(i)) if x}
+        if row:
+            out[i] = row
+    return out
 
 
-def _obs_basis(sr: ScalarRep) -> list:
-    basis = EchelonBasis(sr.dim)
-    queue = deque(list(sr.C.row(r)) for r in range(sr.C.rows))
+def _transposed(rows: dict) -> dict:
+    out = {}
+    for i, row in rows.items():
+        for j, x in row.items():
+            out.setdefault(j, {})[i] = x
+    return out
+
+
+def _closure(sr: ScalarRep, transpose=False, stop=None, coords=False):
+    """Span of the columns of B under the letter matrices of sr or, with
+    ``transpose``, of the rows of C under the transposed letter matrices,
+    on FractionFreeBasis.
+
+    Each new basis row is first passed to ``stop``; the closure returns
+    None as soon as that is true.  Otherwise it returns (basis, found).
+    With ``coords``, found[(None, j)] and found[(l, k)] map basis indices to
+    the Scalar coordinates of start vector j and of letter l applied to
+    basis row k; without, found is empty.  The queue holds (letter, basis
+    index) pairs, and a letter matrix is converted to Gaussian-integer rows
+    when first popped, so a closure that stops at a start vector converts
+    none.
+    """
+    if transpose:
+        starts = [gaussian_vector(sr.C.row(r)) for r in range(sr.C.rows)]
+    else:
+        starts = [gaussian_vector(sr.B.col(j)) for j in range(sr.B.cols)]
+    letters = [l for l, mat in enumerate(sr.A) if mat.rows]
+    basis = FractionFreeBasis(sr.dim)
+    found, converted = {}, {}
+    queue = deque((None, j) for j in range(len(starts)))
     while queue:
-        u = queue.popleft()
-        red = basis.add(u)
-        if red is None:
+        l, k = queue.popleft()
+        if l is None:
+            d, v = starts[k]
+        else:
+            if l not in converted:
+                rows = sr.A[l].rows
+                converted[l] = gaussian_rows(_transposed(rows) if transpose else rows)
+            d, rows = converted[l]
+            v = gaussian_matvec(rows, basis.vectors[k], sr.dim)
+        steps = [] if coords else None
+        new = basis.add(v, steps)
+        if new is not None:
+            if stop is not None and stop(basis.vectors[new]):
+                return None
+            queue.extend((letter, new) for letter in letters)
+        if coords:
+            found[(l, k)] = {j: gaussian_scalar(re, im, den * d) for j, re, im, den in steps}
+    return basis, found
+
+
+def _empty_rep(sr: ScalarRep) -> ScalarRep:
+    return ScalarRep(
+        sr.m,
+        sr.letters,
+        0,
+        ExactMatrix(sr.C.rows, 0, []),
+        tuple(SparseMatrix(0) for _ in sr.A),
+        ExactMatrix(0, sr.B.cols, []),
+        sr.alphabet,
+    )
+
+
+def _letter_matrices(sr: ScalarRep, n: int, found, transpose):
+    """One SparseMatrix of size n per letter from closure coordinates:
+    entry (j, k) is coordinate j of letter l at basis row k, or entry
+    (k, j) with ``transpose``."""
+    mats = [SparseMatrix(n) for _ in sr.A]
+    for (l, k), coords in found.items():
+        if l is None:
             continue
-        for mat in sr.A:
-            if mat.rows:
-                queue.append(mat.vecmat(red))
-    return basis.basis_vectors()
+        for j, x in coords.items():
+            if transpose:
+                mats[l].add_entry(k, j, x)
+            else:
+                mats[l].add_entry(j, k, x)
+    return tuple(mats)
+
+
+def _times_vectors(a: ExactMatrix, vectors):
+    """The Scalar entries of a @ v for each Gaussian-integer vector v."""
+    d, rows = gaussian_rows(_sparse_rows(a))
+    out = []
+    for v in vectors:
+        re, im = gaussian_matvec(rows, v, a.rows)
+        out.append([gaussian_scalar(x, 0 if im is None else im[i], d) for i, x in enumerate(re)])
+    return out
 
 
 def minimize_scalar(s: LinRep | ScalarRep):
     """Restrict to the reachable then observable subspace.
 
     Returns (reduced ScalarRep, n_min).  Coefficients are unchanged; the
-    result is a minimal scalar-level representation of the series.
+    result is a minimal scalar-level representation of the series.  Both
+    passes run on the fraction-free closure, whose reductions already give
+    the coordinates of every A_l v in the basis.  When C annihilates the
+    reachable subspace, which is the zero verdict, the empty
+    representation is returned at once.
     """
     sr = s if isinstance(s, ScalarRep) else scalarize(s)
-    L = len(sr.A)
+    m, cols = sr.C.rows, sr.B.cols
 
-    reach = _reach_basis(sr)
+    # reachable pass, basis V: V B1 = B, V A1_l = A_l V, C1 = C V
+    reach, found = _closure(sr, coords=True)
     r = len(reach)
-    if r == 0:
-        empty = ExactMatrix(sr.C.rows, 0, [])
-        return (
-            ScalarRep(
-                sr.m,
-                sr.letters,
-                0,
-                empty,
-                tuple(SparseMatrix(0) for _ in range(L)),
-                ExactMatrix(0, sr.B.cols, []),
-                sr.alphabet,
-            ),
-            0,
-        )
-    V = ExactMatrix(sr.dim, r, [vec[i] for i in range(sr.dim) for vec in reach])
-    A1 = []
-    for mat in sr.A:
-        if mat.rows:
-            cols = [mat.matvec(vec) for vec in reach]
-            av = ExactMatrix(sr.dim, r, [col[i] for i in range(sr.dim) for col in cols])
-        else:
-            av = ExactMatrix.zeros(sr.dim, r)
-        A1.append(solve_exact(V, av))
-    B1 = solve_exact(V, sr.B)
-    C1 = sr.C * V
+    cv = _times_vectors(sr.C, reach.vectors)
+    if not any(x for col in cv for x in col):
+        return _empty_rep(sr), 0
+    C1 = ExactMatrix(m, r, [cv[k][i] for i in range(m) for k in range(r)])
+    B1 = ExactMatrix(r, cols, [found[(None, j)].get(k, ZERO) for k in range(r) for j in range(cols)])
+    mid = ScalarRep(sr.m, sr.letters, r, C1, _letter_matrices(sr, r, found, False), B1, sr.alphabet)
 
-    mid = ScalarRep(sr.m, sr.letters, r, C1, tuple(_to_sparse(a) for a in A1), B1, sr.alphabet)
-    obs = _obs_basis(mid)
+    # observable pass, basis W (rows): C2 W = C1, A2_l W = W A1_l, B2 = W B1
+    obs, found = _closure(mid, transpose=True, coords=True)
     t = len(obs)
-    if t == 0:
-        empty = ExactMatrix(sr.C.rows, 0, [])
-        return (
-            ScalarRep(
-                sr.m,
-                sr.letters,
-                0,
-                empty,
-                tuple(SparseMatrix(0) for _ in range(L)),
-                ExactMatrix(0, sr.B.cols, []),
-                sr.alphabet,
-            ),
-            0,
-        )
-    W = ExactMatrix(t, r, [x for vec in obs for x in vec])
-    Wt = W.transpose()
-    A2 = []
-    for a in A1:
-        wa = W * a
-        A2.append(solve_exact(Wt, wa.transpose()).transpose())
-    C2 = solve_exact(Wt, C1.transpose()).transpose()
-    B2 = W * B1
-    out = ScalarRep(sr.m, sr.letters, t, C2, tuple(_to_sparse(a) for a in A2), B2, sr.alphabet)
+    C2 = ExactMatrix(m, t, [found[(None, i)].get(j, ZERO) for i in range(m) for j in range(t)])
+    B2 = ExactMatrix(t, cols, [x for row in _times_vectors(B1.transpose(), obs.vectors) for x in row])
+    out = ScalarRep(sr.m, sr.letters, t, C2, _letter_matrices(mid, t, found, True), B2, sr.alphabet)
     return out, t
-
-
-def _to_sparse(a: ExactMatrix) -> SparseMatrix:
-    sm = SparseMatrix(a.rows)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            v = a[i, j]
-            if v:
-                sm.add_entry(i, j, v)
-    return sm

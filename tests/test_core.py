@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 
 from ncrat.core import (
-    EchelonBasis,
     ExactMatrix,
+    FractionFreeBasis,
     Scalar,
     ZERO,
     ONE,
@@ -17,11 +18,12 @@ from ncrat.core import (
     embed,
     float_from_json,
     float_to_json,
+    gaussian_scalar,
+    gaussian_vector,
     matrix_inverse,
     matrix_product,
     rank_factor,
     rref,
-    solve_exact,
     split_blocks,
 )
 from ncrat.errors import DimensionMismatch, SingularMatrixError
@@ -136,25 +138,41 @@ class TestEliminationHelpers:
         assert c * r == m
         assert c.cols == 2
 
-    def test_solve_exact(self):
-        a = ExactMatrix.from_rows([[1, 0], [1, 1], [0, 2]])
-        x = ExactMatrix.from_rows([[1, 2], [3, -1]])
-        b = a * x
-        assert solve_exact(a, b) == x
-
-    def test_solve_rank_deficient(self):
-        a = ExactMatrix.from_rows([[1, 1], [2, 2]])
-        with pytest.raises(SingularMatrixError):
-            solve_exact(a, ExactMatrix.from_rows([[1], [2]]))
-
     def test_echelon_basis(self):
-        basis = EchelonBasis(3)
-        assert basis.add([ONE, ZERO, ONE]) is not None
-        assert basis.add([ONE, ZERO, ONE]) is None
-        assert basis.add([ZERO, ONE, ZERO]) is not None
-        assert len(basis) == 2
-        red = basis.reduce([ONE, ONE, ONE])
-        assert red[0] == ZERO and red[1] == ZERO
+        # Gaussian-integer vectors, some with non-real pivots, some dependent:
+        # the basis keeps the rank an exact rref finds, every row has a
+        # positive integer pivot and content 1, and the coordinates that
+        # add() reports rebuild each vector.
+        rng = random.Random(11)
+        pool = [Scalar(a, b) for a in range(-3, 4) for b in (0, 0, -1, 2)]
+        saw_complex_row = False
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            basis = FractionFreeBasis(n)
+            span = []
+            for _ in range(rng.randint(1, 6)):
+                if span and rng.random() < 0.4:  # dependent on earlier vectors
+                    v = [sum((rng.choice(pool) * u[q] for u in span), ZERO) for q in range(n)]
+                else:
+                    v = [rng.choice(pool) for _ in range(n)]
+                span.append(v)
+                coords = []
+                basis.add(gaussian_vector(v)[1], coords)
+                rebuilt = [ZERO] * n
+                for j, re, im, den in coords:
+                    c = gaussian_scalar(re, im, den)
+                    row_re, row_im = basis.vectors[j]
+                    row = [gaussian_scalar(x, row_im[q] if row_im else 0) for q, x in enumerate(row_re)]
+                    rebuilt = [x + c * y for x, y in zip(rebuilt, row)]
+                assert rebuilt == v
+            assert len(basis) == len(rref(span)[1])
+            for re, im in basis.vectors:
+                im = im or [0] * n
+                piv = next(q for q in range(n) if re[q] or im[q])
+                assert re[piv] > 0 and im[piv] == 0
+                assert math.gcd(*re, *im) == 1
+                saw_complex_row |= any(im)
+        assert saw_complex_row
 
 
 class TestBlocksAndJson:
