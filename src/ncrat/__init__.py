@@ -20,7 +20,6 @@ from .ratexpr import (
 )
 from .realization import (
     BasePoint,
-    BimoduleElem,
     GenPoly,
     LinRep,
     ScalarRep,

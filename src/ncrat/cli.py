@@ -38,7 +38,6 @@ from .realization import (
     BasePoint,
     coefficient,
     compile_expression,
-    is_zero,
     minimize_scalar,
 )
 from .sampler import SampleDomain, falsify, sample_point
@@ -183,8 +182,10 @@ def cmd_zero_test(args) -> int:
     expr = parse_expression(args.expr, _alphabet_for(args, args.expr))
     bp = _parse_basepoint(args.basepoint, expr)
     rep = compile_expression(expr, bp)
-    zero = is_zero(rep)
+    # minimization stops at the empty automaton exactly when C annihilates
+    # the reachable space, which is the zero verdict
     _, nmin = minimize_scalar(rep)
+    zero = nmin == 0
     _emit(
         args,
         {"zero": zero, "dimension": rep.dim, "minimal_dimension": nmin},

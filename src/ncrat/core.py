@@ -404,56 +404,6 @@ def conjugate_transpose(a):
 
 
 # ---------------------------------------------------------------------------
-# Exact elimination utilities
-# ---------------------------------------------------------------------------
-
-
-def rref(rows):
-    """Reduced row echelon form of a list of Scalar rows.
-
-    Returns (new_rows, pivot_columns).  Input rows are not modified.
-    """
-    work = [list(r) for r in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for k in range(r, nrows):
-            if work[k][col]:
-                piv = k
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv_p = work[r][col].inverse()
-        work[r] = [x * inv_p for x in work[r]]
-        prow = work[r]
-        for k in range(nrows):
-            if k != r and work[k][col]:
-                f = work[k][col]
-                work[k] = [x - f * y for x, y in zip(work[k], prow)]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return work, pivots
-
-
-def rank_factor(a: ExactMatrix):
-    """Exact rank factorization a = C * R with inner dimension rank(a)."""
-    red, pivots = rref([a.row(i) for i in range(a.rows)])
-    rk = len(pivots)
-    C = ExactMatrix(
-        a.rows, rk, [a[i, p] for i in range(a.rows) for p in pivots]
-    )
-    R = ExactMatrix(rk, a.cols, [red[r][j] for r in range(rk) for j in range(a.cols)])
-    return C, R
-
-
-
-# ---------------------------------------------------------------------------
 # Fraction-free elimination over the Gaussian integers
 # ---------------------------------------------------------------------------
 #

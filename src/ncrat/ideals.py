@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import bounds as _bounds
-from .core import ExactMatrix, Scalar
+from .core import ExactMatrix, Scalar, matrix_inverse
 from .errors import (
     AlphabetMismatch,
     ConditioningFailure,
@@ -56,8 +56,8 @@ from .ratexpr import (
 )
 from .realization import (
     BasePoint,
-    BimoduleElem,
     LinRep,
+    automaton_rep,
     compile_expression,
     compile_poly,
     is_zero,
@@ -152,58 +152,52 @@ def _compiled_resolvent_reps(resolvent: dict, bp: BasePoint) -> dict:
 
 def _neumann_inverse_rep(g: int, i: int, j: int, bp: BasePoint) -> LinRep:
     """Dimension-g representation of the (i, j) entry of X^{-1} about the
-    identity pattern: c = e_i^T, A^{X_kl} = -(X_kl - delta_kl) E_kl, b = e_j."""
-    one = ExactMatrix.identity(1)
-    zero = ExactMatrix.zeros(1, 1)
-    c = tuple(one if q == i - 1 else zero for q in range(g))
-    b = tuple(one if q == j - 1 else zero for q in range(g))
-    A = {}
-    for k in range(1, g + 1):
-        for l in range(1, g + 1):
-            letter = Letter((k - 1) * g + l, False)
-            A[letter] = {(k - 1, l - 1): BimoduleElem(1, letter, [(-one, one)])}
-    return LinRep(bp, g, c, A, b)
+    identity pattern: C = e_i^T, A^{X_kl} = -E_kl (the shift of X_kl is
+    X_kl - delta_kl), B = e_j."""
+    entries = [
+        (Letter((k - 1) * g + l, False), 0, 0, k - 1, l - 1, -1)
+        for k in range(1, g + 1)
+        for l in range(1, g + 1)
+    ]
+    return automaton_rep(bp, _unit_row(g, i - 1), entries, _unit_row(g, j - 1).transpose())
+
+
+def _unit_row(n: int, *cols) -> ExactMatrix:
+    return ExactMatrix.from_rows([[1 if q in cols else 0 for q in range(n)]])
 
 
 def scalar_inverse_rep(letter: Letter, bp: BasePoint) -> LinRep:
     """Dimension-1 representation of letter^{-1} about its base value p:
-    c = p^{-1}, A = -Y p^{-1}, b = 1 (the geometric series of (p + Y)^{-1})."""
-    from .core import matrix_inverse
-
+    c = p^{-1}, A = -Y p^{-1}, b = 1 (the geometric series of (p + Y)^{-1}).
+    Scalar letter (i, j) of Y has row i of A equal to -(row j of p^{-1})."""
+    m = bp.m
     p_inv = matrix_inverse(bp[letter])
-    one = ExactMatrix.identity(bp.m)
-    A = {letter: {(0, 0): BimoduleElem(bp.m, letter, [(-one, p_inv)])}}
-    return LinRep(bp, 1, (p_inv,), A, (one,))
+    entries = [
+        (letter, i, j, i, k, -p_inv[j, k]) for i in range(m) for j in range(m) for k in range(m)
+    ]
+    return automaton_rep(bp, p_inv, entries, ExactMatrix.identity(m))
 
 
 def sprime_resolvent_rep(g: int, bp: BasePoint, alphabet=None) -> LinRep:
     """The (g+1)-dimensional representation of X1^{-1}(1 - sum_{j>=2} X_j Y_j)
     about (1, 0, ..., 0): c = e1, b = e1 + e2, per-letter matrices
     -Y E_11 (Y the shift of X1), -X_j E_{1,j+1} and Y_j E_{j+1,2}."""
-    one = ExactMatrix.identity(1)
-    zero = ExactMatrix.zeros(1, 1)
-    c = tuple([one] + [zero] * g)
-    b = tuple([one, one] + [zero] * (g - 1))
-    A = {Letter(1, False): {(0, 0): BimoduleElem(1, Letter(1, False), [(-one, one)])}}
+    entries = [(Letter(1, False), 0, 0, 0, 0, -1)]
     for j in range(2, g + 1):
-        A[Letter(j, False)] = {(0, j): BimoduleElem(1, Letter(j, False), [(-one, one)])}
-        A[Letter(g + j, False)] = {(j, 1): BimoduleElem(1, Letter(g + j, False), [(one, one)])}
-    return LinRep(bp, g + 1, c, A, b, alphabet)
+        entries.append((Letter(j, False), 0, 0, 0, j, -1))
+        entries.append((Letter(g + j, False), 0, 0, j, 1, 1))
+    return automaton_rep(bp, _unit_row(g + 1, 0), entries, _unit_row(g + 1, 0, 1).transpose(), alphabet)
 
 
 def s_resolvent_rep(g: int, bp: BasePoint, alphabet=None) -> LinRep:
     """The (g+1)-dimensional representation of (1 - sum_{j>=2} X_j^* X_j) X_1^{-1}
     about (1, 0, ..., 0): the transpose of the dual construction, with
     c = e1 + e2, b = e1, matrices -Y E_11, -X_j E_{j+1,1}, X_j^* E_{2,j+1}."""
-    one = ExactMatrix.identity(1)
-    zero = ExactMatrix.zeros(1, 1)
-    c = tuple([one, one] + [zero] * (g - 1))
-    b = tuple([one] + [zero] * g)
-    A = {Letter(1, False): {(0, 0): BimoduleElem(1, Letter(1, False), [(-one, one)])}}
+    entries = [(Letter(1, False), 0, 0, 0, 0, -1)]
     for j in range(2, g + 1):
-        A[Letter(j, False)] = {(j, 0): BimoduleElem(1, Letter(j, False), [(-one, one)])}
-        A[Letter(j, True)] = {(1, j): BimoduleElem(1, Letter(j, True), [(one, one)])}
-    return LinRep(bp, g + 1, c, A, b, alphabet)
+        entries.append((Letter(j, False), 0, 0, j, 0, -1))
+        entries.append((Letter(j, True), 0, 0, 1, j, 1))
+    return automaton_rep(bp, _unit_row(g + 1, 0, 1), entries, _unit_row(g + 1, 0).transpose(), alphabet)
 
 
 def comminv_resolvent_rep(bp: BasePoint, alphabet=None) -> LinRep:
@@ -212,24 +206,27 @@ def comminv_resolvent_rep(bp: BasePoint, alphabet=None) -> LinRep:
 
         A^{Y1} = [[-Y1 P2 Q + P2 Y1 Q, Y1, 0], [0,0,0], [-Y1 Q, 0, 0]]
         A^{Y2} = [[Y2 P1 Q - P1 Y2 Q, 0, -Y2], [-Y2 Q, 0, 0], [0,0,0]]
+
+    A term a Y b in block (p, q) puts a[r, i] b[j, c] at state
+    (2p + r, 2q + c) of scalar letter (Y, i, j).
     """
     one = ExactMatrix.identity(2)
-    zero = ExactMatrix.zeros(2, 2)
     p1 = ExactMatrix.unit(2, 0, 1)
     p2 = ExactMatrix.unit(2, 1, 0)
     q = ExactMatrix.from_rows([[1, 0], [0, -1]])
     l1, l2 = Letter(1, False), Letter(2, False)
-    A1 = {
-        (0, 0): BimoduleElem(2, l1, [(-one, p2 * q), (p2, q)]),
-        (0, 1): BimoduleElem.generator(2, l1),
-        (2, 0): BimoduleElem(2, l1, [(-one, q)]),
-    }
-    A2 = {
-        (0, 0): BimoduleElem(2, l2, [(one, p1 * q), (-p1, q)]),
-        (0, 2): BimoduleElem(2, l2, [(-one, one)]),
-        (1, 0): BimoduleElem(2, l2, [(-one, q)]),
-    }
-    return LinRep(bp, 3, (q, zero, zero), {l1: A1, l2: A2}, (one, zero, zero), alphabet)
+    terms = [
+        (l1, 0, 0, -one, p2 * q), (l1, 0, 0, p2, q), (l1, 0, 1, one, one), (l1, 2, 0, -one, q),
+        (l2, 0, 0, one, p1 * q), (l2, 0, 0, -p1, q), (l2, 0, 2, -one, one), (l2, 1, 0, -one, q),
+    ]
+    entries = [
+        (letter, i, j, 2 * row + r, 2 * col + c, a[r, i] * b[j, c])
+        for letter, row, col, a, b in terms
+        for i in range(2) for j in range(2) for r in range(2) for c in range(2)
+    ]
+    C = ExactMatrix.from_rows([[1, 0, 0, 0, 0, 0], [0, -1, 0, 0, 0, 0]])
+    B = ExactMatrix.from_rows([[1, 0], [0, 1]] + [[0, 0]] * 4)
+    return automaton_rep(bp, C, entries, B, alphabet)
 
 
 def _letter_from_name(alphabet: Alphabet, name: str) -> Letter:

@@ -1,31 +1,41 @@
 """Linear representations of generalized series about matrix base points.
 
-A series about a base point p in M_m(k)^g is presented by data (c, A, b)
-with c in A^{1xn}, b in A^{nx1} and, for each letter Y, an n x n matrix
-A^Y over the A-bimodule generated by Y (A = M_m(k)).  The coefficient at
-a word w is [S, w] = c A^w b, and the series itself is
+A series about a base point p in M_m(k)^g is a noncommutative series in
+the shifts Y = X - p with coefficients in A = M_m(k).  The matrix
+reduction isomorphism M_m(k)<Y> = M_m(k<y>) identifies it with an m x m
+matrix of series in m^2 g scalar letters y_(l,i,j), one per base letter
+l and matrix position (i, j); Y_l is the m x m matrix of its letters.
+Such a matrix of series is stored as an ordinary weighted automaton
+(ScalarRep): C of size m x D, one sparse D x D matrix A per scalar letter
+and B of size D x m, so that the coefficient of a scalar word w is
+C A^w B.  D is a multiple m*n of m, and n is the dimension of the
+representation.
 
-    S = c (I_n - sum_Y A^Y)^{-1} b.
+Rational expressions compile to automata by structural recursion, with
+the standard constructions: a sum is block diagonal, a product
+S1*S2 is C = [C1, (C1 B1) C2], A = [[A1, (A1 B1) C2], [0, A2]],
+B = [0; B2], and an inverse, with a = CB invertible in M_m, is
+C' = [-a^-1 C, a^-1], A' = [[A - (A B) a^-1 C, (A B) a^-1], [0, 0]],
+B' = [0; I].  Each block of m states is one state of the block form
+(c, A, b) with c in A^{1 x n}, b in A^{n x 1}, in which the series is
+c (I_n - sum_l A^{Y_l})^{-1} b: block q, entry (r, c) of it is state
+q*m + r, and letter (l, i, j) has index slot(l)*m^2 + i*m + j.
 
-Rational expressions compile to such representations by structural
-recursion: sums and products add dimensions, an inverse adds one.  The
-whole calculus is made effective by the matrix reduction isomorphism,
-which identifies M_m(k)<Y> with m x m matrices over a free algebra in
-m^2 g scalar letters; the scalarized representation is an ordinary
-weighted automaton of dimension m*n, where zero testing is a reachability
-closure and where minimization works by restricting to the reachable and
-observable subspaces.
+The automaton is the only form a LinRep stores, and ``scalarize`` returns
+it.  Zero testing is a reachability closure on it, and minimization
+restricts it to the reachable and observable subspaces.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import (
+    ONE,
     ExactMatrix,
     FractionFreeBasis,
     Scalar,
@@ -38,7 +48,6 @@ from .core import (
     gaussian_scalar,
     gaussian_vector,
     matrix_inverse,
-    rank_factor,
     split_blocks,
 )
 from .errors import (
@@ -51,7 +60,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .ncpoly import Alphabet, Letter, NcPoly
-from .ratexpr import Add, Const, Mul, Neg, RatExpr, Var
+from .ratexpr import Add, Const, Inv, Mul, Neg, RatExpr, Var
 
 
 # ---------------------------------------------------------------------------
@@ -105,364 +114,23 @@ def _check_same_point(s1: "LinRep", s2: "LinRep"):
 
 
 # ---------------------------------------------------------------------------
-# Bimodule elements
-# ---------------------------------------------------------------------------
-
-
-class BimoduleElem:
-    """An element sum_t a_t * Y * b_t of the A-bimodule generated by letter Y."""
-
-    __slots__ = ("m", "letter", "terms")
-
-    def __init__(self, m: int, letter: Letter, terms):
-        clean = tuple(
-            (a, b) for a, b in terms if not a.is_zero() and not b.is_zero()
-        )
-        if len(clean) > m * m:
-            clean = _compress_terms(m, clean)
-        self.m = m
-        self.letter = letter
-        self.terms = clean
-
-    @staticmethod
-    def generator(m: int, letter: Letter) -> "BimoduleElem":
-        one = ExactMatrix.identity(m)
-        return BimoduleElem(m, letter, [(one, one)])
-
-    def is_zero(self) -> bool:
-        if not self.terms:
-            return True
-        return self.tensor().is_zero()
-
-    def tensor(self) -> ExactMatrix:
-        """The element as sum_t vec(a_t) vec(b_t)^T; determines it uniquely."""
-        mm = self.m * self.m
-        acc = ExactMatrix.zeros(mm, mm)
-        for a, b in self.terms:
-            va = ExactMatrix(mm, 1, a.entries)
-            vb = ExactMatrix(1, mm, b.entries)
-            acc = acc + va * vb
-        return acc
-
-    def lmul(self, x: ExactMatrix) -> "BimoduleElem":
-        return BimoduleElem(self.m, self.letter, [(x * a, b) for a, b in self.terms])
-
-    def rmul(self, x: ExactMatrix) -> "BimoduleElem":
-        return BimoduleElem(self.m, self.letter, [(a, b * x) for a, b in self.terms])
-
-    def __add__(self, other: "BimoduleElem") -> "BimoduleElem":
-        if other is None:
-            return self
-        if self.letter != other.letter or self.m != other.m:
-            raise DimensionMismatch("cannot add bimodule elements of different letters")
-        return BimoduleElem(self.m, self.letter, self.terms + other.terms)
-
-    def __neg__(self):
-        return BimoduleElem(self.m, self.letter, [(-a, b) for a, b in self.terms])
-
-    def __eq__(self, other):
-        if not isinstance(other, BimoduleElem):
-            return NotImplemented
-        return (
-            self.m == other.m
-            and self.letter == other.letter
-            and (self.tensor() == other.tensor())
-        )
-
-    def substitute(self, value: ExactMatrix, s: int) -> ExactMatrix:
-        """Evaluate with Y = value (size m*s), embedding a -> a (x) I_s."""
-        acc = ExactMatrix.zeros(self.m * s, self.m * s)
-        for a, b in self.terms:
-            acc = acc + embed(a, s) * value * embed(b, s)
-        return acc
-
-    def __repr__(self):
-        return f"BimoduleElem(letter={self.letter}, {len(self.terms)} terms)"
-
-
-def _compress_terms(m: int, terms):
-    # rank-factor the m^2 x m^2 tensor; caps the term list at m^2 entries
-    mm = m * m
-    acc = ExactMatrix.zeros(mm, mm)
-    for a, b in terms:
-        va = ExactMatrix(mm, 1, a.entries)
-        vb = ExactMatrix(1, mm, b.entries)
-        acc = acc + va * vb
-    C, R = rank_factor(acc)
-    out = []
-    for s in range(C.cols):
-        a = ExactMatrix(m, m, C.col(s))
-        b = ExactMatrix(m, m, R.row(s))
-        out.append((a, b))
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# Linear representations
-# ---------------------------------------------------------------------------
-
-
-class LinRep:
-    """A linear representation (c, A, b) about a base point.
-
-    ``A`` maps each letter to a sparse {(row, col): BimoduleElem} grid;
-    letters absent from the dict act as zero.  Instances are immutable.
-    """
-
-    __slots__ = ("basepoint", "dim", "c", "A", "b", "alphabet")
-
-    def __init__(self, basepoint: BasePoint, dim, c, A, b, alphabet=None):
-        self.basepoint = basepoint
-        self.dim = dim
-        self.c = tuple(c)
-        self.A = {l: dict(grid) for l, grid in A.items()}
-        self.b = tuple(b)
-        self.alphabet = alphabet
-        m = basepoint.m
-        if len(self.c) != dim or len(self.b) != dim:
-            raise DimensionMismatch("c/b length must equal the dimension")
-        for mat in self.c + self.b:
-            if mat.rows != m or mat.cols != m:
-                raise DimensionMismatch("c/b entries must be m x m")
-
-    @property
-    def m(self) -> int:
-        return self.basepoint.m
-
-    @property
-    def letters(self) -> tuple:
-        return self.basepoint.letters
-
-    # convenience wrappers
-    def scalarize(self) -> "ScalarRep":
-        return scalarize(self)
-
-    def is_zero(self) -> bool:
-        return is_zero(self)
-
-    def coefficient(self, word) -> "GenPoly":
-        return coefficient(self, word)
-
-    def eval(self, point) -> ExactMatrix:
-        return eval_rep(self, point)
-
-    def __repr__(self):
-        return f"LinRep(m={self.m}, dim={self.dim}, letters={len(self.letters)})"
-
-
-def rep_const(a: ExactMatrix, basepoint: BasePoint) -> LinRep:
-    """Dimension-1 representation of the constant series a."""
-    m = basepoint.m
-    if a.rows != m or a.cols != m:
-        raise DimensionMismatch("constant must be m x m")
-    return LinRep(basepoint, 1, (a,), {}, (ExactMatrix.identity(m),))
-
-
-def rep_var(letter: Letter, basepoint: BasePoint) -> LinRep:
-    """Dimension-2 representation of the series  Y + p  for one letter."""
-    m = basepoint.m
-    shift = basepoint[letter]
-    one = ExactMatrix.identity(m)
-    zero = ExactMatrix.zeros(m, m)
-    A = {letter: {(0, 1): BimoduleElem.generator(m, letter)}}
-    return LinRep(basepoint, 2, (one, shift), A, (zero, one))
-
-
-def rep_add(s1: LinRep, a, s2: LinRep) -> LinRep:
-    """Representation of S1 + a*S2 of dimension n1 + n2."""
-    _check_same_point(s1, s2)
-    m = s1.m
-    if isinstance(a, (int, Scalar)):
-        a = ExactMatrix.scalar(m, a)
-    c = s1.c + tuple(a * x for x in s2.c)
-    b = s1.b + s2.b
-    A = {}
-    for l, grid in s1.A.items():
-        A[l] = dict(grid)
-    n1 = s1.dim
-    for l, grid in s2.A.items():
-        dst = A.setdefault(l, {})
-        for (p, q), elem in grid.items():
-            dst[(p + n1, q + n1)] = elem
-    return LinRep(s1.basepoint, s1.dim + s2.dim, c, A, b, s1.alphabet or s2.alphabet)
-
-
-def rep_mul(s1: LinRep, s2: LinRep) -> LinRep:
-    """Representation of the product S1*S2 of dimension n1 + n2."""
-    _check_same_point(s1, s2)
-    n1, n2 = s1.dim, s2.dim
-    cb = _dot(s1.c, s1.b)  # c1 b1 in A
-    c = s1.c + tuple(cb * x for x in s2.c)
-    b = tuple(ExactMatrix.zeros(s1.m, s1.m) for _ in range(n1)) + s2.b
-    A = {}
-    for l, grid in s1.A.items():
-        dst = A.setdefault(l, {})
-        # top-left block A1, top-right block A1 b1 c2
-        for (p, q), elem in grid.items():
-            dst[(p, q)] = elem
-            for qq in range(n2):
-                x = s1.b[q] * s2.c[qq]
-                if x.is_zero():
-                    continue
-                extra = elem.rmul(x)
-                if extra.terms:
-                    prev = dst.get((p, n1 + qq))
-                    dst[(p, n1 + qq)] = extra if prev is None else prev + extra
-    for l, grid in s2.A.items():
-        dst = A.setdefault(l, {})
-        for (p, q), elem in grid.items():
-            dst[(p + n1, q + n1)] = elem
-    return LinRep(s1.basepoint, n1 + n2, c, A, b, s1.alphabet or s2.alphabet)
-
-
-def rep_inv(s: LinRep) -> LinRep:
-    """Representation of S^{-1} of dimension n + 1.
-
-    Requires the constant term a = [S, 1] to be invertible in M_m(k);
-    raises SingularConstantTerm otherwise (base point outside the domain
-    at this nesting level).
-    """
-    m, n = s.m, s.dim
-    a = _dot(s.c, s.b)
-    try:
-        a_inv = matrix_inverse(a)
-    except SingularMatrixError:
-        raise SingularConstantTerm(
-            "constant term of the series is singular"
-        ) from None
-    c = tuple(-(a_inv * x) for x in s.c) + (a_inv,)
-    zero = ExactMatrix.zeros(m, m)
-    b = tuple(zero for _ in range(n)) + (ExactMatrix.identity(m),)
-    # A' = [[A (I - b a^-1 c), A b a^-1], [0, 0]]
-    A = {}
-    for l, grid in s.A.items():
-        dst = {}
-        for (p, t), elem in grid.items():
-            # column q of the first block: A[p,t] (delta_tq - b_t a^-1 c_q)
-            prev = dst.get((p, t))
-            dst[(p, t)] = elem if prev is None else prev + elem
-            for q in range(n):
-                x = s.b[t] * a_inv * s.c[q]
-                if not x.is_zero():
-                    extra = elem.rmul(-x)
-                    if extra.terms:
-                        prev = dst.get((p, q))
-                        dst[(p, q)] = extra if prev is None else prev + extra
-            x = s.b[t] * a_inv
-            if not x.is_zero():
-                extra = elem.rmul(x)
-                if extra.terms:
-                    prev = dst.get((p, n))
-                    dst[(p, n)] = extra if prev is None else prev + extra
-        A[l] = dst
-    return LinRep(s.basepoint, n + 1, c, A, b, s.alphabet)
-
-
-def _dot(row, col) -> ExactMatrix:
-    acc = None
-    for x, y in zip(row, col):
-        prod = x * y
-        acc = prod if acc is None else acc + prod
-    return acc
-
-
-# ---------------------------------------------------------------------------
-# Compilation of rational expressions
-# ---------------------------------------------------------------------------
-
-
-def compile_expression(e: RatExpr, basepoint) -> LinRep:
-    """Compile a rational expression into a representation of e(p + y).
-
-    ``basepoint`` is a BasePoint or a {Letter: ExactMatrix} mapping that
-    must bind every letter used by the expression.  A singular constant
-    term at some inverse raises DomainError with the path to that node.
-    """
-    if isinstance(basepoint, Mapping):
-        basepoint = BasePoint.from_mapping(basepoint)
-    missing = [l for l in e.letters_used() if l not in basepoint.letters]
-    if missing:
-        raise MissingLetter(f"base point does not bind {sorted(missing)}")
-    m = basepoint.m
-    minus_one = ExactMatrix.scalar(m, -1)
-    one = ExactMatrix.identity(m)
-
-    def walk(node, path):
-        if isinstance(node, Const):
-            return rep_const(ExactMatrix.scalar(m, node.value), basepoint)
-        if isinstance(node, Var):
-            return rep_var(node.letter, basepoint)
-        if isinstance(node, Add):
-            acc = walk(node.children[0], path + (0,))
-            for i, child in enumerate(node.children[1:], start=1):
-                acc = rep_add(acc, one, walk(child, path + (i,)))
-            return acc
-        if isinstance(node, Neg):
-            zero = rep_const(ExactMatrix.zeros(m, m), basepoint)
-            return rep_add(zero, minus_one, walk(node.child, path + (0,)))
-        if isinstance(node, Mul):
-            acc = walk(node.children[0], path + (0,))
-            for i, child in enumerate(node.children[1:], start=1):
-                acc = rep_mul(acc, walk(child, path + (i,)))
-            return acc
-        # Inv
-        sub = walk(node.child, path + (0,))
-        try:
-            return rep_inv(sub)
-        except SingularConstantTerm:
-            raise DomainError("base point outside dom r", path) from None
-
-    rep = walk(e.node, ())
-    return LinRep(basepoint, rep.dim, rep.c, rep.A, rep.b, e.alphabet)
-
-
-def compile_poly(f: NcPoly, letter_reps: Mapping, basepoint) -> LinRep:
-    """Fold a polynomial over given letter representations.
-
-    Every letter of f must be mapped to a LinRep about ``basepoint``
-    (typically rep_var for free letters and a resolvent representation for
-    eliminated ones).  The result represents f with each letter replaced by
-    the series it is bound to.
-    """
-    if isinstance(basepoint, Mapping):
-        basepoint = BasePoint.from_mapping(basepoint)
-    m = basepoint.m
-    acc = None
-    one = ExactMatrix.identity(m)
-    for w in f.support():
-        coeff = f.terms[w]
-        word_rep = rep_const(one, basepoint)
-        for letter in w:
-            try:
-                word_rep = rep_mul(word_rep, letter_reps[letter])
-            except KeyError:
-                raise MissingLetter(f"no representation bound for {letter}") from None
-        if acc is None:
-            acc = rep_add(
-                rep_const(ExactMatrix.zeros(m, m), basepoint),
-                ExactMatrix.scalar(m, coeff),
-                word_rep,
-            )
-        else:
-            acc = rep_add(acc, ExactMatrix.scalar(m, coeff), word_rep)
-    if acc is None:
-        acc = rep_const(ExactMatrix.zeros(m, m), basepoint)
-    return acc
-
-
-# ---------------------------------------------------------------------------
-# Scalarization (matrix reduction functor)
+# Scalar automata
 # ---------------------------------------------------------------------------
 
 
 class SparseMatrix:
-    """Minimal sparse square matrix over Scalar: {row: {col: value}}."""
+    """Minimal sparse square matrix over Scalar: {row: {col: value}}.
+
+    The letter matrices of a LinRep share row dicts with the operands they
+    were built from, and its empty letter matrices are one object, so they
+    must not be changed after construction.
+    """
 
     __slots__ = ("n", "rows")
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, rows=None):
         self.n = n
-        self.rows = {}
+        self.rows = {} if rows is None else rows
 
     def add_entry(self, i: int, j: int, value: Scalar):
         if not value:
@@ -499,11 +167,9 @@ class SparseMatrix:
 
 @dataclass
 class ScalarRep:
-    """Image of a LinRep under entrywise matrix reduction.
-
-    A weighted automaton of dimension ``dim`` (= m*n for a fresh
-    scalarization) over m^2 * len(letters) scalar letters, with m x m
-    output: the coefficient of a scalar word w is C A^w B.
+    """A weighted automaton of dimension ``dim`` over m^2 * len(letters)
+    scalar letters, with m x m output: the coefficient of a scalar word w
+    is C A^w B.
     """
 
     m: int
@@ -531,45 +197,377 @@ class ScalarRep:
         return ExactMatrix(self.m, self.m, out)
 
 
-def scalarize(s: LinRep) -> ScalarRep:
-    """Apply the matrix reduction isomorphism entry-by-entry."""
-    m, n = s.m, s.dim
-    D = m * n
-    mm = m * m
-    C_entries = [ZERO] * (m * D)
-    for q in range(n):
-        blk = s.c[q]
-        for r in range(m):
-            for cc in range(m):
-                C_entries[r * D + q * m + cc] = blk[r, cc]
-    C = ExactMatrix(m, D, C_entries)
-    B_entries = [ZERO] * (D * m)
-    for q in range(n):
-        blk = s.b[q]
-        for r in range(m):
-            for cc in range(m):
-                B_entries[(q * m + r) * m + cc] = blk[r, cc]
-    B = ExactMatrix(D, m, B_entries)
-    mats = [SparseMatrix(D) for _ in range(mm * len(s.letters))]
-    for slot, letter in enumerate(s.letters):
-        grid = s.A.get(letter)
-        if not grid:
+def _hstack(parts) -> ExactMatrix:
+    entries = []
+    for r in range(parts[0].rows):
+        for p in parts:
+            entries.extend(p.row(r))
+    return ExactMatrix(parts[0].rows, sum(p.cols for p in parts), entries)
+
+
+def _vstack(parts) -> ExactMatrix:
+    return ExactMatrix(
+        sum(p.rows for p in parts), parts[0].cols, [x for p in parts for x in p.entries]
+    )
+
+
+def _nonzero_rows(a: ExactMatrix, offset: int = 0):
+    """Row i of a as a list of (offset + col, value) over its nonzero entries."""
+    return [
+        [(offset + j, x) for j, x in enumerate(a.row(i)) if x] for i in range(a.rows)
+    ]
+
+
+def _b_rows(x: ScalarRep) -> dict:
+    """The nonzero rows of B as {state: [(col, value)]}."""
+    return {q: row for q, row in enumerate(_nonzero_rows(x.B)) if row}
+
+
+def _constant_term(x: ScalarRep, b_rows: dict) -> ExactMatrix:
+    """CB, the coefficient of the empty word."""
+    m = x.m
+    out = [ZERO] * (m * m)
+    for q, bq in b_rows.items():
+        for i in range(m):
+            c = x.C[i, q]
+            if c:
+                for k, v in bq:
+                    out[i * m + k] = out[i * m + k] + c * v
+    return ExactMatrix(m, m, out)
+
+
+def _times_B(row: dict, b_rows: dict, m: int):
+    """The row vector row @ B of length m, or None when it is zero;
+    ``b_rows`` maps each state to the nonzero entries of its row of B."""
+    u = None
+    for q, v in row.items():
+        bq = b_rows.get(q)
+        if bq:
+            if u is None:
+                u = [None] * m
+            for k, x in bq:
+                u[k] = v * x if u[k] is None else u[k] + v * x
+    if u is None or not any(u):
+        return None
+    return u
+
+
+def _add_combination(row: dict, u, c_rows):
+    """row += sum_k u[k] * c_rows[k], dropping entries that cancel."""
+    for uk, ck in zip(u, c_rows):
+        if not uk:
             continue
-        for (p, q), elem in grid.items():
-            for a, b in elem.terms:
-                for i in range(m):
-                    for j in range(m):
-                        target = mats[slot * mm + i * m + j]
-                        # block (p, q) contribution: a[:, i] (x) b[j, :]
-                        for r in range(m):
-                            ar = a[r, i]
-                            if not ar:
-                                continue
-                            for cc in range(m):
-                                bv = b[j, cc]
-                                if bv:
-                                    target.add_entry(p * m + r, q * m + cc, ar * bv)
-    return ScalarRep(m, s.letters, D, C, tuple(mats), B, s.alphabet)
+        for j, x in ck:
+            old = row.get(j)
+            if old is None:
+                row[j] = uk * x
+            else:
+                s = old + uk * x
+                if s:
+                    row[j] = s
+                else:
+                    del row[j]
+
+
+# ---------------------------------------------------------------------------
+# Linear representations
+# ---------------------------------------------------------------------------
+
+
+class LinRep:
+    """A series about a base point, stored as its scalar automaton.
+
+    ``dim`` is the dimension n of the block form; the automaton has
+    D = m*n states.  Instances are immutable.
+    """
+
+    __slots__ = ("basepoint", "automaton")
+
+    def __init__(self, basepoint: BasePoint, automaton: ScalarRep):
+        m, D = basepoint.m, automaton.dim
+        if (
+            automaton.m != m
+            or automaton.letters != basepoint.letters
+            or D % m
+            or (automaton.C.rows, automaton.C.cols) != (m, D)
+            or (automaton.B.rows, automaton.B.cols) != (D, m)
+            or len(automaton.A) != m * m * len(basepoint.letters)
+            or any(a.n != D for a in automaton.A)
+        ):
+            raise DimensionMismatch("automaton does not fit the base point")
+        self.basepoint = basepoint
+        self.automaton = automaton
+
+    @property
+    def dim(self) -> int:
+        return self.automaton.dim // self.basepoint.m
+
+    @property
+    def m(self) -> int:
+        return self.basepoint.m
+
+    @property
+    def letters(self) -> tuple:
+        return self.basepoint.letters
+
+    @property
+    def alphabet(self):
+        return self.automaton.alphabet
+
+    # convenience wrappers
+    def scalarize(self) -> "ScalarRep":
+        return scalarize(self)
+
+    def is_zero(self) -> bool:
+        return is_zero(self)
+
+    def coefficient(self, word) -> "GenPoly":
+        return coefficient(self, word)
+
+    def eval(self, point) -> ExactMatrix:
+        return eval_rep(self, point)
+
+    def __repr__(self):
+        return f"LinRep(m={self.m}, dim={self.dim}, letters={len(self.letters)})"
+
+
+def _rep(basepoint: BasePoint, C, mats, B, alphabet) -> LinRep:
+    return LinRep(
+        basepoint, ScalarRep(basepoint.m, basepoint.letters, C.cols, C, tuple(mats), B, alphabet)
+    )
+
+
+def automaton_rep(basepoint: BasePoint, C: ExactMatrix, entries, B: ExactMatrix, alphabet=None) -> LinRep:
+    """A representation given as an automaton: C (m x D), B (D x m) and the
+    letter matrices as (letter, i, j, row, col, value) entries of scalar
+    letter (letter, i, j); entries at one place add up."""
+    m = basepoint.m
+    mats = [SparseMatrix(C.cols) for _ in range(m * m * len(basepoint.letters))]
+    for letter, i, j, row, col, value in entries:
+        mats[basepoint.slot(letter) * m * m + i * m + j].add_entry(row, col, _coerce(value))
+    return _rep(basepoint, C, mats, B, alphabet)
+
+
+def rep_const(a: ExactMatrix, basepoint: BasePoint) -> LinRep:
+    """Dimension-1 representation of the constant series a."""
+    m = basepoint.m
+    if a.rows != m or a.cols != m:
+        raise DimensionMismatch("constant must be m x m")
+    mats = [SparseMatrix(m)] * (m * m * len(basepoint.letters))
+    return _rep(basepoint, a, mats, ExactMatrix.identity(m), None)
+
+
+def rep_var(letter: Letter, basepoint: BasePoint) -> LinRep:
+    """Dimension-2 representation of the series  Y + p  for one letter:
+    c = (1, p), b = (0, 1) and A^Y = [[0, Y], [0, 0]]."""
+    m = basepoint.m
+    slot = basepoint.slot(letter)
+    mats = [SparseMatrix(2 * m)] * (m * m * len(basepoint.letters))
+    for i in range(m):
+        for j in range(m):
+            mats[slot * m * m + i * m + j] = SparseMatrix(2 * m, {i: {m + j: ONE}})
+    C = _hstack([ExactMatrix.identity(m), basepoint.mats[slot]])
+    B = _vstack([ExactMatrix.zeros(m, m), ExactMatrix.identity(m)])
+    return _rep(basepoint, C, mats, B, None)
+
+
+def _sum(terms) -> LinRep:
+    """sum_k a_k S_k for (a_k, S_k), a_k an m x m matrix or None for 1: the
+    block-diagonal automaton with C = [a_1 C_1, a_2 C_2, ...]."""
+    first = terms[0][1]
+    for _, s in terms[1:]:
+        _check_same_point(first, s)
+    autos = [s.automaton for _, s in terms]
+    C = _hstack([x.C if a is None else a * x.C for (a, _), x in zip(terms, autos)])
+    B = _vstack([x.B for x in autos])
+    empty = SparseMatrix(C.cols)
+    mats = []
+    for letter_mats in zip(*(x.A for x in autos)):
+        rows = dict(letter_mats[0].rows)
+        offset = autos[0].dim
+        for mat, x in zip(letter_mats[1:], autos[1:]):
+            for i, row in mat.rows.items():
+                rows[offset + i] = {offset + j: v for j, v in row.items()}
+            offset += x.dim
+        mats.append(SparseMatrix(C.cols, rows) if rows else empty)
+    alphabet = next((x.alphabet for x in autos if x.alphabet), None)
+    return _rep(first.basepoint, C, mats, B, alphabet)
+
+
+def rep_add(s1: LinRep, a, s2: LinRep) -> LinRep:
+    """Representation of S1 + a*S2 of dimension n1 + n2."""
+    if isinstance(a, (int, Scalar)):
+        a = ExactMatrix.scalar(s1.m, a)
+    return _sum([(None, s1), (a, s2)])
+
+
+def rep_mul(s1: LinRep, s2: LinRep) -> LinRep:
+    """Representation of the product S1*S2 of dimension n1 + n2."""
+    _check_same_point(s1, s2)
+    x1, x2 = s1.automaton, s2.automaton
+    m, D1 = s1.m, x1.dim
+    b_rows = _b_rows(x1)
+    C = _hstack([x1.C, _constant_term(x1, b_rows) * x2.C])
+    B = _vstack([ExactMatrix.zeros(D1, m), x2.B])
+    c_rows = _nonzero_rows(x2.C, D1)
+    empty = SparseMatrix(C.cols)
+    mats = []
+    for A1, A2 in zip(x1.A, x2.A):
+        rows = {}
+        # top-left block A1, top-right block (A1 B1) C2
+        for i, row in A1.rows.items():
+            u = _times_B(row, b_rows, m)
+            if u is not None:
+                row = dict(row)
+                _add_combination(row, u, c_rows)
+            rows[i] = row
+        for i, row in A2.rows.items():
+            rows[D1 + i] = {D1 + j: v for j, v in row.items()}
+        mats.append(SparseMatrix(C.cols, rows) if rows else empty)
+    return _rep(s1.basepoint, C, mats, B, x1.alphabet or x2.alphabet)
+
+
+def rep_inv(s: LinRep) -> LinRep:
+    """Representation of S^{-1} of dimension n + 1.
+
+    Requires the constant term a = [S, 1] = CB to be invertible in M_m(k);
+    raises SingularConstantTerm otherwise (base point outside the domain
+    at this nesting level).
+    """
+    x = s.automaton
+    m, D = s.m, x.dim
+    b_rows = _b_rows(x)
+    try:
+        a_inv = matrix_inverse(_constant_term(x, b_rows))
+    except SingularMatrixError:
+        raise SingularConstantTerm(
+            "constant term of the series is singular"
+        ) from None
+    ac = a_inv * x.C
+    C = _hstack([-ac, a_inv])
+    B = _vstack([ExactMatrix.zeros(D, m), ExactMatrix.identity(m)])
+    minus_ac = _nonzero_rows(-ac)
+    inv_cols = [[(D + k, a_inv[t, k]) for k in range(m) if a_inv[t, k]] for t in range(m)]
+    empty = SparseMatrix(D + m)
+    mats = []
+    for A in x.A:
+        # A' = [[A - (A B) a^-1 C, (A B) a^-1], [0, 0]]
+        rows = {}
+        for i, row in A.rows.items():
+            u = _times_B(row, b_rows, m)
+            if u is not None:
+                row = dict(row)
+                _add_combination(row, u, minus_ac)
+                _add_combination(row, u, inv_cols)
+            if row:
+                rows[i] = row
+        mats.append(SparseMatrix(D + m, rows) if rows else empty)
+    return _rep(s.basepoint, C, mats, B, x.alphabet)
+
+
+# ---------------------------------------------------------------------------
+# Compilation of rational expressions
+# ---------------------------------------------------------------------------
+
+
+def compile_expression(e: RatExpr, basepoint) -> LinRep:
+    """Compile a rational expression into a representation of e(p + y).
+
+    ``basepoint`` is a BasePoint or a {Letter: ExactMatrix} mapping that
+    must bind every letter used by the expression.  A singular constant
+    term at some inverse raises DomainError with the path to that node.
+    A node object that occurs several times in the expression is compiled
+    once.
+    """
+    if isinstance(basepoint, Mapping):
+        basepoint = BasePoint.from_mapping(basepoint)
+    missing = [l for l in e.letters_used() if l not in basepoint.letters]
+    if missing:
+        raise MissingLetter(f"base point does not bind {sorted(missing)}")
+    m = basepoint.m
+    minus_one = ExactMatrix.scalar(m, -1)
+    shared = _shared_nodes(e.node)
+    done = {}  # id(node) -> LinRep for the shared nodes, which stay alive in e
+
+    def walk(node, path):
+        rep = done.get(id(node))
+        if rep is None:
+            rep = compile_node(node, path)
+            if id(node) in shared:
+                done[id(node)] = rep
+        return rep
+
+    def compile_node(node, path):
+        if isinstance(node, Const):
+            return rep_const(ExactMatrix.scalar(m, node.value), basepoint)
+        if isinstance(node, Var):
+            return rep_var(node.letter, basepoint)
+        if isinstance(node, Add):
+            return _sum([(None, walk(child, path + (i,))) for i, child in enumerate(node.children)])
+        if isinstance(node, Neg):
+            zero = rep_const(ExactMatrix.zeros(m, m), basepoint)
+            return _sum([(None, zero), (minus_one, walk(node.child, path + (0,)))])
+        if isinstance(node, Mul):
+            acc = walk(node.children[0], path + (0,))
+            for i, child in enumerate(node.children[1:], start=1):
+                acc = rep_mul(acc, walk(child, path + (i,)))
+            return acc
+        # Inv
+        sub = walk(node.child, path + (0,))
+        try:
+            return rep_inv(sub)
+        except SingularConstantTerm:
+            raise DomainError("base point outside dom r", path) from None
+
+    rep = walk(e.node, ())
+    return LinRep(basepoint, replace(rep.automaton, alphabet=e.alphabet))
+
+
+def _shared_nodes(root) -> set:
+    """The ids of the node objects that occur more than once below root."""
+    seen, shared = set(), set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            shared.add(id(node))
+            continue
+        seen.add(id(node))
+        if isinstance(node, (Add, Mul)):
+            stack.extend(node.children)
+        elif isinstance(node, (Neg, Inv)):
+            stack.append(node.child)
+    return shared
+
+
+def compile_poly(f: NcPoly, letter_reps: Mapping, basepoint) -> LinRep:
+    """Fold a polynomial over given letter representations.
+
+    Every letter of f must be mapped to a LinRep about ``basepoint``
+    (typically rep_var for free letters and a resolvent representation for
+    eliminated ones).  The result represents f with each letter replaced by
+    the series it is bound to.
+    """
+    if isinstance(basepoint, Mapping):
+        basepoint = BasePoint.from_mapping(basepoint)
+    m = basepoint.m
+    one = ExactMatrix.identity(m)
+    terms = [(None, rep_const(ExactMatrix.zeros(m, m), basepoint))]
+    for w in f.support():
+        word_rep = rep_const(one, basepoint)
+        for letter in w:
+            try:
+                word_rep = rep_mul(word_rep, letter_reps[letter])
+            except KeyError:
+                raise MissingLetter(f"no representation bound for {letter}") from None
+        terms.append((ExactMatrix.scalar(m, f.terms[w]), word_rep))
+    return _sum(terms)
+
+
+def scalarize(s: LinRep) -> ScalarRep:
+    """The automaton of a representation (the image of its block form under
+    the matrix reduction isomorphism), which is the form it is stored in."""
+    return s.automaton
 
 
 # ---------------------------------------------------------------------------
@@ -810,12 +808,15 @@ def coefficient_table(s: LinRep, max_len: int):
 
 def eval_rep(s: LinRep, point) -> ExactMatrix:
     """Evaluate the series at exact matrices of size m*s via the closed form
-    c (I - sum_Y A^Y)^{-1} b with Y substituted by point - basepoint."""
+
+        (C (x) I_s) (I - sum A_(l,i,j) (x) Y_(l,i,j))^{-1} (B (x) I_s),
+
+    where Y_(l,i,j) is block (i, j) of point_l - p_l (x) I_s."""
     if isinstance(point, Mapping):
         point = tuple(point[l] for l in s.letters)
     if len(point) != len(s.letters):
         raise DimensionMismatch("one point matrix per letter required")
-    m, n = s.m, s.dim
+    m, sr = s.m, s.automaton
     size = point[0].rows
     if size % m:
         raise DimensionMismatch(f"point size {size} is not a multiple of m={m}")
@@ -823,35 +824,29 @@ def eval_rep(s: LinRep, point) -> ExactMatrix:
     for mat in point:
         if not mat.is_square or mat.rows != size:
             raise DimensionMismatch("point matrices must be square of equal size")
-    shifts = [point[k] - embed(s.basepoint.mats[k], sfac) for k in range(len(s.letters))]
-    big = ExactMatrix.identity(n * size)
-    blocks = {}
-    for slot, letter in enumerate(s.letters):
-        grid = s.A.get(letter)
-        if not grid:
-            continue
-        for (p, q), elem in grid.items():
-            val = elem.substitute(shifts[slot], sfac)
-            key = (p, q)
-            blocks[key] = val if key not in blocks else blocks[key] + val
-    sub = ExactMatrix.zeros(n * size, n * size)
-    entries = list(sub.entries)
-    for (p, q), val in blocks.items():
-        for i in range(size):
-            base = (p * size + i) * (n * size) + q * size
-            vrow = i * size
-            for j in range(size):
-                entries[base + j] = val.entries[vrow + j]
-    sub = ExactMatrix(n * size, n * size, entries)
+    N = sr.dim * sfac
+    entries = list(ExactMatrix.identity(N).entries)
+    for slot in range(len(s.letters)):
+        shift = point[slot] - embed(s.basepoint.mats[slot], sfac)
+        blocks = split_blocks(shift, m)
+        for i in range(m):
+            for j in range(m):
+                mat = sr.A[slot * m * m + i * m + j]
+                y = [(t, u, x) for t in range(sfac) for u, x in enumerate(blocks[i][j].row(t)) if x]
+                if not mat.rows or not y:
+                    continue
+                for q, row in mat.rows.items():
+                    for qq, a in row.items():
+                        for t, u, x in y:
+                            k = (q * sfac + t) * N + qq * sfac + u
+                            entries[k] = entries[k] - a * x
     try:
-        core_inv = matrix_inverse(big - sub)
+        core_inv = matrix_inverse(ExactMatrix(N, N, entries))
     except SingularMatrixError:
         raise ResolventSingular(
             "structured system matrix singular at this point"
         ) from None
-    Cbig = block_matrix([[embed(x, sfac) for x in s.c]])
-    Bbig = block_matrix([[embed(x, sfac)] for x in s.b])
-    return Cbig * core_inv * Bbig
+    return embed(sr.C, sfac) * core_inv * embed(sr.B, sfac)
 
 
 # ---------------------------------------------------------------------------

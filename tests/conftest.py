@@ -2,9 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from ncrat.core import ExactMatrix, Scalar, matrix_inverse
 from ncrat.errors import SingularMatrixError
+
+# One profile for every property test: reproducible examples, no time
+# limit per example and no example database written to disk.  Tests set
+# only max_examples.
+settings.register_profile("ncrat", deadline=None, derandomize=True, database=None)
+settings.load_profile("ncrat")
 
 
 def random_scalar(rng, span=4):

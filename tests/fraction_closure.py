@@ -2,12 +2,46 @@
 
 This is the Krylov closure that ncrat's zero test and minimization ran on
 before the Gaussian-integer kernel: every vector is a list of Scalars and
-each basis row is normalized to pivot 1.  Tests compare the kernel with it.
+each basis row is normalized to pivot 1.  Tests compare the kernel with it,
+and rank computations with the Gauss-Jordan ``rref`` below.
 """
 
 from collections import deque
 
-from ncrat.core import ZERO, rref
+from ncrat.core import ZERO
+
+
+def rref(rows):
+    """Reduced row echelon form of a list of Scalar rows.
+
+    Returns (new_rows, pivot_columns).  Input rows are not modified.
+    """
+    work = [list(r) for r in rows]
+    nrows = len(work)
+    ncols = len(work[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = None
+        for k in range(r, nrows):
+            if work[k][col]:
+                piv = k
+                break
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv_p = work[r][col].inverse()
+        work[r] = [x * inv_p for x in work[r]]
+        prow = work[r]
+        for k in range(nrows):
+            if k != r and work[k][col]:
+                f = work[k][col]
+                work[k] = [x - f * y for x, y in zip(work[k], prow)]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return work, pivots
 
 
 class EchelonBasis:

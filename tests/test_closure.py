@@ -26,7 +26,7 @@ VALUES = tuple(
         (Fraction(1, 2), 0), (Fraction(-2, 3), Fraction(1, 3)), (Fraction(3, 2), Fraction(-1, 2)),
     )
 )
-SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=80)
 
 
 def _unit_triangular(draw, n, lower):

@@ -10,10 +10,10 @@ from ncrat.errors import (
     SingularConstantTerm,
 )
 from ncrat.ncpoly import Alphabet, Letter, NcPoly
-from ncrat.ratexpr import parse_expression
+from ncrat import realization
+from ncrat.ratexpr import Add, Const, Inv, Mul, RatExpr, Var, parse_expression, substitute_letters
 from ncrat.realization import (
     BasePoint,
-    BimoduleElem,
     GenPoly,
     coefficient,
     coefficient_table,
@@ -139,8 +139,7 @@ class TestArithmeticOps:
         # [S^{-1}, w] = -sum_{uv=w, v!=w} a^{-1} [S, u] [S^{-1}, v]
         s = compile_text("1 - X1 - 2 X2 + X1*X2", BP1)
         sinv = rep_inv(s)
-        a = sum((s.c[i] * s.b[i] for i in range(s.dim)), ExactMatrix.zeros(1, 1))
-        a_inv = a.entries[0].inverse()
+        a_inv = coefficient(s, ()).entries[0][0].coeff(()).inverse()
         ts = coefficient_table(s, 3)
         ti = coefficient_table(sinv, 3)
         for w in words_up_to((L1, L2), 3):
@@ -179,6 +178,37 @@ class TestCompile:
             compile_text("X2*(X1^-1)", BasePoint.scalars([0, 1]))
         assert err.value.path == (1,)
 
+    def test_shared_subtree_compiles_once(self, monkeypatch):
+        # one node object used three times compiles to the same automaton
+        # as three separate copies, with a single inverse construction
+        sub = Inv(Add((Var(L1), Var(L2))))
+        dag = RatExpr(Alphabet.x(2), Mul((sub, Var(L2), Add((sub, Const(Scalar(2)))), sub)))
+        tree = substitute_letters(dag, {})  # rebuilds one copy per occurrence
+        assert tree.node.children[0] is not tree.node.children[3]
+        calls = []
+
+        def counting_inv(s):
+            calls.append(s)
+            return rep_inv(s)
+
+        monkeypatch.setattr(realization, "rep_inv", counting_inv)
+        a = compile_expression(dag, BP1)
+        assert len(calls) == 1
+        b = compile_expression(tree, BP1)
+        assert len(calls) == 4
+        sa, sb = scalarize(a), scalarize(b)
+        assert (sa.dim, sa.C, sa.B) == (sb.dim, sb.C, sb.B)
+        assert [x.rows for x in sa.A] == [x.rows for x in sb.A]
+        assert is_zero(rep_add(a, ExactMatrix.scalar(1, -1), b))
+
+    def test_shared_singular_subtree_reports_first_path(self):
+        bad = Inv(Var(L1))  # singular at X1 = 0
+        dag = RatExpr(Alphabet.x(2), Add((Var(L2), Mul((Var(L2), bad)), bad)))
+        for expr in (dag, substitute_letters(dag, {})):
+            with pytest.raises(DomainError) as err:
+                compile_expression(expr, BasePoint.scalars([0, 1]))
+            assert err.value.path == (1, 1)
+
     def test_commutator_inverse_constant_term(self):
         s = compile_text("(X1*X2 - X2*X1)^-1", BP2x2)
         c0 = coefficient(s, ()).entries
@@ -209,22 +239,39 @@ class TestZeroTest:
 
 class TestScalarize:
     def test_m1_identification(self):
+        # for m = 1 the scalar letters are the base letters themselves
         s = rep_var(L1, BP1)
         sr = scalarize(s)
         assert sr.dim == s.dim
-        mat = sr.A[0].to_exact()
-        assert mat[0, 1] == Scalar(1)
-        assert sr.A[1].nnz() == 0
+        assert sr.word_value(()) == ExactMatrix.from_rows([[1]])
+        assert sr.word_value((0,)) == ExactMatrix.from_rows([[1]])
+        assert sr.word_value((1,)).is_zero()
+        assert sr.word_value((0, 0)).is_zero()
 
     def test_state_size(self):
+        # D = m*n, and scalar letter slot*m^2 + i*m + j is the (i, j) entry
+        # of the base letter: its word values are the coefficients of that
+        # letter in the generalized polynomial coefficient()
         s = compile_text("(X1*X2 - X2*X1)^-1", BP2x2)
-        assert scalarize(s).dim == s.m * s.dim
+        sr = scalarize(s)
+        assert sr.dim == s.m * s.dim
+        for slot, letter in enumerate(s.letters):
+            gp = coefficient(s, (letter,))
+            for i in range(2):
+                for j in range(2):
+                    idx = slot * 4 + i * 2 + j
+                    value = sr.word_value((idx,))
+                    for r in range(2):
+                        for c in range(2):
+                            assert gp.entries[r][c].coeff((Letter(idx + 1, False),)) == value[r, c]
 
     def test_zero_rep(self):
         s = rep_const(ExactMatrix.zeros(2, 2), BP2x2)
         sr = scalarize(s)
         assert all(a.nnz() == 0 for a in sr.A)
         assert (sr.C * sr.B).is_zero()
+        assert is_zero(s)
+        assert minimize_scalar(s)[1] == 0
 
 
 class TestEvalRep:
@@ -396,15 +443,25 @@ class TestGenPoly:
         assert found == 5
 
 
-def test_bimodule_compression_bound():
+def test_sum_of_bimodule_terms_stays_affine():
+    # S = sum_t a_t X1 b_t over many terms: an affine series, so however
+    # many terms, its minimal automaton has at most 2m states, it evaluates
+    # to sum_t a_t X b_t, and S - S is the zero series
     rng = random.Random(35)
     terms = []
     for _ in range(12):
         a = ExactMatrix(2, 2, [Scalar(rng.randint(-2, 2)) for _ in range(4)])
         b = ExactMatrix(2, 2, [Scalar(rng.randint(-2, 2)) for _ in range(4)])
         terms.append((a, b))
-    elem = BimoduleElem(2, L1, terms)
-    assert len(elem.terms) <= 4
-    assert elem == BimoduleElem(2, L1, terms[:])  # tensor equality survives
-    raw = BimoduleElem(2, L1, terms[:3])
-    assert (raw + (-raw)).is_zero()
+    s = rep_const(ExactMatrix.zeros(2, 2), BP2x2)
+    for a, b in terms:
+        term = rep_mul(rep_mul(rep_const(a, BP2x2), rep_var(L1, BP2x2)), rep_const(b, BP2x2))
+        s = rep_add(s, ExactMatrix.identity(2), term)
+    assert minimize_scalar(s)[1] <= 4
+    for _ in range(3):
+        x = random_invertible(rng, 2)
+        expect = ExactMatrix.zeros(2, 2)
+        for a, b in terms:
+            expect = expect + a * x * b
+        assert eval_rep(s, (x, E21)) == expect
+    assert is_zero(rep_add(s, ExactMatrix.scalar(2, -1), s))
