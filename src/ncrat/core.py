@@ -3,8 +3,9 @@
 The scalar field is the Gaussian rationals: numbers a + b*i with
 arbitrary-precision rational a, b.  Every symbolic computation in the
 package runs over this field so that zero tests are exact decisions.
-Closures (zero tests, minimization) run on a fraction-free echelon kernel
-over the Gaussian integers Z[i] instead, after denominators are cleared.
+Every exact elimination (the closures of zero tests and minimization, and
+matrix inverses) runs on one fraction-free echelon kernel over the
+Gaussian integers Z[i], after denominators are cleared.
 Float matrices (numpy complex arrays) are used only by the numeric
 samplers and falsifiers.
 """
@@ -320,13 +321,6 @@ class ExactMatrix:
 
     # -- conversion -------------------------------------------------------
 
-    def to_float(self) -> np.ndarray:
-        a = np.empty((self.rows, self.cols), dtype=complex)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a[i, j] = self.entries[i * self.cols + j].to_complex()
-        return a
-
     def to_json(self):
         return {
             "rows": self.rows,
@@ -363,37 +357,6 @@ def matrix_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
                 if y:
                     out[orow + j] = out[orow + j] + x * y
     return ExactMatrix(n, m, out)
-
-
-def matrix_inverse(a: ExactMatrix) -> ExactMatrix:
-    """Exact inverse by Gauss-Jordan elimination with first-nonzero pivoting.
-
-    Raises SingularMatrixError when no inverse exists (e.g. the evaluation
-    point lies outside a domain of regularity).
-    """
-    if not a.is_square:
-        raise DimensionMismatch("inverse of a non-square matrix")
-    n = a.rows
-    work = [list(a.row(i)) + list(ExactMatrix.identity(n).row(i)) for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if work[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise SingularMatrixError(f"matrix of size {n} is singular")
-        work[col], work[piv] = work[piv], work[col]
-        inv_p = work[col][col].inverse()
-        work[col] = [x * inv_p for x in work[col]]
-        prow = work[col]
-        for r in range(n):
-            if r == col:
-                continue
-            f = work[r][col]
-            if f:
-                work[r] = [x - f * y for x, y in zip(work[r], prow)]
-    return ExactMatrix(n, n, [work[i][n + j] for i in range(n) for j in range(n)])
 
 
 def conjugate_transpose(a):
@@ -565,6 +528,31 @@ class FractionFreeBasis:
         self.vectors.append((vr, vi))
         insort(self._rows, (piv, vr[piv], vr, vi, k))  # pivots are distinct
         return k
+
+
+def matrix_inverse(a: ExactMatrix) -> ExactMatrix:
+    """Exact inverse on the fraction-free kernel.
+
+    The rows of [a | I] span {[y a | y]}, so a is singular exactly when a
+    pivot of their echelon basis lies at column n or beyond.  Otherwise
+    reducing [e_j | 0] leaves (s, [0 | t]) with [s e_j | -t] in the span,
+    and row j of a^-1 is -t/s.  Raises SingularMatrixError when no inverse
+    exists (e.g. the evaluation point lies outside a domain of regularity).
+    """
+    if not a.is_square:
+        raise DimensionMismatch("inverse of a non-square matrix")
+    n = a.rows
+    basis = FractionFreeBasis(2 * n)
+    eye = ExactMatrix.identity(n)
+    for i in range(n):
+        basis.add(gaussian_vector(a.row(i) + eye.row(i))[1])
+    if n and basis._rows[-1][0] >= n:  # the rows are sorted by pivot
+        raise SingularMatrixError(f"matrix of size {n} is singular")
+    out = []
+    for j in range(n):
+        s, (tr, ti) = basis.reduce(([int(q == j) for q in range(2 * n)], None))
+        out.extend(gaussian_scalar(-tr[q], 0 if ti is None else -ti[q], s) for q in range(n, 2 * n))
+    return ExactMatrix(n, n, out)
 
 
 # ---------------------------------------------------------------------------

@@ -157,13 +157,6 @@ class SparseMatrix:
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows.values())
 
-    def to_exact(self) -> ExactMatrix:
-        e = [ZERO] * (self.n * self.n)
-        for i, row in self.rows.items():
-            for j, val in row.items():
-                e[i * self.n + j] = val
-        return ExactMatrix(self.n, self.n, e)
-
 
 @dataclass
 class ScalarRep:
@@ -180,21 +173,23 @@ class ScalarRep:
     B: ExactMatrix  # dim x m
     alphabet: object = None
 
+    def read_out(self, row) -> list:
+        """The entries of the dense row vector row @ B."""
+        out = []
+        for jc in range(self.B.cols):
+            acc = ZERO
+            for q, x in enumerate(row):
+                if x:
+                    acc = acc + x * self.B[q, jc]
+            out.append(acc)
+        return out
+
     def word_value(self, word) -> ExactMatrix:
         """C A^w B for a word of scalar letter indices."""
         rows = [list(self.C.row(r)) for r in range(self.m)]
         for l in word:
             rows = [self.A[l].vecmat(r) for r in rows]
-        out = []
-        for r in rows:
-            for jc in range(self.m):
-                acc = ZERO
-                for q in range(self.dim):
-                    x = r[q]
-                    if x:
-                        acc = acc + x * self.B[q, jc]
-                out.append(acc)
-        return ExactMatrix(self.m, self.m, out)
+        return ExactMatrix(self.m, self.m, [x for r in rows for x in self.read_out(r)])
 
 
 def _hstack(parts) -> ExactMatrix:
@@ -313,19 +308,6 @@ class LinRep:
     @property
     def alphabet(self):
         return self.automaton.alphabet
-
-    # convenience wrappers
-    def scalarize(self) -> "ScalarRep":
-        return scalarize(self)
-
-    def is_zero(self) -> bool:
-        return is_zero(self)
-
-    def coefficient(self, word) -> "GenPoly":
-        return coefficient(self, word)
-
-    def eval(self, point) -> ExactMatrix:
-        return eval_rep(self, point)
 
     def __repr__(self):
         return f"LinRep(m={self.m}, dim={self.dim}, letters={len(self.letters)})"
@@ -607,15 +589,8 @@ def is_zero_by_enumeration(s: LinRep | ScalarRep) -> bool:
     bound = sr.dim
 
     def dfs(rows, depth):
-        for r in rows:
-            for jc in range(sr.C.rows):
-                acc = ZERO
-                for q in range(sr.dim):
-                    x = r[q]
-                    if x:
-                        acc = acc + x * sr.B[q, jc]
-                if acc:
-                    return False
+        if any(any(sr.read_out(r)) for r in rows):
+            return False
         if depth + 1 >= bound:
             return True
         for mat in sr.A:
@@ -775,16 +750,8 @@ def coefficient_table(s: LinRep, max_len: int):
     L = len(s.letters)
     out = {}
 
-    def value_of(row):
-        acc = ZERO
-        for q in range(sr.dim):
-            x = row[q]
-            if x:
-                acc = acc + x * sr.B[q, 0]
-        return acc
-
     def dfs(row, word):
-        v = value_of(row)
+        (v,) = sr.read_out(row)
         if v:
             out[word] = v
         if len(word) == max_len:

@@ -1,4 +1,6 @@
+import os
 import random
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,11 @@ from ncrat.errors import SingularMatrixError
 # only max_examples.
 settings.register_profile("ncrat", deadline=None, derandomize=True, database=None)
 settings.load_profile("ncrat")
+# database=None still leaves Hypothesis caching the constants it finds in
+# the source under .hypothesis/constants/; keep that cache out of the checkout.
+os.environ.setdefault(
+    "HYPOTHESIS_STORAGE_DIRECTORY", os.path.join(tempfile.gettempdir(), "ncrat-hypothesis")
+)
 
 
 def random_scalar(rng, span=4):

@@ -26,7 +26,7 @@ from ncrat.core import (
 )
 from ncrat.errors import DimensionMismatch, SingularMatrixError
 
-from conftest import random_invertible, random_scalar
+from conftest import random_exact_matrix, random_scalar
 from fraction_closure import rref
 
 
@@ -97,13 +97,36 @@ class TestMatrixInverse:
             matrix_inverse(ExactMatrix.from_rows([[1, 1], [1, 1]]))
 
     def test_random_inverses_up_to_size_six(self):
+        # Three input sets: integers; Gaussian rationals, which reach non-real
+        # pivots and denominator clearing in the fraction-free kernel; and
+        # (a + b*i)/d with a, b in {-1, 0, 1}, often singular.  Every draw is
+        # singular exactly when the Gauss-Jordan reference finds rank < n, and
+        # otherwise inverted to what that reference reads off rref([m | I]).
         rng = random.Random(7)
-        for _ in range(200):
-            n = rng.randint(1, 6)
-            m = random_invertible(rng, n)
-            inv = matrix_inverse(m)
-            assert m * inv == ExactMatrix.identity(n)
-            assert inv * m == ExactMatrix.identity(n)
+        small = lambda: Scalar(
+            Fraction(rng.randint(-1, 1), rng.randint(1, 2)),
+            rng.choice((0, 0, Fraction(rng.randint(-1, 1), rng.randint(1, 2)))),
+        )
+        draws = (
+            lambda n: random_exact_matrix(rng, n),
+            lambda n: ExactMatrix(n, n, [random_scalar(rng) for _ in range(n * n)]),
+            lambda n: ExactMatrix(n, n, [small() for _ in range(n * n)]),
+        )
+        singular = []
+        for draw in draws:
+            singular.append(0)
+            for _ in range(200):
+                n = rng.randint(1, 6)
+                m = draw(n)
+                eye = ExactMatrix.identity(n)
+                work, pivots = rref([m.row(i) + eye.row(i) for i in range(n)])
+                if sum(p < n for p in pivots) < n:  # the rank of m
+                    singular[-1] += 1
+                    with pytest.raises(SingularMatrixError):
+                        matrix_inverse(m)
+                    continue
+                assert matrix_inverse(m) == ExactMatrix(n, n, [x for row in work for x in row[n:]])
+        assert singular[0] > 0 and singular[2] > 10
 
 
 class TestConjugateTranspose:
