@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .core import ExactMatrix, Scalar, float_to_json
-from .errors import NcratError
+from .errors import NcratError, SpecError
 from .ideals import (
     BUILTIN_KINDS,
     builtin_ideal,
@@ -82,31 +82,34 @@ def _parse_basepoint(spec: str, expr) -> BasePoint:
             mapping[l] = ExactMatrix(1, 1, [v.conjugate() if l.starred else v])
         return BasePoint.from_mapping(mapping)
     if spec.startswith("file:"):
-        with open(spec[len("file:") :]) as fh:
-            data = json.load(fh)
-        if isinstance(data, list):
-            mats = [ExactMatrix.from_json(obj) for obj in data]
+        try:
+            with open(spec[len("file:") :]) as fh:
+                data = json.load(fh)
+            if isinstance(data, list):
+                mats = [ExactMatrix.from_json(obj) for obj in data]
+                mapping = {}
+                for l in letters:
+                    if l.index > len(mats):
+                        raise NcratError(f"base point file gives no matrix for {l}")
+                    m = mats[l.index - 1]
+                    mapping[l] = m.conjugate_transpose() if l.starred else m
+                return BasePoint.from_mapping(mapping)
             mapping = {}
+            alph = expr.alphabet
+            by_name = {name: ExactMatrix.from_json(obj) for name, obj in data.items()}
             for l in letters:
-                if l.index > len(mats):
-                    raise NcratError(f"base point file gives no matrix for {l}")
-                m = mats[l.index - 1]
-                mapping[l] = m.conjugate_transpose() if l.starred else m
+                name = alph.letter_name(l)
+                base = alph.names[l.index - 1]
+                if name in by_name:
+                    mapping[l] = by_name[name]
+                elif base in by_name:
+                    m = by_name[base]
+                    mapping[l] = m.conjugate_transpose() if l.starred else m
+                else:
+                    raise NcratError(f"base point file misses letter {name}")
             return BasePoint.from_mapping(mapping)
-        mapping = {}
-        alph = expr.alphabet
-        by_name = {name: ExactMatrix.from_json(obj) for name, obj in data.items()}
-        for l in letters:
-            name = alph.letter_name(l)
-            base = alph.names[l.index - 1]
-            if name in by_name:
-                mapping[l] = by_name[name]
-            elif base in by_name:
-                m = by_name[base]
-                mapping[l] = m.conjugate_transpose() if l.starred else m
-            else:
-                raise NcratError(f"base point file misses letter {name}")
-        return BasePoint.from_mapping(mapping)
+        except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+            raise SpecError(f"malformed base point file: {exc}") from exc
     raise NcratError(f"bad base point spec {spec!r} (use scalar:... or file:...)")
 
 
@@ -230,10 +233,9 @@ def cmd_bound(args) -> int:
         f"membership test size: {n}",
         f"rational identity test size for the resolvent: {data['ri_bound']}",
     ]
-    if ideal.star and ideal.domain_kind:
+    if ideal.star:
         d = u + 1
-        kind = ideal.domain_kind if ideal.g > 1 or ideal.domain_kind != "partitioned" else "unitaries"
-        p = bounds.pos_size(kind, ideal.g, d)
+        p = bounds.pos_size(ideal.domain_kind, ideal.g, d)
         data["pos_size"] = p
         lines.append(
             f"positivity certificate size (d = deg+1 = {d}): {p}"
@@ -286,22 +288,25 @@ def cmd_falsify(args) -> int:
 
 def cmd_verify_sohs(args) -> int:
     ideal = _resolve_ideal(args)
-    with open(args.cert) as fh:
-        spec = json.load(fh)
     alph = ideal.alphabet
-    f = parse_poly(spec["polynomial"], alph)
-    squares = [parse_poly(t, alph) for t in spec.get("squares", [])]
-    remainder = (
-        parse_poly(spec["remainder"], alph)
-        if spec.get("remainder")
-        else NcPoly.zero(alph)
-    )
-    cofactors = None
-    if "cofactors" in spec:
-        cofactors = tuple(
-            (parse_poly(a, alph), int(j), parse_poly(b, alph))
-            for a, j, b in spec["cofactors"]
+    try:
+        with open(args.cert) as fh:
+            spec = json.load(fh)
+        f = parse_poly(spec["polynomial"], alph)
+        squares = [parse_poly(t, alph) for t in spec.get("squares", [])]
+        remainder = (
+            parse_poly(spec["remainder"], alph)
+            if spec.get("remainder")
+            else NcPoly.zero(alph)
         )
+        cofactors = None
+        if "cofactors" in spec:
+            cofactors = tuple(
+                (parse_poly(a, alph), int(j), parse_poly(b, alph))
+                for a, j, b in spec["cofactors"]
+            )
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise SpecError(f"malformed certificate: {exc}") from exc
     cert = SohsCertificate(squares, remainder, cofactors)
     result = verify_certificate(f, cert, ideal)
     data = {

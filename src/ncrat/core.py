@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd, lcm
-from operator import mul
+from operator import mul, or_
 
 import numpy as np
 
@@ -495,10 +496,8 @@ class FractionFreeBasis:
         the span.  ``coords`` as in reduce; the new row, when there is one,
         gets the last entry."""
         s, (vr, vi) = self.reduce(v, coords)
-        if vi is None:
-            piv = next((q for q, x in enumerate(vr) if x), None)
-        else:
-            piv = next((q for q, (x, y) in enumerate(zip(vr, vi)) if x or y), None)
+        # x | y of two ints is zero exactly when both are
+        piv = next(compress(count(), vr if vi is None else map(or_, vr, vi)), None)
         if piv is None:
             return None
         # multiply by u = conj(pivot) (or its sign, if real) to make the pivot

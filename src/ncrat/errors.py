@@ -73,7 +73,8 @@ class GOutOfRange(NcratError):
 
 
 class SpecError(NcratError):
-    """An ideal specification file is malformed."""
+    """An input file (ideal spec, certificate, base point) or an ideal spec
+    dict is malformed."""
 
 
 class ResolventNotVanishing(NcratError):

@@ -2,10 +2,13 @@
 
 An RRIdeal packages generators, a variable decomposition x = x' u x'',
 rational resolvent expressions for the x'' letters, and a base point in
-the domain of the resolvent.  The membership oracle substitutes the
-resolvent into a polynomial and asks the realization engine whether the
-resulting rational expression is the zero series; for the built-in
-ideals this decides ideal membership exactly.
+the domain of the resolvent.  The membership oracle decides whether
+f(x', r(x')) is the zero series: it compiles f with each x'' letter bound
+to a representation of its resolvent (hand-built for the built-ins,
+compiled from the resolvent expression for custom ideals) and runs the
+exact zero test.  For the built-in ideals this decides ideal membership
+exactly.  The base point size m, the resolvent dimension n and the x''
+letters are derived from the base point and the resolvent.
 
 Built-ins:
 
@@ -59,9 +62,7 @@ from .realization import (
     LinRep,
     automaton_rep,
     compile_expression,
-    compile_poly,
     is_zero,
-    rep_var,
 )
 from .sampler import SampleDomain, Witness, _complex_gaussian, _rng, falsify
 
@@ -69,15 +70,11 @@ from .sampler import SampleDomain, Witness, _complex_gaussian, _rng, falsify
 @dataclass(frozen=True, eq=False)
 class RRIdeal:
     name: str
-    kind: str
     alphabet: Alphabet
     star: bool
     generators: tuple  # NcPoly
-    resolved: tuple  # Letter (the x'' letters)
-    resolvent: dict  # Letter -> RatExpr over x'
+    resolvent: dict  # Letter -> RatExpr over x', keyed by the x'' letters
     basepoint: BasePoint  # binds exactly the x' letters
-    m: int
-    n: int  # realization-dimension hint for the resolvent
     g: int  # bound parameter (g letters / g x g symbol matrix)
     domain_kind: str | None  # structured sampling family, None = graph sampling
     resolvent_reps: dict  # Letter -> LinRep, the compiled/hand-built resolvents
@@ -85,15 +82,27 @@ class RRIdeal:
     def __repr__(self):
         return f"RRIdeal({self.name}, {len(self.generators)} generators)"
 
+    @property
+    def resolved(self) -> tuple:
+        """The x'' letters."""
+        return tuple(self.resolvent)
+
+    @property
+    def m(self) -> int:
+        """The size of the base point matrices."""
+        return self.basepoint.m
+
+    @property
+    def n(self) -> int:
+        """The realization dimension of the resolvent: the largest
+        dimension of a resolvent representation."""
+        return max((r.dim for r in self.resolvent_reps.values()), default=1)
+
     def oracle_rep(self, f: NcPoly) -> LinRep:
-        """The representation of f(x', r(x')) used by the membership oracle."""
-        letter_reps = {}
-        for w in f.terms:
-            for l in w:
-                if l in letter_reps:
-                    continue
-                letter_reps[l] = self.resolvent_reps.get(l) or rep_var(l, self.basepoint)
-        return compile_poly(f, letter_reps, self.basepoint)
+        """The representation of f(x', r(x')) used by the membership oracle:
+        f compiled with each resolved letter bound to its resolvent
+        representation."""
+        return compile_expression(poly_to_expression(f), self.basepoint, self.resolvent_reps)
 
 
 @dataclass
@@ -117,8 +126,8 @@ def _validate(ideal: RRIdeal) -> RRIdeal:
     """Check the graph condition: every generator vanishes on Gamma(r).
 
     Checked through both decision routes: the resolvent expressions are
-    substituted and compiled, and the pre-built resolvent representations
-    are folded through compile_poly.
+    substituted and compiled, and the oracle compiles each generator with
+    the resolved letters bound to the ideal's resolvent representations.
     """
     overlap = set(ideal.resolved) & set(ideal.basepoint.letters)
     if overlap:
@@ -144,10 +153,6 @@ def _validate(ideal: RRIdeal) -> RRIdeal:
                 f"generator {f} fails the representation-level graph check"
             )
     return ideal
-
-
-def _compiled_resolvent_reps(resolvent: dict, bp: BasePoint) -> dict:
-    return {l: compile_expression(expr, bp) for l, expr in resolvent.items()}
 
 
 def _neumann_inverse_rep(g: int, i: int, j: int, bp: BasePoint) -> LinRep:
@@ -271,7 +276,6 @@ def _builtin_cached(kind: str, g: int) -> RRIdeal:
             yj = NcPoly.var(alph, g + j)
             gens.append(NcPoly.one(alph) - xj * yj)
             gens.append(NcPoly.one(alph) - yj * xj)
-        resolved = tuple(Letter(g + j, False) for j in range(1, g + 1))
         resolvent = {
             Letter(g + j, False): RatExpr(alph, Inv(Var(Letter(j, False))))
             for j in range(1, g + 1)
@@ -282,8 +286,7 @@ def _builtin_cached(kind: str, g: int) -> RRIdeal:
             for j in range(1, g + 1)
         }
         return _validate(
-            RRIdeal(f"Tprime(g={g})", kind, alph, False, tuple(gens), resolved,
-                    resolvent, bp, 1, 1, g, None, reps)
+            RRIdeal(f"Tprime(g={g})", alph, False, tuple(gens), resolvent, bp, g, None, reps)
         )
 
     if kind == "Sprime":
@@ -293,16 +296,15 @@ def _builtin_cached(kind: str, g: int) -> RRIdeal:
             gen = gen + NcPoly.var(alph, j) * NcPoly.var(alph, g + j)
         body = " - ".join(f"X{j}*Y{j}" for j in range(2, g + 1))
         r = parse_expression(f"X1^-1*(1 - {body})", alph)
-        resolved = (Letter(g + 1, False),)
+        y1 = Letter(g + 1, False)
         mapping = {Letter(1, False): one}
         for j in range(2, g + 1):
             mapping[Letter(j, False)] = zero
             mapping[Letter(g + j, False)] = zero
         bp = BasePoint.from_mapping(mapping)
         return _validate(
-            RRIdeal(f"Sprime(g={g})", kind, alph, False, (gen,), resolved,
-                    {resolved[0]: r}, bp, 1, g + 1, g, None,
-                    {resolved[0]: sprime_resolvent_rep(g, bp, alph)})
+            RRIdeal(f"Sprime(g={g})", alph, False, (gen,), {y1: r}, bp, g, None,
+                    {y1: sprime_resolvent_rep(g, bp, alph)})
         )
 
     if kind == "Uprime":
@@ -321,13 +323,11 @@ def _builtin_cached(kind: str, g: int) -> RRIdeal:
                 gens.append(sum((y(i, k) * x(k, j) for k in range(1, g + 1)),
                                 NcPoly.zero(alph)) - delta)
         inv = symbolic_matrix_inverse(g, alph)
-        resolved = []
-        resolvent = {}
-        for i in range(1, g + 1):
-            for j in range(1, g + 1):
-                l = Letter(g * g + (i - 1) * g + j, False)
-                resolved.append(l)
-                resolvent[l] = inv[i - 1][j - 1]
+        resolvent = {
+            Letter(g * g + (i - 1) * g + j, False): inv[i - 1][j - 1]
+            for i in range(1, g + 1)
+            for j in range(1, g + 1)
+        }
         mapping = {
             Letter((i - 1) * g + j, False): (one if i == j else zero)
             for i in range(1, g + 1)
@@ -340,8 +340,7 @@ def _builtin_cached(kind: str, g: int) -> RRIdeal:
             for j in range(1, g + 1)
         }
         return _validate(
-            RRIdeal(f"Uprime(g={g})", kind, alph, False, tuple(gens), tuple(resolved),
-                    resolvent, bp, 1, max(g, 1), g, None, reps)
+            RRIdeal(f"Uprime(g={g})", alph, False, tuple(gens), resolvent, bp, g, None, reps)
         )
 
     if kind == "CommInv":
@@ -353,8 +352,7 @@ def _builtin_cached(kind: str, g: int) -> RRIdeal:
         e21 = ExactMatrix.unit(2, 1, 0)
         bp = BasePoint.from_mapping({Letter(1, False): e12, Letter(2, False): e21})
         return _validate(
-            RRIdeal("CommInv", kind, alph, False, (gen,), (Letter(3, False),),
-                    {Letter(3, False): r}, bp, 2, 3, 3, None,
+            RRIdeal("CommInv", alph, False, (gen,), {Letter(3, False): r}, bp, 3, None,
                     {Letter(3, False): comminv_resolvent_rep(bp, alph)})
         )
 
@@ -366,7 +364,6 @@ def _builtin_cached(kind: str, g: int) -> RRIdeal:
             xjs = NcPoly.var(alph, j, starred=True)
             gens.append(NcPoly.one(alph) - xjs * xj)
             gens.append(NcPoly.one(alph) - xj * xjs)
-        resolved = tuple(Letter(j, True) for j in range(1, g + 1))
         resolvent = {
             Letter(j, True): RatExpr(alph, Inv(Var(Letter(j, False))))
             for j in range(1, g + 1)
@@ -377,8 +374,7 @@ def _builtin_cached(kind: str, g: int) -> RRIdeal:
             for j in range(1, g + 1)
         }
         return _validate(
-            RRIdeal(f"T(g={g})", kind, alph, True, tuple(gens), resolved,
-                    resolvent, bp, 1, 1, g, "unitaries", reps)
+            RRIdeal(f"T(g={g})", alph, True, tuple(gens), resolvent, bp, g, "unitaries", reps)
         )
 
     if kind == "S":
@@ -391,16 +387,15 @@ def _builtin_cached(kind: str, g: int) -> RRIdeal:
         for j in range(2, g + 1):
             inner.append(Neg(Mul((Var(Letter(j, True)), Var(Letter(j, False))))))
         r = RatExpr(alph, Mul((Add(tuple(inner)), Inv(Var(Letter(1, False))))))
-        resolved = (Letter(1, True),)
+        x1s = Letter(1, True)
         mapping = {Letter(1, False): one}
         for j in range(2, g + 1):
             mapping[Letter(j, False)] = zero
             mapping[Letter(j, True)] = zero
         bp = BasePoint.from_mapping(mapping)
         return _validate(
-            RRIdeal(f"S(g={g})", kind, alph, True, (gen,), resolved,
-                    {resolved[0]: r}, bp, 1, g + 1, g, "spherical",
-                    {resolved[0]: s_resolvent_rep(g, bp, alph)})
+            RRIdeal(f"S(g={g})", alph, True, (gen,), {x1s: r}, bp, g, "spherical",
+                    {x1s: s_resolvent_rep(g, bp, alph)})
         )
 
     # kind == "U": nc unitary group on a g x g matrix of letters
@@ -421,13 +416,11 @@ def _builtin_cached(kind: str, g: int) -> RRIdeal:
             gens.append(sum((xs(k, i) * x(k, j) for k in range(1, g + 1)),
                             NcPoly.zero(alph)) - delta)
     inv = symbolic_matrix_inverse(g, alph)
-    resolved = []
-    resolvent = {}
-    for i in range(1, g + 1):
-        for j in range(1, g + 1):
-            l = Letter((i - 1) * g + j, True)  # the letter (X_ij)^*
-            resolved.append(l)
-            resolvent[l] = inv[j - 1][i - 1]  # (X^{-1})_{ji}
+    resolvent = {  # the letter (X_ij)^* resolves to (X^{-1})_{ji}
+        Letter((i - 1) * g + j, True): inv[j - 1][i - 1]
+        for i in range(1, g + 1)
+        for j in range(1, g + 1)
+    }
     mapping = {
         Letter((i - 1) * g + j, False): (one if i == j else zero)
         for i in range(1, g + 1)
@@ -440,8 +433,7 @@ def _builtin_cached(kind: str, g: int) -> RRIdeal:
         for j in range(1, g + 1)
     }
     return _validate(
-        RRIdeal(f"U(g={g})", "U", alph, True, tuple(gens), tuple(resolved),
-                resolvent, bp, 1, max(g, 1), g, "partitioned", reps)
+        RRIdeal(f"U(g={g})", alph, True, tuple(gens), resolvent, bp, g, "partitioned", reps)
     )
 
 
@@ -539,9 +531,9 @@ def is_member(
 ) -> MembershipVerdict:
     """Exact membership: realize f(x', r(x')) and test for the zero series.
 
-    The resolved letters are folded in through the ideal's pre-built
-    resolvent representations (equivalently: substitute the resolvent
-    expressions and compile -- both routes realize the same series).
+    f is compiled with each resolved letter bound to the ideal's resolvent
+    representation (RRIdeal.oracle_rep); substituting the resolvent
+    expressions and compiling realizes the same series.
     With ``find_witness`` a numeric counterexample is searched for
     non-members at sizes up to witness_size(f, ideal).
     """
@@ -660,22 +652,32 @@ def random_ideal_element(
 def custom_ideal(spec) -> RRIdeal:
     """Build an RRIdeal from a spec dict or a path to a JSON file.
 
-    Schema: {"name", "g", "star": bool, "letters": optional [names],
-    "generators": [expr], "resolved": [letter], "resolvent": {letter: expr},
-    "basepoint": {"m": m, "matrices": {letter: matrix-json}}, "n": optional}.
+    Schema: {"name": optional, "g", "star": optional bool,
+    "domain_kind": "unitaries" | "spherical" | "partitioned" (required when
+    star), "letters": optional [names], "generators": [expr],
+    "resolved": [letter], "resolvent": {letter: expr},
+    "basepoint": {"m": optional m, "matrices": {letter: matrix-json}}}.
+    Each resolvent is compiled once about the base point; the resolvent
+    dimension n is the largest of those dimensions.  A malformed file or
+    spec raises SpecError.
 
     The oracle for a custom ideal decides vanishing on the graph of the
     resolvent (equivalently on the Zariski closure of the zero set it
     parameterizes); formal resolvability alone does not guarantee that
     this coincides with ideal membership.
     """
-    if isinstance(spec, (str,)):
-        with open(spec) as fh:
-            spec = json.load(fh)
     try:
+        if isinstance(spec, str):
+            with open(spec) as fh:
+                spec = json.load(fh)
         name = spec.get("name", "custom")
         g = int(spec["g"])
         star = bool(spec.get("star", False))
+        domain_kind = spec.get("domain_kind") if star else None
+        if star and domain_kind not in ("unitaries", "spherical", "partitioned"):
+            raise SpecError(
+                "a star ideal needs domain_kind unitaries, spherical or partitioned"
+            )
         if "letters" in spec:
             alph = Alphabet(spec["letters"])
         else:
@@ -699,7 +701,7 @@ def custom_ideal(spec) -> RRIdeal:
         bp = BasePoint.from_mapping(mapping)
         if int(bp_spec.get("m", bp.m)) != bp.m:
             raise SpecError("declared m does not match base point matrices")
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         raise SpecError(f"malformed ideal spec: {exc}") from exc
 
     if set(resolvent) != set(resolved):
@@ -713,17 +715,8 @@ def custom_ideal(spec) -> RRIdeal:
     if missing:
         raise SpecError(f"base point misses x' letters {sorted(missing)}")
 
-    if "n" in spec:
-        n = int(spec["n"])
-    else:
-        n = 1
-        for l, expr in resolvent.items():
-            rep = compile_expression(expr, bp)
-            n = max(n, rep.dim)
-    ideal = RRIdeal(name, "custom", alph, star, gens, resolved, resolvent,
-                    bp, bp.m, n, g, None if not star else spec.get("domain_kind"),
-                    _compiled_resolvent_reps(resolvent, bp))
-    return _validate(ideal)
+    reps = {l: compile_expression(expr, bp) for l, expr in resolvent.items()}
+    return _validate(RRIdeal(name, alph, star, gens, resolvent, bp, g, domain_kind, reps))
 
 
 def _parse_poly(text: str, alph: Alphabet) -> NcPoly:

@@ -452,18 +452,25 @@ def rep_inv(s: LinRep) -> LinRep:
 # ---------------------------------------------------------------------------
 
 
-def compile_expression(e: RatExpr, basepoint) -> LinRep:
+def compile_expression(e: RatExpr, basepoint, letter_reps: Mapping | None = None) -> LinRep:
     """Compile a rational expression into a representation of e(p + y).
 
-    ``basepoint`` is a BasePoint or a {Letter: ExactMatrix} mapping that
-    must bind every letter used by the expression.  A singular constant
-    term at some inverse raises DomainError with the path to that node.
-    A node object that occurs several times in the expression is compiled
-    once.
+    ``basepoint`` is a BasePoint or a {Letter: ExactMatrix} mapping.
+    ``letter_reps`` optionally binds letters to representations about that
+    base point (the resolvent representations of an ideal's eliminated
+    letters); every other letter used by the expression must be bound by
+    the base point and compiles to one rep_var shared by all its
+    occurrences.  A singular constant term at some inverse raises
+    DomainError with the path to that node.  A node object that occurs
+    several times in the expression is compiled once.
     """
     if isinstance(basepoint, Mapping):
         basepoint = BasePoint.from_mapping(basepoint)
-    missing = [l for l in e.letters_used() if l not in basepoint.letters]
+    reps = dict(letter_reps or {})
+    for rep in reps.values():
+        if rep.basepoint != basepoint:
+            raise BasepointMismatch("letter representation about another base point")
+    missing = [l for l in e.letters_used() if l not in basepoint.letters and l not in reps]
     if missing:
         raise MissingLetter(f"base point does not bind {sorted(missing)}")
     m = basepoint.m
@@ -483,12 +490,14 @@ def compile_expression(e: RatExpr, basepoint) -> LinRep:
         if isinstance(node, Const):
             return rep_const(ExactMatrix.scalar(m, node.value), basepoint)
         if isinstance(node, Var):
-            return rep_var(node.letter, basepoint)
+            rep = reps.get(node.letter)
+            if rep is None:
+                rep = reps[node.letter] = rep_var(node.letter, basepoint)
+            return rep
         if isinstance(node, Add):
             return _sum([(None, walk(child, path + (i,))) for i, child in enumerate(node.children)])
         if isinstance(node, Neg):
-            zero = rep_const(ExactMatrix.zeros(m, m), basepoint)
-            return _sum([(None, zero), (minus_one, walk(node.child, path + (0,)))])
+            return _sum([(minus_one, walk(node.child, path + (0,)))])
         if isinstance(node, Mul):
             acc = walk(node.children[0], path + (0,))
             for i, child in enumerate(node.children[1:], start=1):
@@ -520,30 +529,6 @@ def _shared_nodes(root) -> set:
         elif isinstance(node, (Neg, Inv)):
             stack.append(node.child)
     return shared
-
-
-def compile_poly(f: NcPoly, letter_reps: Mapping, basepoint) -> LinRep:
-    """Fold a polynomial over given letter representations.
-
-    Every letter of f must be mapped to a LinRep about ``basepoint``
-    (typically rep_var for free letters and a resolvent representation for
-    eliminated ones).  The result represents f with each letter replaced by
-    the series it is bound to.
-    """
-    if isinstance(basepoint, Mapping):
-        basepoint = BasePoint.from_mapping(basepoint)
-    m = basepoint.m
-    one = ExactMatrix.identity(m)
-    terms = [(None, rep_const(ExactMatrix.zeros(m, m), basepoint))]
-    for w in f.support():
-        word_rep = rep_const(one, basepoint)
-        for letter in w:
-            try:
-                word_rep = rep_mul(word_rep, letter_reps[letter])
-            except KeyError:
-                raise MissingLetter(f"no representation bound for {letter}") from None
-        terms.append((ExactMatrix.scalar(m, f.terms[w]), word_rep))
-    return _sum(terms)
 
 
 def scalarize(s: LinRep) -> ScalarRep:

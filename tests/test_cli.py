@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 
+import pytest
+
 from ncrat.cli import main
 from ncrat.positivity import import_gram
 
@@ -45,6 +47,11 @@ class TestBound:
         code, out, _ = run_cli("bound", "--ideal", "T", "--g", "1",
                                "--poly", "X1 + X1^*")
         assert code == 0 and "never sampled" in out
+        assert "(d = deg+1 = 2): 9 " in out
+        # partitioned unitaries at g = 1 are unitaries: the same 3^d
+        code, out, _ = run_cli("bound", "--ideal", "U", "--g", "1",
+                               "--poly", "X11 + X11^*")
+        assert code == 0 and "(d = deg+1 = 2): 9 " in out
 
 
 class TestZeroTest:
@@ -64,6 +71,16 @@ class TestZeroTest:
         assert code == 2 and "error" in err
 
 
+def _matrix(rows):
+    """Exact-matrix JSON from rows of (re, im) pairs."""
+    return {"rows": len(rows), "cols": len(rows[0]),
+            "entries": [[str(re), str(im)] for row in rows for re, im in row]}
+
+
+A_IUNIT = _matrix([[(0, 0), (0, 1)], [(0, 0), (0, 0)]])  # i * E12
+B_UPPER = _matrix([[(1, 0), (1, 0)], [(0, 0), (2, 0)]])
+
+
 class TestExpandAndEval:
     def test_expand_geometric(self):
         code, out, _ = run_cli("expand", "--expr", "X1^-1", "--g", "1",
@@ -77,6 +94,27 @@ class TestExpandAndEval:
         assert code == 0
         data = json.loads(out)
         assert data["value"]["entries"][0] == ["1/2", "0"]
+
+    def test_basepoint_file_list_form(self, tmp_path):
+        # entry k binds X(k+1); a starred letter takes the conjugate transpose
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps([A_IUNIT, B_UPPER]))
+        code, out, _ = run_cli("eval", "--expr", "X2 X1^*", "--g", "2",
+                               "--point", f"file:{path}", "--json")
+        assert code == 0
+        # B (i E12)^* = B (-i E21) = [[-i, 0], [-2i, 0]]
+        assert json.loads(out)["value"]["entries"] == [["0", "-1"], ["0", "0"], ["0", "-2"], ["0", "0"]]
+
+    def test_basepoint_file_by_name(self, tmp_path):
+        # a starred name binds that letter itself; a bare name also binds
+        # its starred letter, to the conjugate transpose
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps({"X1": A_IUNIT, "X2^*": B_UPPER}))
+        code, out, _ = run_cli("eval", "--expr", "X1^* X2^*", "--g", "2",
+                               "--point", f"file:{path}", "--json")
+        assert code == 0
+        # (-i E21) B = [[0, 0], [-i, -i]]
+        assert json.loads(out)["value"]["entries"] == [["0", "0"], ["0", "0"], ["0", "-1"], ["0", "-1"]]
 
 
 class TestSampleAndFalsify:
@@ -173,7 +211,40 @@ class TestSelftest:
         assert out.count("PASS") == 10
 
 
+STAR_SPEC_WITHOUT_DOMAIN = {
+    "g": 1,
+    "star": True,
+    "generators": ["1 - X1^* X1", "1 - X1 X1^*"],
+    "resolved": ["X1^*"],
+    "resolvent": {"X1^*": "X1^-1"},
+    "basepoint": {"matrices": {"X1": _matrix([[(1, 0)]])}},
+}
+
+
 class TestUsageErrors:
+    @pytest.mark.parametrize("argv, content", [
+        pytest.param(["member", "--ideal-file", "{file}", "--poly", "X1"], "{not json",
+                     id="ideal-not-json"),
+        pytest.param(["member", "--ideal-file", "{file}", "--poly", "X1"], "[]", id="ideal-list"),
+        pytest.param(["bound", "--ideal-file", "{file}", "--poly", "X1"],
+                     json.dumps(STAR_SPEC_WITHOUT_DOMAIN), id="star-ideal-bound"),
+        pytest.param(["member", "--ideal-file", "{file}", "--poly", "X1", "--witness", "--seed", "1"],
+                     json.dumps(STAR_SPEC_WITHOUT_DOMAIN), id="star-ideal-witness"),
+        pytest.param(["verify-sohs", "--cert", "{file}", "--ideal", "T", "--g", "1"], "{not json",
+                     id="cert-not-json"),
+        pytest.param(["verify-sohs", "--cert", "{file}", "--ideal", "T", "--g", "1"],
+                     '{"squares": []}', id="cert-no-polynomial"),
+        pytest.param(["zero-test", "--expr", "X1", "--g", "1", "--basepoint", "file:{file}"],
+                     "{not json", id="basepoint-not-json"),
+        pytest.param(["zero-test", "--expr", "X1", "--g", "1", "--basepoint", "file:{file}"],
+                     '[{"rows": 1}]', id="basepoint-no-cols"),
+    ])
+    def test_malformed_input_file(self, tmp_path, argv, content):
+        path = tmp_path / "input.json"
+        path.write_text(content)
+        code, _, err = run_cli(*(a.replace("{file}", str(path)) for a in argv))
+        assert code == 2 and err.startswith("error:")
+
     def test_unknown_letter(self):
         code, _, err = run_cli("member", "--ideal", "T", "--g", "1",
                                "--poly", "X9")

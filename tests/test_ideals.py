@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ncrat.errors import (
     SpecError,
 )
 from ncrat.ideals import (
+    RRIdeal,
     builtin_ideal,
     custom_ideal,
     find_zero_set_witness,
@@ -62,12 +64,25 @@ class TestBuiltins:
             ideal = builtin_ideal(kind, g)
             assert ideal.generators
 
-    def test_resolvent_reps_match_dimension_hints(self):
-        # every built-in carries its reference realization of dimension n
-        for kind, g in (("Tprime", 2), ("Sprime", 3), ("Uprime", 2),
-                        ("CommInv", 3), ("T", 2), ("S", 2), ("U", 2)):
+    def test_derived_m_n_and_resolved(self):
+        # m, n and the x'' letters are derived from the base point and the
+        # resolvent representations; pin them for every built-in with g <= 3
+        assert not {f.name for f in fields(RRIdeal)} & {"kind", "m", "n", "resolved"}
+        cases = [("CommInv", 3, 2, 3, [Letter(3, False)])]
+        for g in (1, 2, 3):
+            cells = [(i, j) for i in range(1, g + 1) for j in range(1, g + 1)]
+            cases += [
+                ("Tprime", g, 1, 1, [Letter(g + j, False) for j in range(1, g + 1)]),
+                ("T", g, 1, 1, [Letter(j, True) for j in range(1, g + 1)]),
+                ("Uprime", g, 1, g, [Letter(g * g + (i - 1) * g + j, False) for i, j in cells]),
+                ("U", g, 1, g, [Letter((i - 1) * g + j, True) for i, j in cells]),
+            ]
+            if g >= 2:
+                cases += [("Sprime", g, 1, g + 1, [Letter(g + 1, False)]),
+                          ("S", g, 1, g + 1, [Letter(1, True)])]
+        for kind, g, m, n, resolved in cases:
             ideal = builtin_ideal(kind, g)
-            assert max(r.dim for r in ideal.resolvent_reps.values()) == ideal.n
+            assert (ideal.m, ideal.n, list(ideal.resolved)) == (m, n, resolved), (kind, g)
 
 
 class TestSymbolicInverse:

@@ -6,6 +6,7 @@ from ncrat.core import ExactMatrix, Scalar
 from ncrat.errors import (
     BasepointMismatch,
     DomainError,
+    MissingLetter,
     ResolventSingular,
     SingularConstantTerm,
 )
@@ -208,6 +209,26 @@ class TestCompile:
             with pytest.raises(DomainError) as err:
                 compile_expression(expr, BasePoint.scalars([0, 1]))
             assert err.value.path == (1, 1)
+
+    def test_negation_adds_no_states(self):
+        assert compile_text("-X1", BP1).dim == compile_text("X1", BP1).dim
+        assert is_zero(compile_text("X1 - X1", BP1))
+
+    def test_letter_reps_bind_letters(self):
+        from ncrat.ideals import scalar_inverse_rep
+
+        alph = Alphabet.xy(1)
+        x1, y1 = Letter(1, False), Letter(2, False)
+        bp = BasePoint.scalars([2], letters=[x1])
+        y_rep = scalar_inverse_rep(x1, bp)
+        expr = parse_expression("X1 Y1 - 1", alph)
+        assert is_zero(compile_expression(expr, bp, {y1: y_rep}))
+        assert not is_zero(compile_expression(parse_expression("Y1 X1 - 2", alph), bp, {y1: y_rep}))
+        with pytest.raises(MissingLetter):
+            compile_expression(expr, bp)
+        other = scalar_inverse_rep(x1, BasePoint.scalars([3], letters=[x1]))
+        with pytest.raises(BasepointMismatch):
+            compile_expression(expr, bp, {y1: other})
 
     def test_commutator_inverse_constant_term(self):
         s = compile_text("(X1*X2 - X2*X1)^-1", BP2x2)
