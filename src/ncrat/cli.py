@@ -5,14 +5,14 @@ verify-sohs, gram-export, selftest.  Exit codes: 0 = success, 1 = semantic
 negative (non-member, nonzero series, witness found, invalid certificate,
 failed selftest), 2 = usage or input error.  ``--json`` switches stdout to
 machine-readable JSON.  Randomized commands take ``--seed``; when omitted
-a fresh seed is drawn and printed so runs stay reproducible.
+a fresh seed is drawn and printed so runs stay reproducible (to stderr
+under ``--json``, which also reports it in the JSON object).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import secrets
 import sys
 from fractions import Fraction
 
@@ -68,17 +68,19 @@ def _parse_basepoint(spec: str, expr) -> BasePoint:
     if not letters:
         letters = [Letter(1, False)]
     if spec.startswith("scalar:"):
-        values = spec[len("scalar:") :].split(",")
+        try:
+            values = [Scalar(Fraction(v)) for v in spec[len("scalar:") :].split(",")]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SpecError(f"malformed scalar base point {spec!r}: {exc}") from exc
         if len(values) == 1:
-            v = Scalar(Fraction(values[0]))
             return BasePoint.from_mapping(
-                {l: ExactMatrix(1, 1, [v]) for l in letters}
+                {l: ExactMatrix(1, 1, values) for l in letters}
             )
         mapping = {}
         for l in letters:
             if l.index > len(values):
                 raise NcratError(f"scalar base point gives no value for letter {l}")
-            v = Scalar(Fraction(values[l.index - 1]))
+            v = values[l.index - 1]
             mapping[l] = ExactMatrix(1, 1, [v.conjugate() if l.starred else v])
         return BasePoint.from_mapping(mapping)
     if spec.startswith("file:"):
@@ -113,18 +115,25 @@ def _parse_basepoint(spec: str, expr) -> BasePoint:
     raise NcratError(f"bad base point spec {spec!r} (use scalar:... or file:...)")
 
 
-def _parse_sizes(spec: str):
-    if ".." in spec:
-        lo, hi = spec.split("..")
-        return range(int(lo), int(hi) + 1)
-    return [int(spec)]
+def _parse_sizes(spec: str) -> range:
+    lo, sep, hi = spec.partition("..")
+    try:
+        sizes = range(int(lo), int(hi if sep else lo) + 1)
+    except ValueError:
+        raise SpecError(f"bad --sizes {spec!r} (use N or LO..HI)") from None
+    if not sizes or sizes.start < 1:
+        raise SpecError(f"--sizes {spec!r} must name sizes >= 1, lowest first")
+    return sizes
 
 
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
+    import secrets
+
     seed = secrets.randbelow(2**32)
-    print(f"seed: {seed}")
+    # under --json, stdout carries only the JSON object
+    print(f"seed: {seed}", file=sys.stderr if args.json else sys.stdout)
     return seed
 
 
@@ -205,6 +214,8 @@ def cmd_member(args) -> int:
         f, ideal, find_witness=args.witness, trials=args.trials, seed=seed, tol=args.tol
     )
     data = {"ideal": ideal.name, "member": verdict.member}
+    if args.witness and args.seed is None:
+        data["seed"] = seed
     human = f"{args.poly!r} in {ideal.name}: member = {verdict.member}"
     if verdict.witness is not None:
         data["witness"] = verdict.witness.to_json()
@@ -246,6 +257,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.size < 1:
+        raise SpecError(f"--size must be at least 1, got {args.size}")
     seed = _seed(args)
     domain = SampleDomain(args.domain, args.g)
     point = sample_point(domain, args.size, seed, args.index)

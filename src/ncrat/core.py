@@ -7,7 +7,9 @@ Every exact elimination (the closures of zero tests and minimization, and
 matrix inverses) runs on one fraction-free echelon kernel over the
 Gaussian integers Z[i], after denominators are cleared.
 Float matrices (numpy complex arrays) are used only by the numeric
-samplers and falsifiers.
+samplers and falsifiers.  numpy is imported inside the functions, or the
+float branches of functions, that compute in floats: exact work never
+loads it, which keeps the start-up of exact CLI commands short.
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ from fractions import Fraction
 from itertools import compress, count
 from math import gcd, lcm
 from operator import mul, or_
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DimensionMismatch, SingularMatrixError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -364,6 +368,8 @@ def conjugate_transpose(a):
     """Conjugate transpose of an exact or float matrix."""
     if isinstance(a, ExactMatrix):
         return a.conjugate_transpose()
+    import numpy as np
+
     return np.conj(np.asarray(a)).T
 
 
@@ -601,6 +607,8 @@ def split_blocks(a, m: int):
             ]
             for bi in range(m)
         ]
+    import numpy as np
+
     a = np.asarray(a)
     if a.shape[0] != a.shape[1] or a.shape[0] % m:
         raise DimensionMismatch(f"cannot split {a.shape} into {m}x{m} blocks")
@@ -619,6 +627,8 @@ def embed(a: ExactMatrix, s: int) -> ExactMatrix:
 
 
 def float_to_json(a) -> dict:
+    import numpy as np
+
     a = np.asarray(a, dtype=complex)
     return {
         "rows": a.shape[0],
@@ -628,6 +638,8 @@ def float_to_json(a) -> dict:
 
 
 def float_from_json(obj) -> np.ndarray:
+    import numpy as np
+
     r, c = int(obj["rows"]), int(obj["cols"])
     flat = [complex(p[0], p[1]) for p in obj["entries"]]
     return np.array(flat, dtype=complex).reshape(r, c)

@@ -31,8 +31,6 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from . import bounds as _bounds
 from .core import ExactMatrix, Scalar, matrix_inverse
 from .errors import (
@@ -567,6 +565,8 @@ def zero_set_sampler(ideal: RRIdeal):
     isometries, partitioned unitaries); other ideals sample the graph of
     the resolvent: random x' and computed x'' = r(x').
     """
+    import numpy as np
+
     if ideal.star:
         domain = SampleDomain(ideal.domain_kind, ideal.g)
         return lambda n, seed, trial: _sample_structured(domain, n, seed, trial)

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 from .core import ExactMatrix, Scalar, ZERO, ONE, _coerce
 from .errors import (
     AlphabetMismatch,
@@ -255,6 +253,8 @@ class NcPoly:
                     val = val * _lookup(binding, l)
                 acc = acc + val.scale(c)
             return acc
+        import numpy as np
+
         ident = np.eye(n, dtype=complex)
         acc = np.zeros((n, n), dtype=complex)
         for w, c in self.terms.items():
@@ -310,11 +310,12 @@ def _point_binding(point, star_rule) -> dict:
     if star_rule == "adjoint":
         for l, m in list(binding.items()):
             if not l.starred and l.star not in binding:
-                binding[l.star] = (
-                    m.conjugate_transpose()
-                    if isinstance(m, ExactMatrix)
-                    else np.conj(np.asarray(m)).T
-                )
+                if isinstance(m, ExactMatrix):
+                    binding[l.star] = m.conjugate_transpose()
+                else:
+                    import numpy as np
+
+                    binding[l.star] = np.conj(np.asarray(m)).T
     if not binding:
         raise SizeMismatch("empty evaluation point")
     return binding
@@ -328,6 +329,8 @@ def _point_size(binding) -> int:
                 raise SizeMismatch("evaluation point matrices must be square")
             sizes.add(m.rows)
         else:
+            import numpy as np
+
             a = np.asarray(m)
             if a.ndim != 2 or a.shape[0] != a.shape[1]:
                 raise SizeMismatch("evaluation point matrices must be square")

@@ -19,8 +19,6 @@ import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .core import ExactMatrix, FLOAT_TOL, Scalar, ZERO
 from .errors import AlphabetMismatch, DegreeTooHigh, SpecError
 from .ncpoly import Alphabet, Letter, NcPoly, grlex_key, word_star
@@ -73,6 +71,10 @@ def verify_certificate(f: NcPoly, cert: SohsCertificate, ideal) -> VerifyResult:
     elif cert.cofactors is not None:
         recomposed = NcPoly.zero(f.alphabet)
         for a, j, b in cert.cofactors:
+            if not 0 <= j < len(ideal.generators):
+                raise SpecError(
+                    f"cofactor names generator {j}; the ideal's are 0..{len(ideal.generators) - 1}"
+                )
             recomposed = recomposed + a * ideal.generators[j] * b
         path, remainder_ok = "cofactors", (recomposed - q).is_zero()
     else:
@@ -289,6 +291,8 @@ def positivity_probe(
     A certificate for f modulo the matching ideal implies the reported
     minimum stays above -tol (necessary-condition probe).
     """
+    import numpy as np
+
     best = None
     count = 0
     for n in sizes:

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
-import numpy as np
-
 from .core import ExactMatrix, Scalar, _mk, matrix_inverse
 from .errors import (
     DomainError,
@@ -455,7 +453,12 @@ def eval_expression(e: RatExpr, point, star_rule: str = "adjoint"):
     binding = _point_binding(point, star_rule)
     n = _point_size(binding)
     exact = isinstance(next(iter(binding.values())), ExactMatrix)
-    ident = ExactMatrix.identity(n) if exact else np.eye(n, dtype=complex)
+    if exact:
+        ident = ExactMatrix.identity(n)
+    else:
+        import numpy as np
+
+        ident = np.eye(n, dtype=complex)
 
     def walk(node: Node, path: tuple):
         if isinstance(node, Const):

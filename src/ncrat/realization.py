@@ -32,8 +32,6 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .core import (
     ONE,
     ExactMatrix,
@@ -650,6 +648,8 @@ class GenPoly:
         ]
         if exact:
             return block_matrix(grid)
+        import numpy as np
+
         return np.block(grid)
 
     def __str__(self):

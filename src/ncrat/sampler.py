@@ -10,14 +10,15 @@ after every draw.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .core import ExactMatrix, FLOAT_TOL, ONE
 from .errors import ConditioningFailure, DomainError
 from .ncpoly import NcPoly
 from .ratexpr import RatExpr, eval_expression
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _COND_LIMIT = 1e8
 
@@ -38,16 +39,22 @@ class SampleDomain:
 
 
 def _rng(seed: int, index) -> np.random.Generator:
+    import numpy as np
+
     path = tuple(index) if isinstance(index, (tuple, list)) else (index,)
     ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=tuple(int(i) for i in path))
     return np.random.Generator(np.random.Philox(ss))
 
 
 def _complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    import numpy as np
+
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2)
 
 
 def _haar_from_rng(rng: np.random.Generator, n: int) -> np.ndarray:
+    import numpy as np
+
     z = _complex_gaussian(rng, n, n)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
@@ -70,6 +77,8 @@ def unitary_tuple(g: int, n: int, seed: int, index=0) -> tuple:
 def spherical_isometry_tuple(g: int, n: int, seed: int, index=0) -> tuple:
     """g matrices A_j with sum A_j^* A_j = I, from a QR-orthonormalized
     (g*n) x n complex Gaussian split into n x n blocks."""
+    import numpy as np
+
     rng = _rng(seed, index)
     z = _complex_gaussian(rng, g * n, n)
     q, r = np.linalg.qr(z)
@@ -93,6 +102,8 @@ def xgn_point(g: int, n: int, seed: int, index=0) -> tuple:
     B_k and A_{k>=2} are complex Gaussians; A_1 is solved from the relation,
     resampling B_1 until it is well conditioned (at most 20 attempts).
     """
+    import numpy as np
+
     rng = _rng(seed, index)
     bs = [_complex_gaussian(rng, n, n) for _ in range(g)]
     as_ = [None] + [_complex_gaussian(rng, n, n) for _ in range(g - 1)]
@@ -175,6 +186,8 @@ def falsify(
     value has an eigenvalue below -tol.  Returns the first witness in
     (size, trial) order, or None.
     """
+    import numpy as np
+
     if mode not in ("nonzero", "negative-eigenvalue"):
         raise ValueError(f"unknown falsify mode {mode!r}")
     sample = (

@@ -1,9 +1,13 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ncrat
 from ncrat.cli import main
 from ncrat.positivity import import_gram
 
@@ -143,6 +147,17 @@ class TestSampleAndFalsify:
                                "--sizes", "1..2", "--trials", "5")
         assert code == 0 and out.startswith("seed:")
 
+    @pytest.mark.parametrize("argv, code", [
+        (["sample", "--domain", "unitaries", "--g", "1", "--size", "1", "--json"], 0),
+        (["member", "--ideal", "T", "--g", "1", "--poly", "X1", "--witness", "--json"], 1),
+    ], ids=["sample", "member-witness"])
+    def test_drawn_seed_keeps_json_stdout(self, argv, code):
+        # the drawn seed goes to stderr, and into the JSON object
+        got, out, err = run_cli(*argv)
+        assert got == code
+        assert err.startswith("seed: ")
+        assert json.loads(out)["seed"] == int(err.split()[1])
+
 
 class TestSohsAndGram:
     def test_verify_sohs(self, tmp_path):
@@ -211,6 +226,12 @@ class TestSelftest:
         assert out.count("PASS") == 10
 
 
+def _cofactor_cert(j):
+    """A certificate whose remainder is recomposed from generator j."""
+    return {"polynomial": "1 - X1^* X1", "squares": [], "remainder": "1 - X1^* X1",
+            "cofactors": [["1", j, "1"]]}
+
+
 STAR_SPEC_WITHOUT_DOMAIN = {
     "g": 1,
     "star": True,
@@ -238,12 +259,37 @@ class TestUsageErrors:
                      "{not json", id="basepoint-not-json"),
         pytest.param(["zero-test", "--expr", "X1", "--g", "1", "--basepoint", "file:{file}"],
                      '[{"rows": 1}]', id="basepoint-no-cols"),
+        pytest.param(["zero-test", "--expr", "X1", "--g", "1", "--basepoint", "scalar:abc"],
+                     "", id="basepoint-scalar-not-a-number"),
+        pytest.param(["zero-test", "--expr", "X1", "--g", "1", "--basepoint", "scalar:1/0"],
+                     "", id="basepoint-scalar-zero-denominator"),
+        pytest.param(["zero-test", "--expr", "X1", "--g", "1", "--basepoint", "scalar:1,x"],
+                     "", id="basepoint-scalar-unused-value"),
+        pytest.param(["verify-sohs", "--cert", "{file}", "--ideal", "T", "--g", "1"],
+                     json.dumps(_cofactor_cert(5)), id="cert-cofactor-index-too-large"),
+        pytest.param(["verify-sohs", "--cert", "{file}", "--ideal", "T", "--g", "1"],
+                     json.dumps(_cofactor_cert(-1)), id="cert-cofactor-index-negative"),
     ])
     def test_malformed_input_file(self, tmp_path, argv, content):
         path = tmp_path / "input.json"
         path.write_text(content)
         code, _, err = run_cli(*(a.replace("{file}", str(path)) for a in argv))
         assert code == 2 and err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["falsify", "--poly", "X1 X2 - X2 X1", "--g", "2", "--sizes", "3..1"],
+        ["falsify", "--poly", "X1 X2 - X2 X1", "--g", "2", "--sizes", "0..1"],
+        ["falsify", "--poly", "X1 X2 - X2 X1", "--g", "2", "--sizes", "0"],
+        ["falsify", "--poly", "X1 X2 - X2 X1", "--g", "2", "--sizes", "abc"],
+        ["falsify", "--poly", "X1 X2 - X2 X1", "--g", "2", "--sizes", "1..x"],
+        ["falsify", "--poly", "X1 X2 - X2 X1", "--g", "2", "--sizes", "2.."],
+        ["falsify", "--ideal", "T", "--g", "1", "--poly", "X1", "--sizes", "0..2"],
+        ["sample", "--domain", "unitaries", "--g", "2", "--size", "0"],
+        ["sample", "--domain", "unitaries", "--g", "2", "--size", "-1"],
+    ], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+    def test_unsampleable_sizes(self, argv):
+        code, out, err = run_cli(*argv, "--seed", "1")
+        assert code == 2 and err.startswith("error:") and out == ""
 
     def test_unknown_letter(self):
         code, _, err = run_cli("member", "--ideal", "T", "--g", "1",
@@ -253,3 +299,70 @@ class TestUsageErrors:
     def test_missing_ideal(self):
         code, _, err = run_cli("bound", "--poly", "X1")
         assert code == 2
+
+
+# Commands that only compute exactly, with their exit codes; none of them
+# may load numpy.
+EXACT_COMMANDS = {
+    "member": (0, ["member", "--ideal", "T", "--g", "2", "--poly", "1 - X1 X1^*"]),
+    "member-negative": (1, ["member", "--ideal", "T", "--g", "2", "--poly", "X1 X2 - X2 X1", "--json"]),
+    "zero-test": (0, ["zero-test", "--expr", "X1 X1^-1 - 1", "--g", "1", "--basepoint", "scalar:1"]),
+    "expand": (0, ["expand", "--expr", "X1^-1", "--g", "1", "--basepoint", "scalar:1", "--order", "2"]),
+    "eval": (0, ["eval", "--expr", "X1^-1 X2", "--g", "2", "--point", "scalar:2,3"]),
+    "bound": (0, ["bound", "--ideal", "CommInv", "--poly", "X1 X2 X3 - X2 X1"]),
+    "verify-sohs": (0, ["verify-sohs", "--cert", "{cert}", "--ideal", "T", "--g", "1"]),
+    "gram-export": (0, ["gram-export", "--poly", "X1^* X1", "--g", "1", "--d", "1", "--out", "{out}"]),
+}
+
+# Runs a snippet in a fresh interpreter, then reports on the last line of
+# stderr the snippet's `code`, whether numpy was loaded and which ncrat
+# modules were.
+_REPORT = """
+import json, sys
+print(json.dumps({"code": globals().get("code"), "numpy": "numpy" in sys.modules,
+                  "modules": sorted(m for m in sys.modules if m.startswith("ncrat"))}),
+      file=sys.stderr)
+"""
+
+
+def _fresh(snippet, *args):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ncrat.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", snippet + _REPORT, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc, json.loads(proc.stderr.splitlines()[-1])
+
+
+def _fresh_cli(argv):
+    """Exit code, stdout and import report of one CLI command in a fresh process."""
+    proc, report = _fresh("import json, sys, ncrat.cli\n"
+                          "code = ncrat.cli.main(json.loads(sys.argv[1]))\n", json.dumps(argv))
+    return report["code"], proc.stdout, report
+
+
+class TestImportBoundary:
+    @pytest.mark.parametrize("name", sorted(EXACT_COMMANDS))
+    def test_exact_command_leaves_numpy_unloaded(self, tmp_path, name):
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"polynomial": "(1 - X1)^*(1 - X1)",
+                                    "squares": ["1 - X1"], "remainder": ""}))
+        expected, argv = EXACT_COMMANDS[name]
+        code, _, report = _fresh_cli([a.format(cert=cert, out=tmp_path / "problem.gram") for a in argv])
+        assert code == expected
+        assert not report["numpy"]
+
+    def test_import_ncrat_loads_every_module_but_numpy(self):
+        _, report = _fresh("import ncrat\n")
+        assert not report["numpy"]
+        # the float modules are still imported eagerly, only numpy waits
+        assert {"ncrat.sampler", "ncrat.positivity", "ncrat.ideals"} <= set(report["modules"])
+
+    def test_sampling_commands_still_work(self):
+        code, out, report = _fresh_cli(["sample", "--domain", "unitaries", "--g", "2",
+                                        "--size", "2", "--seed", "5", "--json"])
+        assert code == 0 and report["numpy"]
+        assert len(json.loads(out)["matrices"]) == 2
+        code, out, _ = _fresh_cli(["falsify", "--poly", "X1 X2 - X2 X1", "--domain", "unitaries",
+                                   "--g", "2", "--sizes", "1..3", "--seed", "6", "--trials", "40"])
+        assert code == 1 and "witness at size 2" in out

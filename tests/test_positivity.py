@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ncrat.core import ExactMatrix, Scalar
-from ncrat.errors import DegreeTooHigh
+from ncrat.errors import DegreeTooHigh, SpecError
 from ncrat.ideals import builtin_ideal
 from ncrat.ncpoly import Alphabet, Letter, NcPoly
 from ncrat.positivity import (
@@ -51,6 +51,15 @@ class TestVerifyCertificate:
         assert res.ok and res.remainder_path == "cofactors"
         bad = SohsCertificate([], f, cofactors=((one, 0, one),))
         assert not verify_certificate(f, bad, T1).ok
+
+    @pytest.mark.parametrize("j", [2, 5, -1])
+    def test_cofactor_generator_index_out_of_range(self, j):
+        # T at g = 1 has generators 0 and 1; -1 must not pick the last one
+        f = parse_poly("2 - X1^*X1 - X1 X1^*", AL)
+        one = NcPoly.one(AL)
+        cert = SohsCertificate([], f, cofactors=((one, 0, one), (one, j, one)))
+        with pytest.raises(SpecError, match=f"generator {j}"):
+            verify_certificate(f, cert, T1)
 
     def test_expanded_square_pass_fail(self):
         f = parse_poly("(1 - X1)^*(1 - X1)", AL)
