@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -126,6 +127,15 @@ def _parse_sizes(spec: str) -> range:
     return sizes
 
 
+def _check_search(args):
+    """Reject a numeric search that could not find a witness, or that would
+    report one where f vanishes."""
+    if args.trials < 1:
+        raise SpecError(f"--trials must be at least 1, got {args.trials}")
+    if not 0 < args.tol < math.inf:
+        raise SpecError(f"--tol must be a positive number, got {args.tol}")
+
+
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -207,6 +217,7 @@ def cmd_zero_test(args) -> int:
 
 
 def cmd_member(args) -> int:
+    _check_search(args)
     ideal = _resolve_ideal(args)
     f = parse_poly(args.poly, ideal.alphabet)
     seed = _seed(args) if args.witness else (args.seed or 0)
@@ -259,6 +270,8 @@ def cmd_bound(args) -> int:
 def cmd_sample(args) -> int:
     if args.size < 1:
         raise SpecError(f"--size must be at least 1, got {args.size}")
+    if args.index < 0:
+        raise SpecError(f"--index must be at least 0, got {args.index}")
     seed = _seed(args)
     domain = SampleDomain(args.domain, args.g)
     point = sample_point(domain, args.size, seed, args.index)
@@ -275,6 +288,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_falsify(args) -> int:
+    _check_search(args)
     seed = _seed(args)
     text = args.poly or args.expr
     if args.ideal or args.ideal_file:

@@ -10,7 +10,7 @@ exact zero test.  For the built-in ideals this decides ideal membership
 exactly.  The base point size m, the resolvent dimension n and the x''
 letters are derived from the base point and the resolvent.
 
-Built-ins:
+Built-ins (T, S and U are the *-versions of Tprime, Sprime and Uprime):
 
     Tprime   (1 - X_j Y_j, 1 - Y_j X_j)         resolvent Y_j = X_j^-1
     Sprime   (X_1 Y_1 + ... + X_g Y_g - 1)      g >= 2
@@ -20,8 +20,11 @@ Built-ins:
     S        (1 - sum_j X_j^* X_j)              spherical isometries, g >= 2
     U        entries of X X^* - I, X^* X - I    partitioned unitaries
 
-The construction-time invariant that every generator vanishes on the
-graph of the resolvent is checked exactly for every ideal built here.
+Every ideal, built-in or read from a spec file, is built by one
+constructor from the same kind of data: generator texts, resolvent texts
+(for U and Uprime the symbolic inverse DAG), base point matrices.  It
+makes every check on the decomposition and then checks exactly that every
+generator vanishes on the graph of the resolvent.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .errors import (
 from .ncpoly import Alphabet, Letter, NcPoly
 from .ratexpr import (
     Add,
-    Const,
     Inv,
     Mul,
     Neg,
@@ -52,6 +54,7 @@ from .ratexpr import (
     Var,
     eval_expression,
     parse_expression,
+    parse_poly,
     poly_to_expression,
     substitute_letters,
 )
@@ -62,7 +65,7 @@ from .realization import (
     compile_expression,
     is_zero,
 )
-from .sampler import SampleDomain, Witness, _complex_gaussian, _rng, falsify
+from .sampler import SampleDomain, Witness, _complex_gaussian, _rng, falsify, sample_point
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,13 +130,6 @@ def _validate(ideal: RRIdeal) -> RRIdeal:
     substituted and compiled, and the oracle compiles each generator with
     the resolved letters bound to the ideal's resolvent representations.
     """
-    overlap = set(ideal.resolved) & set(ideal.basepoint.letters)
-    if overlap:
-        raise SpecError(f"letters {sorted(overlap)} are both resolved and in x'")
-    for l, expr in ideal.resolvent.items():
-        bad = [u for u in expr.letters_used() if u in ideal.resolved]
-        if bad:
-            raise SpecError(f"resolvent of {l} uses resolved letters {bad}")
     for f in ideal.generators:
         expr = substitute_resolvent(f, ideal)
         try:
@@ -151,6 +147,63 @@ def _validate(ideal: RRIdeal) -> RRIdeal:
                 f"generator {f} fails the representation-level graph check"
             )
     return ideal
+
+
+# The errors that malformed spec data raises while it is read.
+_MALFORMED = (KeyError, IndexError, TypeError, ValueError, AttributeError)
+
+
+def _make_ideal(name: str, alphabet: Alphabet, g: int, generators, resolvent: dict,
+                basepoint: dict, resolved=None, star: bool = False,
+                domain_kind: str | None = None, reps=None) -> RRIdeal:
+    """The one constructor of an RRIdeal, for the built-ins and spec files.
+
+    ``generators`` are polynomial texts, ``resolvent`` maps each x'' letter
+    name to an expression text or a RatExpr, ``basepoint`` maps each x'
+    letter name to its matrix and ``resolved`` names the x'' letters
+    (default: the resolvent's).  ``reps`` maps the base point to hand-built
+    resolvent representations, in resolvent order; without it each
+    resolvent is compiled about the base point.  Every check on the
+    decomposition x = x' u x'' is made here, then the graph check.
+    """
+    if star and domain_kind not in ("unitaries", "spherical", "partitioned"):
+        raise SpecError("a star ideal needs domain_kind unitaries, spherical or partitioned")
+    try:
+        gens = tuple(parse_poly(text, alphabet) for text in generators)
+        resolvent = {
+            _letter_from_name(alphabet, l): r if isinstance(r, RatExpr) else parse_expression(r, alphabet)
+            for l, r in resolvent.items()
+        }
+        resolved = (set(resolvent) if resolved is None
+                    else {_letter_from_name(alphabet, l) for l in resolved})
+        bp = BasePoint.from_mapping(
+            {_letter_from_name(alphabet, l): mat for l, mat in basepoint.items()}
+        )
+    except _MALFORMED as exc:
+        raise SpecError(f"malformed ideal spec: {exc}") from exc
+
+    if not star and any(l.starred for l in resolvent):
+        raise SpecError("starred resolvent letter in a non-star ideal")
+    if set(resolvent) != resolved:
+        raise SpecError("resolvent must map exactly the resolved letters")
+    overlap = resolved & set(bp.letters)
+    if overlap:
+        raise SpecError(f"letters {sorted(overlap)} are both resolved and in x'")
+    for l, expr in resolvent.items():
+        bad = [u for u in expr.letters_used() if u in resolved]
+        if bad:
+            raise SpecError(f"resolvent of {l} uses resolved letters {bad}")
+    missing = {
+        l for f in gens for w in f.terms for l in w if l not in resolved and l not in bp.letters
+    }
+    if missing:
+        raise SpecError(f"base point misses x' letters {sorted(missing)}")
+
+    if reps is None:
+        reps = {l: compile_expression(expr, bp) for l, expr in resolvent.items()}
+    else:
+        reps = dict(zip(resolvent, reps(bp)))
+    return _validate(RRIdeal(name, alphabet, star, gens, resolvent, bp, g, domain_kind, reps))
 
 
 def _neumann_inverse_rep(g: int, i: int, j: int, bp: BasePoint) -> LinRep:
@@ -263,175 +316,82 @@ def builtin_ideal(kind: str, g: int) -> RRIdeal:
 
 @lru_cache(maxsize=None)
 def _builtin_cached(kind: str, g: int) -> RRIdeal:
-    one = ExactMatrix.from_rows([[1]])
-    zero = ExactMatrix.from_rows([[0]])
+    """The built-ins as data for _make_ideal, with their hand-built
+    resolvent representations."""
+    one, zero = ExactMatrix.identity(1), ExactMatrix.zeros(1, 1)
+    js, rest = range(1, g + 1), range(2, g + 1)
 
-    if kind == "Tprime":
-        alph = Alphabet.xy(g)
-        gens = []
-        for j in range(1, g + 1):
-            xj = NcPoly.var(alph, j)
-            yj = NcPoly.var(alph, g + j)
-            gens.append(NcPoly.one(alph) - xj * yj)
-            gens.append(NcPoly.one(alph) - yj * xj)
-        resolvent = {
-            Letter(g + j, False): RatExpr(alph, Inv(Var(Letter(j, False))))
-            for j in range(1, g + 1)
-        }
-        bp = BasePoint.from_mapping({Letter(j, False): one for j in range(1, g + 1)})
-        reps = {
-            Letter(g + j, False): scalar_inverse_rep(Letter(j, False), bp)
-            for j in range(1, g + 1)
-        }
-        return _validate(
-            RRIdeal(f"Tprime(g={g})", alph, False, tuple(gens), resolvent, bp, g, None, reps)
+    if kind in ("Tprime", "T"):
+        # T is Tprime with Y_j -> X_j^*, each pair of relations listed the
+        # other way round
+        star = kind == "T"
+        y = {j: f"X{j}^*" if star else f"Y{j}" for j in js}
+        pairs = [(f"1 - X{j} {y[j]}", f"1 - {y[j]} X{j}") for j in js]
+        return _make_ideal(
+            f"{kind}(g={g})", Alphabet.x(g) if star else Alphabet.xy(g), g,
+            generators=[text for pair in pairs for text in (pair[::-1] if star else pair)],
+            resolvent={y[j]: f"X{j}^-1" for j in js},
+            basepoint={f"X{j}": one for j in js},
+            star=star, domain_kind="unitaries" if star else None,
+            reps=lambda bp: [scalar_inverse_rep(Letter(j, False), bp) for j in js],
         )
 
     if kind == "Sprime":
         alph = Alphabet.xy(g)
-        gen = NcPoly.constant(alph, -1)
-        for j in range(1, g + 1):
-            gen = gen + NcPoly.var(alph, j) * NcPoly.var(alph, g + j)
-        body = " - ".join(f"X{j}*Y{j}" for j in range(2, g + 1))
-        r = parse_expression(f"X1^-1*(1 - {body})", alph)
-        y1 = Letter(g + 1, False)
-        mapping = {Letter(1, False): one}
-        for j in range(2, g + 1):
-            mapping[Letter(j, False)] = zero
-            mapping[Letter(g + j, False)] = zero
-        bp = BasePoint.from_mapping(mapping)
-        return _validate(
-            RRIdeal(f"Sprime(g={g})", alph, False, (gen,), {y1: r}, bp, g, None,
-                    {y1: sprime_resolvent_rep(g, bp, alph)})
-        )
-
-    if kind == "Uprime":
-        alph = Alphabet.matrix(g, with_y=True)
-        x = lambda i, j: NcPoly.var(alph, (i - 1) * g + j)
-        y = lambda i, j: NcPoly.var(alph, g * g + (i - 1) * g + j)
-        gens = []
-        for i in range(1, g + 1):
-            for j in range(1, g + 1):
-                delta = NcPoly.one(alph) if i == j else NcPoly.zero(alph)
-                gens.append(sum((x(i, k) * y(k, j) for k in range(1, g + 1)),
-                                NcPoly.zero(alph)) - delta)
-        for i in range(1, g + 1):
-            for j in range(1, g + 1):
-                delta = NcPoly.one(alph) if i == j else NcPoly.zero(alph)
-                gens.append(sum((y(i, k) * x(k, j) for k in range(1, g + 1)),
-                                NcPoly.zero(alph)) - delta)
-        inv = symbolic_matrix_inverse(g, alph)
-        resolvent = {
-            Letter(g * g + (i - 1) * g + j, False): inv[i - 1][j - 1]
-            for i in range(1, g + 1)
-            for j in range(1, g + 1)
-        }
-        mapping = {
-            Letter((i - 1) * g + j, False): (one if i == j else zero)
-            for i in range(1, g + 1)
-            for j in range(1, g + 1)
-        }
-        bp = BasePoint.from_mapping(mapping)
-        reps = {
-            Letter(g * g + (i - 1) * g + j, False): _neumann_inverse_rep(g, i, j, bp)
-            for i in range(1, g + 1)
-            for j in range(1, g + 1)
-        }
-        return _validate(
-            RRIdeal(f"Uprime(g={g})", alph, False, tuple(gens), resolvent, bp, g, None, reps)
-        )
-
-    if kind == "CommInv":
-        alph = Alphabet.x(3)
-        x1, x2, x3 = (NcPoly.var(alph, j) for j in (1, 2, 3))
-        gen = NcPoly.one(alph) - (x1 * x2 - x2 * x1) * x3
-        r = parse_expression("(X1*X2 - X2*X1)^-1", alph)
-        e12 = ExactMatrix.unit(2, 0, 1)
-        e21 = ExactMatrix.unit(2, 1, 0)
-        bp = BasePoint.from_mapping({Letter(1, False): e12, Letter(2, False): e21})
-        return _validate(
-            RRIdeal("CommInv", alph, False, (gen,), {Letter(3, False): r}, bp, 3, None,
-                    {Letter(3, False): comminv_resolvent_rep(bp, alph)})
-        )
-
-    if kind == "T":
-        alph = Alphabet.x(g)
-        gens = []
-        for j in range(1, g + 1):
-            xj = NcPoly.var(alph, j)
-            xjs = NcPoly.var(alph, j, starred=True)
-            gens.append(NcPoly.one(alph) - xjs * xj)
-            gens.append(NcPoly.one(alph) - xj * xjs)
-        resolvent = {
-            Letter(j, True): RatExpr(alph, Inv(Var(Letter(j, False))))
-            for j in range(1, g + 1)
-        }
-        bp = BasePoint.from_mapping({Letter(j, False): one for j in range(1, g + 1)})
-        reps = {
-            Letter(j, True): scalar_inverse_rep(Letter(j, False), bp)
-            for j in range(1, g + 1)
-        }
-        return _validate(
-            RRIdeal(f"T(g={g})", alph, True, tuple(gens), resolvent, bp, g, "unitaries", reps)
+        body = " - ".join(f"X{j}*Y{j}" for j in rest)
+        return _make_ideal(
+            f"Sprime(g={g})", alph, g,
+            generators=["-1 + " + " + ".join(f"X{j} Y{j}" for j in js)],
+            resolvent={"Y1": f"X1^-1*(1 - {body})"},
+            basepoint={"X1": one, **{f"{a}{j}": zero for j in rest for a in "XY"}},
+            reps=lambda bp: [sprime_resolvent_rep(g, bp, alph)],
         )
 
     if kind == "S":
         alph = Alphabet.x(g)
-        gen = NcPoly.one(alph)
-        for j in range(1, g + 1):
-            gen = gen - NcPoly.var(alph, j, starred=True) * NcPoly.var(alph, j)
-        # X_1^* = (1 - sum_{j>=2} X_j^* X_j) X_1^-1
-        inner = [Const(Scalar(1))]
-        for j in range(2, g + 1):
-            inner.append(Neg(Mul((Var(Letter(j, True)), Var(Letter(j, False))))))
-        r = RatExpr(alph, Mul((Add(tuple(inner)), Inv(Var(Letter(1, False))))))
-        x1s = Letter(1, True)
-        mapping = {Letter(1, False): one}
-        for j in range(2, g + 1):
-            mapping[Letter(j, False)] = zero
-            mapping[Letter(j, True)] = zero
-        bp = BasePoint.from_mapping(mapping)
-        return _validate(
-            RRIdeal(f"S(g={g})", alph, True, (gen,), {x1s: r}, bp, g, "spherical",
-                    {x1s: s_resolvent_rep(g, bp, alph)})
+        body = " - ".join(f"X{j}^* X{j}" for j in rest)
+        return _make_ideal(
+            f"S(g={g})", alph, g,
+            generators=["1 - " + " - ".join(f"X{j}^* X{j}" for j in js)],
+            # X_1^* = (1 - sum_{j>=2} X_j^* X_j) X_1^-1
+            resolvent={"X1^*": f"(1 - {body}) X1^-1"},
+            basepoint={"X1": one, **{f"X{j}{s}": zero for j in rest for s in ("", "^*")}},
+            star=True, domain_kind="spherical",
+            reps=lambda bp: [s_resolvent_rep(g, bp, alph)],
         )
 
-    # kind == "U": nc unitary group on a g x g matrix of letters
-    alph = Alphabet.matrix(g)
-    x = lambda i, j: NcPoly.var(alph, (i - 1) * g + j)
-    xs = lambda i, j: NcPoly.var(alph, (i - 1) * g + j, starred=True)
-    gens = []
-    for i in range(1, g + 1):
-        for j in range(1, g + 1):
-            delta = NcPoly.one(alph) if i == j else NcPoly.zero(alph)
-            # (X X^*)_{ij} = sum_k X_{ik} (X_{jk})^*
-            gens.append(sum((x(i, k) * xs(j, k) for k in range(1, g + 1)),
-                            NcPoly.zero(alph)) - delta)
-    for i in range(1, g + 1):
-        for j in range(1, g + 1):
-            delta = NcPoly.one(alph) if i == j else NcPoly.zero(alph)
-            # (X^* X)_{ij} = sum_k (X_{ki})^* X_{kj}
-            gens.append(sum((xs(k, i) * x(k, j) for k in range(1, g + 1)),
-                            NcPoly.zero(alph)) - delta)
-    inv = symbolic_matrix_inverse(g, alph)
-    resolvent = {  # the letter (X_ij)^* resolves to (X^{-1})_{ji}
-        Letter((i - 1) * g + j, True): inv[j - 1][i - 1]
-        for i in range(1, g + 1)
-        for j in range(1, g + 1)
-    }
-    mapping = {
-        Letter((i - 1) * g + j, False): (one if i == j else zero)
-        for i in range(1, g + 1)
-        for j in range(1, g + 1)
-    }
-    bp = BasePoint.from_mapping(mapping)
-    reps = {
-        Letter((i - 1) * g + j, True): _neumann_inverse_rep(g, j, i, bp)
-        for i in range(1, g + 1)
-        for j in range(1, g + 1)
-    }
-    return _validate(
-        RRIdeal(f"U(g={g})", alph, True, tuple(gens), resolvent, bp, g, "partitioned", reps)
+    if kind in ("Uprime", "U"):
+        # U, the nc unitary group, is Uprime with Y_ij -> X_ji^*: (XY - I)_ij
+        # becomes (X X^* - I)_ij
+        # and (YX - I)_ij becomes (X^* X - I)_ij
+        star = kind == "U"
+        alph = Alphabet.matrix(g, with_y=not star)
+        cells = [(i, j) for i in js for j in js]
+        y = {(i, j): f"X{j}{i}^*" if star else f"Y{i}{j}" for i, j in cells}
+        delta = {(i, j): " - 1" if i == j else "" for i, j in cells}
+        xy = [" + ".join(f"X{i}{k} {y[k, j]}" for k in js) + delta[i, j] for i, j in cells]
+        yx = [" + ".join(f"{y[i, k]} X{k}{j}" for k in js) + delta[i, j] for i, j in cells]
+        # Y_ij resolves to (X^-1)_ij; U lists its letters X_ij^* = Y_ji row by
+        # row.  The inverse stays a DAG: its text would be a tree.
+        order = [(j, i) if star else (i, j) for i, j in cells]
+        inv = symbolic_matrix_inverse(g, alph)
+        return _make_ideal(
+            f"{kind}(g={g})", alph, g,
+            generators=xy + yx,
+            resolvent={y[c]: inv[c[0] - 1][c[1] - 1] for c in order},
+            basepoint={f"X{i}{j}": one if i == j else zero for i, j in cells},
+            star=star, domain_kind="partitioned" if star else None,
+            reps=lambda bp: [_neumann_inverse_rep(g, i, j, bp) for i, j in order],
+        )
+
+    # kind == "CommInv"
+    alph = Alphabet.x(3)
+    return _make_ideal(
+        "CommInv", alph, 3,
+        generators=["1 - (X1 X2 - X2 X1) X3"],
+        resolvent={"X3": "(X1*X2 - X2*X1)^-1"},
+        basepoint={"X1": ExactMatrix.unit(2, 0, 1), "X2": ExactMatrix.unit(2, 1, 0)},
+        reps=lambda bp: [comminv_resolvent_rep(bp, alph)],
     )
 
 
@@ -549,6 +509,9 @@ def is_member(
 def witness_size(f: NcPoly, ideal: RRIdeal) -> int:
     """The matrix size at which vanishing on the zero set decides membership."""
     u, v = f.degree_and_terms()
+    # A nonzero constant has degree 0.  The bounds grow with u, so the size
+    # for degree 1 is also a valid test size for it.
+    u = max(u, 1)
     if ideal.star:
         if ideal.domain_kind == "unitaries" or (
             ideal.domain_kind == "partitioned" and ideal.g == 1
@@ -569,7 +532,7 @@ def zero_set_sampler(ideal: RRIdeal):
 
     if ideal.star:
         domain = SampleDomain(ideal.domain_kind, ideal.g)
-        return lambda n, seed, trial: _sample_structured(domain, n, seed, trial)
+        return lambda n, seed, trial: sample_point(domain, n, seed, trial)
 
     xprime = ideal.basepoint.letters
     size = ideal.alphabet.size
@@ -590,12 +553,6 @@ def zero_set_sampler(ideal: RRIdeal):
         raise ConditioningFailure("could not sample a graph point")
 
     return sample
-
-
-def _sample_structured(domain: SampleDomain, n: int, seed: int, trial: int):
-    from .sampler import sample_point
-
-    return sample_point(domain, n, seed, trial)
 
 
 def find_zero_set_witness(
@@ -657,9 +614,10 @@ def custom_ideal(spec) -> RRIdeal:
     star), "letters": optional [names], "generators": [expr],
     "resolved": [letter], "resolvent": {letter: expr},
     "basepoint": {"m": optional m, "matrices": {letter: matrix-json}}}.
-    Each resolvent is compiled once about the base point; the resolvent
-    dimension n is the largest of those dimensions.  A malformed file or
-    spec raises SpecError.
+    The spec is read into the data the built-ins are given as, and goes
+    through the same constructor and checks.  Each resolvent is compiled
+    once about the base point; the resolvent dimension n is the largest of
+    those dimensions.  A malformed file or spec raises SpecError.
 
     The oracle for a custom ideal decides vanishing on the graph of the
     resolvent (equivalently on the Zariski closure of the zero set it
@@ -670,56 +628,17 @@ def custom_ideal(spec) -> RRIdeal:
         if isinstance(spec, str):
             with open(spec) as fh:
                 spec = json.load(fh)
-        name = spec.get("name", "custom")
         g = int(spec["g"])
         star = bool(spec.get("star", False))
-        domain_kind = spec.get("domain_kind") if star else None
-        if star and domain_kind not in ("unitaries", "spherical", "partitioned"):
-            raise SpecError(
-                "a star ideal needs domain_kind unitaries, spherical or partitioned"
-            )
-        if "letters" in spec:
-            alph = Alphabet(spec["letters"])
-        else:
-            alph = Alphabet.x(g)
-        gens = tuple(
-            _parse_poly(text, alph) for text in spec["generators"]
-        )
-        resolved = tuple(_letter_from_name(alph, t) for t in spec["resolved"])
-        resolvent = {}
-        for lname, text in spec["resolvent"].items():
-            l = _letter_from_name(alph, lname)
-            expr = parse_expression(text, alph)
-            if lname.endswith("*") and not star:
-                raise SpecError("starred resolvent letter in a non-star ideal")
-            resolvent[l] = expr
+        alph = Alphabet(spec["letters"]) if "letters" in spec else Alphabet.x(g)
         bp_spec = spec["basepoint"]
-        mapping = {
-            _letter_from_name(alph, lname): ExactMatrix.from_json(mj)
-            for lname, mj in bp_spec["matrices"].items()
+        basepoint = {
+            lname: ExactMatrix.from_json(mj) for lname, mj in bp_spec["matrices"].items()
         }
-        bp = BasePoint.from_mapping(mapping)
-        if int(bp_spec.get("m", bp.m)) != bp.m:
+        if "m" in bp_spec and any(mat.rows != int(bp_spec["m"]) for mat in basepoint.values()):
             raise SpecError("declared m does not match base point matrices")
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        parts = (spec.get("name", "custom"), alph, g, spec["generators"], spec["resolvent"],
+                 basepoint, spec["resolved"], star, spec.get("domain_kind") if star else None)
+    except _MALFORMED as exc:
         raise SpecError(f"malformed ideal spec: {exc}") from exc
-
-    if set(resolvent) != set(resolved):
-        raise SpecError("resolvent must map exactly the resolved letters")
-    missing = set()
-    for f in gens:
-        for w in f.terms:
-            for l in w:
-                if l not in resolved and l not in bp.letters:
-                    missing.add(l)
-    if missing:
-        raise SpecError(f"base point misses x' letters {sorted(missing)}")
-
-    reps = {l: compile_expression(expr, bp) for l, expr in resolvent.items()}
-    return _validate(RRIdeal(name, alph, star, gens, resolvent, bp, g, domain_kind, reps))
-
-
-def _parse_poly(text: str, alph: Alphabet) -> NcPoly:
-    from .ratexpr import parse_poly
-
-    return parse_poly(text, alph)
+    return _make_ideal(*parts)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .core import ExactMatrix, FLOAT_TOL, ONE
-from .errors import ConditioningFailure, DomainError
+from .errors import ConditioningFailure, DomainError, GOutOfRange, SpecError
 from .ncpoly import NcPoly
 from .ratexpr import RatExpr, eval_expression
 
@@ -33,9 +33,9 @@ class SampleDomain:
 
     def __post_init__(self):
         if self.kind not in ("unitaries", "spherical", "partitioned", "xgn", "unrestricted"):
-            raise ValueError(f"unknown sample domain kind {self.kind!r}")
+            raise SpecError(f"unknown sample domain kind {self.kind!r}")
         if self.g < 1:
-            raise ValueError("domain needs g >= 1")
+            raise GOutOfRange(f"domain needs g >= 1, got {self.g}")
 
 
 def _rng(seed: int, index) -> np.random.Generator:

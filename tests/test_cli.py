@@ -40,6 +40,13 @@ class TestMember:
         assert data["member"] is False
         assert data["witness"]["size"] >= 2
 
+    def test_constant_non_member_gets_a_witness(self):
+        # a constant has degree 0; the search runs up to the degree-1 size
+        code, out, err = run_cli("member", "--ideal", "T", "--g", "1",
+                                 "--poly", "2", "--witness", "--seed", "1")
+        assert code == 1 and err == ""
+        assert "member = False" in out and "witness at size 1" in out
+
 
 class TestBound:
     def test_comm_inv_bound(self):
@@ -56,6 +63,12 @@ class TestBound:
         code, out, _ = run_cli("bound", "--ideal", "U", "--g", "1",
                                "--poly", "X11 + X11^*")
         assert code == 0 and "(d = deg+1 = 2): 9 " in out
+
+    def test_constant_polynomial(self):
+        # the true degree is printed; the test size is the degree-1 size
+        code, out, _ = run_cli("bound", "--ideal", "T", "--g", "1", "--poly", "1")
+        assert code == 0
+        assert "degree u = 0, terms v = 1" in out and "membership test size: 1" in out
 
 
 class TestZeroTest:
@@ -288,6 +301,20 @@ class TestUsageErrors:
         ["sample", "--domain", "unitaries", "--g", "2", "--size", "-1"],
     ], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
     def test_unsampleable_sizes(self, argv):
+        code, out, err = run_cli(*argv, "--seed", "1")
+        assert code == 2 and err.startswith("error:") and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["falsify", "--poly", "X1 X2 - X2 X1", "--g", "2", "--trials", "0"],
+        ["member", "--ideal", "T", "--g", "1", "--poly", "X1", "--witness", "--trials", "-2"],
+        ["falsify", "--poly", "X1 X1^* - 1", "--g", "1", "--sizes", "1", "--tol", "-1"],
+        ["falsify", "--poly", "X1 X1^* - 1", "--g", "1", "--sizes", "1", "--tol", "0"],
+        ["falsify", "--poly", "X1 X1^* - 1", "--g", "1", "--sizes", "1", "--tol", "nan"],
+        ["falsify", "--ideal", "T", "--g", "1", "--poly", "X1", "--tol", "inf"],
+        ["sample", "--domain", "unitaries", "--g", "0", "--size", "2"],
+        ["sample", "--domain", "unitaries", "--g", "1", "--size", "2", "--index", "-1"],
+    ], ids=lambda argv: f"{argv[0]}-{argv[-2]}={argv[-1]}")
+    def test_out_of_range_settings(self, argv):
         code, out, err = run_cli(*argv, "--seed", "1")
         assert code == 2 and err.startswith("error:") and out == ""
 

@@ -256,6 +256,13 @@ class TestWitnessSize:
         p = parse_poly("X11 X12 X21^* + X22", U2.alphabet)
         assert witness_size(p, U2) == 6
 
+    def test_constant_uses_the_degree_one_size(self):
+        T2 = builtin_ideal("T", 2)
+        assert witness_size(NcPoly.constant(T2.alphabet, 3), T2) == 1
+        C = builtin_ideal("CommInv", 3)
+        one = NcPoly.one(C.alphabet)
+        assert witness_size(one, C) == witness_size(parse_poly("X1", C.alphabet), C)
+
 
 class TestZeroSetSampling:
     def test_graph_points_kill_generators(self):
@@ -320,6 +327,21 @@ ONE_RELATOR = {
 }
 
 
+def _unit_json(i, j):
+    return ExactMatrix.unit(2, i, j).to_json()
+
+
+# CommInv's definition written as a spec
+COMMINV = {
+    "name": "CommInv",
+    "g": 3,
+    "generators": ["1 - (X1 X2 - X2 X1) X3"],
+    "resolved": ["X3"],
+    "resolvent": {"X3": "(X1*X2 - X2*X1)^-1"},
+    "basepoint": {"m": 2, "matrices": {"X1": _unit_json(0, 1), "X2": _unit_json(1, 0)}},
+}
+
+
 class TestCustomIdeals:
     def test_one_relator_roundtrip(self, tmp_path):
         path = tmp_path / "one_relator.json"
@@ -345,6 +367,33 @@ class TestCustomIdeals:
         spec["resolvent"] = {"X3": "X1^-1 X2 X1 X2^-1"}
         with pytest.raises(ResolventNotVanishing):
             custom_ideal(spec)
+
+    def test_base_point_must_bind_the_x_prime_letters(self):
+        spec = json.loads(json.dumps(ONE_RELATOR))
+        del spec["basepoint"]["matrices"]["X2"]
+        with pytest.raises(SpecError, match="base point misses x' letters"):
+            custom_ideal(spec)
+
+    def test_starred_resolvent_letter_needs_a_star_ideal(self):
+        spec = json.loads(json.dumps(ONE_RELATOR))
+        spec["resolved"] = ["X3^*"]
+        spec["resolvent"] = {"X3^*": "X1^-1 X2^-1 X1 X2"}
+        with pytest.raises(SpecError, match="starred resolvent letter"):
+            custom_ideal(spec)
+
+    def test_comminv_spec_matches_the_builtin(self):
+        # the built-in is the same data on the same constructor, with a
+        # hand-built resolvent representation instead of a compiled one
+        custom, builtin = custom_ideal(COMMINV), builtin_ideal("CommInv", 3)
+        assert custom.name == builtin.name and custom.alphabet == builtin.alphabet
+        assert [list(f.terms.items()) for f in custom.generators] == \
+            [list(f.terms.items()) for f in builtin.generators]
+        assert custom.resolvent == builtin.resolvent
+        assert custom.basepoint == builtin.basepoint
+        gen = builtin.generators[0]
+        x1 = parse_poly("X1", builtin.alphabet)
+        for f, member in ((gen, True), (x1 * gen, True), (x1, False)):
+            assert is_member(f, custom).member == is_member(f, builtin).member == member
 
     def test_malformed_spec(self):
         with pytest.raises(SpecError):

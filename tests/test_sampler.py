@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ncrat.core import ExactMatrix
+from ncrat.errors import GOutOfRange, SpecError
 from ncrat.ncpoly import Alphabet
 from ncrat.ratexpr import parse_poly
 from ncrat.sampler import (
@@ -77,6 +78,14 @@ class TestDegenerateShapes:
     def test_xgn_g1_inverse_pair(self):
         (a,), (b,) = xgn_point(1, 4, seed=14)
         assert np.linalg.norm(a @ b - np.eye(4)) <= 1e-10
+
+
+class TestDomainErrors:
+    def test_typed_errors(self):
+        with pytest.raises(GOutOfRange):
+            SampleDomain("unitaries", 0)
+        with pytest.raises(SpecError):
+            SampleDomain("orthogonal", 2)
 
 
 class TestFalsify:
