@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
 from .core import ExactMatrix, Scalar, float_to_json
 from .errors import NcratError, SpecError
 from .ideals import (
+    _MALFORMED,
     BUILTIN_KINDS,
     builtin_ideal,
     custom_ideal,
@@ -27,7 +27,7 @@ from .ideals import (
     is_member,
     witness_size,
 )
-from .ncpoly import Alphabet, Letter, NcPoly
+from .ncpoly import Alphabet, Letter, NcPoly, _point_binding
 from .positivity import (
     SohsCertificate,
     export_gram,
@@ -41,7 +41,7 @@ from .realization import (
     compile_expression,
     minimize_scalar,
 )
-from .sampler import SampleDomain, falsify, sample_point
+from .sampler import DOMAIN_KINDS, SampleDomain, falsify, sample_point
 from . import bounds
 
 
@@ -65,75 +65,44 @@ def _resolve_ideal(args):
 
 
 def _parse_basepoint(spec: str, expr) -> BasePoint:
-    letters = sorted(expr.letters_used())
-    if not letters:
-        letters = [Letter(1, False)]
-    if spec.startswith("scalar:"):
-        try:
-            values = [Scalar(Fraction(v)) for v in spec[len("scalar:") :].split(",")]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SpecError(f"malformed scalar base point {spec!r}: {exc}") from exc
-        if len(values) == 1:
-            return BasePoint.from_mapping(
-                {l: ExactMatrix(1, 1, values) for l in letters}
-            )
-        mapping = {}
-        for l in letters:
-            if l.index > len(values):
-                raise NcratError(f"scalar base point gives no value for letter {l}")
-            v = values[l.index - 1]
-            mapping[l] = ExactMatrix(1, 1, [v.conjugate() if l.starred else v])
-        return BasePoint.from_mapping(mapping)
-    if spec.startswith("file:"):
-        try:
-            with open(spec[len("file:") :]) as fh:
+    """The base point ``scalar:v[,v...]`` or ``file:PATH`` on the letters
+    the expression uses.  Value or matrix k binds X(k+1), and a single
+    scalar binds every letter; a file may instead map letter names to
+    matrices, ignoring names the alphabet does not know.  A starred letter
+    that the spec leaves open takes the adjoint of its partner."""
+    letters = sorted(expr.letters_used()) or [Letter(1, False)]
+    kind, _, body = spec.partition(":")
+    if kind not in ("scalar", "file"):
+        raise NcratError(f"bad base point spec {spec!r} (use scalar:... or file:...)")
+    try:
+        if kind == "scalar":
+            mats = [ExactMatrix(1, 1, [Scalar(Fraction(v))]) for v in body.split(",")]
+            if len(mats) == 1:
+                mats *= max(l.index for l in letters)
+        else:
+            with open(body) as fh:
                 data = json.load(fh)
-            if isinstance(data, list):
-                mats = [ExactMatrix.from_json(obj) for obj in data]
-                mapping = {}
-                for l in letters:
-                    if l.index > len(mats):
-                        raise NcratError(f"base point file gives no matrix for {l}")
-                    m = mats[l.index - 1]
-                    mapping[l] = m.conjugate_transpose() if l.starred else m
-                return BasePoint.from_mapping(mapping)
-            mapping = {}
-            alph = expr.alphabet
-            by_name = {name: ExactMatrix.from_json(obj) for name, obj in data.items()}
-            for l in letters:
-                name = alph.letter_name(l)
-                base = alph.names[l.index - 1]
-                if name in by_name:
-                    mapping[l] = by_name[name]
-                elif base in by_name:
-                    m = by_name[base]
-                    mapping[l] = m.conjugate_transpose() if l.starred else m
-                else:
-                    raise NcratError(f"base point file misses letter {name}")
-            return BasePoint.from_mapping(mapping)
-        except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
-            raise SpecError(f"malformed base point file: {exc}") from exc
-    raise NcratError(f"bad base point spec {spec!r} (use scalar:... or file:...)")
+            mats = [ExactMatrix.from_json(m) for m in data] if isinstance(data, list) else None
+        if mats is not None:
+            given = {Letter(k, False): m for k, m in enumerate(mats, 1)}
+        else:
+            names = {expr.alphabet.letter_name(l): l for u in letters for l in (u, u.star)}
+            given = {names[name]: ExactMatrix.from_json(m) for name, m in data.items() if name in names}
+    except _MALFORMED as exc:
+        raise SpecError(f"malformed base point {spec!r}: {exc}") from exc
+    binding = _point_binding(given, "adjoint")
+    missing = [expr.alphabet.letter_name(l) for l in letters if l not in binding]
+    if missing:
+        raise NcratError(f"base point {spec!r} gives no value for {', '.join(missing)}")
+    return BasePoint.from_mapping({l: binding[l] for l in letters})
 
 
 def _parse_sizes(spec: str) -> range:
     lo, sep, hi = spec.partition("..")
     try:
-        sizes = range(int(lo), int(hi if sep else lo) + 1)
+        return range(int(lo), int(hi if sep else lo) + 1)
     except ValueError:
         raise SpecError(f"bad --sizes {spec!r} (use N or LO..HI)") from None
-    if not sizes or sizes.start < 1:
-        raise SpecError(f"--sizes {spec!r} must name sizes >= 1, lowest first")
-    return sizes
-
-
-def _check_search(args):
-    """Reject a numeric search that could not find a witness, or that would
-    report one where f vanishes."""
-    if args.trials < 1:
-        raise SpecError(f"--trials must be at least 1, got {args.trials}")
-    if not 0 < args.tol < math.inf:
-        raise SpecError(f"--tol must be a positive number, got {args.tol}")
 
 
 def _seed(args) -> int:
@@ -217,7 +186,6 @@ def cmd_zero_test(args) -> int:
 
 
 def cmd_member(args) -> int:
-    _check_search(args)
     ideal = _resolve_ideal(args)
     f = parse_poly(args.poly, ideal.alphabet)
     seed = _seed(args) if args.witness else (args.seed or 0)
@@ -268,10 +236,6 @@ def cmd_bound(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if args.size < 1:
-        raise SpecError(f"--size must be at least 1, got {args.size}")
-    if args.index < 0:
-        raise SpecError(f"--index must be at least 0, got {args.index}")
     seed = _seed(args)
     domain = SampleDomain(args.domain, args.g)
     point = sample_point(domain, args.size, seed, args.index)
@@ -288,7 +252,6 @@ def cmd_sample(args) -> int:
 
 
 def cmd_falsify(args) -> int:
-    _check_search(args)
     seed = _seed(args)
     text = args.poly or args.expr
     if args.ideal or args.ideal_file:
@@ -332,7 +295,7 @@ def cmd_verify_sohs(args) -> int:
                 (parse_poly(a, alph), int(j), parse_poly(b, alph))
                 for a, j, b in spec["cofactors"]
             )
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+    except _MALFORMED as exc:
         raise SpecError(f"malformed certificate: {exc}") from exc
     cert = SohsCertificate(squares, remainder, cofactors)
     result = verify_certificate(f, cert, ideal)
@@ -443,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw a structured random tuple")
     p.add_argument("--domain", required=True,
-                   choices=("unitaries", "spherical", "partitioned", "xgn", "unrestricted"))
+                   choices=DOMAIN_KINDS)
     p.add_argument("--g", type=int, default=2)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--index", type=int, default=0, help="trial index substream")
@@ -455,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly")
     p.add_argument("--expr")
     p.add_argument("--domain", default="unitaries",
-                   choices=("unitaries", "spherical", "partitioned", "xgn", "unrestricted"))
+                   choices=DOMAIN_KINDS)
     p.add_argument("--sizes", help="e.g. 1..6 or 4")
     p.add_argument("--mode", choices=("nonzero", "negative-eigenvalue"),
                    default="nonzero")

@@ -587,33 +587,20 @@ def block_matrix(blocks) -> ExactMatrix:
     return ExactMatrix(R, C, out)
 
 
-def split_blocks(a, m: int):
-    """Split a (m*s)x(m*s) matrix into an m x m grid of s x s blocks.
-
-    Works for ExactMatrix and numpy arrays.
-    """
-    if isinstance(a, ExactMatrix):
-        if a.rows != a.cols or a.rows % m:
-            raise DimensionMismatch(f"cannot split {a.rows}x{a.cols} into {m}x{m} blocks")
-        s = a.rows // m
-        return [
-            [
-                ExactMatrix(
-                    s,
-                    s,
-                    [a[bi * s + i, bj * s + j] for i in range(s) for j in range(s)],
-                )
-                for bj in range(m)
-            ]
-            for bi in range(m)
+def split_blocks(a: ExactMatrix, m: int):
+    """Split an exact (m*s)x(m*s) matrix into an m x m grid of s x s blocks."""
+    if not isinstance(a, ExactMatrix):
+        raise DimensionMismatch(f"cannot split a {type(a).__name__} into blocks: exact matrices only")
+    if a.rows != a.cols or a.rows % m:
+        raise DimensionMismatch(f"cannot split {a.rows}x{a.cols} into {m}x{m} blocks")
+    s = a.rows // m
+    return [
+        [
+            ExactMatrix(s, s, [a[bi * s + i, bj * s + j] for i in range(s) for j in range(s)])
+            for bj in range(m)
         ]
-    import numpy as np
-
-    a = np.asarray(a)
-    if a.shape[0] != a.shape[1] or a.shape[0] % m:
-        raise DimensionMismatch(f"cannot split {a.shape} into {m}x{m} blocks")
-    s = a.shape[0] // m
-    return [[a[bi * s : (bi + 1) * s, bj * s : (bj + 1) * s] for bj in range(m)] for bi in range(m)]
+        for bi in range(m)
+    ]
 
 
 def embed(a: ExactMatrix, s: int) -> ExactMatrix:

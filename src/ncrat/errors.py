@@ -74,7 +74,7 @@ class GOutOfRange(NcratError):
 
 class SpecError(NcratError):
     """An input file (ideal spec, certificate, base point) or an ideal spec
-    dict is malformed."""
+    dict is malformed, or a search or sample setting is out of range."""
 
 
 class ResolventNotVanishing(NcratError):

@@ -37,14 +37,13 @@ from functools import lru_cache
 from . import bounds as _bounds
 from .core import ExactMatrix, Scalar, matrix_inverse
 from .errors import (
-    AlphabetMismatch,
     ConditioningFailure,
     DomainError,
     GOutOfRange,
     ResolventNotVanishing,
     SpecError,
 )
-from .ncpoly import Alphabet, Letter, NcPoly
+from .ncpoly import Alphabet, Letter, NcPoly, check_same_alphabet
 from .ratexpr import (
     Add,
     Inv,
@@ -65,7 +64,16 @@ from .realization import (
     compile_expression,
     is_zero,
 )
-from .sampler import SampleDomain, Witness, _complex_gaussian, _rng, falsify, sample_point
+from .sampler import (
+    DOMAIN_KINDS,
+    SampleDomain,
+    Witness,
+    _complex_gaussian,
+    _rng,
+    check_search,
+    falsify,
+    sample_point,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +110,8 @@ class RRIdeal:
     def oracle_rep(self, f: NcPoly) -> LinRep:
         """The representation of f(x', r(x')) used by the membership oracle:
         f compiled with each resolved letter bound to its resolvent
-        representation."""
+        representation.  f must be over the ideal's alphabet."""
+        check_same_alphabet(f.alphabet, self.alphabet)
         return compile_expression(poly_to_expression(f), self.basepoint, self.resolvent_reps)
 
 
@@ -149,8 +158,12 @@ def _validate(ideal: RRIdeal) -> RRIdeal:
     return ideal
 
 
-# The errors that malformed spec data raises while it is read.
-_MALFORMED = (KeyError, IndexError, TypeError, ValueError, AttributeError)
+# The errors that malformed spec data raises while it is read (a zero
+# denominator in a rational entry raises ZeroDivisionError).
+_MALFORMED = (KeyError, IndexError, TypeError, ValueError, AttributeError, ZeroDivisionError)
+
+# The structured *-zero sets a star ideal samples.
+_STAR_DOMAIN_KINDS = DOMAIN_KINDS[:3]
 
 
 def _make_ideal(name: str, alphabet: Alphabet, g: int, generators, resolvent: dict,
@@ -163,11 +176,14 @@ def _make_ideal(name: str, alphabet: Alphabet, g: int, generators, resolvent: di
     letter name to its matrix and ``resolved`` names the x'' letters
     (default: the resolvent's).  ``reps`` maps the base point to hand-built
     resolvent representations, in resolvent order; without it each
-    resolvent is compiled about the base point.  Every check on the
-    decomposition x = x' u x'' is made here, then the graph check.
+    resolvent is compiled about the base point.  ``g`` must be at least 1
+    (GOutOfRange).  Every check on the decomposition x = x' u x'' is made
+    here (SpecError), then the graph check (ResolventNotVanishing).
     """
-    if star and domain_kind not in ("unitaries", "spherical", "partitioned"):
-        raise SpecError("a star ideal needs domain_kind unitaries, spherical or partitioned")
+    if g < 1:
+        raise GOutOfRange(f"need g >= 1, got {g}")
+    if star and domain_kind not in _STAR_DOMAIN_KINDS:
+        raise SpecError(f"a star ideal needs domain_kind {', '.join(_STAR_DOMAIN_KINDS)}")
     try:
         gens = tuple(parse_poly(text, alphabet) for text in generators)
         resolvent = {
@@ -300,17 +316,17 @@ def _letter_from_name(alphabet: Alphabet, name: str) -> Letter:
 
 
 def builtin_ideal(kind: str, g: int) -> RRIdeal:
-    """One of the named ideals; results are cached per (kind, g)."""
+    """One of the named ideals; results are cached per (kind, g).
+
+    g >= 1 is checked by _make_ideal and g <= 9 for U and Uprime by
+    Alphabet.matrix, both as GOutOfRange.
+    """
     if kind not in BUILTIN_KINDS:
         raise ValueError(f"unknown builtin ideal {kind!r}; choose from {BUILTIN_KINDS}")
-    if g < 1:
-        raise GOutOfRange("need g >= 1")
     if kind in ("S", "Sprime") and g < 2:
         # g = 1 would be the ideal (1 - X Y), which fails the
         # Nullstellensatz property; the oracle would overpromise.
         raise GOutOfRange(f"{kind} requires g >= 2")
-    if kind in ("U", "Uprime") and g > 9:
-        raise GOutOfRange("matrix letter names support g <= 9")
     return _builtin_cached(kind, g)
 
 
@@ -442,8 +458,8 @@ def _mat_sub(a, b):
 
 def _inv_grid(mat):
     k = len(mat)
-    if k == 1:
-        return [[Inv(mat[0][0])]]
+    if k <= 1:
+        return [[Inv(row[0])] for row in mat]
     A = mat[0][0]
     B = [mat[0][1:]]  # 1 x (k-1)
     C = [[row[0]] for row in mat[1:]]  # (k-1) x 1
@@ -471,11 +487,9 @@ def _inv_grid(mat):
 
 
 def substitute_resolvent(f: NcPoly, ideal: RRIdeal) -> RatExpr:
-    """Replace every resolved letter of f by its resolvent expression."""
-    if f.alphabet != ideal.alphabet:
-        raise AlphabetMismatch(
-            f"polynomial over {f.alphabet!r}, ideal over {ideal.alphabet!r}"
-        )
+    """Replace every resolved letter of f by its resolvent expression;
+    f must be over the ideal's alphabet."""
+    check_same_alphabet(f.alphabet, ideal.alphabet)
     return substitute_letters(poly_to_expression(f), ideal.resolvent)
 
 
@@ -493,8 +507,11 @@ def is_member(
     representation (RRIdeal.oracle_rep); substituting the resolvent
     expressions and compiling realizes the same series.
     With ``find_witness`` a numeric counterexample is searched for
-    non-members at sizes up to witness_size(f, ideal).
+    non-members at sizes up to witness_size(f, ideal).  ``trials`` and
+    ``tol`` go through sampler.check_search, and f must be over the ideal's
+    alphabet (AlphabetMismatch), whether or not a witness is searched.
     """
+    check_search(trials, tol=tol)
     if is_zero(ideal.oracle_rep(f)):
         return MembershipVerdict(True)
     witness = None
@@ -528,8 +545,6 @@ def zero_set_sampler(ideal: RRIdeal):
     isometries, partitioned unitaries); other ideals sample the graph of
     the resolvent: random x' and computed x'' = r(x').
     """
-    import numpy as np
-
     if ideal.star:
         domain = SampleDomain(ideal.domain_kind, ideal.g)
         return lambda n, seed, trial: sample_point(domain, n, seed, trial)
@@ -538,6 +553,8 @@ def zero_set_sampler(ideal: RRIdeal):
     size = ideal.alphabet.size
 
     def sample(n, seed, trial):
+        import numpy as np
+
         for attempt in range(20):
             rng = _rng(seed, (trial, attempt))
             binding = {l: _complex_gaussian(rng, n, n) for l in xprime}

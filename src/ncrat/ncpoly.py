@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .core import ExactMatrix, Scalar, ZERO, ONE, _coerce
+from .core import ExactMatrix, Scalar, ZERO, ONE, _coerce, conjugate_transpose
 from .errors import (
     AlphabetMismatch,
+    GOutOfRange,
     MissingLetter,
     SizeMismatch,
     ZeroPolynomialError,
@@ -72,10 +73,10 @@ class Alphabet:
         """Entries of a symbolic g x g matrix: X11, X12, ..., Xgg.
 
         Letter (i, j) sits at index (i-1)*g + j.  Requires g <= 9 so that
-        the name X{i}{j} has a unique reading.
+        the name X{i}{j} has a unique reading, and raises GOutOfRange above.
         """
         if g > 9:
-            raise ValueError("matrix alphabets support g <= 9")
+            raise GOutOfRange(f"matrix letter names support g <= 9, got {g}")
         names = [f"X{i}{j}" for i in range(1, g + 1) for j in range(1, g + 1)]
         if with_y:
             names += [f"Y{i}{j}" for i in range(1, g + 1) for j in range(1, g + 1)]
@@ -301,6 +302,10 @@ class NcPoly:
 
 
 def _point_binding(point, star_rule) -> dict:
+    """Letter -> matrix for a point tuple (unstarred letters in alphabet
+    order) or mapping.  Under the adjoint rule each unstarred letter whose
+    starred partner the point does not bind also binds that partner, to
+    its conjugate transpose."""
     if star_rule not in ("adjoint", "formal"):
         raise ValueError(f"unknown star rule {star_rule!r}")
     if isinstance(point, Mapping):
@@ -310,12 +315,7 @@ def _point_binding(point, star_rule) -> dict:
     if star_rule == "adjoint":
         for l, m in list(binding.items()):
             if not l.starred and l.star not in binding:
-                if isinstance(m, ExactMatrix):
-                    binding[l.star] = m.conjugate_transpose()
-                else:
-                    import numpy as np
-
-                    binding[l.star] = np.conj(np.asarray(m)).T
+                binding[l.star] = conjugate_transpose(m)
     if not binding:
         raise SizeMismatch("empty evaluation point")
     return binding

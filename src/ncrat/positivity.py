@@ -19,10 +19,10 @@ import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ExactMatrix, FLOAT_TOL, Scalar, ZERO
-from .errors import AlphabetMismatch, DegreeTooHigh, SpecError
+from .core import ExactMatrix, Scalar, ZERO
+from .errors import DegreeTooHigh, SpecError
 from .ncpoly import Alphabet, Letter, NcPoly, grlex_key, word_star
-from .sampler import SampleDomain, sample_point
+from .sampler import SampleDomain, check_search, sample_point
 
 
 @dataclass
@@ -53,13 +53,10 @@ def verify_certificate(f: NcPoly, cert: SohsCertificate, ideal) -> VerifyResult:
 
     Returns a truthy result only when the algebra identity holds exactly
     and the remainder is certified (syntactically via cofactors when
-    present, otherwise through the ideal's membership oracle).
+    present, otherwise through the ideal's membership oracle).  A square or
+    remainder over another alphabet than f's raises AlphabetMismatch, from
+    the polynomial arithmetic.
     """
-    for p in cert.squares:
-        if p.alphabet != f.alphabet:
-            raise AlphabetMismatch("certificate square over a different alphabet")
-    if cert.remainder.alphabet != f.alphabet:
-        raise AlphabetMismatch("certificate remainder over a different alphabet")
     total = NcPoly.zero(f.alphabet)
     for p in cert.squares:
         total = total + p.star() * p
@@ -155,8 +152,6 @@ def gram_constraints(f: NcPoly, d: int, q: NcPoly | None = None) -> GramProblem:
     Gram matrices of decompositions f - q = sum p_i^* p_i with deg p_i <= d."""
     if q is None:
         q = NcPoly.zero(f.alphabet)
-    if q.alphabet != f.alphabet:
-        raise AlphabetMismatch("q over a different alphabet")
     target = f - q
     if target and target.degree_and_terms()[0] > 2 * d:
         raise DegreeTooHigh(f"deg(f - q) exceeds 2*d = {2 * d}")
@@ -278,19 +273,15 @@ class ProbeReport:
     samples: int
 
 
-def positivity_probe(
-    f: NcPoly,
-    domain: SampleDomain,
-    sizes,
-    trials: int,
-    seed: int,
-    tol: float = FLOAT_TOL,
-) -> ProbeReport:
+def positivity_probe(f: NcPoly, domain: SampleDomain, sizes, trials: int, seed: int) -> ProbeReport:
     """Minimum eigenvalue of the Hermitian part of f over seeded samples.
 
     A certificate for f modulo the matching ideal implies the reported
-    minimum stays above -tol (necessary-condition probe).
+    minimum is not negative, up to rounding (necessary-condition probe).
+    ``trials`` and ``sizes`` go through sampler.check_search before
+    anything is sampled.
     """
+    sizes = check_search(trials, sizes)
     import numpy as np
 
     best = None
@@ -304,6 +295,4 @@ def positivity_probe(
             count += 1
             if best is None or lo < best[0]:
                 best = (lo, n, trial)
-    if best is None:
-        raise ValueError("no samples requested")
     return ProbeReport(best[0], best[1], best[2], count)

@@ -623,19 +623,14 @@ class GenPoly:
             and self.entries == other.entries
         )
 
-    def eval(self, point: Sequence) -> "ExactMatrix":
-        """Evaluate at matrices of size m*s (one per base letter).
+    def eval(self, point: Sequence) -> ExactMatrix:
+        """Evaluate at exact matrices of size m*s (one per base letter).
 
         Constants act as a (x) I_s; the scalar letter for block (i, j) of
         base letter k binds to that block of the k-th point matrix.
         """
         if len(point) != len(self.letters):
             raise DimensionMismatch("one point matrix per base letter required")
-        exact = isinstance(point[0], ExactMatrix)
-        size = point[0].rows if exact else point[0].shape[0]
-        if size % self.m:
-            raise DimensionMismatch("point size must be a multiple of m")
-        s = size // self.m
         binding = {}
         for slot in range(len(self.letters)):
             blocks = split_blocks(point[slot], self.m)
@@ -646,11 +641,7 @@ class GenPoly:
         grid = [
             [p.eval(binding, star_rule="formal") for p in row] for row in self.entries
         ]
-        if exact:
-            return block_matrix(grid)
-        import numpy as np
-
-        return np.block(grid)
+        return block_matrix(grid)
 
     def __str__(self):
         return "[" + "; ".join(", ".join(str(p) for p in row) for row in self.entries) + "]"

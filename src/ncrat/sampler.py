@@ -9,6 +9,7 @@ after every draw.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -22,20 +23,37 @@ if TYPE_CHECKING:
 
 _COND_LIMIT = 1e8
 
+# The sample domains; the first three are the *-zero sets of star ideals.
+DOMAIN_KINDS = ("unitaries", "spherical", "partitioned", "xgn", "unrestricted")
+
 
 @dataclass(frozen=True)
 class SampleDomain:
     """A family of structured tuples: which constraint and how many letters."""
 
-    kind: str  # unitaries | spherical | partitioned | xgn | unrestricted
+    kind: str  # one of DOMAIN_KINDS
     g: int
-    n: int | None = None  # default sample size, optional
 
     def __post_init__(self):
-        if self.kind not in ("unitaries", "spherical", "partitioned", "xgn", "unrestricted"):
+        if self.kind not in DOMAIN_KINDS:
             raise SpecError(f"unknown sample domain kind {self.kind!r}")
         if self.g < 1:
             raise GOutOfRange(f"domain needs g >= 1, got {self.g}")
+
+
+def check_search(trials: int, sizes: Sequence[int] = (1,), tol: float = FLOAT_TOL) -> tuple:
+    """The sizes of a seeded search, as a tuple, once its settings are
+    checked: at least one trial, a finite tolerance above 0 and a non-empty
+    list of sizes >= 1.  Anything else raises SpecError: the search could
+    not sample, or would report a witness where f vanishes."""
+    if trials < 1:
+        raise SpecError(f"trials must be at least 1, got {trials}")
+    if not 0 < tol < math.inf:
+        raise SpecError(f"tol must be a positive number, got {tol}")
+    sizes = tuple(sizes)
+    if not sizes or min(sizes) < 1:
+        raise SpecError(f"sizes must be one or more sizes >= 1, got {list(sizes)}")
+    return sizes
 
 
 def _rng(seed: int, index) -> np.random.Generator:
@@ -118,8 +136,14 @@ def xgn_point(g: int, n: int, seed: int, index=0) -> tuple:
     raise ConditioningFailure("no well-conditioned B_1 after 20 resamples")
 
 
-def sample_point(domain: SampleDomain, n: int, seed: int, index=0) -> tuple:
-    """One sample from the domain, flattened to a tuple in letter order."""
+def sample_point(domain: SampleDomain, n: int, seed: int, index: int = 0) -> tuple:
+    """One sample of size n >= 1 from the domain, flattened to a tuple in
+    letter order; ``index`` >= 0 picks the trial substream.  A size or index
+    out of range raises SpecError."""
+    if n < 1:
+        raise SpecError(f"sample size must be at least 1, got {n}")
+    if index < 0:
+        raise SpecError(f"sample index must be at least 0, got {index}")
     if domain.kind == "unitaries":
         return unitary_tuple(domain.g, n, seed, index)
     if domain.kind == "spherical":
@@ -184,8 +208,10 @@ def falsify(
     tuple.  In ``nonzero`` mode a witness has some entry of |f(point)|
     above tol; in ``negative-eigenvalue`` mode the Hermitian part of the
     value has an eigenvalue below -tol.  Returns the first witness in
-    (size, trial) order, or None.
+    (size, trial) order, or None.  The settings go through check_search
+    before anything is sampled.
     """
+    sizes = check_search(trials, sizes, tol)
     import numpy as np
 
     if mode not in ("nonzero", "negative-eigenvalue"):

@@ -254,6 +254,9 @@ STAR_SPEC_WITHOUT_DOMAIN = {
     "basepoint": {"matrices": {"X1": _matrix([[(1, 0)]])}},
 }
 
+# a well-formed star ideal but for g = 0, which the size bounds cannot take
+STAR_SPEC_G0 = {**STAR_SPEC_WITHOUT_DOMAIN, "g": 0, "letters": ["X1"], "domain_kind": "unitaries"}
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv, content", [
@@ -282,6 +285,10 @@ class TestUsageErrors:
                      json.dumps(_cofactor_cert(5)), id="cert-cofactor-index-too-large"),
         pytest.param(["verify-sohs", "--cert", "{file}", "--ideal", "T", "--g", "1"],
                      json.dumps(_cofactor_cert(-1)), id="cert-cofactor-index-negative"),
+        pytest.param(["bound", "--ideal-file", "{file}", "--poly", "X1"],
+                     json.dumps(STAR_SPEC_G0), id="star-ideal-g0-bound"),
+        pytest.param(["member", "--ideal-file", "{file}", "--poly", "X1", "--witness", "--seed", "1"],
+                     json.dumps(STAR_SPEC_G0), id="star-ideal-g0-witness"),
     ])
     def test_malformed_input_file(self, tmp_path, argv, content):
         path = tmp_path / "input.json"
@@ -313,6 +320,7 @@ class TestUsageErrors:
         ["falsify", "--ideal", "T", "--g", "1", "--poly", "X1", "--tol", "inf"],
         ["sample", "--domain", "unitaries", "--g", "0", "--size", "2"],
         ["sample", "--domain", "unitaries", "--g", "1", "--size", "2", "--index", "-1"],
+        ["falsify", "--poly", "X11", "--domain", "partitioned", "--g", "10"],
     ], ids=lambda argv: f"{argv[0]}-{argv[-2]}={argv[-1]}")
     def test_out_of_range_settings(self, argv):
         code, out, err = run_cli(*argv, "--seed", "1")
@@ -377,6 +385,17 @@ class TestImportBoundary:
         expected, argv = EXACT_COMMANDS[name]
         code, _, report = _fresh_cli([a.format(cert=cert, out=tmp_path / "problem.gram") for a in argv])
         assert code == expected
+        assert not report["numpy"]
+
+    @pytest.mark.parametrize("argv", [
+        ["falsify", "--poly", "X1 X2 - X2 X1", "--g", "2", "--trials", "0", "--seed", "1"],
+        ["falsify", "--ideal", "T", "--g", "1", "--poly", "X1", "--trials", "0", "--seed", "1"],
+        ["member", "--ideal", "T", "--g", "1", "--poly", "X1", "--witness", "--trials", "0", "--seed", "1"],
+    ], ids=["falsify", "falsify-ideal", "member-witness"])
+    def test_rejected_search_leaves_numpy_unloaded(self, argv):
+        # the library checks the search settings before it imports numpy
+        code, out, report = _fresh_cli(argv)
+        assert code == 2 and out == ""
         assert not report["numpy"]
 
     def test_import_ncrat_loads_every_module_but_numpy(self):

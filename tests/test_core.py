@@ -207,6 +207,12 @@ class TestBlocksAndJson:
         again = split_blocks(big, 2)
         assert again == blocks
 
+    def test_split_blocks_is_exact_only(self):
+        with pytest.raises(DimensionMismatch):
+            split_blocks(np.eye(4, dtype=complex), 2)
+        with pytest.raises(DimensionMismatch):
+            split_blocks(ExactMatrix.identity(3), 2)
+
     def test_embed(self):
         m = ExactMatrix.from_rows([[1, 2], [3, 4]])
         e = embed(m, 2)

@@ -46,6 +46,12 @@ class TestBuiltins:
         with pytest.raises(GOutOfRange):
             builtin_ideal("T", 0)
 
+    @pytest.mark.parametrize("kind, g", [("Tprime", 0), ("Uprime", 0), ("U", -1), ("U", 10), ("Uprime", 10)])
+    def test_g_range_belongs_to_the_constructor_and_the_alphabet(self, kind, g):
+        # g >= 1 is checked by the ideal constructor, g <= 9 by the matrix alphabet
+        with pytest.raises(GOutOfRange):
+            builtin_ideal(kind, g)
+
     def test_every_builtin_passes_its_construction_check(self):
         # construction re-runs the graph condition on every generator,
         # through both the expression route and the representation route
@@ -174,6 +180,26 @@ class TestMembership:
         star = lambda m: m.conjugate_transpose()
         assert star(a1) * a1 + star(a2) * a2 == ExactMatrix.identity(2)
         assert f.eval((a1, a2)) == ExactMatrix.from_rows([[1, 0], [0, -1]])
+
+    def test_foreign_alphabet_is_rejected(self):
+        # same number of letters as Uprime(2), other names: not a question
+        # the oracle can answer
+        U2 = builtin_ideal("Uprime", 2)
+        f = parse_poly("X1 X5 + X2 X7 - 1", Alphabet.x(8))
+        with pytest.raises(AlphabetMismatch):
+            is_member(f, U2)
+        with pytest.raises(AlphabetMismatch):
+            U2.oracle_rep(f)
+
+    @pytest.mark.parametrize("settings", [
+        {"trials": 0}, {"trials": -3}, {"tol": 0.0}, {"tol": float("inf")}, {"tol": float("nan")},
+    ], ids=repr)
+    @pytest.mark.parametrize("find_witness", [True, False])
+    def test_search_settings_are_checked(self, settings, find_witness):
+        T2 = builtin_ideal("T", 2)
+        f = parse_poly("X1 X2 - X2 X1", T2.alphabet)
+        with pytest.raises(SpecError):
+            is_member(f, T2, find_witness=find_witness, seed=1, **settings)
 
     def test_zero_polynomial_is_member(self):
         T1 = builtin_ideal("T", 1)
@@ -398,3 +424,9 @@ class TestCustomIdeals:
     def test_malformed_spec(self):
         with pytest.raises(SpecError):
             custom_ideal({"name": "nope", "g": 2})
+
+    def test_g_zero_rejected(self):
+        spec = json.loads(json.dumps(ONE_RELATOR))
+        spec.update(g=0, letters=["X1", "X2", "X3"])
+        with pytest.raises(GOutOfRange):
+            custom_ideal(spec)

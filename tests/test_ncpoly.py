@@ -6,6 +6,7 @@ import pytest
 from ncrat.core import ExactMatrix, Scalar
 from ncrat.errors import (
     AlphabetMismatch,
+    GOutOfRange,
     MissingLetter,
     SizeMismatch,
     ZeroPolynomialError,
@@ -47,6 +48,12 @@ class TestArithmetic:
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatch):
             NcPoly.var(A2, 1) + NcPoly.var(Alphabet.x(3), 1)
+
+
+def test_matrix_alphabet_range():
+    assert Alphabet.matrix(9).size == 81
+    with pytest.raises(GOutOfRange):
+        Alphabet.matrix(10)
 
 
 class TestInvolution:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ncrat.core import ExactMatrix, Scalar
-from ncrat.errors import DegreeTooHigh, SpecError
+from ncrat.errors import AlphabetMismatch, DegreeTooHigh, SpecError
 from ncrat.ideals import builtin_ideal
 from ncrat.ncpoly import Alphabet, Letter, NcPoly
 from ncrat.positivity import (
@@ -60,6 +60,14 @@ class TestVerifyCertificate:
         cert = SohsCertificate([], f, cofactors=((one, 0, one), (one, j, one)))
         with pytest.raises(SpecError, match=f"generator {j}"):
             verify_certificate(f, cert, T1)
+
+    def test_other_alphabet_rejected(self):
+        f = parse_poly("X1^* X1", AL)
+        other = Alphabet.x(2)
+        with pytest.raises(AlphabetMismatch):
+            verify_certificate(f, SohsCertificate([parse_poly("X1", other)], NcPoly.zero(AL)), T1)
+        with pytest.raises(AlphabetMismatch):
+            verify_certificate(f, SohsCertificate([parse_poly("X1", AL)], NcPoly.zero(other)), T1)
 
     def test_expanded_square_pass_fail(self):
         f = parse_poly("(1 - X1)^*(1 - X1)", AL)
@@ -185,6 +193,12 @@ class TestProbe:
         rep = positivity_probe(parse_poly("- X1^* X1", AL),
                                SampleDomain("unitaries", 1), [2], 5, seed=73)
         assert rep.min_eigenvalue <= -0.99
+
+    @pytest.mark.parametrize("sizes, trials", [([1, 2], 0), ([], 5), ([0, 1], 5)])
+    def test_probe_that_cannot_sample_is_rejected(self, sizes, trials):
+        with pytest.raises(SpecError):
+            positivity_probe(parse_poly("X1^* X1", AL), SampleDomain("unitaries", 1),
+                             sizes, trials, seed=75)
 
     def test_certificate_soundness_vs_probe(self):
         fixtures = [

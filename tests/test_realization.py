@@ -5,6 +5,7 @@ import pytest
 from ncrat.core import ExactMatrix, Scalar
 from ncrat.errors import (
     BasepointMismatch,
+    DimensionMismatch,
     DomainError,
     MissingLetter,
     ResolventSingular,
@@ -414,6 +415,12 @@ class TestGenPoly:
             [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12], [13, 14, 15, 16]]
         )
         assert gp.eval((point,)) == point
+
+    def test_eval_needs_exact_point(self):
+        letters = (L1,)
+        entries = ((NcPoly.var(scalar_alphabet(1, letters), 1),),)
+        with pytest.raises(DimensionMismatch):
+            GenPoly(1, letters, entries).eval(([[1.0, 0.0], [0.0, 1.0]],))
 
     def test_degree_preserved_under_scalarization(self):
         # scalarization keeps the word-length grading: the coefficient at a

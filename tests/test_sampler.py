@@ -87,6 +87,23 @@ class TestDomainErrors:
         with pytest.raises(SpecError):
             SampleDomain("orthogonal", 2)
 
+    @pytest.mark.parametrize("size, index", [(0, 0), (-1, 0), (1, -1)])
+    def test_sample_point_ranges(self, size, index):
+        with pytest.raises(SpecError):
+            sample_point(SampleDomain("unitaries", 1), size, 1, index)
+
+    @pytest.mark.parametrize("settings", [
+        {"trials": 0}, {"trials": -1},
+        {"tol": 0.0}, {"tol": -1e-3}, {"tol": float("inf")}, {"tol": float("nan")},
+        {"sizes": []}, {"sizes": [0]}, {"sizes": range(3, 1)}, {"sizes": [2, 0]},
+    ], ids=repr)
+    def test_search_that_cannot_sample_is_rejected(self, settings):
+        # each of these samples nothing, or counts rounding noise as a witness
+        f = parse_poly("X1 X2 - X2 X1", Alphabet.x(2))
+        kwargs = {"sizes": [2], "trials": 5, "seed": 1, **settings}
+        with pytest.raises(SpecError):
+            falsify(f, SampleDomain("unitaries", 2), **kwargs)
+
 
 class TestFalsify:
     def test_commutator_on_unitaries(self):
