@@ -3,12 +3,13 @@
 All functions are pure integer arithmetic.  ``m`` is the base point size,
 ``n`` the realization dimension of the resolvent, ``u``/``v`` the degree
 and term count of the polynomial under test, ``d`` a degree bound and
-``g`` the number of letters.
+``g`` the number of letters.  A parameter below 1 or an unknown ideal
+kind raises SpecError.
 """
 
 from __future__ import annotations
 
-from .errors import GOutOfRange
+from .errors import GOutOfRange, SpecError
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -18,7 +19,7 @@ def _ceil_div(a: int, b: int) -> int:
 def _check_positive(**kwargs):
     for name, value in kwargs.items():
         if not isinstance(value, int) or value < 1:
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            raise SpecError(f"{name} must be a positive integer, got {value!r}")
 
 
 def ri_bound(m: int, n: int) -> int:
@@ -61,7 +62,7 @@ def star_bound(kind: str, g: int, u: int, v: int, real_case: bool = False) -> in
             raise GOutOfRange("partitioned bound requires g > 1")
         n = _ceil_div(g * u * v, 2)
     else:
-        raise ValueError(f"unknown ideal kind {kind!r}")
+        raise SpecError(f"unknown ideal kind {kind!r}")
     return 2 * n if real_case else n
 
 
@@ -74,4 +75,4 @@ def pos_size(kind: str, g: int, d: int) -> int:
         return (2 * g + 1) ** d
     if kind == "partitioned":
         return (2 * g * g + 1) ** d
-    raise ValueError(f"unknown ideal kind {kind!r}")
+    raise SpecError(f"unknown ideal kind {kind!r}")

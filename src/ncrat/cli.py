@@ -27,7 +27,7 @@ from .ideals import (
     is_member,
     witness_size,
 )
-from .ncpoly import Alphabet, Letter, NcPoly, _point_binding
+from .ncpoly import STAR_RULES, Alphabet, Letter, NcPoly, _point_binding
 from .positivity import (
     SohsCertificate,
     export_gram,
@@ -41,7 +41,7 @@ from .realization import (
     compile_expression,
     minimize_scalar,
 )
-from .sampler import DOMAIN_KINDS, SampleDomain, falsify, sample_point
+from .sampler import DOMAIN_KINDS, FALSIFY_MODES, SampleDomain, falsify, sample_point
 from . import bounds
 
 
@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly")
     p.add_argument("--g", type=int, default=2)
     p.add_argument("--point", required=True, help="scalar:v[,v...] or file:PATH")
-    p.add_argument("--star-rule", choices=("adjoint", "formal"), default="adjoint")
+    p.add_argument("--star-rule", choices=STAR_RULES, default="adjoint")
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 
@@ -420,8 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", default="unitaries",
                    choices=DOMAIN_KINDS)
     p.add_argument("--sizes", help="e.g. 1..6 or 4")
-    p.add_argument("--mode", choices=("nonzero", "negative-eigenvalue"),
-                   default="nonzero")
+    p.add_argument("--mode", choices=FALSIFY_MODES, default="nonzero")
     _add_common(p, ideal=True, rand=True)
     p.set_defaults(func=cmd_falsify)
 

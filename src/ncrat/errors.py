@@ -74,7 +74,9 @@ class GOutOfRange(NcratError):
 
 class SpecError(NcratError):
     """An input file (ideal spec, certificate, base point) or an ideal spec
-    dict is malformed, or a search or sample setting is out of range."""
+    dict is malformed, or an argument is out of range (a search or sample
+    setting, a size bound's parameter) or not one of its named choices (an
+    ideal kind, a search mode, a star rule)."""
 
 
 class ResolventNotVanishing(NcratError):

@@ -318,11 +318,12 @@ def _letter_from_name(alphabet: Alphabet, name: str) -> Letter:
 def builtin_ideal(kind: str, g: int) -> RRIdeal:
     """One of the named ideals; results are cached per (kind, g).
 
-    g >= 1 is checked by _make_ideal and g <= 9 for U and Uprime by
-    Alphabet.matrix, both as GOutOfRange.
+    A kind outside BUILTIN_KINDS raises SpecError; g >= 1 is checked by
+    _make_ideal and g <= 9 for U and Uprime by Alphabet.matrix, both as
+    GOutOfRange.
     """
     if kind not in BUILTIN_KINDS:
-        raise ValueError(f"unknown builtin ideal {kind!r}; choose from {BUILTIN_KINDS}")
+        raise SpecError(f"unknown builtin ideal {kind!r}; choose from {BUILTIN_KINDS}")
     if kind in ("S", "Sprime") and g < 2:
         # g = 1 would be the ideal (1 - X Y), which fails the
         # Nullstellensatz property; the oracle would overpromise.
@@ -543,7 +544,12 @@ def zero_set_sampler(ideal: RRIdeal):
 
     Star ideals sample their structured *-zero set (unitaries, spherical
     isometries, partitioned unitaries); other ideals sample the graph of
-    the resolvent: random x' and computed x'' = r(x').
+    the resolvent: random x' and computed x'' = r(x').  A graph point
+    takes up to 20 Gaussian draws of x', each on its own substream
+    (trial, attempt).  When r is undefined or not finite at all of them,
+    the sampler raises ConditioningFailure and falsify leaves the size:
+    the graph is then almost surely empty there (CommInv has no 1 x 1
+    points, because scalars commute).
     """
     if ideal.star:
         domain = SampleDomain(ideal.domain_kind, ideal.g)

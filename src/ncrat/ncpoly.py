@@ -16,6 +16,7 @@ from .errors import (
     GOutOfRange,
     MissingLetter,
     SizeMismatch,
+    SpecError,
     ZeroPolynomialError,
 )
 
@@ -301,13 +302,18 @@ class NcPoly:
         return f"NcPoly({self})"
 
 
+# How an evaluation point binds a starred letter: to the conjugate transpose
+# of its partner, or only to a matrix the point gives for it.
+STAR_RULES = ("adjoint", "formal")
+
+
 def _point_binding(point, star_rule) -> dict:
     """Letter -> matrix for a point tuple (unstarred letters in alphabet
     order) or mapping.  Under the adjoint rule each unstarred letter whose
     starred partner the point does not bind also binds that partner, to
-    its conjugate transpose."""
-    if star_rule not in ("adjoint", "formal"):
-        raise ValueError(f"unknown star rule {star_rule!r}")
+    its conjugate transpose.  A rule outside STAR_RULES raises SpecError."""
+    if star_rule not in STAR_RULES:
+        raise SpecError(f"unknown star rule {star_rule!r}; choose from {STAR_RULES}")
     if isinstance(point, Mapping):
         binding = dict(point)
     else:

@@ -154,11 +154,16 @@ def _tokenize(text: str):
     return tokens
 
 
-def _num_value(text: str) -> tuple[Fraction, bool]:
+def _num_value(text: str, offset: int) -> tuple[Fraction, bool]:
+    """The value of a number token and whether it ends in i; a zero
+    denominator raises ParseError at the token's offset."""
     imag = text.endswith("i")
     if imag:
         text = text[:-1]
-    return Fraction(text), imag
+    try:
+        return Fraction(text), imag
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {text!r}", offset) from None
 
 
 class _Parser:
@@ -231,7 +236,7 @@ class _Parser:
                 node = _star_node(node)
             elif k == "num":
                 self.next()
-                value, imag = _num_value(v)
+                value, imag = _num_value(v, off)
                 if imag or value.denominator != 1:
                     raise ParseError("power must be a nonnegative integer", off)
                 node = _power(node, int(value))
@@ -250,7 +255,7 @@ class _Parser:
             return Var(Letter(idx, False))
         if k == "num":
             self.next()
-            value, imag = _num_value(v)
+            value, imag = _num_value(v, off)
             return Const(_mk(Fraction(0), value) if imag else _mk(value, Fraction(0)))
         if k == "(":
             lit = self._try_scalar_literal()
@@ -272,7 +277,7 @@ class _Parser:
                 self.next()
                 sign = Fraction(-1)
             t = self.expect("num")
-            v1, imag1 = _num_value(t[1])
+            v1, imag1 = _num_value(t[1], t[2])
             if self.peek()[0] == ")":
                 if sign == 1 and not imag1:
                     # "(3)" is an ordinary parenthesized expression
@@ -283,7 +288,7 @@ class _Parser:
             if self.peek()[0] in ("+", "-") and not imag1:
                 s2 = Fraction(1) if self.next()[0] == "+" else Fraction(-1)
                 t2 = self.expect("num")
-                v2, imag2 = _num_value(t2[1])
+                v2, imag2 = _num_value(t2[1], t2[2])
                 if not imag2:
                     raise ParseError("not a literal", t2[2])
                 self.expect(")")

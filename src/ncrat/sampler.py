@@ -26,6 +26,10 @@ _COND_LIMIT = 1e8
 # The sample domains; the first three are the *-zero sets of star ideals.
 DOMAIN_KINDS = ("unitaries", "spherical", "partitioned", "xgn", "unrestricted")
 
+# What falsify counts as a witness: a nonzero entry, or a negative eigenvalue
+# of the Hermitian part.
+FALSIFY_MODES = ("nonzero", "negative-eigenvalue")
+
 
 @dataclass(frozen=True)
 class SampleDomain:
@@ -208,14 +212,24 @@ def falsify(
     tuple.  In ``nonzero`` mode a witness has some entry of |f(point)|
     above tol; in ``negative-eigenvalue`` mode the Hermitian part of the
     value has an eigenvalue below -tol.  Returns the first witness in
-    (size, trial) order, or None.  The settings go through check_search
-    before anything is sampled.
+    (size, trial) order, or None.  The settings and the mode (one of
+    FALSIFY_MODES) are checked, as SpecError, before anything is sampled.
+
+    A ConditioningFailure from the sampler ends the current size: the
+    search moves on to the next one.  At size n the domain of a
+    noncommutative rational function is Zariski-open in the g-tuples of
+    n x n matrices, so it is either empty or misses only a null set.  A
+    sampler that raises has already failed on several independent draws
+    (zero_set_sampler on 20), so the set it samples is almost surely empty
+    at that size and its later trials would fail the same way.  Trials
+    are numbered per size, so leaving a size early changes none of the
+    points drawn at the next ones.
     """
     sizes = check_search(trials, sizes, tol)
+    if mode not in FALSIFY_MODES:
+        raise SpecError(f"unknown falsify mode {mode!r}; choose from {FALSIFY_MODES}")
     import numpy as np
 
-    if mode not in ("nonzero", "negative-eigenvalue"):
-        raise ValueError(f"unknown falsify mode {mode!r}")
     sample = (
         domain
         if callable(domain)
@@ -226,7 +240,7 @@ def falsify(
             try:
                 point = sample(n, seed, trial)
             except ConditioningFailure:
-                continue
+                break
             try:
                 value = _evaluate(f, point)
             except DomainError:

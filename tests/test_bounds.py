@@ -1,7 +1,7 @@
 import pytest
 
 from ncrat.bounds import nss_bound, nss_degree_bound, pos_size, ri_bound, star_bound
-from ncrat.errors import GOutOfRange
+from ncrat.errors import GOutOfRange, SpecError
 
 
 def test_ri_bound_values():
@@ -76,9 +76,13 @@ def test_monotonicity_grid():
 
 
 def test_rejects_nonpositive():
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecError):
         nss_bound(0, 1, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecError):
         ri_bound(1, -2)
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecError):
         star_bound("frobnicated", 2, 1, 1)
+    with pytest.raises(SpecError):
+        pos_size("frobnicated", 2, 1)
+    with pytest.raises(SpecError):
+        nss_degree_bound(1, 1, 0, 1)

@@ -326,6 +326,14 @@ class TestUsageErrors:
         code, out, err = run_cli(*argv, "--seed", "1")
         assert code == 2 and err.startswith("error:") and out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["member", "--ideal", "T", "--g", "1", "--poly", "1/0"],
+        ["zero-test", "--expr", "1/0 X1", "--g", "1", "--basepoint", "scalar:1"],
+    ], ids=["member", "zero-test"])
+    def test_zero_denominator_in_a_literal(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 2 and err.startswith("error:") and out == ""
+
     def test_unknown_letter(self):
         code, _, err = run_cli("member", "--ideal", "T", "--g", "1",
                                "--poly", "X9")
@@ -397,6 +405,20 @@ class TestImportBoundary:
         code, out, report = _fresh_cli(argv)
         assert code == 2 and out == ""
         assert not report["numpy"]
+
+    def test_unknown_falsify_mode_leaves_numpy_unloaded(self):
+        # the library checks the mode with the other search settings
+        _, report = _fresh(
+            "from ncrat.errors import SpecError\n"
+            "from ncrat.ncpoly import Alphabet\n"
+            "from ncrat.ratexpr import parse_poly\n"
+            "from ncrat.sampler import SampleDomain, falsify\n"
+            "try:\n"
+            "    falsify(parse_poly('X1', Alphabet.x(1)), SampleDomain('unitaries', 1), [1], 1, 1, 'x')\n"
+            "except SpecError:\n"
+            "    code = 2\n"
+        )
+        assert report["code"] == 2 and not report["numpy"]
 
     def test_import_ncrat_loads_every_module_but_numpy(self):
         _, report = _fresh("import ncrat\n")

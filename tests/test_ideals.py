@@ -38,6 +38,10 @@ class TestBuiltins:
         assert len(builtin_ideal("Sprime", 4).generators) == 1
         assert len(builtin_ideal("CommInv", 3).generators) == 1
 
+    def test_unknown_kind(self):
+        with pytest.raises(SpecError):
+            builtin_ideal("Q", 2)
+
     def test_g_out_of_range(self):
         with pytest.raises(GOutOfRange):
             builtin_ideal("S", 1)
@@ -323,6 +327,27 @@ class TestZeroSetSampling:
         f = parse_poly("X1 X2 - X2 X1", Tp.alphabet)
         w = find_zero_set_witness(f, Tp, sizes=range(1, 5), trials=50, seed=17)
         assert w is not None and w.size >= 2  # commutators vanish at size 1
+
+    def test_comminv_search_draws_once_at_the_empty_size(self, monkeypatch):
+        # scalars commute, so CommInv has no 1 x 1 points: one failed draw
+        # there moves the search on to size 2
+        calls = []
+
+        def counting_sampler(ideal):
+            sample = zero_set_sampler(ideal)
+
+            def counted(n, seed, trial):
+                calls.append(n)
+                return sample(n, seed, trial)
+            return counted
+
+        monkeypatch.setattr("ncrat.ideals.zero_set_sampler", counting_sampler)
+        C = builtin_ideal("CommInv", 3)
+        f = parse_poly("X1 X2 - X2 X1", C.alphabet)
+        verdict = is_member(f, C, find_witness=True, seed=5)
+        assert not verdict.member
+        assert (verdict.witness.size, verdict.witness.trial) == (2, 0)
+        assert calls == [1, 2]
 
     def test_falsify_never_flags_members(self):
         # soundness of the numeric search: 100 random members per star ideal

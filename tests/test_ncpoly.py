@@ -9,6 +9,7 @@ from ncrat.errors import (
     GOutOfRange,
     MissingLetter,
     SizeMismatch,
+    SpecError,
     ZeroPolynomialError,
 )
 from ncrat.ncpoly import Alphabet, Letter, NcPoly, word_star
@@ -144,6 +145,11 @@ class TestEvaluation:
             f.eval((m, m), star_rule="formal")
         bound = {Letter(1, True): m}
         assert f.eval(bound, star_rule="formal") == m
+
+    def test_unknown_star_rule_rejected(self):
+        m = ExactMatrix.identity(2)
+        with pytest.raises(SpecError):
+            NcPoly.var(A2, 1).eval((m, m), star_rule="transpose")
 
     def test_mixed_sizes_rejected(self):
         f = NcPoly.var(A2, 1) + NcPoly.var(A2, 2)

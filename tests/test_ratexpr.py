@@ -78,6 +78,14 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_expression("X1 X2)", A2)
 
+    @pytest.mark.parametrize("text, offset", [
+        ("1/0", 0), ("1/0 X1", 0), ("X1 + 2/0i", 5), ("X1^2/0", 3), ("(1 + 1/0i) X1", 5),
+    ])
+    def test_zero_denominator_is_a_parse_error(self, text, offset):
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, A1)
+        assert err.value.offset == offset
+
 
 def random_node(rng, alphabet, depth):
     """Random trees in the image of the parser (Add/Mul with >= 2 children)."""

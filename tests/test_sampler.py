@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ncrat.core import ExactMatrix
-from ncrat.errors import GOutOfRange, SpecError
+from ncrat.errors import ConditioningFailure, GOutOfRange, SpecError
 from ncrat.ncpoly import Alphabet
 from ncrat.ratexpr import parse_poly
 from ncrat.sampler import (
@@ -96,13 +96,46 @@ class TestDomainErrors:
         {"trials": 0}, {"trials": -1},
         {"tol": 0.0}, {"tol": -1e-3}, {"tol": float("inf")}, {"tol": float("nan")},
         {"sizes": []}, {"sizes": [0]}, {"sizes": range(3, 1)}, {"sizes": [2, 0]},
+        {"mode": "x"},
     ], ids=repr)
     def test_search_that_cannot_sample_is_rejected(self, settings):
-        # each of these samples nothing, or counts rounding noise as a witness
+        # each of these samples nothing, counts rounding noise as a witness
+        # or names no kind of witness
         f = parse_poly("X1 X2 - X2 X1", Alphabet.x(2))
         kwargs = {"sizes": [2], "trials": 5, "seed": 1, **settings}
         with pytest.raises(SpecError):
             falsify(f, SampleDomain("unitaries", 2), **kwargs)
+
+
+# a point of size 2 where the commutator X1 X2 - X2 X1 does not vanish
+_SWAP_AND_SIGN = (np.array([[0, 1], [1, 0]], dtype=complex), np.diag([1, -1]).astype(complex))
+
+
+class TestSizeWithoutPoints:
+    # A ConditioningFailure means the sampler found no point at that size;
+    # the search leaves the size instead of drawing its other trials.
+    def _counting(self, empty_sizes):
+        calls = []
+
+        def sample(n, seed, trial):
+            calls.append((n, trial))
+            if n in empty_sizes:
+                raise ConditioningFailure(f"no point of size {n}")
+            return _SWAP_AND_SIGN
+        return sample, calls
+
+    def test_failure_moves_on_to_the_next_size(self):
+        f = parse_poly("X1 X2 - X2 X1", Alphabet.x(2))
+        sample, calls = self._counting({1})
+        w = falsify(f, sample, sizes=[1, 2], trials=200, seed=3)
+        assert calls == [(1, 0), (2, 0)]
+        assert (w.size, w.trial) == (2, 0)
+
+    def test_failure_at_every_size_finds_nothing(self):
+        f = parse_poly("X1 X2 - X2 X1", Alphabet.x(2))
+        sample, calls = self._counting({1, 2, 3})
+        assert falsify(f, sample, sizes=[1, 2, 3], trials=200, seed=3) is None
+        assert calls == [(1, 0), (2, 0), (3, 0)]
 
 
 class TestFalsify:
