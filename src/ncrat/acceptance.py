@@ -36,6 +36,8 @@ from .ratexpr import parse_expression, parse_poly
 from .realization import (
     BasePoint,
     GenPoly,
+    LinRep,
+    automaton_rep,
     coefficient,
     coefficient_table,
     compile_expression,
@@ -82,10 +84,51 @@ def _run(number, name, limit, body) -> CriterionResult:
 
 # -- shared fixtures --------------------------------------------------------
 
-# the hand-built reference representations live next to the ideals that use
-# them; here they are compared coefficient-by-coefficient against the
-# independently compiled expressions
-from .ideals import comminv_resolvent_rep, sprime_resolvent_rep
+# The paper's worked realizations of the Sprime and CommInv resolvents,
+# written down entry by entry; criteria 2 and 3 compare them coefficient by
+# coefficient against the compiled expressions.
+def _unit_row(n: int, *cols) -> ExactMatrix:
+    return ExactMatrix.from_rows([[1 if q in cols else 0 for q in range(n)]])
+
+
+def sprime_resolvent_rep(g: int, bp: BasePoint, alphabet=None) -> LinRep:
+    """The (g+1)-dimensional representation of X1^{-1}(1 - sum_{j>=2} X_j Y_j)
+    about (1, 0, ..., 0): c = e1, b = e1 + e2, per-letter matrices
+    -Y E_11 (Y the shift of X1), -X_j E_{1,j+1} and Y_j E_{j+1,2}."""
+    entries = [(Letter(1, False), 0, 0, 0, 0, -1)]
+    for j in range(2, g + 1):
+        entries.append((Letter(j, False), 0, 0, 0, j, -1))
+        entries.append((Letter(g + j, False), 0, 0, j, 1, 1))
+    return automaton_rep(bp, _unit_row(g + 1, 0), entries, _unit_row(g + 1, 0, 1).transpose(), alphabet)
+
+
+def comminv_resolvent_rep(bp: BasePoint, alphabet=None) -> LinRep:
+    """The dimension-3 representation of (X1 X2 - X2 X1)^{-1} about
+    (E12, E21): c = (Q, 0, 0), b = (1, 0, 0)^T with Q = diag(1, -1), and
+
+        A^{Y1} = [[-Y1 P2 Q + P2 Y1 Q, Y1, 0], [0,0,0], [-Y1 Q, 0, 0]]
+        A^{Y2} = [[Y2 P1 Q - P1 Y2 Q, 0, -Y2], [-Y2 Q, 0, 0], [0,0,0]]
+
+    A term a Y b in block (p, q) puts a[r, i] b[j, c] at state
+    (2p + r, 2q + c) of scalar letter (Y, i, j).
+    """
+    one = ExactMatrix.identity(2)
+    p1 = ExactMatrix.unit(2, 0, 1)
+    p2 = ExactMatrix.unit(2, 1, 0)
+    q = ExactMatrix.from_rows([[1, 0], [0, -1]])
+    l1, l2 = Letter(1, False), Letter(2, False)
+    terms = [
+        (l1, 0, 0, -one, p2 * q), (l1, 0, 0, p2, q), (l1, 0, 1, one, one), (l1, 2, 0, -one, q),
+        (l2, 0, 0, one, p1 * q), (l2, 0, 0, -p1, q), (l2, 0, 2, -one, one), (l2, 1, 0, -one, q),
+    ]
+    entries = [
+        (letter, i, j, 2 * row + r, 2 * col + c, a[r, i] * b[j, c])
+        for letter, row, col, a, b in terms
+        for i in range(2) for j in range(2) for r in range(2) for c in range(2)
+    ]
+    C = ExactMatrix.from_rows([[1, 0, 0, 0, 0, 0], [0, -1, 0, 0, 0, 0]])
+    B = ExactMatrix.from_rows([[1, 0], [0, 1]] + [[0, 0]] * 4)
+    return automaton_rep(bp, C, entries, B, alphabet)
 
 
 def exact_unitary_commutator_witness():

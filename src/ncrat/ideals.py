@@ -4,10 +4,12 @@ An RRIdeal packages generators, a variable decomposition x = x' u x'',
 rational resolvent expressions for the x'' letters, and a base point in
 the domain of the resolvent.  The membership oracle decides whether
 f(x', r(x')) is the zero series: it compiles f with each x'' letter bound
-to a representation of its resolvent (hand-built for the built-ins,
-compiled from the resolvent expression for custom ideals) and runs the
-exact zero test.  For the built-in ideals this decides ideal membership
-exactly.  The base point size m, the resolvent dimension n and the x''
+to the minimized compile of its resolvent expression about the base point
+and runs the exact zero test.  That decides whether f vanishes on the
+zero set of the ideal.  For the built-ins other than CommInv this is
+ideal membership; CommInv lacks the Nullstellensatz property, and
+1 - X3 (X1 X2 - X2 X1) vanishes on its zero set without lying in the
+ideal.  The base point size m, the resolvent dimension n and the x''
 letters are derived from the base point and the resolvent.
 
 Built-ins (T, S and U are the *-versions of Tprime, Sprime and Uprime):
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import bounds as _bounds
-from .core import ExactMatrix, Scalar, matrix_inverse
+from .core import ExactMatrix, Scalar
 from .errors import (
     ConditioningFailure,
     DomainError,
@@ -60,8 +62,8 @@ from .ratexpr import (
 from .realization import (
     BasePoint,
     LinRep,
-    automaton_rep,
     compile_expression,
+    compile_minimal,
     is_zero,
 )
 from .sampler import (
@@ -86,7 +88,7 @@ class RRIdeal:
     basepoint: BasePoint  # binds exactly the x' letters
     g: int  # bound parameter (g letters / g x g symbol matrix)
     domain_kind: str | None  # structured sampling family, None = graph sampling
-    resolvent_reps: dict  # Letter -> LinRep, the compiled/hand-built resolvents
+    resolvent_reps: dict  # Letter -> LinRep, the minimized compiled resolvents
 
     def __repr__(self):
         return f"RRIdeal({self.name}, {len(self.generators)} generators)"
@@ -133,27 +135,13 @@ BUILTIN_KINDS = ("Tprime", "Sprime", "Uprime", "CommInv", "T", "S", "U")
 
 
 def _validate(ideal: RRIdeal) -> RRIdeal:
-    """Check the graph condition: every generator vanishes on Gamma(r).
-
-    Checked through both decision routes: the resolvent expressions are
-    substituted and compiled, and the oracle compiles each generator with
-    the resolved letters bound to the ideal's resolvent representations.
-    """
+    """Check the graph condition: every generator vanishes on Gamma(r),
+    decided by the oracle.  The resolvent representations are compiled
+    from the resolvent texts, so this checks the texts."""
     for f in ideal.generators:
-        expr = substitute_resolvent(f, ideal)
-        try:
-            rep = compile_expression(expr, ideal.basepoint)
-        except DomainError as exc:
-            raise ResolventNotVanishing(
-                f"generator {f} cannot be checked: base point outside domain ({exc})"
-            ) from None
-        if not is_zero(rep):
-            raise ResolventNotVanishing(
-                f"generator {f} does not vanish on the resolvent graph"
-            )
         if not is_zero(ideal.oracle_rep(f)):
             raise ResolventNotVanishing(
-                f"generator {f} fails the representation-level graph check"
+                f"generator {f} does not vanish on the resolvent graph"
             )
     return ideal
 
@@ -168,17 +156,17 @@ _STAR_DOMAIN_KINDS = DOMAIN_KINDS[:3]
 
 def _make_ideal(name: str, alphabet: Alphabet, g: int, generators, resolvent: dict,
                 basepoint: dict, resolved=None, star: bool = False,
-                domain_kind: str | None = None, reps=None) -> RRIdeal:
+                domain_kind: str | None = None) -> RRIdeal:
     """The one constructor of an RRIdeal, for the built-ins and spec files.
 
     ``generators`` are polynomial texts, ``resolvent`` maps each x'' letter
     name to an expression text or a RatExpr, ``basepoint`` maps each x'
     letter name to its matrix and ``resolved`` names the x'' letters
-    (default: the resolvent's).  ``reps`` maps the base point to hand-built
-    resolvent representations, in resolvent order; without it each
-    resolvent is compiled about the base point.  ``g`` must be at least 1
-    (GOutOfRange).  Every check on the decomposition x = x' u x'' is made
-    here (SpecError), then the graph check (ResolventNotVanishing).
+    (default: the resolvent's).  Each resolvent is compiled about the base
+    point and minimized (a resolvent undefined there raises DomainError).
+    ``g`` must be at least 1 (GOutOfRange).  Every check on the
+    decomposition x = x' u x'' is made here (SpecError), then the graph
+    check (ResolventNotVanishing).
     """
     if g < 1:
         raise GOutOfRange(f"need g >= 1, got {g}")
@@ -215,90 +203,8 @@ def _make_ideal(name: str, alphabet: Alphabet, g: int, generators, resolvent: di
     if missing:
         raise SpecError(f"base point misses x' letters {sorted(missing)}")
 
-    if reps is None:
-        reps = {l: compile_expression(expr, bp) for l, expr in resolvent.items()}
-    else:
-        reps = dict(zip(resolvent, reps(bp)))
+    reps = {l: compile_minimal(expr, bp) for l, expr in resolvent.items()}
     return _validate(RRIdeal(name, alphabet, star, gens, resolvent, bp, g, domain_kind, reps))
-
-
-def _neumann_inverse_rep(g: int, i: int, j: int, bp: BasePoint) -> LinRep:
-    """Dimension-g representation of the (i, j) entry of X^{-1} about the
-    identity pattern: C = e_i^T, A^{X_kl} = -E_kl (the shift of X_kl is
-    X_kl - delta_kl), B = e_j."""
-    entries = [
-        (Letter((k - 1) * g + l, False), 0, 0, k - 1, l - 1, -1)
-        for k in range(1, g + 1)
-        for l in range(1, g + 1)
-    ]
-    return automaton_rep(bp, _unit_row(g, i - 1), entries, _unit_row(g, j - 1).transpose())
-
-
-def _unit_row(n: int, *cols) -> ExactMatrix:
-    return ExactMatrix.from_rows([[1 if q in cols else 0 for q in range(n)]])
-
-
-def scalar_inverse_rep(letter: Letter, bp: BasePoint) -> LinRep:
-    """Dimension-1 representation of letter^{-1} about its base value p:
-    c = p^{-1}, A = -Y p^{-1}, b = 1 (the geometric series of (p + Y)^{-1}).
-    Scalar letter (i, j) of Y has row i of A equal to -(row j of p^{-1})."""
-    m = bp.m
-    p_inv = matrix_inverse(bp[letter])
-    entries = [
-        (letter, i, j, i, k, -p_inv[j, k]) for i in range(m) for j in range(m) for k in range(m)
-    ]
-    return automaton_rep(bp, p_inv, entries, ExactMatrix.identity(m))
-
-
-def sprime_resolvent_rep(g: int, bp: BasePoint, alphabet=None) -> LinRep:
-    """The (g+1)-dimensional representation of X1^{-1}(1 - sum_{j>=2} X_j Y_j)
-    about (1, 0, ..., 0): c = e1, b = e1 + e2, per-letter matrices
-    -Y E_11 (Y the shift of X1), -X_j E_{1,j+1} and Y_j E_{j+1,2}."""
-    entries = [(Letter(1, False), 0, 0, 0, 0, -1)]
-    for j in range(2, g + 1):
-        entries.append((Letter(j, False), 0, 0, 0, j, -1))
-        entries.append((Letter(g + j, False), 0, 0, j, 1, 1))
-    return automaton_rep(bp, _unit_row(g + 1, 0), entries, _unit_row(g + 1, 0, 1).transpose(), alphabet)
-
-
-def s_resolvent_rep(g: int, bp: BasePoint, alphabet=None) -> LinRep:
-    """The (g+1)-dimensional representation of (1 - sum_{j>=2} X_j^* X_j) X_1^{-1}
-    about (1, 0, ..., 0): the transpose of the dual construction, with
-    c = e1 + e2, b = e1, matrices -Y E_11, -X_j E_{j+1,1}, X_j^* E_{2,j+1}."""
-    entries = [(Letter(1, False), 0, 0, 0, 0, -1)]
-    for j in range(2, g + 1):
-        entries.append((Letter(j, False), 0, 0, j, 0, -1))
-        entries.append((Letter(j, True), 0, 0, 1, j, 1))
-    return automaton_rep(bp, _unit_row(g + 1, 0, 1), entries, _unit_row(g + 1, 0).transpose(), alphabet)
-
-
-def comminv_resolvent_rep(bp: BasePoint, alphabet=None) -> LinRep:
-    """The dimension-3 representation of (X1 X2 - X2 X1)^{-1} about
-    (E12, E21): c = (Q, 0, 0), b = (1, 0, 0)^T with Q = diag(1, -1), and
-
-        A^{Y1} = [[-Y1 P2 Q + P2 Y1 Q, Y1, 0], [0,0,0], [-Y1 Q, 0, 0]]
-        A^{Y2} = [[Y2 P1 Q - P1 Y2 Q, 0, -Y2], [-Y2 Q, 0, 0], [0,0,0]]
-
-    A term a Y b in block (p, q) puts a[r, i] b[j, c] at state
-    (2p + r, 2q + c) of scalar letter (Y, i, j).
-    """
-    one = ExactMatrix.identity(2)
-    p1 = ExactMatrix.unit(2, 0, 1)
-    p2 = ExactMatrix.unit(2, 1, 0)
-    q = ExactMatrix.from_rows([[1, 0], [0, -1]])
-    l1, l2 = Letter(1, False), Letter(2, False)
-    terms = [
-        (l1, 0, 0, -one, p2 * q), (l1, 0, 0, p2, q), (l1, 0, 1, one, one), (l1, 2, 0, -one, q),
-        (l2, 0, 0, one, p1 * q), (l2, 0, 0, -p1, q), (l2, 0, 2, -one, one), (l2, 1, 0, -one, q),
-    ]
-    entries = [
-        (letter, i, j, 2 * row + r, 2 * col + c, a[r, i] * b[j, c])
-        for letter, row, col, a, b in terms
-        for i in range(2) for j in range(2) for r in range(2) for c in range(2)
-    ]
-    C = ExactMatrix.from_rows([[1, 0, 0, 0, 0, 0], [0, -1, 0, 0, 0, 0]])
-    B = ExactMatrix.from_rows([[1, 0], [0, 1]] + [[0, 0]] * 4)
-    return automaton_rep(bp, C, entries, B, alphabet)
 
 
 def _letter_from_name(alphabet: Alphabet, name: str) -> Letter:
@@ -333,8 +239,7 @@ def builtin_ideal(kind: str, g: int) -> RRIdeal:
 
 @lru_cache(maxsize=None)
 def _builtin_cached(kind: str, g: int) -> RRIdeal:
-    """The built-ins as data for _make_ideal, with their hand-built
-    resolvent representations."""
+    """The built-ins as data for _make_ideal."""
     one, zero = ExactMatrix.identity(1), ExactMatrix.zeros(1, 1)
     js, rest = range(1, g + 1), range(2, g + 1)
 
@@ -350,31 +255,26 @@ def _builtin_cached(kind: str, g: int) -> RRIdeal:
             resolvent={y[j]: f"X{j}^-1" for j in js},
             basepoint={f"X{j}": one for j in js},
             star=star, domain_kind="unitaries" if star else None,
-            reps=lambda bp: [scalar_inverse_rep(Letter(j, False), bp) for j in js],
         )
 
     if kind == "Sprime":
-        alph = Alphabet.xy(g)
         body = " - ".join(f"X{j}*Y{j}" for j in rest)
         return _make_ideal(
-            f"Sprime(g={g})", alph, g,
+            f"Sprime(g={g})", Alphabet.xy(g), g,
             generators=["-1 + " + " + ".join(f"X{j} Y{j}" for j in js)],
             resolvent={"Y1": f"X1^-1*(1 - {body})"},
             basepoint={"X1": one, **{f"{a}{j}": zero for j in rest for a in "XY"}},
-            reps=lambda bp: [sprime_resolvent_rep(g, bp, alph)],
         )
 
     if kind == "S":
-        alph = Alphabet.x(g)
         body = " - ".join(f"X{j}^* X{j}" for j in rest)
         return _make_ideal(
-            f"S(g={g})", alph, g,
+            f"S(g={g})", Alphabet.x(g), g,
             generators=["1 - " + " - ".join(f"X{j}^* X{j}" for j in js)],
             # X_1^* = (1 - sum_{j>=2} X_j^* X_j) X_1^-1
             resolvent={"X1^*": f"(1 - {body}) X1^-1"},
             basepoint={"X1": one, **{f"X{j}{s}": zero for j in rest for s in ("", "^*")}},
             star=True, domain_kind="spherical",
-            reps=lambda bp: [s_resolvent_rep(g, bp, alph)],
         )
 
     if kind in ("Uprime", "U"):
@@ -398,17 +298,14 @@ def _builtin_cached(kind: str, g: int) -> RRIdeal:
             resolvent={y[c]: inv[c[0] - 1][c[1] - 1] for c in order},
             basepoint={f"X{i}{j}": one if i == j else zero for i, j in cells},
             star=star, domain_kind="partitioned" if star else None,
-            reps=lambda bp: [_neumann_inverse_rep(g, i, j, bp) for i, j in order],
         )
 
     # kind == "CommInv"
-    alph = Alphabet.x(3)
     return _make_ideal(
-        "CommInv", alph, 3,
+        "CommInv", Alphabet.x(3), 3,
         generators=["1 - (X1 X2 - X2 X1) X3"],
         resolvent={"X3": "(X1*X2 - X2*X1)^-1"},
         basepoint={"X1": ExactMatrix.unit(2, 0, 1), "X2": ExactMatrix.unit(2, 1, 0)},
-        reps=lambda bp: [comminv_resolvent_rep(bp, alph)],
     )
 
 
@@ -639,8 +536,9 @@ def custom_ideal(spec) -> RRIdeal:
     "basepoint": {"m": optional m, "matrices": {letter: matrix-json}}}.
     The spec is read into the data the built-ins are given as, and goes
     through the same constructor and checks.  Each resolvent is compiled
-    once about the base point; the resolvent dimension n is the largest of
-    those dimensions.  A malformed file or spec raises SpecError.
+    about the base point and minimized; the resolvent dimension n is the
+    largest of those dimensions.  A malformed file or spec raises
+    SpecError, a resolvent undefined at the base point DomainError.
 
     The oracle for a custom ideal decides vanishing on the graph of the
     resolvent (equivalently on the Zariski closure of the zero set it

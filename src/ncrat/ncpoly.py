@@ -52,7 +52,7 @@ class Alphabet:
         self.names = tuple(names)
         self._lookup = {n: i + 1 for i, n in enumerate(self.names)}
         if len(self._lookup) != len(self.names):
-            raise ValueError("duplicate letter names")
+            raise SpecError("duplicate letter names")
 
     @property
     def size(self) -> int:

@@ -56,6 +56,7 @@ from .errors import (
     ResolventSingular,
     SingularConstantTerm,
     SingularMatrixError,
+    SpecError,
 )
 from .ncpoly import Alphabet, Letter, NcPoly
 from .ratexpr import Add, Const, Inv, Mul, Neg, RatExpr, Var
@@ -77,7 +78,7 @@ class BasePoint:
     @staticmethod
     def from_mapping(mapping: Mapping[Letter, ExactMatrix]) -> "BasePoint":
         if not mapping:
-            raise ValueError("base point needs at least one letter")
+            raise SpecError("base point needs at least one letter")
         letters = tuple(sorted(mapping))
         mats = tuple(mapping[l] for l in letters)
         m = mats[0].rows
@@ -926,3 +927,17 @@ def minimize_scalar(s: LinRep | ScalarRep):
     B2 = ExactMatrix(t, cols, [x for row in _times_vectors(B1.transpose(), obs.vectors) for x in row])
     out = ScalarRep(sr.m, sr.letters, t, C2, _letter_matrices(mid, t, found, True), B2, sr.alphabet)
     return out, t
+
+
+def compile_minimal(e: RatExpr, basepoint: BasePoint) -> LinRep:
+    """A minimal representation of e about the base point: the minimized
+    compile of e, padded with zero states up to a positive multiple of m
+    (a zero series keeps dimension 1).  Raises DomainError like
+    compile_expression."""
+    sr, t = minimize_scalar(compile_expression(e, basepoint))
+    m = basepoint.m
+    D = max(1, -(-t // m)) * m
+    pad = D - t
+    C = _hstack([sr.C, ExactMatrix.zeros(m, pad)])
+    B = _vstack([sr.B, ExactMatrix.zeros(pad, m)])
+    return _rep(basepoint, C, [SparseMatrix(D, a.rows) for a in sr.A], B, sr.alphabet)

@@ -271,7 +271,7 @@ def zero_divisor_witness(m: int, n: int) -> tuple[ExactMatrix, ExactMatrix]:
     so B is the zero matrix there.
     """
     if m < 0 or n < 0 or m + n < 1:
-        raise ValueError("need m, n >= 0 with m + n >= 1")
+        raise SpecError("need m, n >= 0 with m + n >= 1")
     size = m + n + 1
     ae = list(ExactMatrix.zeros(size, size).entries)
     for i in range(1, n + 1):

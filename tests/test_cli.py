@@ -206,29 +206,39 @@ class TestSohsAndGram:
         assert problem.d == 1 and len(problem.basis) == 3
 
 
+def _one_relator(x1="1"):
+    return {
+        "name": "one-relator",
+        "g": 3,
+        "generators": ["X1 X2 X3 - X2 X1"],
+        "resolved": ["X3"],
+        "resolvent": {"X3": "X2^-1 X1^-1 X2 X1"},
+        "basepoint": {
+            "m": 1,
+            "matrices": {
+                "X1": {"rows": 1, "cols": 1, "entries": [[x1, "0"]]},
+                "X2": {"rows": 1, "cols": 1, "entries": [["1", "0"]]},
+            },
+        },
+    }
+
+
 class TestCustomIdealFile:
     def test_member_against_ideal_file(self, tmp_path):
-        spec = {
-            "name": "one-relator",
-            "g": 3,
-            "generators": ["X1 X2 X3 - X2 X1"],
-            "resolved": ["X3"],
-            "resolvent": {"X3": "X2^-1 X1^-1 X2 X1"},
-            "basepoint": {
-                "m": 1,
-                "matrices": {
-                    "X1": {"rows": 1, "cols": 1, "entries": [["1", "0"]]},
-                    "X2": {"rows": 1, "cols": 1, "entries": [["1", "0"]]},
-                },
-            },
-        }
         path = tmp_path / "ideal.json"
-        path.write_text(json.dumps(spec))
+        path.write_text(json.dumps(_one_relator()))
         code, out, _ = run_cli("member", "--ideal-file", str(path),
                                "--poly", "X1 X2 X3 - X2 X1")
         assert code == 0 and "member = True" in out
         code, _, _ = run_cli("member", "--ideal-file", str(path), "--poly", "X3")
         assert code == 1
+
+    def test_resolvent_undefined_at_the_base_point(self, tmp_path):
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps(_one_relator(x1="0")))
+        code, out, err = run_cli("member", "--ideal-file", str(path), "--poly", "X1")
+        assert code == 2 and out == ""
+        assert "base point outside dom r [subtree path [1]]" in err
 
 
 class TestSelftest:

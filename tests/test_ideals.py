@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from ncrat.core import ExactMatrix, Scalar
+from ncrat.acceptance import comminv_resolvent_rep, sprime_resolvent_rep
 from ncrat.errors import (
     AlphabetMismatch,
+    DomainError,
     GOutOfRange,
     ResolventNotVanishing,
     SpecError,
@@ -26,7 +28,7 @@ from ncrat.ideals import (
 )
 from ncrat.ncpoly import Alphabet, Letter, NcPoly
 from ncrat.ratexpr import format_expression, parse_poly
-from ncrat.realization import compile_expression, is_zero
+from ncrat.realization import coefficient, coefficient_table, compile_expression, is_zero
 
 
 class TestBuiltins:
@@ -57,8 +59,8 @@ class TestBuiltins:
             builtin_ideal(kind, g)
 
     def test_every_builtin_passes_its_construction_check(self):
-        # construction re-runs the graph condition on every generator,
-        # through both the expression route and the representation route
+        # construction re-runs the graph condition on every generator
+        # through the oracle, with the resolvents compiled from their texts
         for kind, g in (
             ("Tprime", 1),
             ("Tprime", 2),
@@ -76,17 +78,21 @@ class TestBuiltins:
 
     def test_derived_m_n_and_resolved(self):
         # m, n and the x'' letters are derived from the base point and the
-        # resolvent representations; pin them for every built-in with g <= 3
+        # resolvent representations; pin them for every built-in with g <= 5,
+        # U and Uprime with g <= 4
         assert not {f.name for f in fields(RRIdeal)} & {"kind", "m", "n", "resolved"}
         cases = [("CommInv", 3, 2, 3, [Letter(3, False)])]
-        for g in (1, 2, 3):
+        for g in (1, 2, 3, 4, 5):
             cells = [(i, j) for i in range(1, g + 1) for j in range(1, g + 1)]
             cases += [
                 ("Tprime", g, 1, 1, [Letter(g + j, False) for j in range(1, g + 1)]),
                 ("T", g, 1, 1, [Letter(j, True) for j in range(1, g + 1)]),
-                ("Uprime", g, 1, g, [Letter(g * g + (i - 1) * g + j, False) for i, j in cells]),
-                ("U", g, 1, g, [Letter((i - 1) * g + j, True) for i, j in cells]),
             ]
+            if g <= 4:
+                cases += [
+                    ("Uprime", g, 1, g, [Letter(g * g + (i - 1) * g + j, False) for i, j in cells]),
+                    ("U", g, 1, g, [Letter((i - 1) * g + j, True) for i, j in cells]),
+                ]
             if g >= 2:
                 cases += [("Sprime", g, 1, g + 1, [Letter(g + 1, False)]),
                           ("S", g, 1, g + 1, [Letter(1, True)])]
@@ -378,6 +384,17 @@ ONE_RELATOR = {
 }
 
 
+# X2 resolves to the zero series
+ZERO_RESOLVENT = {
+    "name": "zero-resolvent",
+    "g": 2,
+    "generators": ["X2"],
+    "resolved": ["X2"],
+    "resolvent": {"X2": "0"},
+    "basepoint": {"m": 1, "matrices": {"X1": {"rows": 1, "cols": 1, "entries": [["1", "0"]]}}},
+}
+
+
 def _unit_json(i, j):
     return ExactMatrix.unit(2, i, j).to_json()
 
@@ -433,18 +450,53 @@ class TestCustomIdeals:
             custom_ideal(spec)
 
     def test_comminv_spec_matches_the_builtin(self):
-        # the built-in is the same data on the same constructor, with a
-        # hand-built resolvent representation instead of a compiled one
+        # the built-in is the same data on the same constructor
         custom, builtin = custom_ideal(COMMINV), builtin_ideal("CommInv", 3)
         assert custom.name == builtin.name and custom.alphabet == builtin.alphabet
         assert [list(f.terms.items()) for f in custom.generators] == \
             [list(f.terms.items()) for f in builtin.generators]
         assert custom.resolvent == builtin.resolvent
         assert custom.basepoint == builtin.basepoint
+        assert custom.n == builtin.n == 3
         gen = builtin.generators[0]
         x1 = parse_poly("X1", builtin.alphabet)
         for f, member in ((gen, True), (x1 * gen, True), (x1, False)):
             assert is_member(f, custom).member == is_member(f, builtin).member == member
+            assert witness_size(f, custom) == witness_size(f, builtin)
+
+    def test_zero_resolvent_keeps_dimension_one(self):
+        ideal = custom_ideal(ZERO_RESOLVENT)
+        assert (ideal.m, ideal.n) == (1, 1)
+        alph = ideal.alphabet
+        for text, member in (("X2", True), ("X1 X2", True), ("X1", False)):
+            assert is_member(parse_poly(text, alph), ideal).member == member, text
+
+    def test_resolvent_undefined_at_the_base_point(self):
+        spec = json.loads(json.dumps(ONE_RELATOR))
+        spec["basepoint"]["matrices"]["X1"]["entries"] = [["0", "0"]]
+        with pytest.raises(DomainError) as err:
+            custom_ideal(spec)
+        assert err.value.path == (1,)  # X1^-1 in X2^-1 X1^-1 X2 X1
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_sprime_resolvent_is_the_worked_realization(self, g):
+        ideal = builtin_ideal("Sprime", g)
+        (rep,) = ideal.resolvent_reps.values()
+        worked = sprime_resolvent_rep(g, ideal.basepoint, ideal.alphabet)
+        assert rep.dim == worked.dim == g + 1
+        assert coefficient_table(rep, 6) == coefficient_table(worked, 6)
+
+    def test_comminv_resolvent_is_the_worked_realization(self):
+        ideal = builtin_ideal("CommInv", 3)
+        (rep,) = ideal.resolvent_reps.values()
+        worked = comminv_resolvent_rep(ideal.basepoint, ideal.alphabet)
+        assert rep.dim == worked.dim == 3
+        words, layer = [()], [()]
+        for _ in range(4):
+            layer = [w + (l,) for w in layer for l in ideal.basepoint.letters]
+            words.extend(layer)
+        for w in words:
+            assert coefficient(rep, w) == coefficient(worked, w), w
 
     def test_malformed_spec(self):
         with pytest.raises(SpecError):

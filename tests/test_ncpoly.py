@@ -57,6 +57,11 @@ def test_matrix_alphabet_range():
         Alphabet.matrix(10)
 
 
+def test_duplicate_letter_names_rejected():
+    with pytest.raises(SpecError, match="duplicate letter names"):
+        Alphabet(["X1", "X1"])
+
+
 class TestInvolution:
     def test_rule_application(self):
         f = NcPoly.monomial(A2, Scalar(0, 2), (Letter(1), Letter(2, True)))

@@ -10,6 +10,7 @@ from ncrat.errors import (
     MissingLetter,
     ResolventSingular,
     SingularConstantTerm,
+    SpecError,
 )
 from ncrat.ncpoly import Alphabet, Letter, NcPoly
 from ncrat import realization
@@ -20,6 +21,7 @@ from ncrat.realization import (
     coefficient,
     coefficient_table,
     compile_expression,
+    compile_minimal,
     eval_rep,
     is_zero,
     is_zero_by_enumeration,
@@ -82,6 +84,10 @@ class TestConstructors:
         assert ExactMatrix.from_rows(
             [[c0[i][j].coeff(()) for j in range(2)] for i in range(2)]
         ) == E12
+
+    def test_empty_base_point_rejected(self):
+        with pytest.raises(SpecError, match="at least one letter"):
+            BasePoint.from_mapping({})
 
 
 class TestArithmeticOps:
@@ -216,18 +222,17 @@ class TestCompile:
         assert is_zero(compile_text("X1 - X1", BP1))
 
     def test_letter_reps_bind_letters(self):
-        from ncrat.ideals import scalar_inverse_rep
-
         alph = Alphabet.xy(1)
         x1, y1 = Letter(1, False), Letter(2, False)
+        inverse = parse_expression("X1^-1", alph)
         bp = BasePoint.scalars([2], letters=[x1])
-        y_rep = scalar_inverse_rep(x1, bp)
+        y_rep = compile_expression(inverse, bp)
         expr = parse_expression("X1 Y1 - 1", alph)
         assert is_zero(compile_expression(expr, bp, {y1: y_rep}))
         assert not is_zero(compile_expression(parse_expression("Y1 X1 - 2", alph), bp, {y1: y_rep}))
         with pytest.raises(MissingLetter):
             compile_expression(expr, bp)
-        other = scalar_inverse_rep(x1, BasePoint.scalars([3], letters=[x1]))
+        other = compile_expression(inverse, BasePoint.scalars([3], letters=[x1]))
         with pytest.raises(BasepointMismatch):
             compile_expression(expr, bp, {y1: other})
 
@@ -375,6 +380,22 @@ class TestMinimize:
             length = rng.randint(0, 5)
             word = tuple(rng.randrange(len(sr.A)) for _ in range(length))
             assert sr.word_value(word) == red.word_value(word)
+
+    def test_compile_minimal(self):
+        # the minimized compile realizes the same series in the minimal
+        # dimension; a zero series keeps m states, so n = 1
+        s = compile_text("(1 + X1*X2)^-1", BP1)
+        small = compile_minimal(parse_expression("(1 + X1*X2)^-1", Alphabet.x(2)), BP1)
+        assert small.dim == minimize_scalar(s)[1] < s.dim
+        assert is_zero(rep_add(s, ExactMatrix.scalar(1, -1), small))
+        for bp in (BP1, BP2x2):
+            zero = compile_minimal(parse_expression("X1 - X1", Alphabet.x(2)), bp)
+            assert (zero.dim, zero.automaton.dim) == (1, bp.m)
+            assert is_zero(zero)
+        inv = compile_minimal(parse_expression("(X1*X2 - X2*X1)^-1", Alphabet.x(2)), BP2x2)
+        assert inv.dim == 3 and inv.alphabet == Alphabet.x(2)
+        with pytest.raises(DomainError):
+            compile_minimal(parse_expression("X1^-1", Alphabet.x(2)), BasePoint.scalars([0, 1]))
 
     def test_equivalent_expressions_same_minimum(self):
         # X1 (X2 X1)^{-1} and (X1 X2)^{-1} X1 agree as rational functions

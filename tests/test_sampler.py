@@ -187,7 +187,7 @@ class TestZeroDivisorWitness:
     @pytest.mark.parametrize("n", range(0, 5))
     def test_all_relations_small(self, m, n):
         if m + n == 0:
-            with pytest.raises(ValueError):
+            with pytest.raises(SpecError):
                 zero_divisor_witness(m, n)
             return
         a, b = zero_divisor_witness(m, n)  # relations are checked on build
