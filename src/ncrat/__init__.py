@@ -22,7 +22,6 @@ from .realization import (
     BasePoint,
     GenPoly,
     LinRep,
-    ScalarRep,
     coefficient,
     compile_expression,
     eval_rep,

@@ -25,7 +25,7 @@ from .ideals import (
     witness_size,
     zero_set_sampler,
 )
-from .ncpoly import Alphabet, Letter, NcPoly
+from .ncpoly import Alphabet, Letter, NcPoly, words_up_to
 from .positivity import (
     SohsCertificate,
     gram_constraints,
@@ -215,13 +215,7 @@ def criterion_3(full: bool = True) -> CriterionResult:
             for j in range(2)
         ), "[S,1] != diag(1,-1)"
         order = 4 if full else 3
-        letters = (Letter(1, False), Letter(2, False))
-        words = [()]
-        layer = [()]
-        for _ in range(order):
-            layer = [w + (l,) for w in layer for l in letters]
-            words.extend(layer)
-        for w in words:
+        for w in words_up_to((Letter(1, False), Letter(2, False)), order):
             assert coefficient(S, w) == coefficient(P, w), f"mismatch at word {w}"
         _, nmin = minimize_scalar(S)
         assert nmin <= 6, f"n_min {nmin} > 6"

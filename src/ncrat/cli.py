@@ -27,7 +27,7 @@ from .ideals import (
     is_member,
     witness_size,
 )
-from .ncpoly import STAR_RULES, Alphabet, Letter, NcPoly, _point_binding
+from .ncpoly import STAR_RULES, Alphabet, Letter, NcPoly, _point_binding, words_up_to
 from .positivity import (
     SohsCertificate,
     export_gram,
@@ -133,7 +133,7 @@ def _word_text(alphabet, word):
 
 
 def cmd_eval(args) -> int:
-    text = args.expr or args.poly
+    text = args.poly if args.expr is None else args.expr
     expr = parse_expression(text, _alphabet_for(args, text))
     bp = _parse_basepoint(args.point, expr)
     point = {l: bp[l] for l in sorted(expr.letters_used())}
@@ -147,14 +147,9 @@ def cmd_expand(args) -> int:
     bp = _parse_basepoint(args.basepoint, expr)
     rep = compile_expression(expr, bp)
     alph = expr.alphabet
-    words = [()]
-    layer = [()]
-    for _ in range(args.order):
-        layer = [w + (l,) for w in layer for l in rep.letters]
-        words.extend(layer)
     lines = []
     rows = []
-    for w in words:
+    for w in words_up_to(rep.letters, args.order):
         gp = coefficient(rep, w)
         if gp.is_zero():
             continue
@@ -253,7 +248,7 @@ def cmd_sample(args) -> int:
 
 def cmd_falsify(args) -> int:
     seed = _seed(args)
-    text = args.poly or args.expr
+    text = args.poly if args.expr is None else args.expr
     if args.ideal or args.ideal_file:
         ideal = _resolve_ideal(args)
         f = parse_poly(text, ideal.alphabet)
@@ -261,7 +256,7 @@ def cmd_falsify(args) -> int:
         witness = find_zero_set_witness(f, ideal, sizes, args.trials, seed, args.tol)
     else:
         alph = _alphabet_for(args, text)
-        f = parse_expression(text, alph) if args.expr else parse_poly(text, alph)
+        f = parse_poly(text, alph) if args.expr is None else parse_expression(text, alph)
         domain = SampleDomain(args.domain, args.g)
         sizes = _parse_sizes(args.sizes) if args.sizes else range(1, 7)
         witness = falsify(f, domain, sizes, args.trials, seed, args.mode, args.tol)
@@ -361,6 +356,13 @@ def _add_common(p, ideal=False, rand=False):
         p.add_argument("--tol", type=float, default=1e-10)
 
 
+def _add_text(p):
+    """The input of eval and falsify: exactly one of --expr and --poly."""
+    text = p.add_mutually_exclusive_group(required=True)
+    text.add_argument("--expr")
+    text.add_argument("--poly")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ncrat",
@@ -370,8 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate an expression at an exact point")
-    p.add_argument("--expr")
-    p.add_argument("--poly")
+    _add_text(p)
     p.add_argument("--g", type=int, default=2)
     p.add_argument("--point", required=True, help="scalar:v[,v...] or file:PATH")
     p.add_argument("--star-rule", choices=STAR_RULES, default="adjoint")
@@ -415,8 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("falsify", help="numeric counterexample search")
-    p.add_argument("--poly")
-    p.add_argument("--expr")
+    _add_text(p)
     p.add_argument("--domain", default="unitaries",
                    choices=DOMAIN_KINDS)
     p.add_argument("--sizes", help="e.g. 1..6 or 4")

@@ -63,8 +63,8 @@ from .realization import (
     BasePoint,
     LinRep,
     compile_expression,
-    compile_minimal,
     is_zero,
+    minimize_scalar,
 )
 from .sampler import (
     DOMAIN_KINDS,
@@ -82,7 +82,6 @@ from .sampler import (
 class RRIdeal:
     name: str
     alphabet: Alphabet
-    star: bool
     generators: tuple  # NcPoly
     resolvent: dict  # Letter -> RatExpr over x', keyed by the x'' letters
     basepoint: BasePoint  # binds exactly the x' letters
@@ -92,6 +91,12 @@ class RRIdeal:
 
     def __repr__(self):
         return f"RRIdeal({self.name}, {len(self.generators)} generators)"
+
+    @property
+    def star(self) -> bool:
+        """Whether the ideal lives in the free *-algebra; exactly the
+        ideals with a structured *-zero set to sample."""
+        return self.domain_kind is not None
 
     @property
     def resolved(self) -> tuple:
@@ -203,8 +208,8 @@ def _make_ideal(name: str, alphabet: Alphabet, g: int, generators, resolvent: di
     if missing:
         raise SpecError(f"base point misses x' letters {sorted(missing)}")
 
-    reps = {l: compile_minimal(expr, bp) for l, expr in resolvent.items()}
-    return _validate(RRIdeal(name, alphabet, star, gens, resolvent, bp, g, domain_kind, reps))
+    reps = {l: minimize_scalar(compile_expression(expr, bp))[0] for l, expr in resolvent.items()}
+    return _validate(RRIdeal(name, alphabet, gens, resolvent, bp, g, domain_kind, reps))
 
 
 def _letter_from_name(alphabet: Alphabet, name: str) -> Letter:

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .core import ExactMatrix, Scalar, ZERO
 from .errors import DegreeTooHigh, SpecError
-from .ncpoly import Alphabet, Letter, NcPoly, grlex_key, word_star
+from .ncpoly import Alphabet, Letter, NcPoly, grlex_key, word_star, words_up_to
 from .sampler import SampleDomain, check_search, sample_point
 
 
@@ -137,14 +137,10 @@ class GramProblem:
 
 
 def word_basis(alphabet: Alphabet, d: int) -> tuple:
-    """All words of degree <= d over the 2g starred/unstarred letters."""
+    """All words of degree <= d over the 2g starred/unstarred letters, in
+    grlex order."""
     letters = [Letter(i, s) for i in range(1, alphabet.size + 1) for s in (False, True)]
-    out = [()]
-    layer = [()]
-    for _ in range(d):
-        layer = [w + (l,) for w in layer for l in letters]
-        out.extend(layer)
-    return tuple(sorted(out, key=grlex_key))
+    return tuple(words_up_to(letters, d))
 
 
 def gram_constraints(f: NcPoly, d: int, q: NcPoly | None = None) -> GramProblem:

@@ -5,31 +5,30 @@ the shifts Y = X - p with coefficients in A = M_m(k).  The matrix
 reduction isomorphism M_m(k)<Y> = M_m(k<y>) identifies it with an m x m
 matrix of series in m^2 g scalar letters y_(l,i,j), one per base letter
 l and matrix position (i, j); Y_l is the m x m matrix of its letters.
-Such a matrix of series is stored as an ordinary weighted automaton
-(ScalarRep): C of size m x D, one sparse D x D matrix A per scalar letter
-and B of size D x m, so that the coefficient of a scalar word w is
-C A^w B.  D is a multiple m*n of m, and n is the dimension of the
-representation.
+Such a matrix of series is stored as an ordinary weighted automaton, a
+LinRep: C of size m x D, one sparse D x D matrix A per scalar letter and
+B of size D x m, so that the coefficient of a scalar word w is C A^w B.
+Its dimension is n = max(1, ceil(D/m)).
 
 Rational expressions compile to automata by structural recursion, with
 the standard constructions: a sum is block diagonal, a product
 S1*S2 is C = [C1, (C1 B1) C2], A = [[A1, (A1 B1) C2], [0, A2]],
 B = [0; B2], and an inverse, with a = CB invertible in M_m, is
 C' = [-a^-1 C, a^-1], A' = [[A - (A B) a^-1 C, (A B) a^-1], [0, 0]],
-B' = [0; I].  Each block of m states is one state of the block form
-(c, A, b) with c in A^{1 x n}, b in A^{n x 1}, in which the series is
-c (I_n - sum_l A^{Y_l})^{-1} b: block q, entry (r, c) of it is state
-q*m + r, and letter (l, i, j) has index slot(l)*m^2 + i*m + j.
+B' = [0; I].  A compiled automaton has D = m*n states, and each block of
+m states is one state of the block form (c, A, b) with c in A^{1 x n},
+b in A^{n x 1}, in which the series is c (I_n - sum_l A^{Y_l})^{-1} b:
+block q, entry (r, c) of it is state q*m + r, and letter (l, i, j) has
+index slot(l)*m^2 + i*m + j.
 
-The automaton is the only form a LinRep stores, and ``scalarize`` returns
-it.  Zero testing is a reachability closure on it, and minimization
-restricts it to the reachable and observable subspaces.
+Zero testing is a reachability closure on the automaton, and
+minimization restricts it to the reachable and observable subspaces.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .core import (
@@ -157,40 +156,6 @@ class SparseMatrix:
         return sum(len(r) for r in self.rows.values())
 
 
-@dataclass
-class ScalarRep:
-    """A weighted automaton of dimension ``dim`` over m^2 * len(letters)
-    scalar letters, with m x m output: the coefficient of a scalar word w
-    is C A^w B.
-    """
-
-    m: int
-    letters: tuple
-    dim: int
-    C: ExactMatrix  # m x dim
-    A: tuple  # SparseMatrix per scalar letter
-    B: ExactMatrix  # dim x m
-    alphabet: object = None
-
-    def read_out(self, row) -> list:
-        """The entries of the dense row vector row @ B."""
-        out = []
-        for jc in range(self.B.cols):
-            acc = ZERO
-            for q, x in enumerate(row):
-                if x:
-                    acc = acc + x * self.B[q, jc]
-            out.append(acc)
-        return out
-
-    def word_value(self, word) -> ExactMatrix:
-        """C A^w B for a word of scalar letter indices."""
-        rows = [list(self.C.row(r)) for r in range(self.m)]
-        for l in word:
-            rows = [self.A[l].vecmat(r) for r in rows]
-        return ExactMatrix(self.m, self.m, [x for r in rows for x in self.read_out(r)])
-
-
 def _hstack(parts) -> ExactMatrix:
     entries = []
     for r in range(parts[0].rows):
@@ -212,12 +177,12 @@ def _nonzero_rows(a: ExactMatrix, offset: int = 0):
     ]
 
 
-def _b_rows(x: ScalarRep) -> dict:
+def _b_rows(x: "LinRep") -> dict:
     """The nonzero rows of B as {state: [(col, value)]}."""
     return {q: row for q, row in enumerate(_nonzero_rows(x.B)) if row}
 
 
-def _constant_term(x: ScalarRep, b_rows: dict) -> ExactMatrix:
+def _constant_term(x: "LinRep", b_rows: dict) -> ExactMatrix:
     """CB, the coefficient of the empty word."""
     m = x.m
     out = [ZERO] * (m * m)
@@ -269,32 +234,32 @@ def _add_combination(row: dict, u, c_rows):
 
 
 class LinRep:
-    """A series about a base point, stored as its scalar automaton.
+    """A series about a base point, stored as its scalar automaton: C
+    (m x D), one SparseMatrix of size D per scalar letter (``A``) and
+    B (D x m), with m and the letters those of the base point.
 
-    ``dim`` is the dimension n of the block form; the automaton has
-    D = m*n states.  Instances are immutable.
+    ``states`` is D and ``dim`` the dimension n = max(1, ceil(D/m)); a
+    compiled representation has D = m*n states, a minimized one any
+    number.  Instances are immutable.
     """
 
-    __slots__ = ("basepoint", "automaton")
+    __slots__ = ("basepoint", "C", "A", "B", "alphabet")
 
-    def __init__(self, basepoint: BasePoint, automaton: ScalarRep):
-        m, D = basepoint.m, automaton.dim
+    def __init__(self, basepoint: BasePoint, C: ExactMatrix, A, B: ExactMatrix, alphabet=None):
+        A = tuple(A)
+        m, D = basepoint.m, C.cols
         if (
-            automaton.m != m
-            or automaton.letters != basepoint.letters
-            or D % m
-            or (automaton.C.rows, automaton.C.cols) != (m, D)
-            or (automaton.B.rows, automaton.B.cols) != (D, m)
-            or len(automaton.A) != m * m * len(basepoint.letters)
-            or any(a.n != D for a in automaton.A)
+            C.rows != m
+            or (B.rows, B.cols) != (D, m)
+            or len(A) != m * m * len(basepoint.letters)
+            or any(a.n != D for a in A)
         ):
             raise DimensionMismatch("automaton does not fit the base point")
         self.basepoint = basepoint
-        self.automaton = automaton
-
-    @property
-    def dim(self) -> int:
-        return self.automaton.dim // self.basepoint.m
+        self.C = C
+        self.A = A
+        self.B = B
+        self.alphabet = alphabet
 
     @property
     def m(self) -> int:
@@ -305,17 +270,33 @@ class LinRep:
         return self.basepoint.letters
 
     @property
-    def alphabet(self):
-        return self.automaton.alphabet
+    def states(self) -> int:
+        return self.C.cols
+
+    @property
+    def dim(self) -> int:
+        return max(1, -(-self.C.cols // self.basepoint.m))
+
+    def read_out(self, row) -> list:
+        """The entries of the dense row vector row @ B."""
+        out = []
+        for jc in range(self.B.cols):
+            acc = ZERO
+            for q, x in enumerate(row):
+                if x:
+                    acc = acc + x * self.B[q, jc]
+            out.append(acc)
+        return out
+
+    def word_value(self, word) -> ExactMatrix:
+        """C A^w B for a word of scalar letter indices."""
+        rows = [list(self.C.row(r)) for r in range(self.m)]
+        for l in word:
+            rows = [self.A[l].vecmat(r) for r in rows]
+        return ExactMatrix(self.m, self.m, [x for r in rows for x in self.read_out(r)])
 
     def __repr__(self):
         return f"LinRep(m={self.m}, dim={self.dim}, letters={len(self.letters)})"
-
-
-def _rep(basepoint: BasePoint, C, mats, B, alphabet) -> LinRep:
-    return LinRep(
-        basepoint, ScalarRep(basepoint.m, basepoint.letters, C.cols, C, tuple(mats), B, alphabet)
-    )
 
 
 def automaton_rep(basepoint: BasePoint, C: ExactMatrix, entries, B: ExactMatrix, alphabet=None) -> LinRep:
@@ -326,7 +307,7 @@ def automaton_rep(basepoint: BasePoint, C: ExactMatrix, entries, B: ExactMatrix,
     mats = [SparseMatrix(C.cols) for _ in range(m * m * len(basepoint.letters))]
     for letter, i, j, row, col, value in entries:
         mats[basepoint.slot(letter) * m * m + i * m + j].add_entry(row, col, _coerce(value))
-    return _rep(basepoint, C, mats, B, alphabet)
+    return LinRep(basepoint, C, mats, B, alphabet)
 
 
 def rep_const(a: ExactMatrix, basepoint: BasePoint) -> LinRep:
@@ -335,7 +316,7 @@ def rep_const(a: ExactMatrix, basepoint: BasePoint) -> LinRep:
     if a.rows != m or a.cols != m:
         raise DimensionMismatch("constant must be m x m")
     mats = [SparseMatrix(m)] * (m * m * len(basepoint.letters))
-    return _rep(basepoint, a, mats, ExactMatrix.identity(m), None)
+    return LinRep(basepoint, a, mats, ExactMatrix.identity(m))
 
 
 def rep_var(letter: Letter, basepoint: BasePoint) -> LinRep:
@@ -349,7 +330,7 @@ def rep_var(letter: Letter, basepoint: BasePoint) -> LinRep:
             mats[slot * m * m + i * m + j] = SparseMatrix(2 * m, {i: {m + j: ONE}})
     C = _hstack([ExactMatrix.identity(m), basepoint.mats[slot]])
     B = _vstack([ExactMatrix.zeros(m, m), ExactMatrix.identity(m)])
-    return _rep(basepoint, C, mats, B, None)
+    return LinRep(basepoint, C, mats, B)
 
 
 def _sum(terms) -> LinRep:
@@ -358,21 +339,21 @@ def _sum(terms) -> LinRep:
     first = terms[0][1]
     for _, s in terms[1:]:
         _check_same_point(first, s)
-    autos = [s.automaton for _, s in terms]
-    C = _hstack([x.C if a is None else a * x.C for (a, _), x in zip(terms, autos)])
-    B = _vstack([x.B for x in autos])
+    reps = [s for _, s in terms]
+    C = _hstack([s.C if a is None else a * s.C for a, s in terms])
+    B = _vstack([x.B for x in reps])
     empty = SparseMatrix(C.cols)
     mats = []
-    for letter_mats in zip(*(x.A for x in autos)):
+    for letter_mats in zip(*(x.A for x in reps)):
         rows = dict(letter_mats[0].rows)
-        offset = autos[0].dim
-        for mat, x in zip(letter_mats[1:], autos[1:]):
+        offset = first.states
+        for mat, x in zip(letter_mats[1:], reps[1:]):
             for i, row in mat.rows.items():
                 rows[offset + i] = {offset + j: v for j, v in row.items()}
-            offset += x.dim
+            offset += x.states
         mats.append(SparseMatrix(C.cols, rows) if rows else empty)
-    alphabet = next((x.alphabet for x in autos if x.alphabet), None)
-    return _rep(first.basepoint, C, mats, B, alphabet)
+    alphabet = next((x.alphabet for x in reps if x.alphabet), None)
+    return LinRep(first.basepoint, C, mats, B, alphabet)
 
 
 def rep_add(s1: LinRep, a, s2: LinRep) -> LinRep:
@@ -385,15 +366,14 @@ def rep_add(s1: LinRep, a, s2: LinRep) -> LinRep:
 def rep_mul(s1: LinRep, s2: LinRep) -> LinRep:
     """Representation of the product S1*S2 of dimension n1 + n2."""
     _check_same_point(s1, s2)
-    x1, x2 = s1.automaton, s2.automaton
-    m, D1 = s1.m, x1.dim
-    b_rows = _b_rows(x1)
-    C = _hstack([x1.C, _constant_term(x1, b_rows) * x2.C])
-    B = _vstack([ExactMatrix.zeros(D1, m), x2.B])
-    c_rows = _nonzero_rows(x2.C, D1)
+    m, D1 = s1.m, s1.states
+    b_rows = _b_rows(s1)
+    C = _hstack([s1.C, _constant_term(s1, b_rows) * s2.C])
+    B = _vstack([ExactMatrix.zeros(D1, m), s2.B])
+    c_rows = _nonzero_rows(s2.C, D1)
     empty = SparseMatrix(C.cols)
     mats = []
-    for A1, A2 in zip(x1.A, x2.A):
+    for A1, A2 in zip(s1.A, s2.A):
         rows = {}
         # top-left block A1, top-right block (A1 B1) C2
         for i, row in A1.rows.items():
@@ -405,7 +385,7 @@ def rep_mul(s1: LinRep, s2: LinRep) -> LinRep:
         for i, row in A2.rows.items():
             rows[D1 + i] = {D1 + j: v for j, v in row.items()}
         mats.append(SparseMatrix(C.cols, rows) if rows else empty)
-    return _rep(s1.basepoint, C, mats, B, x1.alphabet or x2.alphabet)
+    return LinRep(s1.basepoint, C, mats, B, s1.alphabet or s2.alphabet)
 
 
 def rep_inv(s: LinRep) -> LinRep:
@@ -415,23 +395,22 @@ def rep_inv(s: LinRep) -> LinRep:
     raises SingularConstantTerm otherwise (base point outside the domain
     at this nesting level).
     """
-    x = s.automaton
-    m, D = s.m, x.dim
-    b_rows = _b_rows(x)
+    m, D = s.m, s.states
+    b_rows = _b_rows(s)
     try:
-        a_inv = matrix_inverse(_constant_term(x, b_rows))
+        a_inv = matrix_inverse(_constant_term(s, b_rows))
     except SingularMatrixError:
         raise SingularConstantTerm(
             "constant term of the series is singular"
         ) from None
-    ac = a_inv * x.C
+    ac = a_inv * s.C
     C = _hstack([-ac, a_inv])
     B = _vstack([ExactMatrix.zeros(D, m), ExactMatrix.identity(m)])
     minus_ac = _nonzero_rows(-ac)
     inv_cols = [[(D + k, a_inv[t, k]) for k in range(m) if a_inv[t, k]] for t in range(m)]
     empty = SparseMatrix(D + m)
     mats = []
-    for A in x.A:
+    for A in s.A:
         # A' = [[A - (A B) a^-1 C, (A B) a^-1], [0, 0]]
         rows = {}
         for i, row in A.rows.items():
@@ -443,7 +422,7 @@ def rep_inv(s: LinRep) -> LinRep:
             if row:
                 rows[i] = row
         mats.append(SparseMatrix(D + m, rows) if rows else empty)
-    return _rep(s.basepoint, C, mats, B, x.alphabet)
+    return LinRep(s.basepoint, C, mats, B, s.alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +489,7 @@ def compile_expression(e: RatExpr, basepoint, letter_reps: Mapping | None = None
             raise DomainError("base point outside dom r", path) from None
 
     rep = walk(e.node, ())
-    return LinRep(basepoint, replace(rep.automaton, alphabet=e.alphabet))
+    return LinRep(basepoint, rep.C, rep.A, rep.B, e.alphabet)
 
 
 def _shared_nodes(root) -> set:
@@ -530,10 +509,16 @@ def _shared_nodes(root) -> set:
     return shared
 
 
-def scalarize(s: LinRep) -> ScalarRep:
-    """The automaton of a representation (the image of its block form under
-    the matrix reduction isomorphism), which is the form it is stored in."""
-    return s.automaton
+def scalarize(s: LinRep) -> LinRep:
+    """The scalar automaton of a representation, which is the
+    representation itself: a LinRep stores nothing else.
+
+    It stays a separate step because perfbench's layer tracer times it
+    (``realization.scalarize_s``) and reads the automaton's sizes off its
+    result; ``perfbench/test_perfbench.py::test_missing_layer_function_is_absent``
+    deletes it and expects ``realization.closure_s`` to remain.
+    """
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -542,42 +527,47 @@ def scalarize(s: LinRep) -> ScalarRep:
 
 
 def is_zero(s: LinRep) -> bool:
-    """Exact zero test via reachability closure of the scalarized automaton.
+    """Exact zero test via reachability closure of the automaton.
 
     The closure of the column span of B under all scalar-letter matrices
-    stabilizes within m*n steps; the series is zero iff C annihilates it.
+    stabilizes within D steps; the series is zero iff C annihilates it.
     """
     return scalar_rep_is_zero(scalarize(s))
 
 
-def scalar_rep_is_zero(sr: ScalarRep) -> bool:
-    """Exact zero test of a scalarized representation: whether C
-    annihilates the fraction-free reachability closure of B."""
-    _, c_rows = gaussian_rows(_sparse_rows(sr.C))
-    m = sr.C.rows
+def scalar_rep_is_zero(s: LinRep) -> bool:
+    """The closure that is_zero runs: whether C annihilates the
+    fraction-free reachability closure of B.
+
+    It stays a function of its own because perfbench's layer tracer times
+    it as ``realization.closure_s``, which
+    ``perfbench/test_perfbench.py::test_missing_layer_function_is_absent``
+    expects to be present when ``scalarize`` is deleted.
+    """
+    _, c_rows = gaussian_rows(_sparse_rows(s.C))
+    m = s.C.rows
 
     def observed(row):
         re, im = gaussian_matvec(c_rows, row, m)
         return any(re) or (im is not None and any(im))
 
-    return _closure(sr, stop=observed) is not None
+    return _closure(s, stop=observed) is not None
 
 
-def is_zero_by_enumeration(s: LinRep | ScalarRep) -> bool:
-    """Cross-check oracle: test all scalar words of length < dim directly
-    (dim = m*n for a scalarized LinRep).
+def is_zero_by_enumeration(s: LinRep) -> bool:
+    """Cross-check oracle: test all scalar words of length < D, the number
+    of states, directly.
 
-    Exponential in the dimension; intended for dim <= 4 desk checks.
+    Exponential in D; intended for D <= 4 desk checks.
     """
-    sr = s if isinstance(s, ScalarRep) else scalarize(s)
-    bound = sr.dim
+    bound = s.states
 
     def dfs(rows, depth):
-        if any(any(sr.read_out(r)) for r in rows):
+        if any(any(s.read_out(r)) for r in rows):
             return False
         if depth + 1 >= bound:
             return True
-        for mat in sr.A:
+        for mat in s.A:
             nxt = [mat.vecmat(r) for r in rows]
             if all(not any(x for x in r) for r in nxt):
                 continue
@@ -585,7 +575,7 @@ def is_zero_by_enumeration(s: LinRep | ScalarRep) -> bool:
                 return False
         return True
 
-    rows = [list(sr.C.row(r)) for r in range(sr.C.rows)]
+    rows = [list(s.C.row(r)) for r in range(s.m)]
     return dfs(rows, 0)
 
 
@@ -668,9 +658,8 @@ def scalar_alphabet(m: int, letters, alphabet=None) -> Alphabet:
 
 def coefficient(s: LinRep, word) -> GenPoly:
     """The exact coefficient [S, w] at a word of base letters."""
-    sr = scalarize(s)
     galph = scalar_alphabet(s.m, s.letters, s.alphabet)
-    m, D = s.m, sr.dim
+    m, D = s.m, s.states
     mm = m * m
     slots = []
     for letter in word:
@@ -681,12 +670,12 @@ def coefficient(s: LinRep, word) -> GenPoly:
 
     # rows of C as polynomial row vectors, then multiply through the word
     rows = [
-        [NcPoly.constant(galph, sr.C[r, q]) for q in range(D)] for r in range(m)
+        [NcPoly.constant(galph, s.C[r, q]) for q in range(D)] for r in range(m)
     ]
     for slot in slots:
         new_rows = [[NcPoly.zero(galph) for _ in range(D)] for _ in range(m)]
         for loc in range(mm):
-            mat = sr.A[slot * mm + loc]
+            mat = s.A[slot * mm + loc]
             if not mat.rows:
                 continue
             letter_poly = NcPoly.var(galph, slot * mm + loc + 1)
@@ -708,7 +697,7 @@ def coefficient(s: LinRep, word) -> GenPoly:
             for q in range(D):
                 p = rows[r][q]
                 if not p.is_zero():
-                    acc = acc + p.scale(sr.B[q, jc])
+                    acc = acc + p.scale(s.B[q, jc])
             grid_row.append(acc)
         grid.append(tuple(grid_row))
     return GenPoly(m, s.letters, tuple(grid))
@@ -723,25 +712,24 @@ def coefficient_table(s: LinRep, max_len: int):
     """
     if s.m != 1:
         raise DimensionMismatch("coefficient_table requires a scalar base point")
-    sr = scalarize(s)
     L = len(s.letters)
     out = {}
 
     def dfs(row, word):
-        (v,) = sr.read_out(row)
+        (v,) = s.read_out(row)
         if v:
             out[word] = v
         if len(word) == max_len:
             return
         for slot in range(L):
-            mat = sr.A[slot]
+            mat = s.A[slot]
             if not mat.rows:
                 continue
             nxt = mat.vecmat(row)
             if any(x for x in nxt):
                 dfs(nxt, word + (s.letters[slot],))
 
-    dfs(list(sr.C.row(0)), ())
+    dfs(list(s.C.row(0)), ())
     return out
 
 
@@ -760,7 +748,7 @@ def eval_rep(s: LinRep, point) -> ExactMatrix:
         point = tuple(point[l] for l in s.letters)
     if len(point) != len(s.letters):
         raise DimensionMismatch("one point matrix per letter required")
-    m, sr = s.m, s.automaton
+    m = s.m
     size = point[0].rows
     if size % m:
         raise DimensionMismatch(f"point size {size} is not a multiple of m={m}")
@@ -768,14 +756,14 @@ def eval_rep(s: LinRep, point) -> ExactMatrix:
     for mat in point:
         if not mat.is_square or mat.rows != size:
             raise DimensionMismatch("point matrices must be square of equal size")
-    N = sr.dim * sfac
+    N = s.states * sfac
     entries = list(ExactMatrix.identity(N).entries)
     for slot in range(len(s.letters)):
         shift = point[slot] - embed(s.basepoint.mats[slot], sfac)
         blocks = split_blocks(shift, m)
         for i in range(m):
             for j in range(m):
-                mat = sr.A[slot * m * m + i * m + j]
+                mat = s.A[slot * m * m + i * m + j]
                 y = [(t, u, x) for t in range(sfac) for u, x in enumerate(blocks[i][j].row(t)) if x]
                 if not mat.rows or not y:
                     continue
@@ -790,7 +778,7 @@ def eval_rep(s: LinRep, point) -> ExactMatrix:
         raise ResolventSingular(
             "structured system matrix singular at this point"
         ) from None
-    return embed(sr.C, sfac) * core_inv * embed(sr.B, sfac)
+    return embed(s.C, sfac) * core_inv * embed(s.B, sfac)
 
 
 # ---------------------------------------------------------------------------
@@ -816,8 +804,8 @@ def _transposed(rows: dict) -> dict:
     return out
 
 
-def _closure(sr: ScalarRep, transpose=False, stop=None, coords=False):
-    """Span of the columns of B under the letter matrices of sr or, with
+def _closure(s: LinRep, transpose=False, stop=None, coords=False):
+    """Span of the columns of B under the letter matrices of s or, with
     ``transpose``, of the rows of C under the transposed letter matrices,
     on FractionFreeBasis.
 
@@ -831,11 +819,12 @@ def _closure(sr: ScalarRep, transpose=False, stop=None, coords=False):
     none.
     """
     if transpose:
-        starts = [gaussian_vector(sr.C.row(r)) for r in range(sr.C.rows)]
+        starts = [gaussian_vector(s.C.row(r)) for r in range(s.C.rows)]
     else:
-        starts = [gaussian_vector(sr.B.col(j)) for j in range(sr.B.cols)]
-    letters = [l for l, mat in enumerate(sr.A) if mat.rows]
-    basis = FractionFreeBasis(sr.dim)
+        starts = [gaussian_vector(s.B.col(j)) for j in range(s.B.cols)]
+    letters = [l for l, mat in enumerate(s.A) if mat.rows]
+    D = s.states
+    basis = FractionFreeBasis(D)
     found, converted = {}, {}
     queue = deque((None, j) for j in range(len(starts)))
     while queue:
@@ -844,10 +833,10 @@ def _closure(sr: ScalarRep, transpose=False, stop=None, coords=False):
             d, v = starts[k]
         else:
             if l not in converted:
-                rows = sr.A[l].rows
+                rows = s.A[l].rows
                 converted[l] = gaussian_rows(_transposed(rows) if transpose else rows)
             d, rows = converted[l]
-            v = gaussian_matvec(rows, basis.vectors[k], sr.dim)
+            v = gaussian_matvec(rows, basis.vectors[k], D)
         steps = [] if coords else None
         new = basis.add(v, steps)
         if new is not None:
@@ -859,23 +848,11 @@ def _closure(sr: ScalarRep, transpose=False, stop=None, coords=False):
     return basis, found
 
 
-def _empty_rep(sr: ScalarRep) -> ScalarRep:
-    return ScalarRep(
-        sr.m,
-        sr.letters,
-        0,
-        ExactMatrix(sr.C.rows, 0, []),
-        tuple(SparseMatrix(0) for _ in sr.A),
-        ExactMatrix(0, sr.B.cols, []),
-        sr.alphabet,
-    )
-
-
-def _letter_matrices(sr: ScalarRep, n: int, found, transpose):
+def _letter_matrices(s: LinRep, n: int, found, transpose):
     """One SparseMatrix of size n per letter from closure coordinates:
     entry (j, k) is coordinate j of letter l at basis row k, or entry
     (k, j) with ``transpose``."""
-    mats = [SparseMatrix(n) for _ in sr.A]
+    mats = [SparseMatrix(n) for _ in s.A]
     for (l, k), coords in found.items():
         if l is None:
             continue
@@ -884,7 +861,7 @@ def _letter_matrices(sr: ScalarRep, n: int, found, transpose):
                 mats[l].add_entry(k, j, x)
             else:
                 mats[l].add_entry(j, k, x)
-    return tuple(mats)
+    return mats
 
 
 def _times_vectors(a: ExactMatrix, vectors):
@@ -897,47 +874,33 @@ def _times_vectors(a: ExactMatrix, vectors):
     return out
 
 
-def minimize_scalar(s: LinRep | ScalarRep):
-    """Restrict to the reachable then observable subspace.
+def minimize_scalar(s: LinRep):
+    """Restrict the automaton to the reachable then observable subspace.
 
-    Returns (reduced ScalarRep, n_min).  Coefficients are unchanged; the
-    result is a minimal scalar-level representation of the series.  Both
-    passes run on the fraction-free closure, whose reductions already give
-    the coordinates of every A_l v in the basis.  When C annihilates the
-    reachable subspace, which is the zero verdict, the empty
-    representation is returned at once.
+    Returns (reduced LinRep, D_min), D_min its number of states.
+    Coefficients are unchanged, and the result is a minimal automaton of
+    the series, about the same base point.  Both passes run on the
+    fraction-free closure, whose reductions already give the coordinates
+    of every A_l v in the basis.  When C annihilates the reachable
+    subspace, which is the zero verdict, the automaton with no states is
+    returned at once.
     """
-    sr = s if isinstance(s, ScalarRep) else scalarize(s)
-    m, cols = sr.C.rows, sr.B.cols
+    m, bp = s.m, s.basepoint
 
     # reachable pass, basis V: V B1 = B, V A1_l = A_l V, C1 = C V
-    reach, found = _closure(sr, coords=True)
+    reach, found = _closure(s, coords=True)
     r = len(reach)
-    cv = _times_vectors(sr.C, reach.vectors)
+    cv = _times_vectors(s.C, reach.vectors)
     if not any(x for col in cv for x in col):
-        return _empty_rep(sr), 0
+        empty = [SparseMatrix(0)] * len(s.A)
+        return LinRep(bp, ExactMatrix(m, 0, []), empty, ExactMatrix(0, m, []), s.alphabet), 0
     C1 = ExactMatrix(m, r, [cv[k][i] for i in range(m) for k in range(r)])
-    B1 = ExactMatrix(r, cols, [found[(None, j)].get(k, ZERO) for k in range(r) for j in range(cols)])
-    mid = ScalarRep(sr.m, sr.letters, r, C1, _letter_matrices(sr, r, found, False), B1, sr.alphabet)
+    B1 = ExactMatrix(r, m, [found[(None, j)].get(k, ZERO) for k in range(r) for j in range(m)])
+    mid = LinRep(bp, C1, _letter_matrices(s, r, found, False), B1, s.alphabet)
 
     # observable pass, basis W (rows): C2 W = C1, A2_l W = W A1_l, B2 = W B1
     obs, found = _closure(mid, transpose=True, coords=True)
     t = len(obs)
     C2 = ExactMatrix(m, t, [found[(None, i)].get(j, ZERO) for i in range(m) for j in range(t)])
-    B2 = ExactMatrix(t, cols, [x for row in _times_vectors(B1.transpose(), obs.vectors) for x in row])
-    out = ScalarRep(sr.m, sr.letters, t, C2, _letter_matrices(mid, t, found, True), B2, sr.alphabet)
-    return out, t
-
-
-def compile_minimal(e: RatExpr, basepoint: BasePoint) -> LinRep:
-    """A minimal representation of e about the base point: the minimized
-    compile of e, padded with zero states up to a positive multiple of m
-    (a zero series keeps dimension 1).  Raises DomainError like
-    compile_expression."""
-    sr, t = minimize_scalar(compile_expression(e, basepoint))
-    m = basepoint.m
-    D = max(1, -(-t // m)) * m
-    pad = D - t
-    C = _hstack([sr.C, ExactMatrix.zeros(m, pad)])
-    B = _vstack([sr.B, ExactMatrix.zeros(pad, m)])
-    return _rep(basepoint, C, [SparseMatrix(D, a.rows) for a in sr.A], B, sr.alphabet)
+    B2 = ExactMatrix(t, m, [x for row in _times_vectors(B1.transpose(), obs.vectors) for x in row])
+    return LinRep(bp, C2, _letter_matrices(mid, t, found, True), B2, s.alphabet), t

@@ -97,7 +97,7 @@ def _dot(u, v):
 
 def reference_is_zero(sr) -> bool:
     """C annihilates the closure of B's columns under the letter matrices."""
-    basis = EchelonBasis(sr.dim)
+    basis = EchelonBasis(sr.C.cols)
     queue = deque(list(sr.B.col(j)) for j in range(sr.B.cols))
     while queue:
         red = basis.add(queue.popleft())
@@ -112,7 +112,7 @@ def reference_is_zero(sr) -> bool:
 
 
 def reachable_basis(sr) -> list:
-    basis = EchelonBasis(sr.dim)
+    basis = EchelonBasis(sr.C.cols)
     queue = deque(list(sr.B.col(j)) for j in range(sr.B.cols))
     while queue:
         red = basis.add(queue.popleft())
@@ -122,7 +122,7 @@ def reachable_basis(sr) -> list:
 
 
 def observable_basis(sr) -> list:
-    basis = EchelonBasis(sr.dim)
+    basis = EchelonBasis(sr.C.cols)
     queue = deque(list(sr.C.row(r)) for r in range(sr.C.rows))
     while queue:
         red = basis.add(queue.popleft())

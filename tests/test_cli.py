@@ -344,6 +344,30 @@ class TestUsageErrors:
         code, out, err = run_cli(*argv)
         assert code == 2 and err.startswith("error:") and out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--point", "scalar:1"],
+        ["eval", "--point", "scalar:1", "--expr", "X1", "--poly", "X1"],
+        ["falsify", "--sizes", "1..2", "--seed", "1"],
+        ["falsify", "--sizes", "1..2", "--seed", "1", "--expr", "X1", "--poly", "X1"],
+    ], ids=["eval-neither", "eval-both", "falsify-neither", "falsify-both"])
+    def test_expr_or_poly_exactly_once(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+        assert exc.value.code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("usage: ncrat") and "--expr" in err.getvalue()
+
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--expr", "X1^-1", "--g", "1", "--basepoint", "scalar:1", "--order", "-2"],
+        ["gram-export", "--poly", "0", "--g", "1", "--d", "-1", "--out", "{out}"],
+    ], ids=["expand", "gram-export"])
+    def test_negative_word_length(self, tmp_path, argv):
+        path = tmp_path / "gram.txt"
+        code, out, err = run_cli(*(a.replace("{out}", str(path)) for a in argv))
+        assert code == 2 and err.startswith("error:") and out == ""
+        assert not path.exists()
+
     def test_unknown_letter(self):
         code, _, err = run_cli("member", "--ideal", "T", "--g", "1",
                                "--poly", "X9")

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from ncrat.core import ExactMatrix, Scalar, matrix_inverse
 from ncrat.ncpoly import Letter
 from ncrat.realization import (
-    ScalarRep,
+    BasePoint,
+    LinRep,
     SparseMatrix,
     is_zero_by_enumeration,
     minimize_scalar,
@@ -44,9 +45,10 @@ def _unit_triangular(draw, n, lower):
 
 @st.composite
 def automata(draw):
-    """(ScalarRep, zero): an automaton whose first k coordinates span an
-    invariant subspace holding B, seen through a random change of basis P.
-    With zero, C vanishes on that subspace, so the series is zero."""
+    """(LinRep, zero): an automaton, about a zero base point, whose first k
+    coordinates span an invariant subspace holding B, seen through a random
+    change of basis P.  With zero, C vanishes on that subspace, so the
+    series is zero.  The number of states need not be a multiple of m."""
     m = draw(st.integers(1, 2))
     base_letters = draw(st.integers(1, 2)) if m == 1 else 1
     k, h = draw(st.integers(1, 3)), draw(st.integers(0, 2))
@@ -71,16 +73,18 @@ def automata(draw):
         mats.append(sm)
     B = P * matrix(n, m, lambda i, j: i < k)
     C = matrix(m, n, lambda i, j: j >= k or not zero) * P_inv
-    letters = tuple(Letter(i + 1, False) for i in range(base_letters))
-    return ScalarRep(m, letters, n, C, tuple(mats), B), zero
+    bp = BasePoint.from_mapping(
+        {Letter(i + 1, False): ExactMatrix.zeros(m, m) for i in range(base_letters)}
+    )
+    return LinRep(bp, C, mats, B), zero
 
 
 @SETTINGS
 @given(automata())
 def test_closure_matches_reference_and_enumeration(case):
-    sr, zero = case
-    verdict = scalar_rep_is_zero(sr)
-    assert verdict == reference_is_zero(sr) == is_zero_by_enumeration(sr)
+    rep, zero = case
+    verdict = scalar_rep_is_zero(rep)
+    assert verdict == reference_is_zero(rep) == is_zero_by_enumeration(rep)
     if zero:
         assert verdict
 
@@ -88,10 +92,11 @@ def test_closure_matches_reference_and_enumeration(case):
 @SETTINGS
 @given(automata(), st.data())
 def test_minimization_preserves_words_and_is_minimal(case, data):
-    sr, _ = case
-    red, n_min = minimize_scalar(sr)
-    assert red.dim == n_min == reference_minimal_dimension(sr)
-    assert (n_min == 0) == scalar_rep_is_zero(sr)
-    word = st.lists(st.integers(0, len(sr.A) - 1), max_size=5)
+    rep, _ = case
+    red, n_min = minimize_scalar(rep)
+    assert red.states == n_min == reference_minimal_dimension(rep)
+    assert red.basepoint == rep.basepoint
+    assert (n_min == 0) == scalar_rep_is_zero(rep)
+    word = st.lists(st.integers(0, len(rep.A) - 1), max_size=5)
     for w in data.draw(st.lists(word, min_size=1, max_size=8)):
-        assert red.word_value(tuple(w)) == sr.word_value(tuple(w))
+        assert red.word_value(tuple(w)) == rep.word_value(tuple(w))

@@ -15,6 +15,7 @@ from ncrat.errors import (
     SpecError,
 )
 from ncrat.ideals import (
+    BUILTIN_KINDS,
     RRIdeal,
     builtin_ideal,
     custom_ideal,
@@ -26,7 +27,7 @@ from ncrat.ideals import (
     witness_size,
     zero_set_sampler,
 )
-from ncrat.ncpoly import Alphabet, Letter, NcPoly
+from ncrat.ncpoly import Alphabet, Letter, NcPoly, words_up_to
 from ncrat.ratexpr import format_expression, parse_poly
 from ncrat.realization import coefficient, coefficient_table, compile_expression, is_zero
 
@@ -51,6 +52,13 @@ class TestBuiltins:
             builtin_ideal("Sprime", 1)
         with pytest.raises(GOutOfRange):
             builtin_ideal("T", 0)
+
+    def test_star_is_derived_from_the_domain_kind(self):
+        # a star ideal is one with a structured *-zero set to sample
+        assert "star" not in {f.name for f in fields(RRIdeal)}
+        for kind in BUILTIN_KINDS:
+            ideal = builtin_ideal(kind, 3 if kind == "CommInv" else 2)
+            assert ideal.star == (kind in ("T", "S", "U")) == (ideal.domain_kind is not None)
 
     @pytest.mark.parametrize("kind, g", [("Tprime", 0), ("Uprime", 0), ("U", -1), ("U", 10), ("Uprime", 10)])
     def test_g_range_belongs_to_the_constructor_and_the_alphabet(self, kind, g):
@@ -491,11 +499,7 @@ class TestCustomIdeals:
         (rep,) = ideal.resolvent_reps.values()
         worked = comminv_resolvent_rep(ideal.basepoint, ideal.alphabet)
         assert rep.dim == worked.dim == 3
-        words, layer = [()], [()]
-        for _ in range(4):
-            layer = [w + (l,) for w in layer for l in ideal.basepoint.letters]
-            words.extend(layer)
-        for w in words:
+        for w in words_up_to(ideal.basepoint.letters, 4):
             assert coefficient(rep, w) == coefficient(worked, w), w
 
     def test_malformed_spec(self):

@@ -12,7 +12,7 @@ from ncrat.errors import (
     SpecError,
     ZeroPolynomialError,
 )
-from ncrat.ncpoly import Alphabet, Letter, NcPoly, word_star
+from ncrat.ncpoly import Alphabet, Letter, NcPoly, grlex_key, word_star, words_up_to
 
 from conftest import random_exact_matrix
 
@@ -181,3 +181,13 @@ def test_support_is_graded_lex():
         + NcPoly.one(A2)
     )
     assert f.support() == [(), (Letter(2),), (Letter(1), Letter(1))]
+
+
+def test_words_up_to_is_grlex_over_grlex_letters():
+    letters = [Letter(i, s) for i in (1, 2) for s in (False, True)]
+    words = words_up_to(letters, 3)
+    assert len(words) == 1 + 4 + 16 + 64
+    assert words == sorted(words, key=grlex_key)
+    assert words_up_to(letters, 0) == [()]
+    with pytest.raises(SpecError):
+        words_up_to(letters, -1)

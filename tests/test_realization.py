@@ -12,7 +12,7 @@ from ncrat.errors import (
     SingularConstantTerm,
     SpecError,
 )
-from ncrat.ncpoly import Alphabet, Letter, NcPoly
+from ncrat.ncpoly import Alphabet, Letter, NcPoly, words_up_to
 from ncrat import realization
 from ncrat.ratexpr import Add, Const, Inv, Mul, RatExpr, Var, parse_expression, substitute_letters
 from ncrat.realization import (
@@ -21,7 +21,6 @@ from ncrat.realization import (
     coefficient,
     coefficient_table,
     compile_expression,
-    compile_minimal,
     eval_rep,
     is_zero,
     is_zero_by_enumeration,
@@ -46,15 +45,6 @@ BP2x2 = BasePoint.from_mapping({L1: E12, L2: E21})
 
 def compile_text(text, bp, g=2):
     return compile_expression(parse_expression(text, Alphabet.x(g)), bp)
-
-
-def words_up_to(letters, order):
-    out = [()]
-    layer = [()]
-    for _ in range(order):
-        layer = [w + (l,) for w in layer for l in letters]
-        out.extend(layer)
-    return out
 
 
 class TestConstructors:
@@ -204,9 +194,8 @@ class TestCompile:
         assert len(calls) == 1
         b = compile_expression(tree, BP1)
         assert len(calls) == 4
-        sa, sb = scalarize(a), scalarize(b)
-        assert (sa.dim, sa.C, sa.B) == (sb.dim, sb.C, sb.B)
-        assert [x.rows for x in sa.A] == [x.rows for x in sb.A]
+        assert (a.states, a.C, a.B) == (b.states, b.C, b.B)
+        assert [x.rows for x in a.A] == [x.rows for x in b.A]
         assert is_zero(rep_add(a, ExactMatrix.scalar(1, -1), b))
 
     def test_shared_singular_subtree_reports_first_path(self):
@@ -266,37 +255,37 @@ class TestZeroTest:
 
 class TestScalarize:
     def test_m1_identification(self):
-        # for m = 1 the scalar letters are the base letters themselves
+        # for m = 1 the scalar letters are the base letters themselves, and
+        # the automaton is the representation itself
         s = rep_var(L1, BP1)
-        sr = scalarize(s)
-        assert sr.dim == s.dim
-        assert sr.word_value(()) == ExactMatrix.from_rows([[1]])
-        assert sr.word_value((0,)) == ExactMatrix.from_rows([[1]])
-        assert sr.word_value((1,)).is_zero()
-        assert sr.word_value((0, 0)).is_zero()
+        assert scalarize(s) is s
+        assert s.states == s.dim == 2
+        assert s.word_value(()) == ExactMatrix.from_rows([[1]])
+        assert s.word_value((0,)) == ExactMatrix.from_rows([[1]])
+        assert s.word_value((1,)).is_zero()
+        assert s.word_value((0, 0)).is_zero()
 
     def test_state_size(self):
-        # D = m*n, and scalar letter slot*m^2 + i*m + j is the (i, j) entry
-        # of the base letter: its word values are the coefficients of that
-        # letter in the generalized polynomial coefficient()
+        # a compiled automaton has D = m*n states, and scalar letter
+        # slot*m^2 + i*m + j is the (i, j) entry of the base letter: its
+        # word values are the coefficients of that letter in the
+        # generalized polynomial coefficient()
         s = compile_text("(X1*X2 - X2*X1)^-1", BP2x2)
-        sr = scalarize(s)
-        assert sr.dim == s.m * s.dim
+        assert s.states == s.m * s.dim
         for slot, letter in enumerate(s.letters):
             gp = coefficient(s, (letter,))
             for i in range(2):
                 for j in range(2):
                     idx = slot * 4 + i * 2 + j
-                    value = sr.word_value((idx,))
+                    value = s.word_value((idx,))
                     for r in range(2):
                         for c in range(2):
                             assert gp.entries[r][c].coeff((Letter(idx + 1, False),)) == value[r, c]
 
     def test_zero_rep(self):
         s = rep_const(ExactMatrix.zeros(2, 2), BP2x2)
-        sr = scalarize(s)
-        assert all(a.nnz() == 0 for a in sr.A)
-        assert (sr.C * sr.B).is_zero()
+        assert all(a.nnz() == 0 for a in s.A)
+        assert (s.C * s.B).is_zero()
         assert is_zero(s)
         assert minimize_scalar(s)[1] == 0
 
@@ -372,30 +361,56 @@ class TestMinimize:
 
     def test_coefficients_preserved(self):
         s = compile_text("(1 + X1*X2)^-1", BP1)
-        sr = scalarize(s)
         red, nmin = minimize_scalar(s)
-        assert nmin <= sr.dim
+        assert nmin <= s.states
         rng = random.Random(32)
         for _ in range(40):
             length = rng.randint(0, 5)
-            word = tuple(rng.randrange(len(sr.A)) for _ in range(length))
-            assert sr.word_value(word) == red.word_value(word)
+            word = tuple(rng.randrange(len(s.A)) for _ in range(length))
+            assert s.word_value(word) == red.word_value(word)
 
-    def test_compile_minimal(self):
-        # the minimized compile realizes the same series in the minimal
-        # dimension; a zero series keeps m states, so n = 1
+    def test_minimized_rep(self):
+        # the minimized automaton is a LinRep about the same base point that
+        # realizes the same series with D_min states; a zero series has no
+        # states and dimension 1
         s = compile_text("(1 + X1*X2)^-1", BP1)
-        small = compile_minimal(parse_expression("(1 + X1*X2)^-1", Alphabet.x(2)), BP1)
-        assert small.dim == minimize_scalar(s)[1] < s.dim
+        small, t = minimize_scalar(s)
+        assert small.states == small.dim == t < s.dim
+        assert small.basepoint == s.basepoint
         assert is_zero(rep_add(s, ExactMatrix.scalar(1, -1), small))
         for bp in (BP1, BP2x2):
-            zero = compile_minimal(parse_expression("X1 - X1", Alphabet.x(2)), bp)
-            assert (zero.dim, zero.automaton.dim) == (1, bp.m)
+            zero, t = minimize_scalar(compile_text("X1 - X1", bp))
+            assert (zero.states, zero.dim, t) == (0, 1, 0)
             assert is_zero(zero)
-        inv = compile_minimal(parse_expression("(X1*X2 - X2*X1)^-1", Alphabet.x(2)), BP2x2)
-        assert inv.dim == 3 and inv.alphabet == Alphabet.x(2)
-        with pytest.raises(DomainError):
-            compile_minimal(parse_expression("X1^-1", Alphabet.x(2)), BasePoint.scalars([0, 1]))
+        inv, t = minimize_scalar(compile_text("(X1*X2 - X2*X1)^-1", BP2x2))
+        assert (inv.states, inv.dim, t) == (6, 3, 6) and inv.alphabet == Alphabet.x(2)
+        # D_min need not be a multiple of m: E11 (Y + p) has 3 states
+        odd, t = minimize_scalar(rep_mul(rep_const(ExactMatrix.unit(2, 0, 0), BP2x2), rep_var(L1, BP2x2)))
+        assert (odd.states, odd.dim, t) == (3, 2, 3)
+
+    def test_minimized_rep_feeds_every_operation(self):
+        # evaluation, coefficients, products and the zero test take a
+        # minimized automaton, of any number of states, and give the values
+        # of the compiled one
+        point = (ExactMatrix.from_rows([[1, 2], [3, 4]]), ExactMatrix.from_rows([[0, 1], [5, 1]]))
+        other = compile_text("(1 + X1*X2)^-1", BP2x2)
+        e11 = rep_const(ExactMatrix.unit(2, 0, 0), BP2x2)
+        for s in (
+            rep_mul(e11, compile_text("X1", BP2x2)),
+            compile_text("(X1*X2 - X2*X1)^-1", BP2x2),
+            compile_text("X1 - X1", BP2x2),
+        ):
+            small, _ = minimize_scalar(s)
+            assert eval_rep(small, point) == eval_rep(s, point)
+            for w in words_up_to((L1, L2), 2):
+                assert coefficient(small, w) == coefficient(s, w)
+            for prod, ref in (
+                (rep_mul(small, other), rep_mul(s, other)),
+                (rep_mul(other, small), rep_mul(other, s)),
+            ):
+                assert eval_rep(prod, point) == eval_rep(ref, point)
+                assert is_zero(rep_add(prod, ExactMatrix.scalar(2, -1), ref))
+            assert is_zero(small) == is_zero(s)
 
     def test_equivalent_expressions_same_minimum(self):
         # X1 (X2 X1)^{-1} and (X1 X2)^{-1} X1 agree as rational functions
