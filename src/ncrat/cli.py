@@ -27,7 +27,7 @@ from .ideals import (
     is_member,
     witness_size,
 )
-from .ncpoly import STAR_RULES, Alphabet, Letter, NcPoly, _point_binding, words_up_to
+from .ncpoly import Alphabet, Letter, NcPoly, _point_binding, words_up_to
 from .positivity import (
     SohsCertificate,
     export_gram,
@@ -137,7 +137,7 @@ def cmd_eval(args) -> int:
     expr = parse_expression(text, _alphabet_for(args, text))
     bp = _parse_basepoint(args.point, expr)
     point = {l: bp[l] for l in sorted(expr.letters_used())}
-    value = expr.eval(point, star_rule=args.star_rule)
+    value = expr.eval(point)
     _emit(args, {"value": value.to_json()}, f"value = {value!r}")
     return 0
 
@@ -170,8 +170,9 @@ def cmd_zero_test(args) -> int:
     rep = compile_expression(expr, bp)
     # minimization stops at the empty automaton exactly when C annihilates
     # the reachable space, which is the zero verdict
-    _, nmin = minimize_scalar(rep)
-    zero = nmin == 0
+    red, states = minimize_scalar(rep)
+    zero = states == 0
+    nmin = 0 if zero else red.dim
     _emit(
         args,
         {"zero": zero, "dimension": rep.dim, "minimal_dimension": nmin},
@@ -375,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_text(p)
     p.add_argument("--g", type=int, default=2)
     p.add_argument("--point", required=True, help="scalar:v[,v...] or file:PATH")
-    p.add_argument("--star-rule", choices=STAR_RULES, default="adjoint")
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 

@@ -96,12 +96,6 @@ class RatExpr:
     def height(self) -> int:
         return height(self)
 
-    def star(self) -> "RatExpr":
-        return star_expression(self)
-
-    def substitute(self, mapping) -> "RatExpr":
-        return substitute_letters(self, mapping)
-
     def eval(self, point, star_rule: str = "adjoint"):
         return eval_expression(self, point, star_rule)
 

@@ -21,8 +21,12 @@ b in A^{n x 1}, in which the series is c (I_n - sum_l A^{Y_l})^{-1} b:
 block q, entry (r, c) of it is state q*m + r, and letter (l, i, j) has
 index slot(l)*m^2 + i*m + j.
 
-Zero testing is a reachability closure on the automaton, and
-minimization restricts it to the reachable and observable subspaces.
+Zero testing is a reachability closure on the automaton.  Minimization
+is one reachable pass run twice: it restricts the automaton to its
+reachable space, then to the reachable space of the transposed automaton
+(B^T, {A_l^T}, C^T), which is the observable space.  Coefficients are
+read by one depth-first walk over words, which shares no code with the
+closure and so checks it independently.
 """
 
 from __future__ import annotations
@@ -560,28 +564,49 @@ def is_zero_by_enumeration(s: LinRep) -> bool:
 
     Exponential in D; intended for D <= 4 desk checks.
     """
-    bound = s.states
-
-    def dfs(rows, depth):
-        if any(any(s.read_out(r)) for r in rows):
-            return False
-        if depth + 1 >= bound:
-            return True
-        for mat in s.A:
-            nxt = [mat.vecmat(r) for r in rows]
-            if all(not any(x for x in r) for r in nxt):
-                continue
-            if not dfs(nxt, depth + 1):
-                return False
-        return True
-
-    rows = [list(s.C.row(r)) for r in range(s.m)]
-    return dfs(rows, 0)
+    every_letter = range(len(s.A))
+    return all(v.is_zero() for _, v in _word_values(s, [every_letter] * (s.states - 1)))
 
 
 # ---------------------------------------------------------------------------
 # Coefficients as generalized polynomials
 # ---------------------------------------------------------------------------
+
+
+def _word_values(s: LinRep, choices):
+    """(w, C A^w B) for the scalar words w with w[t] in choices[t] and
+    |w| <= len(choices), depth first, shorter words before their
+    extensions and letters in the order of each choice.
+
+    The m rows of C A^w are kept as sparse {state: value} dicts.  A word
+    whose rows all vanish is pruned with its extensions, so every word
+    left out has coefficient 0.
+    """
+    m, last = s.m, len(choices)
+    b_rows = _b_rows(s)
+    start = [{q: x for q, x in enumerate(s.C.row(r)) if x} for r in range(m)]
+    stack = [((), start)]
+    while stack:
+        word, rows = stack.pop()
+        if not any(rows):
+            continue
+        value = [ZERO] * (m * m)
+        for r, row in enumerate(rows):
+            u = _times_B(row, b_rows, m)
+            if u is not None:
+                value[r * m : (r + 1) * m] = [ZERO if x is None else x for x in u]
+        yield word, ExactMatrix(m, m, value)
+        if len(word) == last:
+            continue
+        for l in reversed(choices[len(word)]):
+            arows = s.A[l].rows
+            nxt = []
+            for row in rows:
+                hits = [q for q in row if q in arows]
+                new = {}
+                _add_combination(new, [row[q] for q in hits], [arows[q].items() for q in hits])
+                nxt.append(new)
+            stack.append((word + (l,), nxt))
 
 
 @dataclass
@@ -604,15 +629,6 @@ class GenPoly:
             if not p.is_zero()
         ]
         return max(degs) if degs else 0
-
-    def __eq__(self, other):
-        if not isinstance(other, GenPoly):
-            return NotImplemented
-        return (
-            self.m == other.m
-            and self.letters == other.letters
-            and self.entries == other.entries
-        )
 
     def eval(self, point: Sequence) -> ExactMatrix:
         """Evaluate at exact matrices of size m*s (one per base letter).
@@ -657,50 +673,27 @@ def scalar_alphabet(m: int, letters, alphabet=None) -> Alphabet:
 
 
 def coefficient(s: LinRep, word) -> GenPoly:
-    """The exact coefficient [S, w] at a word of base letters."""
+    """The exact coefficient [S, w] at a word of base letters: entry (r, c)
+    is the sum of (C A^v B)[r, c] v over the scalar words v of the fiber
+    of w, which take one of the m^2 scalar letters of each base letter."""
     galph = scalar_alphabet(s.m, s.letters, s.alphabet)
-    m, D = s.m, s.states
-    mm = m * m
-    slots = []
+    m, mm = s.m, s.m * s.m
+    choices = []
     for letter in word:
         try:
-            slots.append(s.letters.index(letter))
+            slot = s.letters.index(letter)
         except ValueError:
             raise MissingLetter(f"letter {letter} not in the representation") from None
-
-    # rows of C as polynomial row vectors, then multiply through the word
-    rows = [
-        [NcPoly.constant(galph, s.C[r, q]) for q in range(D)] for r in range(m)
-    ]
-    for slot in slots:
-        new_rows = [[NcPoly.zero(galph) for _ in range(D)] for _ in range(m)]
-        for loc in range(mm):
-            mat = s.A[slot * mm + loc]
-            if not mat.rows:
-                continue
-            letter_poly = NcPoly.var(galph, slot * mm + loc + 1)
-            for r in range(m):
-                row = rows[r]
-                for q, arow in mat.rows.items():
-                    p = row[q]
-                    if p.is_zero():
-                        continue
-                    moved = p * letter_poly
-                    for qq, val in arow.items():
-                        new_rows[r][qq] = new_rows[r][qq] + moved.scale(val)
-        rows = new_rows
-    grid = []
-    for r in range(m):
-        grid_row = []
-        for jc in range(m):
-            acc = NcPoly.zero(galph)
-            for q in range(D):
-                p = rows[r][q]
-                if not p.is_zero():
-                    acc = acc + p.scale(s.B[q, jc])
-            grid_row.append(acc)
-        grid.append(tuple(grid_row))
-    return GenPoly(m, s.letters, tuple(grid))
+        choices.append(range(slot * mm, (slot + 1) * mm))
+    terms = [{} for _ in range(mm)]
+    for v, value in _word_values(s, choices):
+        if len(v) == len(choices):
+            monomial = tuple(Letter(l + 1, False) for l in v)
+            for k, x in enumerate(value.entries):
+                if x:
+                    terms[k][monomial] = x
+    grid = tuple(tuple(NcPoly(galph, terms[r * m + c]) for c in range(m)) for r in range(m))
+    return GenPoly(m, s.letters, grid)
 
 
 def coefficient_table(s: LinRep, max_len: int):
@@ -708,29 +701,15 @@ def coefficient_table(s: LinRep, max_len: int):
 
     Returns {word: Scalar}; the scalar is the coefficient of the monomial
     w itself (for m = 1 every coefficient is a multiple of its word).
-    Uses depth-first row propagation with zero pruning.
     """
     if s.m != 1:
         raise DimensionMismatch("coefficient_table requires a scalar base point")
-    L = len(s.letters)
-    out = {}
-
-    def dfs(row, word):
-        (v,) = s.read_out(row)
-        if v:
-            out[word] = v
-        if len(word) == max_len:
-            return
-        for slot in range(L):
-            mat = s.A[slot]
-            if not mat.rows:
-                continue
-            nxt = mat.vecmat(row)
-            if any(x for x in nxt):
-                dfs(nxt, word + (s.letters[slot],))
-
-    dfs(list(s.C.row(0)), ())
-    return out
+    every_letter = range(len(s.letters))
+    return {
+        tuple(s.letters[l] for l in w): v.entries[0]
+        for w, v in _word_values(s, [every_letter] * max_len)
+        if v.entries[0]
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -804,10 +783,9 @@ def _transposed(rows: dict) -> dict:
     return out
 
 
-def _closure(s: LinRep, transpose=False, stop=None, coords=False):
-    """Span of the columns of B under the letter matrices of s or, with
-    ``transpose``, of the rows of C under the transposed letter matrices,
-    on FractionFreeBasis.
+def _closure(s: LinRep, stop=None, coords=False):
+    """Span of the columns of B under the letter matrices of s, on
+    FractionFreeBasis.
 
     Each new basis row is first passed to ``stop``; the closure returns
     None as soon as that is true.  Otherwise it returns (basis, found).
@@ -818,10 +796,7 @@ def _closure(s: LinRep, transpose=False, stop=None, coords=False):
     when first popped, so a closure that stops at a start vector converts
     none.
     """
-    if transpose:
-        starts = [gaussian_vector(s.C.row(r)) for r in range(s.C.rows)]
-    else:
-        starts = [gaussian_vector(s.B.col(j)) for j in range(s.B.cols)]
+    starts = [gaussian_vector(s.B.col(j)) for j in range(s.B.cols)]
     letters = [l for l, mat in enumerate(s.A) if mat.rows]
     D = s.states
     basis = FractionFreeBasis(D)
@@ -833,8 +808,7 @@ def _closure(s: LinRep, transpose=False, stop=None, coords=False):
             d, v = starts[k]
         else:
             if l not in converted:
-                rows = s.A[l].rows
-                converted[l] = gaussian_rows(_transposed(rows) if transpose else rows)
+                converted[l] = gaussian_rows(s.A[l].rows)
             d, rows = converted[l]
             v = gaussian_matvec(rows, basis.vectors[k], D)
         steps = [] if coords else None
@@ -848,22 +822,6 @@ def _closure(s: LinRep, transpose=False, stop=None, coords=False):
     return basis, found
 
 
-def _letter_matrices(s: LinRep, n: int, found, transpose):
-    """One SparseMatrix of size n per letter from closure coordinates:
-    entry (j, k) is coordinate j of letter l at basis row k, or entry
-    (k, j) with ``transpose``."""
-    mats = [SparseMatrix(n) for _ in s.A]
-    for (l, k), coords in found.items():
-        if l is None:
-            continue
-        for j, x in coords.items():
-            if transpose:
-                mats[l].add_entry(k, j, x)
-            else:
-                mats[l].add_entry(j, k, x)
-    return mats
-
-
 def _times_vectors(a: ExactMatrix, vectors):
     """The Scalar entries of a @ v for each Gaussian-integer vector v."""
     d, rows = gaussian_rows(_sparse_rows(a))
@@ -874,33 +832,45 @@ def _times_vectors(a: ExactMatrix, vectors):
     return out
 
 
+def _reachable(s: LinRep) -> LinRep:
+    """The automaton restricted to its reachable space, the closure of the
+    columns of B, with the closure's basis V: B = V B1, A_l V = V A1_l and
+    C1 = C V.  The closure's reductions already give the coordinates of B
+    and of every A_l v."""
+    basis, found = _closure(s, coords=True)
+    m, r = s.m, len(basis)
+    mats = [SparseMatrix(r) for _ in s.A]
+    for (l, k), coords in found.items():
+        if l is not None:
+            for j, x in coords.items():
+                mats[l].add_entry(j, k, x)
+    cv = _times_vectors(s.C, basis.vectors)
+    C1 = ExactMatrix(m, r, [cv[k][i] for i in range(m) for k in range(r)])
+    B1 = ExactMatrix(r, m, [found[(None, j)].get(k, ZERO) for k in range(r) for j in range(m)])
+    return LinRep(s.basepoint, C1, mats, B1, s.alphabet)
+
+
+def _transpose(s: LinRep) -> LinRep:
+    """The transposed automaton (B^T, {A_l^T}, C^T), which reads every word
+    backwards and transposes its coefficient; its reachable space is the
+    observable space of s."""
+    mats = [SparseMatrix(s.states, _transposed(a.rows)) for a in s.A]
+    return LinRep(s.basepoint, s.B.transpose(), mats, s.C.transpose(), s.alphabet)
+
+
 def minimize_scalar(s: LinRep):
     """Restrict the automaton to the reachable then observable subspace.
 
     Returns (reduced LinRep, D_min), D_min its number of states.
     Coefficients are unchanged, and the result is a minimal automaton of
-    the series, about the same base point.  Both passes run on the
-    fraction-free closure, whose reductions already give the coordinates
-    of every A_l v in the basis.  When C annihilates the reachable
-    subspace, which is the zero verdict, the automaton with no states is
-    returned at once.
+    the series, about the same base point.  When C annihilates the
+    reachable subspace, which is the zero verdict, the automaton with no
+    states is returned at once.
     """
-    m, bp = s.m, s.basepoint
-
-    # reachable pass, basis V: V B1 = B, V A1_l = A_l V, C1 = C V
-    reach, found = _closure(s, coords=True)
-    r = len(reach)
-    cv = _times_vectors(s.C, reach.vectors)
-    if not any(x for col in cv for x in col):
+    mid = _reachable(s)
+    if mid.C.is_zero():
+        m = s.m
         empty = [SparseMatrix(0)] * len(s.A)
-        return LinRep(bp, ExactMatrix(m, 0, []), empty, ExactMatrix(0, m, []), s.alphabet), 0
-    C1 = ExactMatrix(m, r, [cv[k][i] for i in range(m) for k in range(r)])
-    B1 = ExactMatrix(r, m, [found[(None, j)].get(k, ZERO) for k in range(r) for j in range(m)])
-    mid = LinRep(bp, C1, _letter_matrices(s, r, found, False), B1, s.alphabet)
-
-    # observable pass, basis W (rows): C2 W = C1, A2_l W = W A1_l, B2 = W B1
-    obs, found = _closure(mid, transpose=True, coords=True)
-    t = len(obs)
-    C2 = ExactMatrix(m, t, [found[(None, i)].get(j, ZERO) for i in range(m) for j in range(t)])
-    B2 = ExactMatrix(t, m, [x for row in _times_vectors(B1.transpose(), obs.vectors) for x in row])
-    return LinRep(bp, C2, _letter_matrices(mid, t, found, True), B2, s.alphabet), t
+        return LinRep(s.basepoint, ExactMatrix(m, 0, []), empty, ExactMatrix(0, m, []), s.alphabet), 0
+    out = _transpose(_reachable(_transpose(mid)))
+    return out, out.states

@@ -74,42 +74,37 @@ def _complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndar
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2)
 
 
-def _haar_from_rng(rng: np.random.Generator, n: int) -> np.ndarray:
+def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """A rows x cols matrix with orthonormal columns (rows >= cols): QR of
+    a complex Gaussian matrix with the phases of R's diagonal moved into Q,
+    which makes it Haar-distributed."""
     import numpy as np
 
-    z = _complex_gaussian(rng, n, n)
+    z = _complex_gaussian(rng, rows, cols)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
-    assert np.linalg.norm(q.conj().T @ q - np.eye(n)) <= FLOAT_TOL
+    assert np.linalg.norm(q.conj().T @ q - np.eye(cols)) <= FLOAT_TOL
     return q
 
 
 def haar_unitary(n: int, seed: int, index=0) -> np.ndarray:
     """Haar-distributed n x n unitary (QR of a complex Gaussian matrix with
     phase-corrected diagonal)."""
-    return _haar_from_rng(_rng(seed, index), n)
+    return _orthonormal_columns(_rng(seed, index), n, n)
 
 
 def unitary_tuple(g: int, n: int, seed: int, index=0) -> tuple:
     rng = _rng(seed, index)
-    return tuple(_haar_from_rng(rng, n) for _ in range(g))
+    return tuple(_orthonormal_columns(rng, n, n) for _ in range(g))
 
 
 def spherical_isometry_tuple(g: int, n: int, seed: int, index=0) -> tuple:
     """g matrices A_j with sum A_j^* A_j = I, from a QR-orthonormalized
     (g*n) x n complex Gaussian split into n x n blocks."""
-    import numpy as np
+    q = _orthonormal_columns(_rng(seed, index), g * n, n)
+    return tuple(q[j * n : (j + 1) * n, :] for j in range(g))
 
-    rng = _rng(seed, index)
-    z = _complex_gaussian(rng, g * n, n)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    blocks = tuple(q[j * n : (j + 1) * n, :] for j in range(g))
-    resid = sum(b.conj().T @ b for b in blocks) - np.eye(n)
-    assert np.linalg.norm(resid) <= FLOAT_TOL
-    return blocks
 
 def partitioned_unitary(g: int, n: int, seed: int, index=0) -> list:
     """A g x g grid of n x n blocks assembling to a Haar unitary of size g*n."""

@@ -87,6 +87,19 @@ class TestZeroTest:
                                "--g", "1", "--basepoint", "scalar:0")
         assert code == 2 and "error" in err
 
+    def test_minimal_dimension_is_n_for_matrix_base_points(self, tmp_path):
+        # about (E12, E21), m = 2: the compiled rep has 18 states (n = 9) and
+        # the minimized one 6 states, so n = 3 on both sides of the line
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps([E12, E21]))
+        argv = ("zero-test", "--expr", "(X1*X2-X2*X1)^-1", "--g", "2", "--basepoint", f"file:{path}")
+        code, out, _ = run_cli(*argv)
+        assert code == 1
+        assert out == "zero series: False (compiled dimension 9, minimal 3)\n"
+        code, out, _ = run_cli(*argv, "--json")
+        assert code == 1
+        assert json.loads(out) == {"zero": False, "dimension": 9, "minimal_dimension": 3}
+
 
 def _matrix(rows):
     """Exact-matrix JSON from rows of (re, im) pairs."""
@@ -95,6 +108,8 @@ def _matrix(rows):
 
 
 A_IUNIT = _matrix([[(0, 0), (0, 1)], [(0, 0), (0, 0)]])  # i * E12
+E12 = _matrix([[(0, 0), (1, 0)], [(0, 0), (0, 0)]])
+E21 = _matrix([[(0, 0), (0, 0)], [(1, 0), (0, 0)]])
 B_UPPER = _matrix([[(1, 0), (1, 0)], [(0, 0), (2, 0)]])
 
 
@@ -357,6 +372,16 @@ class TestUsageErrors:
                 main(argv)
         assert exc.value.code == 2 and out.getvalue() == ""
         assert err.getvalue().startswith("usage: ncrat") and "--expr" in err.getvalue()
+
+    def test_eval_has_no_star_rule_flag(self):
+        # the base point binds every starred letter the expression uses, so
+        # the evaluation has no star rule left to choose
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc:
+                main(["eval", "--expr", "X1 X1^*", "--g", "1", "--point", "scalar:2",
+                      "--star-rule", "formal"])
+        assert exc.value.code == 2 and "unrecognized arguments: --star-rule" in err.getvalue()
 
     @pytest.mark.parametrize("argv", [
         ["expand", "--expr", "X1^-1", "--g", "1", "--basepoint", "scalar:1", "--order", "-2"],

@@ -2,6 +2,7 @@
 non-real entries and denominators, against the Fraction reference in
 fraction_closure.py and against word enumeration."""
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from ncrat.realization import (
     BasePoint,
     LinRep,
     SparseMatrix,
+    coefficient,
     is_zero_by_enumeration,
     minimize_scalar,
     scalar_rep_is_zero,
@@ -44,12 +46,12 @@ def _unit_triangular(draw, n, lower):
 
 
 @st.composite
-def automata(draw):
+def automata(draw, ms=st.integers(1, 2)):
     """(LinRep, zero): an automaton, about a zero base point, whose first k
     coordinates span an invariant subspace holding B, seen through a random
     change of basis P.  With zero, C vanishes on that subspace, so the
     series is zero.  The number of states need not be a multiple of m."""
-    m = draw(st.integers(1, 2))
+    m = draw(ms)
     base_letters = draw(st.integers(1, 2)) if m == 1 else 1
     k, h = draw(st.integers(1, 3)), draw(st.integers(0, 2))
     zero = draw(st.booleans())
@@ -100,3 +102,25 @@ def test_minimization_preserves_words_and_is_minimal(case, data):
     word = st.lists(st.integers(0, len(rep.A) - 1), max_size=5)
     for w in data.draw(st.lists(word, min_size=1, max_size=8)):
         assert red.word_value(tuple(w)) == rep.word_value(tuple(w))
+
+
+@SETTINGS
+@given(automata(ms=st.just(2)))
+def test_coefficient_matches_word_values_on_the_fiber(case):
+    # coefficient reads the series by its word walk and word_value by dense
+    # products: entry (r, c) of [S, w] holds (C A^v B)[r, c] at every scalar
+    # word v of the fiber of w, and no other monomial
+    rep, _ = case
+    m, mm = rep.m, rep.m * rep.m
+    for word in itertools.product(rep.letters, repeat=2):
+        gp = coefficient(rep, word)
+        fiber = list(itertools.product(*(
+            range(rep.basepoint.slot(l) * mm, (rep.basepoint.slot(l) + 1) * mm) for l in word
+        )))
+        monomials = {v: tuple(Letter(i + 1, False) for i in v) for v in fiber}
+        for v in fiber:
+            value = rep.word_value(v)
+            for r in range(m):
+                for c in range(m):
+                    assert gp.entries[r][c].coeff(monomials[v]) == value[r, c]
+        assert all(set(p.terms) <= set(monomials.values()) for row in gp.entries for p in row)
