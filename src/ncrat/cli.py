@@ -17,9 +17,8 @@ import sys
 from fractions import Fraction
 
 from .core import ExactMatrix, Scalar, float_to_json
-from .errors import NcratError, SpecError
+from .errors import MALFORMED, NcratError, SpecError
 from .ideals import (
-    _MALFORMED,
     BUILTIN_KINDS,
     builtin_ideal,
     custom_ideal,
@@ -88,7 +87,7 @@ def _parse_basepoint(spec: str, expr) -> BasePoint:
         else:
             names = {expr.alphabet.letter_name(l): l for u in letters for l in (u, u.star)}
             given = {names[name]: ExactMatrix.from_json(m) for name, m in data.items() if name in names}
-    except _MALFORMED as exc:
+    except MALFORMED as exc:
         raise SpecError(f"malformed base point {spec!r}: {exc}") from exc
     binding = _point_binding(given, "adjoint")
     missing = [expr.alphabet.letter_name(l) for l in letters if l not in binding]
@@ -150,7 +149,7 @@ def cmd_expand(args) -> int:
     lines = []
     rows = []
     for w in words_up_to(rep.letters, args.order):
-        gp = coefficient(rep, w)
+        gp = coefficient(rep, w, alph)
         if gp.is_zero():
             continue
         body = "; ".join(", ".join(str(p) for p in row) for row in gp.entries)
@@ -291,7 +290,7 @@ def cmd_verify_sohs(args) -> int:
                 (parse_poly(a, alph), int(j), parse_poly(b, alph))
                 for a, j, b in spec["cofactors"]
             )
-    except _MALFORMED as exc:
+    except MALFORMED as exc:
         raise SpecError(f"malformed certificate: {exc}") from exc
     cert = SohsCertificate(squares, remainder, cofactors)
     result = verify_certificate(f, cert, ideal)
@@ -449,10 +448,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except NcratError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (NcratError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

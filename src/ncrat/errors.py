@@ -79,6 +79,11 @@ class SpecError(NcratError):
     ideal kind, a search mode, a star rule)."""
 
 
+# The errors malformed file data raises while it is read (ZeroDivisionError
+# for a zero denominator); each reader of an input file turns them into SpecError.
+MALFORMED = (KeyError, IndexError, TypeError, ValueError, AttributeError, ZeroDivisionError)
+
+
 class ResolventNotVanishing(NcratError):
     """A generator does not vanish on the graph of the proposed resolvent."""
 

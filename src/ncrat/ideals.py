@@ -42,6 +42,7 @@ from .errors import (
     ConditioningFailure,
     DomainError,
     GOutOfRange,
+    MALFORMED,
     ResolventNotVanishing,
     SpecError,
 )
@@ -151,10 +152,6 @@ def _validate(ideal: RRIdeal) -> RRIdeal:
     return ideal
 
 
-# The errors that malformed spec data raises while it is read (a zero
-# denominator in a rational entry raises ZeroDivisionError).
-_MALFORMED = (KeyError, IndexError, TypeError, ValueError, AttributeError, ZeroDivisionError)
-
 # The structured *-zero sets a star ideal samples.
 _STAR_DOMAIN_KINDS = DOMAIN_KINDS[:3]
 
@@ -188,7 +185,7 @@ def _make_ideal(name: str, alphabet: Alphabet, g: int, generators, resolvent: di
         bp = BasePoint.from_mapping(
             {_letter_from_name(alphabet, l): mat for l, mat in basepoint.items()}
         )
-    except _MALFORMED as exc:
+    except MALFORMED as exc:
         raise SpecError(f"malformed ideal spec: {exc}") from exc
 
     if not star and any(l.starred for l in resolvent):
@@ -565,6 +562,6 @@ def custom_ideal(spec) -> RRIdeal:
             raise SpecError("declared m does not match base point matrices")
         parts = (spec.get("name", "custom"), alph, g, spec["generators"], spec["resolvent"],
                  basepoint, spec["resolved"], star, spec.get("domain_kind") if star else None)
-    except _MALFORMED as exc:
+    except MALFORMED as exc:
         raise SpecError(f"malformed ideal spec: {exc}") from exc
     return _make_ideal(*parts)

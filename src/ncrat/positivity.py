@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import ExactMatrix, Scalar, ZERO
-from .errors import DegreeTooHigh, SpecError
+from .errors import MALFORMED, DegreeTooHigh, SpecError
 from .ncpoly import Alphabet, Letter, NcPoly, grlex_key, word_star, words_up_to
 from .sampler import SampleDomain, check_search, sample_point
 
@@ -220,40 +220,46 @@ def export_gram(problem: GramProblem, path: str):
 
 
 def import_gram(path: str) -> GramProblem:
+    """Read a file written by export_gram; a malformed one raises SpecError."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "gram-problem":
-        raise SpecError("not a gram-problem file")
-    d = int(head[head.index("d") + 1])
-    g = int(head[head.index("letters") + 1])
-    nbasis = int(head[head.index("basis") + 1])
-    ncons = int(head[head.index("constraints") + 1])
-    alph_line = lines[1].split()
-    if alph_line[0] != "alphabet":
-        raise SpecError("missing alphabet line")
-    alphabet = Alphabet(alph_line[1:])
-    basis = word_basis(alphabet, d)
-    if len(basis) != nbasis:
-        raise SpecError("basis size mismatch")
-    index = {w: i for i, w in enumerate(basis)}
-    constraints = []
-    for ln in lines[2:]:
-        parts = ln.split()
-        word = _word_from_text(alphabet, parts[0])
-        rhs = Scalar(Fraction(parts[1]), Fraction(parts[2]))
-        k = int(parts[3])
-        pairs = []
-        cursor = 4
-        for _ in range(k):
-            u = _word_from_text(alphabet, parts[cursor])
-            v = _word_from_text(alphabet, parts[cursor + 1])
-            pairs.append((index[u], index[v]))
-            cursor += 4
-        constraints.append(GramConstraint(word, tuple(pairs), rhs))
-    if len(constraints) != ncons:
-        raise SpecError("constraint count mismatch")
-    return GramProblem(d, g, alphabet, basis, tuple(constraints))
+    try:
+        head = lines[0].split()
+        if head[0] != "gram-problem":
+            raise SpecError("not a gram-problem file")
+        d = int(head[head.index("d") + 1])
+        g = int(head[head.index("letters") + 1])
+        nbasis = int(head[head.index("basis") + 1])
+        ncons = int(head[head.index("constraints") + 1])
+        alph_line = lines[1].split()
+        if alph_line[0] != "alphabet":
+            raise SpecError("missing alphabet line")
+        alphabet = Alphabet(alph_line[1:])
+        if g != alphabet.size:
+            raise SpecError(f"header gives {g} letters, the alphabet line {alphabet.size}")
+        basis = word_basis(alphabet, d)
+        if len(basis) != nbasis:
+            raise SpecError("basis size mismatch")
+        index = {w: i for i, w in enumerate(basis)}
+        constraints = []
+        for ln in lines[2:]:
+            parts = ln.split()
+            word = _word_from_text(alphabet, parts[0])
+            rhs = Scalar(Fraction(parts[1]), Fraction(parts[2]))
+            k = int(parts[3])
+            pairs = []
+            cursor = 4
+            for _ in range(k):
+                u = _word_from_text(alphabet, parts[cursor])
+                v = _word_from_text(alphabet, parts[cursor + 1])
+                pairs.append((index[u], index[v]))
+                cursor += 4
+            constraints.append(GramConstraint(word, tuple(pairs), rhs))
+        if len(constraints) != ncons:
+            raise SpecError("constraint count mismatch")
+        return GramProblem(d, g, alphabet, basis, tuple(constraints))
+    except MALFORMED as exc:
+        raise SpecError(f"malformed gram-problem file: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

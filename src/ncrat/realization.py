@@ -247,9 +247,9 @@ class LinRep:
     number.  Instances are immutable.
     """
 
-    __slots__ = ("basepoint", "C", "A", "B", "alphabet")
+    __slots__ = ("basepoint", "C", "A", "B")
 
-    def __init__(self, basepoint: BasePoint, C: ExactMatrix, A, B: ExactMatrix, alphabet=None):
+    def __init__(self, basepoint: BasePoint, C: ExactMatrix, A, B: ExactMatrix):
         A = tuple(A)
         m, D = basepoint.m, C.cols
         if (
@@ -263,7 +263,6 @@ class LinRep:
         self.C = C
         self.A = A
         self.B = B
-        self.alphabet = alphabet
 
     @property
     def m(self) -> int:
@@ -303,7 +302,7 @@ class LinRep:
         return f"LinRep(m={self.m}, dim={self.dim}, letters={len(self.letters)})"
 
 
-def automaton_rep(basepoint: BasePoint, C: ExactMatrix, entries, B: ExactMatrix, alphabet=None) -> LinRep:
+def automaton_rep(basepoint: BasePoint, C: ExactMatrix, entries, B: ExactMatrix) -> LinRep:
     """A representation given as an automaton: C (m x D), B (D x m) and the
     letter matrices as (letter, i, j, row, col, value) entries of scalar
     letter (letter, i, j); entries at one place add up."""
@@ -311,14 +310,12 @@ def automaton_rep(basepoint: BasePoint, C: ExactMatrix, entries, B: ExactMatrix,
     mats = [SparseMatrix(C.cols) for _ in range(m * m * len(basepoint.letters))]
     for letter, i, j, row, col, value in entries:
         mats[basepoint.slot(letter) * m * m + i * m + j].add_entry(row, col, _coerce(value))
-    return LinRep(basepoint, C, mats, B, alphabet)
+    return LinRep(basepoint, C, mats, B)
 
 
 def rep_const(a: ExactMatrix, basepoint: BasePoint) -> LinRep:
     """Dimension-1 representation of the constant series a."""
     m = basepoint.m
-    if a.rows != m or a.cols != m:
-        raise DimensionMismatch("constant must be m x m")
     mats = [SparseMatrix(m)] * (m * m * len(basepoint.letters))
     return LinRep(basepoint, a, mats, ExactMatrix.identity(m))
 
@@ -337,14 +334,13 @@ def rep_var(letter: Letter, basepoint: BasePoint) -> LinRep:
     return LinRep(basepoint, C, mats, B)
 
 
-def _sum(terms) -> LinRep:
-    """sum_k a_k S_k for (a_k, S_k), a_k an m x m matrix or None for 1: the
-    block-diagonal automaton with C = [a_1 C_1, a_2 C_2, ...]."""
-    first = terms[0][1]
-    for _, s in terms[1:]:
+def _sum(reps) -> LinRep:
+    """S_1 + S_2 + ... for a list of reps: the block-diagonal automaton with
+    C = [C_1, C_2, ...] and B = [B_1; B_2; ...]."""
+    first = reps[0]
+    for s in reps[1:]:
         _check_same_point(first, s)
-    reps = [s for _, s in terms]
-    C = _hstack([s.C if a is None else a * s.C for a, s in terms])
+    C = _hstack([x.C for x in reps])
     B = _vstack([x.B for x in reps])
     empty = SparseMatrix(C.cols)
     mats = []
@@ -356,15 +352,20 @@ def _sum(terms) -> LinRep:
                 rows[offset + i] = {offset + j: v for j, v in row.items()}
             offset += x.states
         mats.append(SparseMatrix(C.cols, rows) if rows else empty)
-    alphabet = next((x.alphabet for x in reps if x.alphabet), None)
-    return LinRep(first.basepoint, C, mats, B, alphabet)
+    return LinRep(first.basepoint, C, mats, B)
+
+
+def _scaled(a: ExactMatrix, s: LinRep) -> LinRep:
+    """a*S for an m x m matrix a: C becomes a C, and the letter matrices
+    and B are shared with s."""
+    return LinRep(s.basepoint, a * s.C, s.A, s.B)
 
 
 def rep_add(s1: LinRep, a, s2: LinRep) -> LinRep:
     """Representation of S1 + a*S2 of dimension n1 + n2."""
     if isinstance(a, (int, Scalar)):
         a = ExactMatrix.scalar(s1.m, a)
-    return _sum([(None, s1), (a, s2)])
+    return _sum([s1, _scaled(a, s2)])
 
 
 def rep_mul(s1: LinRep, s2: LinRep) -> LinRep:
@@ -389,7 +390,7 @@ def rep_mul(s1: LinRep, s2: LinRep) -> LinRep:
         for i, row in A2.rows.items():
             rows[D1 + i] = {D1 + j: v for j, v in row.items()}
         mats.append(SparseMatrix(C.cols, rows) if rows else empty)
-    return LinRep(s1.basepoint, C, mats, B, s1.alphabet or s2.alphabet)
+    return LinRep(s1.basepoint, C, mats, B)
 
 
 def rep_inv(s: LinRep) -> LinRep:
@@ -426,7 +427,7 @@ def rep_inv(s: LinRep) -> LinRep:
             if row:
                 rows[i] = row
         mats.append(SparseMatrix(D + m, rows) if rows else empty)
-    return LinRep(s.basepoint, C, mats, B, s.alphabet)
+    return LinRep(s.basepoint, C, mats, B)
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +435,10 @@ def rep_inv(s: LinRep) -> LinRep:
 # ---------------------------------------------------------------------------
 
 
-def compile_expression(e: RatExpr, basepoint, letter_reps: Mapping | None = None) -> LinRep:
-    """Compile a rational expression into a representation of e(p + y).
+def compile_expression(e: RatExpr, basepoint: BasePoint, letter_reps: Mapping | None = None) -> LinRep:
+    """Compile a rational expression into a representation of e(p + y)
+    about the BasePoint p.
 
-    ``basepoint`` is a BasePoint or a {Letter: ExactMatrix} mapping.
     ``letter_reps`` optionally binds letters to representations about that
     base point (the resolvent representations of an ideal's eliminated
     letters); every other letter used by the expression must be bound by
@@ -446,8 +447,6 @@ def compile_expression(e: RatExpr, basepoint, letter_reps: Mapping | None = None
     DomainError with the path to that node.  A node object that occurs
     several times in the expression is compiled once.
     """
-    if isinstance(basepoint, Mapping):
-        basepoint = BasePoint.from_mapping(basepoint)
     reps = dict(letter_reps or {})
     for rep in reps.values():
         if rep.basepoint != basepoint:
@@ -456,7 +455,6 @@ def compile_expression(e: RatExpr, basepoint, letter_reps: Mapping | None = None
     if missing:
         raise MissingLetter(f"base point does not bind {sorted(missing)}")
     m = basepoint.m
-    minus_one = ExactMatrix.scalar(m, -1)
     shared = _shared_nodes(e.node)
     done = {}  # id(node) -> LinRep for the shared nodes, which stay alive in e
 
@@ -477,9 +475,9 @@ def compile_expression(e: RatExpr, basepoint, letter_reps: Mapping | None = None
                 rep = reps[node.letter] = rep_var(node.letter, basepoint)
             return rep
         if isinstance(node, Add):
-            return _sum([(None, walk(child, path + (i,))) for i, child in enumerate(node.children)])
+            return _sum([walk(child, path + (i,)) for i, child in enumerate(node.children)])
         if isinstance(node, Neg):
-            return _sum([(minus_one, walk(node.child, path + (0,)))])
+            return _scaled(ExactMatrix.scalar(m, -1), walk(node.child, path + (0,)))
         if isinstance(node, Mul):
             acc = walk(node.children[0], path + (0,))
             for i, child in enumerate(node.children[1:], start=1):
@@ -492,8 +490,7 @@ def compile_expression(e: RatExpr, basepoint, letter_reps: Mapping | None = None
         except SingularConstantTerm:
             raise DomainError("base point outside dom r", path) from None
 
-    rep = walk(e.node, ())
-    return LinRep(basepoint, rep.C, rep.A, rep.B, e.alphabet)
+    return walk(e.node, ())
 
 
 def _shared_nodes(root) -> set:
@@ -672,11 +669,12 @@ def scalar_alphabet(m: int, letters, alphabet=None) -> Alphabet:
     return Alphabet(names)
 
 
-def coefficient(s: LinRep, word) -> GenPoly:
+def coefficient(s: LinRep, word, alphabet: Alphabet | None = None) -> GenPoly:
     """The exact coefficient [S, w] at a word of base letters: entry (r, c)
     is the sum of (C A^v B)[r, c] v over the scalar words v of the fiber
-    of w, which take one of the m^2 scalar letters of each base letter."""
-    galph = scalar_alphabet(s.m, s.letters, s.alphabet)
+    of w, which take one of the m^2 scalar letters of each base letter.
+    ``alphabet`` names the base letters in them (by default letter k is Xk)."""
+    galph = scalar_alphabet(s.m, s.letters, alphabet)
     m, mm = s.m, s.m * s.m
     choices = []
     for letter in word:
@@ -723,8 +721,6 @@ def eval_rep(s: LinRep, point) -> ExactMatrix:
         (C (x) I_s) (I - sum A_(l,i,j) (x) Y_(l,i,j))^{-1} (B (x) I_s),
 
     where Y_(l,i,j) is block (i, j) of point_l - p_l (x) I_s."""
-    if isinstance(point, Mapping):
-        point = tuple(point[l] for l in s.letters)
     if len(point) != len(s.letters):
         raise DimensionMismatch("one point matrix per letter required")
     m = s.m
@@ -847,7 +843,7 @@ def _reachable(s: LinRep) -> LinRep:
     cv = _times_vectors(s.C, basis.vectors)
     C1 = ExactMatrix(m, r, [cv[k][i] for i in range(m) for k in range(r)])
     B1 = ExactMatrix(r, m, [found[(None, j)].get(k, ZERO) for k in range(r) for j in range(m)])
-    return LinRep(s.basepoint, C1, mats, B1, s.alphabet)
+    return LinRep(s.basepoint, C1, mats, B1)
 
 
 def _transpose(s: LinRep) -> LinRep:
@@ -855,7 +851,7 @@ def _transpose(s: LinRep) -> LinRep:
     backwards and transposes its coefficient; its reachable space is the
     observable space of s."""
     mats = [SparseMatrix(s.states, _transposed(a.rows)) for a in s.A]
-    return LinRep(s.basepoint, s.B.transpose(), mats, s.C.transpose(), s.alphabet)
+    return LinRep(s.basepoint, s.B.transpose(), mats, s.C.transpose())
 
 
 def minimize_scalar(s: LinRep):
@@ -871,6 +867,6 @@ def minimize_scalar(s: LinRep):
     if mid.C.is_zero():
         m = s.m
         empty = [SparseMatrix(0)] * len(s.A)
-        return LinRep(s.basepoint, ExactMatrix(m, 0, []), empty, ExactMatrix(0, m, []), s.alphabet), 0
+        return LinRep(s.basepoint, ExactMatrix(m, 0, []), empty, ExactMatrix(0, m, [])), 0
     out = _transpose(_reachable(_transpose(mid)))
     return out, out.states

@@ -137,6 +137,17 @@ class TestExpandAndEval:
         # B (i E12)^* = B (-i E21) = [[-i, 0], [-2i, 0]]
         assert json.loads(out)["value"]["entries"] == [["0", "-1"], ["0", "0"], ["0", "-2"], ["0", "0"]]
 
+    def test_expand_names_letters_from_the_expression_alphabet(self, tmp_path):
+        code, out, _ = run_cli("expand", "--expr", "Y1^-1 + X1", "--g", "1",
+                               "--basepoint", "scalar:2", "--order", "2")
+        assert code == 0 and "[S, Y1] = [-1/4*Y1]" in out
+        # about (E12, E21) the scalar letters of X1 and Y1 are X1_ij and Y1_ij
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps([E12, E21]))
+        code, out, _ = run_cli("expand", "--expr", "(X1*Y1 - Y1*X1)^-1", "--g", "1",
+                               "--basepoint", f"file:{path}", "--order", "1")
+        assert code == 0 and "Y1_21" in out and "X1_12" in out
+
     def test_basepoint_file_by_name(self, tmp_path):
         # a starred name binds that letter itself; a bare name also binds
         # its starred letter, to the conjugate transpose
@@ -392,6 +403,17 @@ class TestUsageErrors:
         code, out, err = run_cli(*(a.replace("{out}", str(path)) for a in argv))
         assert code == 2 and err.startswith("error:") and out == ""
         assert not path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["member", "--ideal-file", "{dir}", "--poly", "X1"],
+        ["verify-sohs", "--cert", "{dir}", "--ideal", "T", "--g", "1"],
+        ["zero-test", "--expr", "X1", "--g", "1", "--basepoint", "file:{dir}"],
+        ["gram-export", "--poly", "X1^* X1", "--g", "1", "--d", "1", "--out", "{dir}"],
+    ], ids=lambda argv: argv[0])
+    def test_directory_path(self, tmp_path, argv):
+        # reading or writing a directory is an input error, not a negative
+        code, out, err = run_cli(*(a.replace("{dir}", str(tmp_path)) for a in argv))
+        assert code == 2 and err.startswith("error:") and out == ""
 
     def test_unknown_letter(self):
         code, _, err = run_cli("member", "--ideal", "T", "--g", "1",

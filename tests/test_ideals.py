@@ -490,14 +490,14 @@ class TestCustomIdeals:
     def test_sprime_resolvent_is_the_worked_realization(self, g):
         ideal = builtin_ideal("Sprime", g)
         (rep,) = ideal.resolvent_reps.values()
-        worked = sprime_resolvent_rep(g, ideal.basepoint, ideal.alphabet)
+        worked = sprime_resolvent_rep(g, ideal.basepoint)
         assert rep.dim == worked.dim == g + 1
         assert coefficient_table(rep, 6) == coefficient_table(worked, 6)
 
     def test_comminv_resolvent_is_the_worked_realization(self):
         ideal = builtin_ideal("CommInv", 3)
         (rep,) = ideal.resolvent_reps.values()
-        worked = comminv_resolvent_rep(ideal.basepoint, ideal.alphabet)
+        worked = comminv_resolvent_rep(ideal.basepoint)
         assert rep.dim == worked.dim == 3
         for w in words_up_to(ideal.basepoint.letters, 4):
             assert coefficient(rep, w) == coefficient(worked, w), w

@@ -163,6 +163,23 @@ class TestExport:
         for a, b in zip(problem.constraints, again.constraints):
             assert a.word == b.word and a.pairs == b.pairs and a.rhs == b.rhs
 
+    @pytest.mark.parametrize("old, new", [
+        ("X1^* -1 0 2 1 X1^* 1 0 X1 1 1 0", "X1^* -1 0 2 1 X1^* 1 0 X1"),
+        ("X1^* -1 0 2", "X1^* -1/x 0 2"),
+        (" letters 1", ""),
+        ("X1X1 0 0 1 X1^* X1 1 0", "X1X1 0 0 1 X1^*X1 X1 1 0"),
+        ("letters 1", "letters 2"),
+    ], ids=["truncated-line", "bad-rational", "no-letters", "word-outside-basis",
+            "letters-not-the-alphabet"])
+    def test_malformed_file_is_a_spec_error(self, tmp_path, old, new):
+        path = tmp_path / "problem.gram"
+        export_gram(gram_constraints(parse_poly("(1 - X1)^*(1 - X1)", AL), 1), str(path))
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        with pytest.raises(SpecError):
+            import_gram(str(path))
+
     def test_header_counts(self, tmp_path):
         f = parse_poly("X1^*X1 + X1 X1^*", AL)
         problem = gram_constraints(f, 2)
