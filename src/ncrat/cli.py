@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("falsify", help="numeric counterexample search")
+    p = sub.add_parser("falsify", help="counterexample search")
     _add_text(p)
     p.add_argument("--domain", default="unitaries",
                    choices=DOMAIN_KINDS)

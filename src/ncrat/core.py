@@ -614,6 +614,14 @@ def embed(a: ExactMatrix, s: int) -> ExactMatrix:
 
 
 def float_to_json(a) -> dict:
+    """A float or exact matrix as float pairs ``[re, im]``; an ExactMatrix
+    is converted without numpy."""
+    if isinstance(a, ExactMatrix):
+        return {
+            "rows": a.rows,
+            "cols": a.cols,
+            "entries": [[float(x.re), float(x.im)] for x in a.entries],
+        }
     import numpy as np
 
     a = np.asarray(a, dtype=complex)

@@ -71,8 +71,6 @@ from .sampler import (
     DOMAIN_KINDS,
     SampleDomain,
     Witness,
-    _complex_gaussian,
-    _rng,
     check_search,
     falsify,
     sample_point,
@@ -406,10 +404,12 @@ def is_member(
     f is compiled with each resolved letter bound to the ideal's resolvent
     representation (RRIdeal.oracle_rep); substituting the resolvent
     expressions and compiling realizes the same series.
-    With ``find_witness`` a numeric counterexample is searched for
-    non-members at sizes up to witness_size(f, ideal).  ``trials`` and
-    ``tol`` go through sampler.check_search, and f must be over the ideal's
-    alphabet (AlphabetMismatch), whether or not a witness is searched.
+    With ``find_witness`` a non-member gets a counterexample searched at
+    sizes up to witness_size(f, ideal): an exact point of the graph of the
+    resolvent for a non-star ideal, a float sample of its *-zero set for a
+    star ideal (zero_set_sampler).  ``trials`` and ``tol`` go through
+    sampler.check_search, and f must be over the ideal's alphabet
+    (AlphabetMismatch), whether or not a witness is searched.
     """
     check_search(trials, tol=tol)
     if is_zero(ideal.oracle_rep(f)):
@@ -417,9 +417,8 @@ def is_member(
     witness = None
     if find_witness and f:
         limit = witness_size(f, ideal)
-        witness = find_zero_set_witness(
-            f, ideal, sizes=range(1, limit + 1), trials=trials, seed=seed, tol=tol
-        )
+        witness = falsify(f, zero_set_sampler(ideal), range(1, limit + 1), trials, seed,
+                          "nonzero", tol)
     return MembershipVerdict(False, witness)
 
 
@@ -439,16 +438,18 @@ def witness_size(f: NcPoly, ideal: RRIdeal) -> int:
 
 
 def zero_set_sampler(ideal: RRIdeal):
-    """A callable (n, seed, trial) -> float point tuple in alphabet order.
+    """A callable (n, seed, trial) -> point tuple in alphabet order.
 
     Star ideals sample their structured *-zero set (unitaries, spherical
-    isometries, partitioned unitaries); other ideals sample the graph of
-    the resolvent: random x' and computed x'' = r(x').  A graph point
-    takes up to 20 Gaussian draws of x', each on its own substream
-    (trial, attempt).  When r is undefined or not finite at all of them,
-    the sampler raises ConditioningFailure and falsify leaves the size:
-    the graph is then almost surely empty there (CommInv has no 1 x 1
-    points, because scalars commute).
+    isometries, partitioned unitaries) in floats.  Other ideals give exact
+    points of the graph of the resolvent, which is their zero set: every
+    x' letter an n x n ExactMatrix of Gaussian integers with real and
+    imaginary parts in -3..3, and x'' = r(x') evaluated exactly.  A graph
+    point takes up to 20 draws of x', each from its own stdlib stream
+    random.Random(f"graph/{seed}/{n}/{trial}/{attempt}").  When r is
+    undefined at all of them, the sampler raises ConditioningFailure and
+    falsify leaves the size: the graph is then almost surely empty there
+    (CommInv has no 1 x 1 points, because scalars commute).
     """
     if ideal.star:
         domain = SampleDomain(ideal.domain_kind, ideal.g)
@@ -458,11 +459,13 @@ def zero_set_sampler(ideal: RRIdeal):
     size = ideal.alphabet.size
 
     def sample(n, seed, trial):
-        import numpy as np
-
         for attempt in range(20):
-            rng = _rng(seed, (trial, attempt))
-            binding = {l: _complex_gaussian(rng, n, n) for l in xprime}
+            rng = random.Random(f"graph/{seed}/{n}/{trial}/{attempt}")
+            binding = {
+                l: ExactMatrix(n, n, [Scalar(rng.randint(-3, 3), rng.randint(-3, 3))
+                                      for _ in range(n * n)])
+                for l in xprime
+            }
             try:
                 for l in ideal.resolved:
                     binding[l] = eval_expression(
@@ -470,8 +473,7 @@ def zero_set_sampler(ideal: RRIdeal):
                     )
             except DomainError:
                 continue
-            if all(np.all(np.isfinite(binding[l])) for l in binding):
-                return tuple(binding[Letter(i, False)] for i in range(1, size + 1))
+            return tuple(binding[Letter(i, False)] for i in range(1, size + 1))
         raise ConditioningFailure("could not sample a graph point")
 
     return sample
@@ -485,7 +487,16 @@ def find_zero_set_witness(
     seed: int = 0,
     tol: float = 1e-10,
 ) -> Witness | None:
-    """Numeric search for a zero-set point where f does not vanish."""
+    """Search for a zero-set point where f does not vanish.
+
+    The exact oracle runs first: when f vanishes on the zero set no point
+    can witness anything, and None is returned without sampling.
+    Otherwise falsify searches the points of zero_set_sampler (exact
+    graph points for a non-star ideal).
+    """
+    sizes = check_search(trials, sizes, tol)
+    if is_zero(ideal.oracle_rep(f)):
+        return None
     return falsify(f, zero_set_sampler(ideal), sizes, trials, seed, "nonzero", tol)
 
 

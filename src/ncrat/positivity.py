@@ -237,9 +237,11 @@ def import_gram(path: str) -> GramProblem:
         alphabet = Alphabet(alph_line[1:])
         if g != alphabet.size:
             raise SpecError(f"header gives {g} letters, the alphabet line {alphabet.size}")
-        basis = word_basis(alphabet, d)
-        if len(basis) != nbasis:
+        # the basis has sum_{k<=d} (2g)^k words, at least 2^d when g >= 1:
+        # compare that count with the header before enumerating the basis
+        if (g and d > nbasis.bit_length()) or sum((2 * g) ** k for k in range(d + 1)) != nbasis:
             raise SpecError("basis size mismatch")
+        basis = word_basis(alphabet, d)
         index = {w: i for i, w in enumerate(basis)}
         constraints = []
         for ln in lines[2:]:

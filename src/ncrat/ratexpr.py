@@ -447,7 +447,8 @@ def eval_expression(e: RatExpr, point, star_rule: str = "adjoint"):
 
     Exact matrices give an exact value; numpy arrays evaluate in floats.
     A singular inverse raises DomainError carrying the path of child
-    indices from the root to the offending Inv node.
+    indices from the root to the offending Inv node.  A node shared by
+    several parents (the DAG of a symbolic inverse) is evaluated once.
     """
     binding = _point_binding(point, star_rule)
     n = _point_size(binding)
@@ -459,7 +460,15 @@ def eval_expression(e: RatExpr, point, star_rule: str = "adjoint"):
 
         ident = np.eye(n, dtype=complex)
 
+    done = {}  # id(node) -> value; the nodes stay alive in e
+
     def walk(node: Node, path: tuple):
+        value = done.get(id(node))
+        if value is None:
+            value = done[id(node)] = evaluate(node, path)
+        return value
+
+    def evaluate(node: Node, path: tuple):
         if isinstance(node, Const):
             if exact:
                 return ident.scale(node.value)

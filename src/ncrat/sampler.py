@@ -1,10 +1,11 @@
-"""Random structured matrix tuples and the numeric falsification search.
+"""Random structured matrix tuples and the falsification search.
 
-Sampling is deterministic: every draw comes from a counter-based Philox
-stream keyed by (seed, trial index, ...), so identical seeds reproduce
-bit-identical samples and distinct trials are independent substreams.
-Structural residuals (unitarity, isometry, ...) are checked to 1e-10
-after every draw.
+Sampling is deterministic: every float draw comes from a counter-based
+Philox stream keyed by (seed, trial index, ...), so identical seeds
+reproduce bit-identical samples and distinct trials are independent
+substreams.  Structural residuals (unitarity, isometry, ...) are checked
+to 1e-10 after every draw.  falsify also searches exact points (the
+graph points of ideals.zero_set_sampler) and scores them without numpy.
 """
 
 from __future__ import annotations
@@ -168,13 +169,15 @@ class Witness:
     trial: int
     seed: int
     point: tuple
-    value: np.ndarray
+    value: np.ndarray | ExactMatrix  # exact exactly when the point is
     score: float
 
     def to_json(self):
+        """``point`` and ``value`` as float pairs; an exact point also
+        gives ``exact_point``, each matrix as ExactMatrix.to_json."""
         from .core import float_to_json
 
-        return {
+        data = {
             "size": self.size,
             "trial": self.trial,
             "seed": self.seed,
@@ -182,6 +185,9 @@ class Witness:
             "point": [float_to_json(p) for p in self.point],
             "value": float_to_json(self.value),
         }
+        if isinstance(self.value, ExactMatrix):
+            data["exact_point"] = [p.to_json() for p in self.point]
+        return data
 
 
 def _evaluate(f, point):
@@ -190,6 +196,26 @@ def _evaluate(f, point):
     if isinstance(f, RatExpr):
         return eval_expression(f, point, star_rule="adjoint")
     raise TypeError(f"cannot evaluate {type(f).__name__}")
+
+
+def _score(value, mode: str) -> float:
+    """How far a value is from vanishing (nonzero mode) or from PSD
+    (negative-eigenvalue mode); NaN for a float value that is not finite.
+    An exact value is scored without numpy in nonzero mode, and as floats
+    in negative-eigenvalue mode."""
+    if isinstance(value, ExactMatrix):
+        if mode == "nonzero":
+            return max(abs(x.to_complex()) for x in value.entries)
+        value = [[x.to_complex() for x in value.row(i)] for i in range(value.rows)]
+    import numpy as np
+
+    value = np.asarray(value, dtype=complex)
+    if not np.all(np.isfinite(value)):
+        return math.nan
+    if mode == "nonzero":
+        return float(np.max(np.abs(value)))
+    herm = (value + value.conj().T) / 2
+    return float(-np.min(np.linalg.eigvalsh(herm)))
 
 
 def falsify(
@@ -204,11 +230,13 @@ def falsify(
     """Search for a sample where f does not vanish (or is not PSD).
 
     ``domain`` is a SampleDomain or a callable (n, seed, trial) -> point
-    tuple.  In ``nonzero`` mode a witness has some entry of |f(point)|
-    above tol; in ``negative-eigenvalue`` mode the Hermitian part of the
-    value has an eigenvalue below -tol.  Returns the first witness in
-    (size, trial) order, or None.  The settings and the mode (one of
-    FALSIFY_MODES) are checked, as SpecError, before anything is sampled.
+    tuple, float or exact.  In ``nonzero`` mode a witness has some entry
+    of |f(point)| above tol, so an exact witness value is exactly nonzero;
+    in ``negative-eigenvalue`` mode the Hermitian part of the value has an
+    eigenvalue below -tol.  Returns the first witness in (size, trial)
+    order, or None.  The settings and the mode (one of FALSIFY_MODES) are
+    checked, as SpecError, before anything is sampled.  numpy is imported
+    only to sample or score float values.
 
     A ConditioningFailure from the sampler ends the current size: the
     search moves on to the next one.  At size n the domain of a
@@ -223,8 +251,6 @@ def falsify(
     sizes = check_search(trials, sizes, tol)
     if mode not in FALSIFY_MODES:
         raise SpecError(f"unknown falsify mode {mode!r}; choose from {FALSIFY_MODES}")
-    import numpy as np
-
     sample = (
         domain
         if callable(domain)
@@ -240,13 +266,7 @@ def falsify(
                 value = _evaluate(f, point)
             except DomainError:
                 continue
-            if not np.all(np.isfinite(value)):
-                continue
-            if mode == "nonzero":
-                score = float(np.max(np.abs(value)))
-            else:
-                herm = (value + value.conj().T) / 2
-                score = float(-np.min(np.linalg.eigvalsh(herm)))
+            score = _score(value, mode)
             if score > tol:
                 return Witness(n, trial, seed, point, value, score)
     return None

@@ -4,12 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import ncrat
 from ncrat.cli import main
+from ncrat.core import ExactMatrix
+from ncrat.ideals import builtin_ideal
 from ncrat.positivity import import_gram
+from ncrat.ratexpr import parse_poly
 
 
 def run_cli(*argv):
@@ -46,6 +50,31 @@ class TestMember:
                                  "--poly", "2", "--witness", "--seed", "1")
         assert code == 1 and err == ""
         assert "member = False" in out and "witness at size 1" in out
+
+    @pytest.mark.parametrize("kind, g, text", [
+        ("Tprime", 2, "X1 X2 - X2 X1 + 2 Y1"),
+        ("Sprime", 2, "X1 Y2 - Y2 X1"),
+        ("Uprime", 2, "X11 X12 - X12 X11"),
+        ("CommInv", 3, "X1 X2 - X2 X1"),
+    ])
+    def test_graph_witness_is_exact(self, kind, g, text):
+        # the exact point reloads and checks exactly: every generator
+        # vanishes there and f does not
+        code, out, _ = run_cli("member", "--ideal", kind, "--g", str(g), "--poly", text,
+                               "--witness", "--seed", "3", "--json")
+        assert code == 1
+        witness = json.loads(out)["witness"]
+        point = tuple(ExactMatrix.from_json(m) for m in witness["exact_point"])
+        assert [[float(x.re), float(x.im)] for p in point for x in p.entries] == \
+            [e for m in witness["point"] for e in m["entries"]]
+        ideal = builtin_ideal(kind, g)
+        assert all(f.eval(point).is_zero() for f in ideal.generators)
+        assert not parse_poly(text, ideal.alphabet).eval(point).is_zero()
+
+    def test_star_witness_stays_float(self):
+        code, out, _ = run_cli("member", "--ideal", "T", "--g", "2", "--poly", "X1 X2 - X2 X1",
+                               "--witness", "--seed", "4", "--json")
+        assert code == 1 and "exact_point" not in json.loads(out)["witness"]
 
 
 class TestBound:
@@ -179,6 +208,15 @@ class TestSampleAndFalsify:
                                "--poly", "1 - X1^* X1",
                                "--sizes", "1..4", "--seed", "6", "--trials", "20")
         assert code == 0 and "no witness" in out
+
+    def test_falsify_on_a_vanishing_polynomial_skips_the_search(self):
+        # the exact oracle shows that f vanishes on CommInv's zero set, so
+        # none of the sizes 1..36 is sampled
+        start = time.process_time()
+        code, out, _ = run_cli("falsify", "--ideal", "CommInv", "--g", "3",
+                               "--poly", "1 - (X1 X2 - X2 X1) X3", "--seed", "3")
+        assert code == 0 and out == "no witness found\n"
+        assert time.process_time() - start < 1.0
 
     def test_seed_printed_when_missing(self):
         code, out, _ = run_cli("falsify", "--poly", "1 - X1^* X1",
@@ -500,6 +538,24 @@ class TestImportBoundary:
             "    code = 2\n"
         )
         assert report["code"] == 2 and not report["numpy"]
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["member", "--ideal", "Tprime", "--g", "2", "--poly", "X1 X2 - X2 X1 + 2 Y1",
+          "--witness", "--seed", "1", "--json"], 1),
+        (["member", "--ideal", "CommInv", "--g", "3", "--poly", "X1 X2 - X2 X1",
+          "--witness", "--seed", "1", "--json"], 1),
+        (["falsify", "--ideal", "Tprime", "--g", "2", "--poly", "X1 X2 - X2 X1 + 2 Y1",
+          "--seed", "1", "--json"], 1),
+        (["falsify", "--ideal", "T", "--g", "1", "--poly", "1 - X1^* X1", "--seed", "1"], 0),
+    ], ids=["member-witness-Tprime", "member-witness-CommInv", "falsify-ideal-Tprime",
+            "falsify-ideal-member"])
+    def test_exact_witness_search_leaves_numpy_unloaded(self, argv, expected):
+        # graph points are exact, and a vanishing f is never searched
+        code, out, report = _fresh_cli(argv)
+        assert code == expected
+        assert not report["numpy"]
+        if expected == 1:
+            assert "exact_point" in json.loads(out)["witness"]
 
     def test_import_ncrat_loads_every_module_but_numpy(self):
         _, report = _fresh("import ncrat\n")

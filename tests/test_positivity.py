@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -179,6 +180,16 @@ class TestExport:
         path.write_text(text.replace(old, new))
         with pytest.raises(SpecError):
             import_gram(str(path))
+
+    def test_wrong_basis_count_fails_before_the_basis_is_built(self, tmp_path):
+        # d 16 over one letter has 2^17 - 1 basis words; the header's count
+        # is checked before any of them is enumerated
+        path = tmp_path / "deep.gram"
+        path.write_text("gram-problem d 16 letters 1 basis 3 constraints 0\nalphabet X1\n")
+        start = time.process_time()
+        with pytest.raises(SpecError, match="basis size mismatch"):
+            import_gram(str(path))
+        assert time.process_time() - start < 0.05
 
     def test_header_counts(self, tmp_path):
         f = parse_poly("X1^*X1 + X1 X1^*", AL)

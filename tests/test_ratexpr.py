@@ -150,6 +150,13 @@ class TestEvaluation:
             m = random_invertible(rng, n)
             assert e.eval((m,)) == ExactMatrix.identity(n)
 
+    def test_shared_nodes_evaluate_once(self):
+        # 64 levels of x + x as a DAG: 65 distinct nodes, 2^65 - 1 as a tree
+        node = Var(Letter(1, False))
+        for _ in range(64):
+            node = Add((node, node))
+        assert RatExpr(A1, node).eval((ExactMatrix.identity(1),)) == ExactMatrix.scalar(1, 2**64)
+
 
 class TestStructure:
     def test_height(self):

@@ -168,6 +168,24 @@ class TestFalsify:
                     seed=24, mode="negative-eigenvalue")
         assert w is not None and w.score >= 0.99
 
+    @pytest.mark.parametrize("mode, text, score", [
+        ("nonzero", "X1 X1 - 1", 3.0),
+        ("nonzero", "X1 X1 - 4", None),
+        ("negative-eigenvalue", "- X1^* X1", 4.0),
+        ("negative-eigenvalue", "X1^* X1", None),
+    ])
+    def test_exact_points(self, mode, text, score):
+        # an exact point is scored exactly in nonzero mode and through
+        # floats in negative-eigenvalue mode; the witness keeps it exact
+        f = parse_poly(text, Alphabet.x(1))
+        two = ExactMatrix.scalar(1, 2)
+        w = falsify(f, lambda n, seed, trial: (two,), sizes=[1], trials=3, seed=1, mode=mode)
+        if score is None:
+            assert w is None
+        else:
+            assert (w.size, w.trial, w.score) == (1, 0, score)
+            assert w.value == f.eval((two,)) and w.to_json()["exact_point"] == [two.to_json()]
+
     def test_sample_point_shapes(self):
         assert len(sample_point(SampleDomain("partitioned", 2), 3, 1, 0)) == 4
         assert len(sample_point(SampleDomain("xgn", 3), 2, 1, 0)) == 6
