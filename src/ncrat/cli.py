@@ -16,7 +16,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .core import ExactMatrix, Scalar, float_to_json
+from .core import ExactMatrix, FLOAT_TOL, Scalar, float_to_json
 from .errors import MALFORMED, NcratError, SpecError
 from .ideals import (
     BUILTIN_KINDS,
@@ -253,7 +253,7 @@ def cmd_falsify(args) -> int:
         ideal = _resolve_ideal(args)
         f = parse_poly(text, ideal.alphabet)
         sizes = _parse_sizes(args.sizes) if args.sizes else range(1, witness_size(f, ideal) + 1)
-        witness = find_zero_set_witness(f, ideal, sizes, args.trials, seed, args.tol)
+        witness = find_zero_set_witness(f, ideal, sizes, args.trials, seed, args.mode, args.tol)
     else:
         alph = _alphabet_for(args, text)
         f = parse_poly(text, alph) if args.expr is None else parse_expression(text, alph)
@@ -353,7 +353,7 @@ def _add_common(p, ideal=False, rand=False):
     if rand:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--trials", type=int, default=200)
-        p.add_argument("--tol", type=float, default=1e-10)
+        p.add_argument("--tol", type=float, default=FLOAT_TOL)
 
 
 def _add_text(p):

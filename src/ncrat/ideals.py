@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import bounds as _bounds
-from .core import ExactMatrix, Scalar
+from .core import ExactMatrix, FLOAT_TOL, Scalar
 from .errors import (
     ConditioningFailure,
     DomainError,
@@ -73,7 +73,6 @@ from .sampler import (
     Witness,
     check_search,
     falsify,
-    sample_point,
 )
 
 
@@ -155,14 +154,14 @@ _STAR_DOMAIN_KINDS = DOMAIN_KINDS[:3]
 
 
 def _make_ideal(name: str, alphabet: Alphabet, g: int, generators, resolvent: dict,
-                basepoint: dict, resolved=None, star: bool = False,
-                domain_kind: str | None = None) -> RRIdeal:
+                basepoint: dict, resolved=None, domain_kind: str | None = None) -> RRIdeal:
     """The one constructor of an RRIdeal, for the built-ins and spec files.
 
     ``generators`` are polynomial texts, ``resolvent`` maps each x'' letter
     name to an expression text or a RatExpr, ``basepoint`` maps each x'
     letter name to its matrix and ``resolved`` names the x'' letters
-    (default: the resolvent's).  Each resolvent is compiled about the base
+    (default: the resolvent's).  A star ideal names its structured *-zero
+    set in ``domain_kind``.  Each resolvent is compiled about the base
     point and minimized (a resolvent undefined there raises DomainError).
     ``g`` must be at least 1 (GOutOfRange).  Every check on the
     decomposition x = x' u x'' is made here (SpecError), then the graph
@@ -170,7 +169,7 @@ def _make_ideal(name: str, alphabet: Alphabet, g: int, generators, resolvent: di
     """
     if g < 1:
         raise GOutOfRange(f"need g >= 1, got {g}")
-    if star and domain_kind not in _STAR_DOMAIN_KINDS:
+    if domain_kind not in (None, *_STAR_DOMAIN_KINDS):
         raise SpecError(f"a star ideal needs domain_kind {', '.join(_STAR_DOMAIN_KINDS)}")
     try:
         gens = tuple(parse_poly(text, alphabet) for text in generators)
@@ -186,7 +185,7 @@ def _make_ideal(name: str, alphabet: Alphabet, g: int, generators, resolvent: di
     except MALFORMED as exc:
         raise SpecError(f"malformed ideal spec: {exc}") from exc
 
-    if not star and any(l.starred for l in resolvent):
+    if domain_kind is None and any(l.starred for l in resolvent):
         raise SpecError("starred resolvent letter in a non-star ideal")
     if set(resolvent) != resolved:
         raise SpecError("resolvent must map exactly the resolved letters")
@@ -254,7 +253,7 @@ def _builtin_cached(kind: str, g: int) -> RRIdeal:
             generators=[text for pair in pairs for text in (pair[::-1] if star else pair)],
             resolvent={y[j]: f"X{j}^-1" for j in js},
             basepoint={f"X{j}": one for j in js},
-            star=star, domain_kind="unitaries" if star else None,
+            domain_kind="unitaries" if star else None,
         )
 
     if kind == "Sprime":
@@ -274,7 +273,7 @@ def _builtin_cached(kind: str, g: int) -> RRIdeal:
             # X_1^* = (1 - sum_{j>=2} X_j^* X_j) X_1^-1
             resolvent={"X1^*": f"(1 - {body}) X1^-1"},
             basepoint={"X1": one, **{f"X{j}{s}": zero for j in rest for s in ("", "^*")}},
-            star=True, domain_kind="spherical",
+            domain_kind="spherical",
         )
 
     if kind in ("Uprime", "U"):
@@ -297,7 +296,7 @@ def _builtin_cached(kind: str, g: int) -> RRIdeal:
             generators=xy + yx,
             resolvent={y[c]: inv[c[0] - 1][c[1] - 1] for c in order},
             basepoint={f"X{i}{j}": one if i == j else zero for i, j in cells},
-            star=star, domain_kind="partitioned" if star else None,
+            domain_kind="partitioned" if star else None,
         )
 
     # kind == "CommInv"
@@ -397,7 +396,7 @@ def is_member(
     find_witness: bool = False,
     trials: int = 200,
     seed: int = 0,
-    tol: float = 1e-10,
+    tol: float = FLOAT_TOL,
 ) -> MembershipVerdict:
     """Exact membership: realize f(x', r(x')) and test for the zero series.
 
@@ -429,22 +428,21 @@ def witness_size(f: NcPoly, ideal: RRIdeal) -> int:
     # for degree 1 is also a valid test size for it.
     u = max(u, 1)
     if ideal.star:
-        if ideal.domain_kind == "unitaries" or (
-            ideal.domain_kind == "partitioned" and ideal.g == 1
-        ):
-            return _bounds.star_bound("unitaries", ideal.g, u, v)
-        return _bounds.star_bound(ideal.domain_kind, ideal.g, u, v)
+        # a 1 x 1 grid of unitaries is one unitary
+        one_block = ideal.domain_kind == "partitioned" and ideal.g == 1
+        return _bounds.star_bound("unitaries" if one_block else ideal.domain_kind, ideal.g, u, v)
     return _bounds.nss_bound(ideal.m, ideal.n, u, v)
 
 
 def zero_set_sampler(ideal: RRIdeal):
     """A callable (n, seed, trial) -> point tuple in alphabet order.
 
-    Star ideals sample their structured *-zero set (unitaries, spherical
-    isometries, partitioned unitaries) in floats.  Other ideals give exact
-    points of the graph of the resolvent, which is their zero set: every
-    x' letter an n x n ExactMatrix of Gaussian integers with real and
-    imaginary parts in -3..3, and x'' = r(x') evaluated exactly.  A graph
+    A star ideal's sampler is the SampleDomain of its structured *-zero
+    set (unitaries, spherical isometries, partitioned unitaries), in
+    floats.  Other ideals give exact points of the graph of the
+    resolvent, which is their zero set: every x' letter an n x n
+    ExactMatrix of Gaussian integers with real and imaginary parts in
+    -3..3, and x'' = r(x') evaluated exactly.  A graph
     point takes up to 20 draws of x', each from its own stdlib stream
     random.Random(f"graph/{seed}/{n}/{trial}/{attempt}").  When r is
     undefined at all of them, the sampler raises ConditioningFailure and
@@ -452,8 +450,7 @@ def zero_set_sampler(ideal: RRIdeal):
     (CommInv has no 1 x 1 points, because scalars commute).
     """
     if ideal.star:
-        domain = SampleDomain(ideal.domain_kind, ideal.g)
-        return lambda n, seed, trial: sample_point(domain, n, seed, trial)
+        return SampleDomain(ideal.domain_kind, ideal.g)
 
     xprime = ideal.basepoint.letters
     size = ideal.alphabet.size
@@ -485,19 +482,21 @@ def find_zero_set_witness(
     sizes,
     trials: int = 200,
     seed: int = 0,
-    tol: float = 1e-10,
+    mode: str = "nonzero",
+    tol: float = FLOAT_TOL,
 ) -> Witness | None:
-    """Search for a zero-set point where f does not vanish.
+    """Search for a zero-set point where f does not vanish (or is not PSD,
+    in ``negative-eigenvalue`` mode).
 
     The exact oracle runs first: when f vanishes on the zero set no point
     can witness anything, and None is returned without sampling.
     Otherwise falsify searches the points of zero_set_sampler (exact
     graph points for a non-star ideal).
     """
-    sizes = check_search(trials, sizes, tol)
+    sizes = check_search(trials, sizes, tol, mode)
     if is_zero(ideal.oracle_rep(f)):
         return None
-    return falsify(f, zero_set_sampler(ideal), sizes, trials, seed, "nonzero", tol)
+    return falsify(f, zero_set_sampler(ideal), sizes, trials, seed, mode, tol)
 
 
 def random_ideal_element(
@@ -563,7 +562,6 @@ def custom_ideal(spec) -> RRIdeal:
             with open(spec) as fh:
                 spec = json.load(fh)
         g = int(spec["g"])
-        star = bool(spec.get("star", False))
         alph = Alphabet(spec["letters"]) if "letters" in spec else Alphabet.x(g)
         bp_spec = spec["basepoint"]
         basepoint = {
@@ -571,8 +569,10 @@ def custom_ideal(spec) -> RRIdeal:
         }
         if "m" in bp_spec and any(mat.rows != int(bp_spec["m"]) for mat in basepoint.values()):
             raise SpecError("declared m does not match base point matrices")
+        # a star spec without a domain kind names "None", which _make_ideal rejects
+        domain_kind = str(spec.get("domain_kind")) if spec.get("star", False) else None
         parts = (spec.get("name", "custom"), alph, g, spec["generators"], spec["resolvent"],
-                 basepoint, spec["resolved"], star, spec.get("domain_kind") if star else None)
+                 basepoint, spec["resolved"], domain_kind)
     except MALFORMED as exc:
         raise SpecError(f"malformed ideal spec: {exc}") from exc
     return _make_ideal(*parts)

@@ -39,10 +39,14 @@ class SohsCertificate:
 
 @dataclass
 class VerifyResult:
-    ok: bool
     identity_ok: bool
     remainder_path: str  # "zero" | "cofactors" | "oracle"
     remainder_ok: bool
+
+    @property
+    def ok(self) -> bool:
+        """The certificate holds: the identity and the remainder check."""
+        return self.identity_ok and self.remainder_ok
 
     def __bool__(self):
         return self.ok
@@ -78,7 +82,7 @@ def verify_certificate(f: NcPoly, cert: SohsCertificate, ideal) -> VerifyResult:
         from .ideals import is_member
 
         path, remainder_ok = "oracle", is_member(q, ideal).member
-    return VerifyResult(identity_ok and remainder_ok, identity_ok, path, remainder_ok)
+    return VerifyResult(identity_ok, path, remainder_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +100,14 @@ class GramConstraint:
 @dataclass
 class GramProblem:
     d: int
-    g: int
     alphabet: Alphabet
     basis: tuple  # all words of degree <= d over the 2g letters, graded-lex
     constraints: tuple
+
+    @property
+    def g(self) -> int:
+        """The number of letters."""
+        return self.alphabet.size
 
     def basis_index(self, word) -> int:
         return self.basis.index(tuple(word))
@@ -162,7 +170,7 @@ def gram_constraints(f: NcPoly, d: int, q: NcPoly | None = None) -> GramProblem:
         constraints.append(
             GramConstraint(w, tuple(reachable[w]), target.coeff(w))
         )
-    return GramProblem(d, f.alphabet.size, f.alphabet, basis, tuple(constraints))
+    return GramProblem(d, f.alphabet, basis, tuple(constraints))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +267,7 @@ def import_gram(path: str) -> GramProblem:
             constraints.append(GramConstraint(word, tuple(pairs), rhs))
         if len(constraints) != ncons:
             raise SpecError("constraint count mismatch")
-        return GramProblem(d, g, alphabet, basis, tuple(constraints))
+        return GramProblem(d, alphabet, basis, tuple(constraints))
     except MALFORMED as exc:
         raise SpecError(f"malformed gram-problem file: {exc}") from exc
 

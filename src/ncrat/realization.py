@@ -443,17 +443,15 @@ def compile_expression(e: RatExpr, basepoint: BasePoint, letter_reps: Mapping | 
     base point (the resolvent representations of an ideal's eliminated
     letters); every other letter used by the expression must be bound by
     the base point and compiles to one rep_var shared by all its
-    occurrences.  A singular constant term at some inverse raises
-    DomainError with the path to that node.  A node object that occurs
-    several times in the expression is compiled once.
+    occurrences.  A letter bound by neither raises MissingLetter, from
+    BasePoint.slot when the walk reaches it.  A singular constant term at
+    some inverse raises DomainError with the path to that node.  A node
+    object that occurs several times in the expression is compiled once.
     """
     reps = dict(letter_reps or {})
     for rep in reps.values():
         if rep.basepoint != basepoint:
             raise BasepointMismatch("letter representation about another base point")
-    missing = [l for l in e.letters_used() if l not in basepoint.letters and l not in reps]
-    if missing:
-        raise MissingLetter(f"base point does not bind {sorted(missing)}")
     m = basepoint.m
     shared = _shared_nodes(e.node)
     done = {}  # id(node) -> LinRep for the shared nodes, which stay alive in e

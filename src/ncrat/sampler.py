@@ -5,19 +5,17 @@ Philox stream keyed by (seed, trial index, ...), so identical seeds
 reproduce bit-identical samples and distinct trials are independent
 substreams.  Structural residuals (unitarity, isometry, ...) are checked
 to 1e-10 after every draw.  falsify also searches exact points (the
-graph points of ideals.zero_set_sampler) and scores them without numpy.
+graph points of ideals.zero_set_sampler) and judges them without numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .core import ExactMatrix, FLOAT_TOL, ONE
 from .errors import ConditioningFailure, DomainError, GOutOfRange, SpecError
-from .ncpoly import NcPoly
-from .ratexpr import RatExpr, eval_expression
 
 if TYPE_CHECKING:
     import numpy as np
@@ -34,7 +32,8 @@ FALSIFY_MODES = ("nonzero", "negative-eigenvalue")
 
 @dataclass(frozen=True)
 class SampleDomain:
-    """A family of structured tuples: which constraint and how many letters."""
+    """A family of structured tuples: which constraint and how many letters.
+    As a sampler for falsify, domain(n, seed, trial) = sample_point(domain, n, seed, trial)."""
 
     kind: str  # one of DOMAIN_KINDS
     g: int
@@ -45,12 +44,17 @@ class SampleDomain:
         if self.g < 1:
             raise GOutOfRange(f"domain needs g >= 1, got {self.g}")
 
+    def __call__(self, n: int, seed: int, trial: int) -> tuple:
+        return sample_point(self, n, seed, trial)
 
-def check_search(trials: int, sizes: Sequence[int] = (1,), tol: float = FLOAT_TOL) -> tuple:
+
+def check_search(trials: int, sizes: Sequence[int] = (1,), tol: float = FLOAT_TOL,
+                 mode: str = "nonzero") -> tuple:
     """The sizes of a seeded search, as a tuple, once its settings are
-    checked: at least one trial, a finite tolerance above 0 and a non-empty
-    list of sizes >= 1.  Anything else raises SpecError: the search could
-    not sample, or would report a witness where f vanishes."""
+    checked: at least one trial, a finite tolerance above 0, a non-empty
+    list of sizes >= 1 and a mode in FALSIFY_MODES.  Anything else raises
+    SpecError: the search could not sample, or would report no witness or
+    one where f vanishes."""
     if trials < 1:
         raise SpecError(f"trials must be at least 1, got {trials}")
     if not 0 < tol < math.inf:
@@ -58,6 +62,8 @@ def check_search(trials: int, sizes: Sequence[int] = (1,), tol: float = FLOAT_TO
     sizes = tuple(sizes)
     if not sizes or min(sizes) < 1:
         raise SpecError(f"sizes must be one or more sizes >= 1, got {list(sizes)}")
+    if mode not in FALSIFY_MODES:
+        raise SpecError(f"unknown falsify mode {mode!r}; choose from {FALSIFY_MODES}")
     return sizes
 
 
@@ -190,14 +196,6 @@ class Witness:
         return data
 
 
-def _evaluate(f, point):
-    if isinstance(f, NcPoly):
-        return f.eval(point, star_rule="adjoint")
-    if isinstance(f, RatExpr):
-        return eval_expression(f, point, star_rule="adjoint")
-    raise TypeError(f"cannot evaluate {type(f).__name__}")
-
-
 def _score(value, mode: str) -> float:
     """How far a value is from vanishing (nonzero mode) or from PSD
     (negative-eigenvalue mode); NaN for a float value that is not finite.
@@ -220,7 +218,7 @@ def _score(value, mode: str) -> float:
 
 def falsify(
     f,
-    domain: "SampleDomain | Callable",
+    sample: Callable,
     sizes: Sequence[int],
     trials: int,
     seed: int,
@@ -229,14 +227,14 @@ def falsify(
 ) -> Witness | None:
     """Search for a sample where f does not vanish (or is not PSD).
 
-    ``domain`` is a SampleDomain or a callable (n, seed, trial) -> point
-    tuple, float or exact.  In ``nonzero`` mode a witness has some entry
-    of |f(point)| above tol, so an exact witness value is exactly nonzero;
-    in ``negative-eigenvalue`` mode the Hermitian part of the value has an
+    ``sample`` is a callable (n, seed, trial) -> point tuple, float or
+    exact, such as a SampleDomain or ideals.zero_set_sampler.  In
+    ``nonzero`` mode a float value is a witness when some entry of
+    |f(point)| is above tol, an exact value when it is not zero; in
+    ``negative-eigenvalue`` mode the Hermitian part of the value has an
     eigenvalue below -tol.  Returns the first witness in (size, trial)
-    order, or None.  The settings and the mode (one of FALSIFY_MODES) are
-    checked, as SpecError, before anything is sampled.  numpy is imported
-    only to sample or score float values.
+    order, or None.  The settings go through check_search before anything
+    is sampled.  numpy is imported only to sample or score float values.
 
     A ConditioningFailure from the sampler ends the current size: the
     search moves on to the next one.  At size n the domain of a
@@ -248,14 +246,7 @@ def falsify(
     are numbered per size, so leaving a size early changes none of the
     points drawn at the next ones.
     """
-    sizes = check_search(trials, sizes, tol)
-    if mode not in FALSIFY_MODES:
-        raise SpecError(f"unknown falsify mode {mode!r}; choose from {FALSIFY_MODES}")
-    sample = (
-        domain
-        if callable(domain)
-        else lambda n, s, t: sample_point(domain, n, s, t)
-    )
+    sizes = check_search(trials, sizes, tol, mode)
     for n in sizes:
         for trial in range(trials):
             try:
@@ -263,11 +254,12 @@ def falsify(
             except ConditioningFailure:
                 break
             try:
-                value = _evaluate(f, point)
+                value = f.eval(point, star_rule="adjoint")
             except DomainError:
                 continue
             score = _score(value, mode)
-            if score > tol:
+            exact = mode == "nonzero" and isinstance(value, ExactMatrix)
+            if (not value.is_zero()) if exact else score > tol:
                 return Witness(n, trial, seed, point, value, score)
     return None
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -70,6 +71,20 @@ class TestMember:
         ideal = builtin_ideal(kind, g)
         assert all(f.eval(point).is_zero() for f in ideal.generators)
         assert not parse_poly(text, ideal.alphabet).eval(point).is_zero()
+
+    @pytest.mark.parametrize("argv, found", [
+        (["falsify", "--ideal", "CommInv", "--sizes", "2",
+          "--poly", "1/1000000000000000 X1 X2 - 1/1000000000000000 X2 X1"], "size 2, trial 0"),
+        (["member", "--ideal", "CommInv", "--witness",
+          "--poly", "1/1000000000000 X1 X2 - 1/1000000000000 X2 X1"], "size 2, trial 0"),
+        (["member", "--ideal", "Tprime", "--g", "1", "--witness",
+          "--poly", "1/1000000000000 X1"], "size 1, trial 0"),
+    ], ids=["falsify-CommInv", "member-CommInv", "member-Tprime"])
+    def test_small_exact_value_is_a_witness(self, argv, found):
+        # an exact value is a witness when it is nonzero, however far
+        # below the float tolerance its modulus lies
+        code, out, _ = run_cli(*argv, "--seed", "1")
+        assert code == 1 and f"witness at {found}" in out
 
     def test_star_witness_stays_float(self):
         code, out, _ = run_cli("member", "--ideal", "T", "--g", "2", "--poly", "X1 X2 - X2 X1",
@@ -209,6 +224,14 @@ class TestSampleAndFalsify:
                                "--sizes", "1..4", "--seed", "6", "--trials", "20")
         assert code == 0 and "no witness" in out
 
+    @pytest.mark.parametrize("text, code", [("X1^* X1", 0), ("- X1^* X1", 1)])
+    def test_falsify_ideal_honours_mode(self, text, code):
+        # X1^* X1 is the identity on unitaries, so it is PSD there
+        got, out, _ = run_cli("falsify", "--ideal", "T", "--g", "1", "--poly", text,
+                              "--mode", "negative-eigenvalue", "--sizes", "1..2", "--seed", "1")
+        assert got == code
+        assert ("no witness found" in out) == (code == 0)
+
     def test_falsify_on_a_vanishing_polynomial_skips_the_search(self):
         # the exact oracle shows that f vanishes on CommInv's zero set, so
         # none of the sizes 1..36 is sampled
@@ -303,6 +326,32 @@ class TestCustomIdealFile:
         code, out, err = run_cli("member", "--ideal-file", str(path), "--poly", "X1")
         assert code == 2 and out == ""
         assert "base point outside dom r [subtree path [1]]" in err
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def _readme_cli_lines():
+    """The ``ncrat ...`` lines of the first code block under ``## CLI``."""
+    with open(README) as fh:
+        text = fh.read()
+    block = text.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("ncrat ")]
+
+
+class TestReadmeExamples:
+    def test_cli_block_runs(self, tmp_path, monkeypatch):
+        # the README's examples, with the files they read
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "point.json").write_text(json.dumps(
+            [ExactMatrix.unit(2, 0, 1).to_json(), ExactMatrix.unit(2, 1, 0).to_json()]))
+        (tmp_path / "cert.json").write_text(json.dumps({"polynomial": "X1^* X1", "squares": ["X1"]}))
+        codes = []
+        for line in _readme_cli_lines():
+            code, _, err = run_cli(*shlex.split(line)[1:])
+            assert "Traceback" not in err and "error" not in err, line
+            codes.append(code)
+        assert codes == [0, 1, 0, 0, 0, 0, 0, 1, 0, 0]
 
 
 class TestSelftest:

@@ -30,6 +30,7 @@ from ncrat.ideals import (
 from ncrat.ncpoly import Alphabet, Letter, NcPoly, words_up_to
 from ncrat.ratexpr import format_expression, parse_poly
 from ncrat.realization import coefficient, coefficient_table, compile_expression, is_zero
+from ncrat.sampler import SampleDomain, falsify
 
 
 class TestBuiltins:
@@ -322,6 +323,7 @@ class TestZeroSetSampling:
         for kind in ("T", "S", "U"):
             ideal = builtin_ideal(kind, 2)
             sampler = zero_set_sampler(ideal)
+            assert sampler == SampleDomain(ideal.domain_kind, 2)
             point = sampler(4, 11, 0)
             for f in ideal.generators:
                 value = f.eval(point, star_rule="adjoint")
@@ -364,16 +366,18 @@ class TestZeroSetSampling:
         assert calls == [1, 2]
 
     def test_falsify_never_flags_members(self):
-        # soundness of the numeric search: 100 random members per star ideal
-        for kind in ("T", "S", "U"):
-            ideal = builtin_ideal(kind, 2)
-            for i in range(100):
+        # soundness of the search itself, without the oracle in front:
+        # random members vanish on the float samples of a star ideal's
+        # *-zero set, and exactly at the graph points of the other ideals
+        for kind, g, members in (("T", 2, 100), ("S", 2, 100), ("U", 2, 100), ("Tprime", 2, 10),
+                                 ("Sprime", 2, 10), ("Uprime", 2, 10), ("CommInv", 3, 10)):
+            ideal = builtin_ideal(kind, g)
+            sample = zero_set_sampler(ideal)
+            for i in range(members):
                 f = random_ideal_element(ideal, seed=6000 + i, complexity=(1, 1))
                 if f.is_zero():
                     continue
-                w = find_zero_set_witness(f, ideal, sizes=(1, 2, 3), trials=5,
-                                          seed=6000 + i)
-                assert w is None, (ideal.name, i)
+                assert falsify(f, sample, (1, 2, 3), 5, 6000 + i) is None, (ideal.name, i)
 
 
 ONE_RELATOR = {

@@ -171,6 +171,8 @@ class TestFalsify:
     @pytest.mark.parametrize("mode, text, score", [
         ("nonzero", "X1 X1 - 1", 3.0),
         ("nonzero", "X1 X1 - 4", None),
+        # exactly nonzero, far below the float tolerance
+        ("nonzero", "1/1000000000000000 X1", 2e-15),
         ("negative-eigenvalue", "- X1^* X1", 4.0),
         ("negative-eigenvalue", "X1^* X1", None),
     ])
