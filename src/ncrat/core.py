@@ -1,8 +1,11 @@
 """Exact scalar field Q(i) and dense exact/float matrix linear algebra.
 
 The scalar field is the Gaussian rationals: numbers a + b*i with
-arbitrary-precision rational a, b.  Every symbolic computation in the
-package runs over this field so that zero tests are exact decisions.
+arbitrary-precision rational a, b, each held as a Python int when it is
+integral and as a reduced Fraction otherwise, so that the small integers
+that make up most entries cost no Fraction arithmetic.  Every symbolic
+computation in the package runs over this field so that zero tests are
+exact decisions.
 Every exact elimination (the closures of zero tests and minimization, and
 matrix inverses) runs on one fraction-free echelon kernel over the
 Gaussian integers Z[i], after denominators are cleared.
@@ -26,40 +29,49 @@ from .errors import DimensionMismatch, SingularMatrixError
 if TYPE_CHECKING:
     import numpy as np
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
 #: tolerance for all float residual checks (configurable by callers)
 FLOAT_TOL = 1e-10
 
 
-def _mk(re: Fraction, im: Fraction) -> "Scalar":
-    # internal fast constructor; arguments must already be Fractions
+def _mk(re: int | Fraction, im: int | Fraction) -> "Scalar":
+    # internal fast constructor; arguments must already be ints or Fractions,
+    # and an integral Fraction is stored as its int
     s = Scalar.__new__(Scalar)
-    s.re = re
-    s.im = im
+    s.re = re if re.__class__ is int or re.denominator != 1 else re.numerator
+    s.im = im if im.__class__ is int or im.denominator != 1 else im.numerator
     return s
+
+
+def _part(x) -> int | Fraction:
+    """x (an int, Fraction, str or float) as an exact part of a Scalar: an
+    int when it is integral, else a Fraction."""
+    if x.__class__ is not int:
+        x = Fraction(x)
+        if x.denominator == 1:
+            return x.numerator
+    return x
 
 
 class Scalar:
     """An exact Gaussian rational ``re + im*i``.
 
-    Immutable; equality is structural (Fractions are kept in lowest terms
-    with positive denominator by construction).
+    Immutable; equality is structural.  Each part is an int when it is
+    integral and a Fraction (lowest terms, positive denominator) otherwise,
+    so equal Scalars have equal parts of the same type.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        self.re = _part(re)
+        self.im = _part(im)
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
     def from_json(pair) -> "Scalar":
         """Build from a ``["re", "im"]`` pair of rational strings."""
-        return Scalar(Fraction(str(pair[0])), Fraction(str(pair[1])))
+        return Scalar(str(pair[0]), str(pair[1]))
 
     # -- queries ----------------------------------------------------------
 
@@ -92,7 +104,7 @@ class Scalar:
         other = _coerce(other)
         a, b, c, d = self.re, self.im, other.re, other.im
         if not b and not d:
-            return _mk(a * c, _F0)
+            return _mk(a * c, 0)
         return _mk(a * c - b * d, a * d + b * c)
 
     def __rmul__(self, other):
@@ -102,10 +114,11 @@ class Scalar:
         a, b = self.re, self.im
         if not a and not b:
             raise ZeroDivisionError("inverse of zero scalar")
+        # Fraction division: 1 / a on an int part would give a float
         if not b:
-            return _mk(1 / a, _F0)
+            return _mk(Fraction(1, a), 0)
         n = a * a + b * b
-        return _mk(a / n, -b / n)
+        return _mk(Fraction(a, n), Fraction(-b, n))
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
@@ -152,7 +165,7 @@ def _coerce(x) -> Scalar:
     if isinstance(x, Scalar):
         return x
     if isinstance(x, (int, Fraction, str)):
-        return _mk(Fraction(x), _F0)
+        return _mk(_part(x), 0)
     raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
 
 
@@ -446,7 +459,9 @@ def gaussian_matvec(rows, v, n: int):
 
 def gaussian_scalar(re: int, im: int, den: int = 1) -> Scalar:
     """The Scalar (re + im*i) / den."""
-    return Scalar(Fraction(re, den), Fraction(im, den))
+    if den == 1:
+        return _mk(re, im)
+    return _mk(Fraction(re, den), Fraction(im, den))
 
 
 class FractionFreeBasis:

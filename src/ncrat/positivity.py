@@ -18,11 +18,12 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .core import ExactMatrix, Scalar, ZERO
 from .errors import MALFORMED, DegreeTooHigh, SpecError
 from .ncpoly import Alphabet, Letter, NcPoly, grlex_key, word_star, words_up_to
-from .sampler import SampleDomain, check_search, sample_point
+from .sampler import _score, check_search
 
 
 @dataclass
@@ -285,25 +286,23 @@ class ProbeReport:
     samples: int
 
 
-def positivity_probe(f: NcPoly, domain: SampleDomain, sizes, trials: int, seed: int) -> ProbeReport:
+def positivity_probe(f: NcPoly, sample: Callable, sizes, trials: int, seed: int) -> ProbeReport:
     """Minimum eigenvalue of the Hermitian part of f over seeded samples.
 
-    A certificate for f modulo the matching ideal implies the reported
-    minimum is not negative, up to rounding (necessary-condition probe).
-    ``trials`` and ``sizes`` go through sampler.check_search before
-    anything is sampled.
+    ``sample`` is a callable (n, seed, trial) -> point tuple, such as a
+    SampleDomain; each value is judged as falsify judges it in
+    negative-eigenvalue mode.  A certificate for f modulo the matching
+    ideal implies the reported minimum is not negative, up to rounding
+    (necessary-condition probe).  ``trials`` and ``sizes`` go through
+    sampler.check_search before anything is sampled.
     """
     sizes = check_search(trials, sizes)
-    import numpy as np
-
     best = None
     count = 0
     for n in sizes:
         for trial in range(trials):
-            point = sample_point(domain, n, seed, trial)
-            value = f.eval(point, star_rule="adjoint")
-            herm = (value + value.conj().T) / 2
-            lo = float(np.min(np.linalg.eigvalsh(herm)))
+            value = f.eval(sample(n, seed, trial), star_rule="adjoint")
+            lo = -_score(value, "negative-eigenvalue")
             count += 1
             if best is None or lo < best[0]:
                 best = (lo, n, trial)

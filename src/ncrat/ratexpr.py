@@ -250,7 +250,7 @@ class _Parser:
         if k == "num":
             self.next()
             value, imag = _num_value(v, off)
-            return Const(_mk(Fraction(0), value) if imag else _mk(value, Fraction(0)))
+            return Const(_mk(0, value) if imag else _mk(value, 0))
         if k == "(":
             lit = self._try_scalar_literal()
             if lit is not None:
@@ -266,10 +266,10 @@ class _Parser:
         save = self.pos
         try:
             self.expect("(")
-            sign = Fraction(1)
+            sign = 1
             if self.peek()[0] == "-":
                 self.next()
-                sign = Fraction(-1)
+                sign = -1
             t = self.expect("num")
             v1, imag1 = _num_value(t[1], t[2])
             if self.peek()[0] == ")":
@@ -277,10 +277,10 @@ class _Parser:
                     # "(3)" is an ordinary parenthesized expression
                     raise ParseError("not a literal", t[2])
                 self.next()
-                val = _mk(Fraction(0), sign * v1) if imag1 else _mk(sign * v1, Fraction(0))
+                val = _mk(0, sign * v1) if imag1 else _mk(sign * v1, 0)
                 return Const(val)
             if self.peek()[0] in ("+", "-") and not imag1:
-                s2 = Fraction(1) if self.next()[0] == "+" else Fraction(-1)
+                s2 = 1 if self.next()[0] == "+" else -1
                 t2 = self.expect("num")
                 v2, imag2 = _num_value(t2[1], t2[2])
                 if not imag2:

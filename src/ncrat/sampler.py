@@ -180,7 +180,8 @@ class Witness:
 
     def to_json(self):
         """``point`` and ``value`` as float pairs; an exact point also
-        gives ``exact_point``, each matrix as ExactMatrix.to_json."""
+        gives ``exact_point`` and ``exact_value``, each matrix as
+        ExactMatrix.to_json, which keep what the floats round away."""
         from .core import float_to_json
 
         data = {
@@ -193,6 +194,7 @@ class Witness:
         }
         if isinstance(self.value, ExactMatrix):
             data["exact_point"] = [p.to_json() for p in self.point]
+            data["exact_value"] = self.value.to_json()
         return data
 
 

@@ -86,6 +86,21 @@ class TestMember:
         code, out, _ = run_cli(*argv, "--seed", "1")
         assert code == 1 and f"witness at {found}" in out
 
+    def test_exact_value_survives_float_underflow(self):
+        # 1/10^400 is below the float range: the score and the float value
+        # read zero, and exact_value keeps the witness checkable
+        poly = f"1/{10 ** 400} X1"
+        code, out, _ = run_cli("member", "--ideal", "Tprime", "--g", "1", "--poly", poly,
+                               "--witness", "--seed", "1", "--json")
+        assert code == 1
+        witness = json.loads(out)["witness"]
+        assert witness["score"] == 0.0 and witness["value"]["entries"] == [[0.0, 0.0]]
+        value = ExactMatrix.from_json(witness["exact_value"])
+        assert not value.is_zero()
+        point = tuple(ExactMatrix.from_json(m) for m in witness["exact_point"])
+        ideal = builtin_ideal("Tprime", 1)
+        assert value == parse_poly(poly, ideal.alphabet).eval(point)
+
     def test_star_witness_stays_float(self):
         code, out, _ = run_cli("member", "--ideal", "T", "--g", "2", "--poly", "X1 X2 - X2 X1",
                                "--witness", "--seed", "4", "--json")

@@ -23,8 +23,13 @@ from ncrat.core import (
     matrix_inverse,
     matrix_product,
     split_blocks,
+    _mk,
 )
 from ncrat.errors import DimensionMismatch, SingularMatrixError
+from ncrat.ideals import builtin_ideal, find_zero_set_witness
+from ncrat.ncpoly import Letter
+from ncrat.ratexpr import parse_expression, parse_poly
+from ncrat.realization import BasePoint, compile_expression, minimize_scalar
 
 from conftest import random_exact_matrix, random_scalar
 from fraction_closure import rref
@@ -59,6 +64,170 @@ class TestScalar:
     def test_zero_division(self):
         with pytest.raises(ZeroDivisionError):
             ZERO.inverse()
+
+
+def parts_are_exact(s) -> bool:
+    """Each part of s is stored as an int, or as a Fraction that is not integral."""
+    return all(type(x) is int or (type(x) is Fraction and x.denominator != 1) for x in (s.re, s.im))
+
+
+class TestIntegralParts:
+    """Each part of a Scalar is an int when it is integral and a Fraction
+    only otherwise, and the arithmetic is that of Fraction pairs."""
+
+    @staticmethod
+    def random_pair(rng):
+        def part():
+            den = rng.choice([1, 1, 2, 3, 7, 10 ** rng.randint(1, 60) + rng.randint(1, 9)])
+            return Fraction(rng.randint(-(10 ** rng.randint(0, 40)), 10 ** rng.randint(0, 40)), den)
+
+        return part(), rng.choice([Fraction(0), part()])
+
+    def test_matches_fraction_pairs(self):
+        rng = random.Random(18)
+
+        def ref_mul(x, y):
+            (a, b), (c, d) = x, y
+            return a * c - b * d, a * d + b * c
+
+        def ref_inv(x):
+            a, b = x
+            n = a * a + b * b
+            return a / n, -b / n
+
+        for _ in range(400):
+            x, y = self.random_pair(rng), self.random_pair(rng)
+            sx, sy = Scalar(*x), Scalar(*y)
+            cases = [
+                (sx + sy, (x[0] + y[0], x[1] + y[1])),
+                (sx - sy, (x[0] - y[0], x[1] - y[1])),
+                (sx * sy, ref_mul(x, y)),
+                (sx.conjugate(), (x[0], -x[1])),
+                (-sx, (-x[0], -x[1])),
+            ]
+            if any(y):
+                cases += [(sy.inverse(), ref_inv(y)), (sx / sy, ref_mul(x, ref_inv(y)))]
+            for got, want in cases:
+                assert (got.re, got.im) == want
+                assert parts_are_exact(got)
+
+    def test_no_float_ever(self):
+        # a float part could pass the equality tests, because 1.0 == 1
+        third = Scalar(3).inverse()
+        assert third.re == Fraction(1, 3) and type(third.re) is Fraction
+        assert type((1 / Scalar(3)).re) is Fraction
+        assert type((Scalar(1) / 3).re) is Fraction
+        assert type(Scalar(-1).inverse().re) is int
+        half = Scalar(1, 1).inverse()
+        assert (half.re, half.im) == (Fraction(1, 2), Fraction(-1, 2))
+        assert parts_are_exact(half)
+        assert parts_are_exact(Scalar(2, 4).inverse())
+        assert parts_are_exact(Scalar(Fraction(1, 2), 3) / Scalar(Fraction(3, 4), -5))
+
+    @pytest.mark.parametrize("made, re, im", [
+        (Scalar(Fraction(6, 3), Fraction(-8, 4)), 2, -2),
+        (Scalar("6/3", 2.0), 2, 2),
+        (Scalar(True), 1, 0),
+        (Scalar(Fraction(1, 2)), Fraction(1, 2), 0),
+        (_mk(Fraction(6, 3), Fraction(0)), 2, 0),
+        (_mk(True, -Fraction(5, 5)), 1, -1),
+        (Scalar.from_json(["6/3", "-0"]), 2, 0),
+        (Scalar.from_json(["1/2", "4"]), Fraction(1, 2), 4),
+        (gaussian_scalar(6, -4, 2), 3, -2),
+        (gaussian_scalar(3, 5), 3, 5),
+        (gaussian_scalar(3, 6, 4), Fraction(3, 4), Fraction(3, 2)),
+        (parse_expression("6/3", 1).node.value, 2, 0),
+        (parse_expression("6/3i", 1).node.value, 0, 2),
+        (parse_expression("(-4/2)", 1).node.value, -2, 0),
+        (parse_expression("(-2 + 6/3i)", 1).node.value, -2, 2),
+        (parse_expression("(1/2 - 4/2i)", 1).node.value, Fraction(1, 2), -2),
+    ], ids=["init-fraction", "init-str-float", "init-bool", "init-half", "mk", "mk-bool",
+            "from-json", "from-json-half", "gaussian-den", "gaussian-int", "gaussian-half",
+            "parse-real", "parse-imag", "parse-negative", "parse-literal", "parse-half"])
+    def test_every_route_stores_ints(self, made, re, im):
+        assert (made.re, made.im) == (re, im)
+        assert (type(made.re), type(made.im)) == (type(re), type(im))
+
+    def test_equality_and_hash_across_routes(self):
+        three = [Scalar(3), Scalar(Fraction(3)), Scalar("6/2"), _mk(Fraction(3), Fraction(0)),
+                 Scalar.from_json(["3", "0"]), gaussian_scalar(6, 0, 2),
+                 parse_expression("6/2", 1).node.value, ONE + ONE + ONE,
+                 Scalar(Fraction(3, 2)) * 2]
+        for s in three:
+            assert s == three[0] and hash(s) == hash(three[0])
+            assert s == 3 and s == Fraction(3) and hash(s) == hash(3) == hash(Fraction(3))
+        mixed = [Scalar(1, -2), Scalar.from_json(["2/2", "-4/2"]), gaussian_scalar(2, -4, 2),
+                 parse_expression("(1 - 2i)", 1).node.value, Scalar(Fraction(1, 2), -1) * 2]
+        assert len({hash(s) for s in mixed}) == 1 and all(s == mixed[0] for s in mixed)
+        assert len({Scalar(3), Scalar(Fraction(3)), Scalar(3, 0)}) == 1
+
+    @pytest.mark.parametrize("s, text, pair", [
+        (Scalar(3), "3", ["3", "0"]),
+        (Scalar(Fraction(6, 2)), "3", ["3", "0"]),
+        (Scalar(Fraction(-1, 2)), "-1/2", ["-1/2", "0"]),
+        (Scalar(1, -2), "(1 - 2i)", ["1", "-2"]),
+        (Scalar(0, Fraction(4, 2)), "2i", ["0", "2"]),
+    ])
+    def test_text_unchanged(self, s, text, pair):
+        assert str(s) == text and s.to_json() == pair
+        assert repr(s) == f"Scalar({pair[0]}, {pair[1]})"
+
+
+class TestPipelineParts:
+    """Every Scalar the exact pipeline makes has int or Fraction parts."""
+
+    @staticmethod
+    def identities(a, b):
+        """Known rational identities in atoms a, b (as text)."""
+        return (
+            f"{a} {a}^-1 - 1",
+            f"{a} - ({a}^-1 + ({b}^-1 - {a})^-1)^-1 - {a} {b} {a}",
+            f"{a} (1 + {b} {a})^-1 - (1 + {a} {b})^-1 {a}",
+            f"({a} + {b})^-1 - {a}^-1 ({a}^-1 + {b}^-1)^-1 {b}^-1",
+            f"(1 + (1 + {b})^-1)^-1 - (1 + {b}) (2 + {b})^-1",
+            f"(1 + (1 + (1 + {b})^-1)^-1)^-1 - (2 + {b}) (3 + 2 {b})^-1",
+        )
+
+    @staticmethod
+    def rep_scalars(rep):
+        yield from rep.C.entries
+        yield from rep.B.entries
+        for a in rep.A:
+            for row in a.rows.values():
+                yield from row.values()
+
+    @staticmethod
+    def all_exact(scalars):
+        """There is a Scalar, and every part is an int or a non-integral Fraction."""
+        scalars = list(scalars)
+        return bool(scalars) and all(map(parts_are_exact, scalars))
+
+    @pytest.mark.parametrize("bp, a, b", [
+        (BasePoint.scalars([Fraction(5, 2), Fraction(7, 3)]), "X1", "X2"),
+        (BasePoint.scalars([2, Fraction(3, 2)]), "X1", "X2"),
+        (BasePoint.from_mapping({Letter(1, False): ExactMatrix.unit(2, 0, 1),
+                                 Letter(2, False): ExactMatrix.unit(2, 1, 0)}),
+         "(X1 + X2)", "(3/2 + X1)"),
+    ], ids=["scalar-fractions", "scalar-mixed", "E12-E21"])
+    def test_identities(self, bp, a, b):
+        for text in self.identities(a, b):
+            for t in (text, f"{text} + 3/2 X1 X2"):
+                rep = compile_expression(parse_expression(t, 2), bp)
+                assert self.all_exact(self.rep_scalars(rep))
+                small, states = minimize_scalar(rep)
+                assert states == 0 if t == text else self.all_exact(self.rep_scalars(small))
+
+    def test_resolvents(self):
+        reps = builtin_ideal("Uprime", 2).resolvent_reps
+        assert reps and all(self.all_exact(self.rep_scalars(r)) for r in reps.values())
+
+    def test_exact_witness(self):
+        ideal = builtin_ideal("Tprime", 2)
+        w = find_zero_set_witness(parse_poly("X1 X2 - X2 X1 + 2 Y1", ideal.alphabet),
+                                  ideal, (1, 2), 20, 3)
+        assert isinstance(w.value, ExactMatrix)
+        assert self.all_exact(w.value.entries)
+        assert self.all_exact(x for p in w.point for x in p.entries)
 
 
 class TestMatrixProduct:

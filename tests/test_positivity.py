@@ -18,7 +18,7 @@ from ncrat.positivity import (
     word_basis,
 )
 from ncrat.ratexpr import parse_poly
-from ncrat.sampler import SampleDomain
+from ncrat.sampler import SampleDomain, sample_point
 
 T1 = builtin_ideal("T", 1)
 AL = T1.alphabet
@@ -227,6 +227,19 @@ class TestProbe:
         with pytest.raises(SpecError):
             positivity_probe(parse_poly("X1^* X1", AL), SampleDomain("unitaries", 1),
                              sizes, trials, seed=75)
+
+    def test_any_sampler(self):
+        # a plain callable draws the same points as the SampleDomain it
+        # wraps; an exact sampler is judged as falsify judges it
+        f = parse_poly("(1 - X1)^*(1 - X1)", AL)
+        domain = SampleDomain("unitaries", 1)
+        rep = positivity_probe(f, lambda n, seed, trial: sample_point(domain, n, seed, trial),
+                               [1, 2, 3], 5, seed=76)
+        assert rep == positivity_probe(f, domain, [1, 2, 3], 5, seed=76)
+        two = ExactMatrix.scalar(1, 2)
+        rep = positivity_probe(parse_poly("- X1^* X1", AL), lambda n, seed, trial: (two,),
+                               [1], 3, seed=1)
+        assert (rep.min_eigenvalue, rep.size, rep.trial, rep.samples) == (-4.0, 1, 0, 3)
 
     def test_certificate_soundness_vs_probe(self):
         fixtures = [

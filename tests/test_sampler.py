@@ -187,6 +187,7 @@ class TestFalsify:
         else:
             assert (w.size, w.trial, w.score) == (1, 0, score)
             assert w.value == f.eval((two,)) and w.to_json()["exact_point"] == [two.to_json()]
+            assert ExactMatrix.from_json(w.to_json()["exact_value"]) == w.value
 
     def test_sample_point_shapes(self):
         assert len(sample_point(SampleDomain("partitioned", 2), 3, 1, 0)) == 4
