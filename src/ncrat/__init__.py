@@ -20,11 +20,8 @@ from .ratexpr import (
 )
 from .realization import (
     BasePoint,
-    GenPoly,
     LinRep,
-    coefficient,
     compile_expression,
-    eval_rep,
     is_zero,
     minimize_scalar,
     rep_add,
@@ -34,6 +31,7 @@ from .realization import (
     rep_var,
     scalarize,
 )
+from .series import GenPoly, coefficient, eval_rep
 from .bounds import nss_bound, nss_degree_bound, pos_size, ri_bound, star_bound
 from .ideals import (
     MembershipVerdict,

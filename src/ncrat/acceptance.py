@@ -36,22 +36,18 @@ from .positivity import (
 from .ratexpr import parse_expression, parse_poly
 from .realization import (
     BasePoint,
-    GenPoly,
     LinRep,
     automaton_rep,
-    coefficient,
-    coefficient_table,
     compile_expression,
     is_zero,
-    is_zero_by_enumeration,
     minimize_scalar,
     rep_add,
     rep_const,
     rep_inv,
     rep_mul,
     rep_var,
-    scalar_alphabet,
 )
+from .series import GenPoly, coefficient, coefficient_table, is_zero_by_enumeration, scalar_alphabet
 from .sampler import SampleDomain, zero_divisor_witness
 
 

@@ -34,12 +34,8 @@ from .positivity import (
     verify_certificate,
 )
 from .ratexpr import parse_expression, parse_poly
-from .realization import (
-    BasePoint,
-    coefficient,
-    compile_expression,
-    minimize_scalar,
-)
+from .realization import BasePoint, compile_expression, minimize_scalar
+from .series import coefficient
 from .sampler import DOMAIN_KINDS, FALSIFY_MODES, SampleDomain, falsify, sample_point
 from . import bounds
 
@@ -180,6 +176,16 @@ def cmd_zero_test(args) -> int:
     return 0 if zero else 1
 
 
+def _witness_size(witness, label: str) -> str:
+    """How far a witness is from vanishing, as text: ``label`` and the float
+    score, or for an exact value its largest entry (by modulus) written
+    exactly, which a score below the float range would show as 0."""
+    if not isinstance(witness.value, ExactMatrix):
+        return f"{label} {witness.score:.3g}"
+    top = max(witness.value.entries, key=lambda x: x.re * x.re + x.im * x.im)
+    return f"largest entry = {top}"
+
+
 def cmd_member(args) -> int:
     ideal = _resolve_ideal(args)
     f = parse_poly(args.poly, ideal.alphabet)
@@ -195,7 +201,7 @@ def cmd_member(args) -> int:
         data["witness"] = verdict.witness.to_json()
         human += (
             f"\nwitness at size {verdict.witness.size}, trial {verdict.witness.trial},"
-            f" |value| = {verdict.witness.score:.3g}"
+            f" {_witness_size(verdict.witness, '|value| =')}"
         )
     _emit(args, data, human)
     return 0 if verdict.member else 1
@@ -266,7 +272,7 @@ def cmd_falsify(args) -> int:
     _emit(
         args,
         {"witness": witness.to_json(), "seed": seed},
-        f"witness at size {witness.size}, trial {witness.trial}, score {witness.score:.3g}",
+        f"witness at size {witness.size}, trial {witness.trial}, {_witness_size(witness, 'score')}",
     )
     return 1
 

@@ -1,4 +1,5 @@
-"""Exact scalar field Q(i) and dense exact/float matrix linear algebra.
+"""Exact scalar field Q(i), dense exact/float matrices, and the sparse
+exact elimination kernel.
 
 The scalar field is the Gaussian rationals: numbers a + b*i with
 arbitrary-precision rational a, b, each held as a Python int when it is
@@ -8,7 +9,9 @@ computation in the package runs over this field so that zero tests are
 exact decisions.
 Every exact elimination (the closures of zero tests and minimization, and
 matrix inverses) runs on one fraction-free echelon kernel over the
-Gaussian integers Z[i], after denominators are cleared.
+Gaussian integers Z[i], after denominators are cleared.  Its vectors and
+rows are sparse maps {index: int}, and a matrix enters it as columns, so
+an elimination step costs the nonzeros it touches, not the dimension.
 Float matrices (numpy complex arrays) are used only by the numeric
 samplers and falsifiers.  numpy is imported inside the functions, or the
 float branches of functions, that compute in floats: exact work never
@@ -17,11 +20,9 @@ loads it, which keeps the start-up of exact CLI commands short.
 
 from __future__ import annotations
 
-from bisect import insort
 from fractions import Fraction
-from itertools import compress, count
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import mul, or_
 from typing import TYPE_CHECKING
 
 from .errors import DimensionMismatch, SingularMatrixError
@@ -390,71 +391,80 @@ def conjugate_transpose(a):
 # Fraction-free elimination over the Gaussian integers
 # ---------------------------------------------------------------------------
 #
-# A Gaussian-integer vector is a pair (re, im) of int lists; im is None when
-# every entry is real, so real data pays for one list only.  Scaling a
-# vector or a matrix by a nonzero constant changes no span, so callers clear
-# denominators once per vector or matrix and keep the scale beside it.
+# A Gaussian-integer vector is a pair (re, im) of sparse maps {index: int}
+# that hold only the nonzero entries; im is None when every entry is real, so
+# real data pays for one map only.  A vector therefore costs its nonzeros,
+# not its length.  Scaling a vector or a matrix by a nonzero constant changes
+# no span, so callers clear denominators once per vector or matrix and keep
+# the scale beside it.
 
 
 def _common_denominator(values) -> int:
     return lcm(*{x.re.denominator for x in values}, *{x.im.denominator for x in values})
 
 
-def _numerators(values, d: int):
-    """d * values as a Gaussian-integer vector (d a common denominator)."""
-    re = [x.re.numerator * (d // x.re.denominator) for x in values]
-    if not any(x.im for x in values):
-        return re, None
-    return re, [x.im.numerator * (d // x.im.denominator) for x in values]
-
-
 def gaussian_vector(values):
     """(d, v): the least common denominator d > 0 of a sequence of Scalars
-    and the Gaussian-integer vector v = d * values."""
-    values = tuple(values)
-    d = _common_denominator(values)
-    return d, _numerators(values, d)
+    and the sparse Gaussian-integer vector v = d * values."""
+    items = [(i, x) for i, x in enumerate(values) if x]
+    d = _common_denominator([x for _, x in items])
+    re = {i: x.re.numerator * (d // x.re.denominator) for i, x in items if x.re}
+    im = {i: x.im.numerator * (d // x.im.denominator) for i, x in items if x.im}
+    return d, (re, im or None)
 
 
 def gaussian_rows(rows):
-    """Clear the denominators of a sparse matrix ``{row: {col: Scalar}}``.
+    """Clear the denominators of a sparse matrix ``{row: {col: Scalar}}`` and
+    turn it into columns.
 
-    Returns (d, out): d > 0 is the least common denominator and ``out`` lists
-    d * the matrix as ``(row, cols, re, im)`` with int lists re, im; im is
-    None in every row when the matrix is real.
+    Returns (d, cols): d > 0 is the least common denominator, and ``cols``
+    maps each nonzero column j of d * the matrix to a pair (re, im) of
+    lists of (row, int) pairs, which hold the nonzero real and imaginary
+    parts of that column.
     """
     d = _common_denominator([x for row in rows.values() for x in row.values()])
-    real = not any(x.im for row in rows.values() for x in row.values())
-    out = []
+    cols = {}
     for i, row in rows.items():
-        vals = tuple(row.values())
-        re, im = _numerators(vals, d)
-        out.append((i, list(row), re, None if real else im or [0] * len(re)))
-    return d, out
+        for j, x in row.items():
+            col = cols.get(j)
+            if col is None:
+                col = cols[j] = ([], [])
+            if x.re:
+                col[0].append((i, x.re.numerator * (d // x.re.denominator)))
+            if x.im:
+                col[1].append((i, x.im.numerator * (d // x.im.denominator)))
+    return d, cols
 
 
-def gaussian_matvec(rows, v, n: int):
-    """rows @ v, of length n, for ``rows`` from gaussian_rows and a
-    Gaussian-integer vector v."""
+def gaussian_matvec(cols, v):
+    """The Gaussian-integer vector cols @ v, for ``cols`` from gaussian_rows
+    and a Gaussian-integer vector v: only the columns at the nonzero
+    coordinates of v are read."""
     vr, vi = v
-    out_re = [0] * n
-    if vi is None and (not rows or rows[0][3] is None):
-        for i, cols, re, _ in rows:
-            out_re[i] = sum(map(mul, re, map(vr.__getitem__, cols)))
-        return out_re, None
-    if vi is None:
-        vi = [0] * len(vr)
-    out_im = [0] * n
-    for i, cols, re, im in rows:
-        xr = [vr[j] for j in cols]
-        xi = [vi[j] for j in cols]
-        if im is None:
-            out_re[i] = sum(map(mul, re, xr))
-            out_im[i] = sum(map(mul, re, xi))
-        else:
-            out_re[i] = sum(map(mul, re, xr)) - sum(map(mul, im, xi))
-            out_im[i] = sum(map(mul, re, xi)) + sum(map(mul, im, xr))
-    return out_re, out_im
+    out_re, out_im = {}, {}
+    get_re, get_im = out_re.get, out_im.get
+    if not vi:
+        for j, x in vr.items():
+            col = cols.get(j)
+            if col is not None:
+                for i, c in col[0]:
+                    out_re[i] = get_re(i, 0) + c * x
+                for i, c in col[1]:
+                    out_im[i] = get_im(i, 0) + c * x
+    else:
+        for j in vr.keys() | vi.keys():
+            col = cols.get(j)
+            if col is not None:
+                x, y = vr.get(j, 0), vi.get(j, 0)
+                for i, c in col[0]:
+                    out_re[i] = get_re(i, 0) + c * x
+                    out_im[i] = get_im(i, 0) + c * y
+                for i, c in col[1]:
+                    out_re[i] = get_re(i, 0) - c * y
+                    out_im[i] = get_im(i, 0) + c * x
+    out_re = {i: x for i, x in out_re.items() if x}
+    out_im = {i: x for i, x in out_im.items() if x}
+    return out_re, out_im or None
 
 
 def gaussian_scalar(re: int, im: int, den: int = 1) -> Scalar:
@@ -464,6 +474,16 @@ def gaussian_scalar(re: int, im: int, den: int = 1) -> Scalar:
     return _mk(Fraction(re, den), Fraction(im, den))
 
 
+def _axpy(v: dict, f: int, row: dict):
+    """v -= f * row in place, dropping the entries that cancel."""
+    for j, y in row.items():
+        x = v.get(j, 0) - f * y
+        if x:
+            v[j] = x
+        else:
+            del v[j]
+
+
 class FractionFreeBasis:
     """Echelon basis of a subspace of Q(i)^n kept as Gaussian-integer rows.
 
@@ -471,82 +491,108 @@ class FractionFreeBasis:
     integer N and its entries have no common factor.  A vector v is reduced
     against a row by cross-multiplication, v <- t*v - f*row with t = N/g,
     f = v[pivot]/g and g = gcd(N, v[pivot]), so no division ever leaves Z[i]
-    (Bareiss-style fraction-free elimination).
+    (Bareiss-style fraction-free elimination).  Rows and vectors are sparse,
+    so a reduction costs the nonzeros of the row and of v.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.vectors = []  # the rows in insertion order
-        self._rows = []  # (pivot, N, re, im, index), sorted by pivot
+        self.pivots = {}  # pivot -> (N, re, im, index)
 
     def __len__(self):
         return len(self.vectors)
 
     def reduce(self, v, coords=None):
         """Return (s, r): r = s*v - sum_k c_k row_k vanishes at every pivot,
-        and s is a positive integer.
+        and s is a positive integer.  v is not changed.
 
         When ``coords`` is a list, one ``(index, re, im, den)`` is appended
         per row used, so that v = r/s + sum (re + im*i)/den * vectors[index].
+        The rows are used in increasing pivot order.
         """
         vr, vi = v
-        s = 1
-        for piv, N, rr, ri, k in self._rows:
-            a = vr[piv]
-            b = 0 if vi is None else vi[piv]
-            if not a and not b:
+        pivots = self.pivots
+        todo = [j for j in vr if j in pivots]
+        if vi:
+            todo.extend(j for j in vi if j in pivots and j not in vr)
+        if not todo:
+            return 1, v
+        heapify(todo)
+        vr, vi = dict(vr), dict(vi or ())
+        s, last = 1, -1
+        while todo:
+            # reducing at p changes v only after p, so the pivots of v come
+            # off the heap in increasing order; a pivot can be pushed twice
+            p = heappop(todo)
+            a, b = vr.get(p, 0), vi.get(p, 0)
+            if p == last or (not a and not b):
                 continue
+            last = p
+            N, rr, ri, k = pivots[p]
             g = gcd(N, a, b)
             t, a, b = N // g, a // g, b // g
             s *= t
             if coords is not None:
                 coords.append((k, a, b, s))
-            if vi is None and ri is None:
-                vr = [t * x - a * y for x, y in zip(vr, rr)]
-            else:
-                zero = [0] * self.n
-                vi, ri = vi or zero, ri or zero
-                vr, vi = (
-                    [t * x - a * y + b * z for x, y, z in zip(vr, rr, ri)],
-                    [t * x - a * z - b * y for x, y, z in zip(vi, rr, ri)],
-                )
-        return s, (vr, vi)
+            if t != 1:
+                vr = {j: t * x for j, x in vr.items()}
+                vi = {j: t * x for j, x in vi.items()}
+            # v -= (a + b*i) * (rr + ri*i)
+            if a:
+                _axpy(vr, a, rr)
+            if b:
+                _axpy(vi, b, rr)
+            if ri:
+                if a:
+                    _axpy(vi, a, ri)
+                if b:
+                    _axpy(vr, -b, ri)
+                for j in ri:
+                    if j > p and j in pivots:
+                        heappush(todo, j)
+            for j in rr:
+                if j > p and j in pivots:
+                    heappush(todo, j)
+        return s, (vr, vi or None)
 
     def add(self, v, coords=None):
         """Insert v; return its index in ``vectors``, or None if v lies in
         the span.  ``coords`` as in reduce; the new row, when there is one,
-        gets the last entry."""
+        gets the last entry.  The row may share its maps with v."""
         s, (vr, vi) = self.reduce(v, coords)
-        # x | y of two ints is zero exactly when both are
-        piv = next(compress(count(), vr if vi is None else map(or_, vr, vi)), None)
-        if piv is None:
+        if not vr and not vi:
             return None
+        piv = min(vr.keys() | vi.keys()) if vi else min(vr)
         # multiply by u = conj(pivot) (or its sign, if real) to make the pivot
         # a positive integer, then divide by the content c
-        a, b = vr[piv], (0 if vi is None else vi[piv])
+        a, b = vr.get(piv, 0), (vi.get(piv, 0) if vi else 0)
         if b:
-            vr, vi = (
-                [a * x + b * y for x, y in zip(vr, vi)],
-                [a * y - b * x for x, y in zip(vr, vi)],
-            )
+            nr, ni = {}, {}
+            for j in vr.keys() | vi.keys():
+                x, y = vr.get(j, 0), vi.get(j, 0)
+                x, y = a * x + b * y, a * y - b * x
+                if x:
+                    nr[j] = x
+                if y:
+                    ni[j] = y
+            vr, vi = nr, ni or None
             ua, ub, norm = a, b, a * a + b * b  # conj(u) and |u|^2
-            if not any(vi):
-                vi = None
         else:
             ua, ub, norm = (1, 0, 1) if a > 0 else (-1, 0, 1)
             if a < 0:
-                vr = [-x for x in vr]
-                vi = None if vi is None else [-y for y in vi]
-        c = gcd(*vr) if vi is None else gcd(*vr, *vi)
+                vr = {j: -x for j, x in vr.items()}
+                vi = {j: -y for j, y in vi.items()} if vi else None
+        c = gcd(*vr.values(), *vi.values()) if vi else gcd(*vr.values())
         if c != 1:
-            vr = [x // c for x in vr]
-            vi = None if vi is None else [y // c for y in vi]
+            vr = {j: x // c for j, x in vr.items()}
+            vi = {j: y // c for j, y in vi.items()} if vi else None
         k = len(self.vectors)
         if coords is not None:
             # the residual is row * c / u, i.e. row * c * conj(u) / |u|^2
             coords.append((k, c * ua, c * ub, norm * s))
-        self.vectors.append((vr, vi))
-        insort(self._rows, (piv, vr[piv], vr, vi, k))  # pivots are distinct
+        self.vectors.append((vr, vi or None))
+        self.pivots[piv] = (vr[piv], vr, vi or None, k)
         return k
 
 
@@ -566,12 +612,13 @@ def matrix_inverse(a: ExactMatrix) -> ExactMatrix:
     eye = ExactMatrix.identity(n)
     for i in range(n):
         basis.add(gaussian_vector(a.row(i) + eye.row(i))[1])
-    if n and basis._rows[-1][0] >= n:  # the rows are sorted by pivot
+    if n and max(basis.pivots) >= n:
         raise SingularMatrixError(f"matrix of size {n} is singular")
     out = []
     for j in range(n):
-        s, (tr, ti) = basis.reduce(([int(q == j) for q in range(2 * n)], None))
-        out.extend(gaussian_scalar(-tr[q], 0 if ti is None else -ti[q], s) for q in range(n, 2 * n))
+        s, (tr, ti) = basis.reduce(({j: 1}, None))
+        ti = ti or {}
+        out.extend(gaussian_scalar(-tr.get(q, 0), -ti.get(q, 0), s) for q in range(n, 2 * n))
     return ExactMatrix(n, n, out)
 
 

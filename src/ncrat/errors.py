@@ -98,3 +98,10 @@ class ConditioningFailure(NcratError):
 
 class DegreeTooHigh(NcratError):
     """Polynomial degree exceeds what the requested Gram problem can carry."""
+
+
+class BudgetExceeded(NcratError):
+    """A step that grows exponentially in a user-chosen size would pass its
+    documented cap (the basis words of a Gram problem,
+    ``positivity.GRAM_BASIS_CAP``); the size is computed and refused
+    before anything is enumerated."""

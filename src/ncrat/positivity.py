@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .core import ExactMatrix, Scalar, ZERO
-from .errors import MALFORMED, DegreeTooHigh, SpecError
+from .errors import MALFORMED, BudgetExceeded, DegreeTooHigh, SpecError
 from .ncpoly import Alphabet, Letter, NcPoly, grlex_key, word_star, words_up_to
 from .sampler import _score, check_search
 
@@ -145,6 +145,35 @@ class GramProblem:
         return ExactMatrix(N, N, entries)
 
 
+#: The most basis words a Gram problem may have.  gram_constraints visits
+#: every pair of basis words, so time and memory grow with the square of
+#: this count: 341 words (g = 2, d = 4) take about 1.6 s and 100 MB.
+GRAM_BASIS_CAP = 400
+
+
+def _basis_count(g: int, d: int, cap: int) -> int:
+    """sum_{k<=d} (2g)^k, the number of words of degree <= d over 2g
+    letters, or cap + 1 once the sum passes cap; at most about log2(cap)
+    steps, whatever d is."""
+    if d < 0 or not g:
+        return int(d >= 0)
+    count, layer = 0, 1
+    for _ in range(d + 1):
+        count += layer
+        if count > cap:
+            return cap + 1
+        layer *= 2 * g
+    return count
+
+
+def _check_basis_budget(g: int, d: int):
+    if _basis_count(g, d, GRAM_BASIS_CAP) > GRAM_BASIS_CAP:
+        raise BudgetExceeded(
+            f"a Gram problem with g = {g} and d = {d} has more than"
+            f" {GRAM_BASIS_CAP} basis words (positivity.GRAM_BASIS_CAP)"
+        )
+
+
 def word_basis(alphabet: Alphabet, d: int) -> tuple:
     """All words of degree <= d over the 2g starred/unstarred letters, in
     grlex order."""
@@ -154,12 +183,16 @@ def word_basis(alphabet: Alphabet, d: int) -> tuple:
 
 def gram_constraints(f: NcPoly, d: int, q: NcPoly | None = None) -> GramProblem:
     """The linear system whose Hermitian PSD solutions are exactly the
-    Gram matrices of decompositions f - q = sum p_i^* p_i with deg p_i <= d."""
+    Gram matrices of decompositions f - q = sum p_i^* p_i with deg p_i <= d.
+
+    A basis of more than GRAM_BASIS_CAP words raises BudgetExceeded before
+    any word is enumerated."""
     if q is None:
         q = NcPoly.zero(f.alphabet)
     target = f - q
     if target and target.degree_and_terms()[0] > 2 * d:
         raise DegreeTooHigh(f"deg(f - q) exceeds 2*d = {2 * d}")
+    _check_basis_budget(f.alphabet.size, d)
     basis = word_basis(f.alphabet, d)
     reachable = {}
     for iu, u in enumerate(basis):
@@ -229,7 +262,9 @@ def export_gram(problem: GramProblem, path: str):
 
 
 def import_gram(path: str) -> GramProblem:
-    """Read a file written by export_gram; a malformed one raises SpecError."""
+    """Read a file written by export_gram; a malformed one raises SpecError,
+    and one whose basis has more than GRAM_BASIS_CAP words BudgetExceeded,
+    before the basis is enumerated."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     try:
@@ -246,10 +281,11 @@ def import_gram(path: str) -> GramProblem:
         alphabet = Alphabet(alph_line[1:])
         if g != alphabet.size:
             raise SpecError(f"header gives {g} letters, the alphabet line {alphabet.size}")
-        # the basis has sum_{k<=d} (2g)^k words, at least 2^d when g >= 1:
-        # compare that count with the header before enumerating the basis
-        if (g and d > nbasis.bit_length()) or sum((2 * g) ** k for k in range(d + 1)) != nbasis:
+        # compare the basis count with the header, then with the cap,
+        # before enumerating the basis
+        if _basis_count(g, d, nbasis) != nbasis:
             raise SpecError("basis size mismatch")
+        _check_basis_budget(g, d)
         basis = word_basis(alphabet, d)
         index = {w: i for i, w in enumerate(basis)}
         constraints = []

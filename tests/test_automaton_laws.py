@@ -13,13 +13,13 @@ from ncrat.ratexpr import Add, Const, Inv, Mul, Neg, RatExpr, Var, eval_expressi
 from ncrat.realization import (
     BasePoint,
     compile_expression,
-    eval_rep,
     is_zero,
     rep_add,
     rep_const,
     rep_inv,
     rep_mul,
 )
+from ncrat.series import eval_rep
 
 L1, L2 = Letter(1, False), Letter(2, False)
 ALPHABET = Alphabet.x(2)

@@ -82,9 +82,11 @@ class TestMember:
     ], ids=["falsify-CommInv", "member-CommInv", "member-Tprime"])
     def test_small_exact_value_is_a_witness(self, argv, found):
         # an exact value is a witness when it is nonzero, however far
-        # below the float tolerance its modulus lies
+        # below the float tolerance its modulus lies, and its text line
+        # gives the largest entry exactly, not a float modulus or score
         code, out, _ = run_cli(*argv, "--seed", "1")
-        assert code == 1 and f"witness at {found}" in out
+        assert code == 1 and f"witness at {found}, largest entry = " in out
+        assert "00000000000" in out and "score" not in out and "|value|" not in out
 
     def test_exact_value_survives_float_underflow(self):
         # 1/10^400 is below the float range: the score and the float value
@@ -100,6 +102,18 @@ class TestMember:
         point = tuple(ExactMatrix.from_json(m) for m in witness["exact_point"])
         ideal = builtin_ideal("Tprime", 1)
         assert value == parse_poly(poly, ideal.alphabet).eval(point)
+
+    def test_exact_value_prints_exactly(self):
+        # the text line gives the largest entry of an exact value as an
+        # exact Scalar, where the float modulus would read 0
+        poly = f"1/{10 ** 400} X1"
+        argv = ("member", "--ideal", "Tprime", "--g", "1", "--poly", poly, "--witness", "--seed", "1")
+        code, out, _ = run_cli(*argv)
+        assert code == 1
+        value = ExactMatrix.from_json(json.loads(run_cli(*argv, "--json")[1])["witness"]["exact_value"])
+        (entry,) = value.entries
+        assert entry and f"witness at size 1, trial 0, largest entry = {entry}\n" in out
+        assert "|value|" not in out and f"/{10 ** 400}" in str(entry)
 
     def test_star_witness_stays_float(self):
         code, out, _ = run_cli("member", "--ideal", "T", "--g", "2", "--poly", "X1 X2 - X2 X1",
@@ -306,6 +320,16 @@ class TestSohsAndGram:
         assert code == 0 and out_path.exists()
         problem = import_gram(str(out_path))
         assert problem.d == 1 and len(problem.basis) == 3
+
+    def test_gram_export_over_the_cap_fails_typed(self, tmp_path):
+        # 2047 basis words at g = 1, d = 10: refused before any is
+        # enumerated, with exit 2 and no file written
+        out_path = tmp_path / "problem.gram"
+        start = time.process_time()
+        code, _, err = run_cli("gram-export", "--poly", "X1", "--g", "1", "--d", "10",
+                               "--out", str(out_path))
+        assert time.process_time() - start < 1.0
+        assert code == 2 and "GRAM_BASIS_CAP" in err and not out_path.exists()
 
 
 def _one_relator(x1="1"):

@@ -13,11 +13,11 @@ from ncrat.realization import (
     BasePoint,
     LinRep,
     SparseMatrix,
-    coefficient,
-    is_zero_by_enumeration,
     minimize_scalar,
+    rep_add,
     scalar_rep_is_zero,
 )
+from ncrat.series import coefficient, is_zero_by_enumeration
 
 from fraction_closure import reference_is_zero, reference_minimal_dimension
 
@@ -45,40 +45,90 @@ def _unit_triangular(draw, n, lower):
     return ExactMatrix(n, n, e)
 
 
-@st.composite
-def automata(draw, ms=st.integers(1, 2)):
-    """(LinRep, zero): an automaton, about a zero base point, whose first k
-    coordinates span an invariant subspace holding B, seen through a random
-    change of basis P.  With zero, C vanishes on that subspace, so the
-    series is zero.  The number of states need not be a multiple of m."""
-    m = draw(ms)
-    base_letters = draw(st.integers(1, 2)) if m == 1 else 1
-    k, h = draw(st.integers(1, 3)), draw(st.integers(0, 2))
-    zero = draw(st.booleans())
-    n = k + h
-    entry = st.sampled_from(VALUES)
+def _triangular_change(draw, n):
+    P = _unit_triangular(draw, n, True) * _unit_triangular(draw, n, False)
+    return P, matrix_inverse(P)
 
-    def matrix(rows, cols, keep):
+
+def _permutation_change(draw, n):
+    perm = draw(st.permutations(range(n)))
+    P = ExactMatrix(n, n, [Scalar(int(perm[i] == j)) for i in range(n) for j in range(n)])
+    return P, P.transpose()
+
+
+def _block(draw, m, letters, k, h, zero, letter_entry, change):
+    """(C, A, B) with A a list of ExactMatrix, one per scalar letter: an
+    automaton whose first k of k + h coordinates span an invariant subspace
+    holding B, seen through the change of basis P that ``change`` draws.
+    Letter matrix entries are drawn from ``letter_entry``, those of B and C
+    from VALUES.  With zero, C vanishes on that subspace, so the series is
+    zero."""
+    n = k + h
+
+    def matrix(rows, cols, keep, entry=st.sampled_from(VALUES)):
         return ExactMatrix(rows, cols, [
             draw(entry) if keep(i, j) else Scalar(0) for i in range(rows) for j in range(cols)
         ])
 
-    P = _unit_triangular(draw, n, True) * _unit_triangular(draw, n, False)
-    P_inv = matrix_inverse(P)
-    mats = []
-    for _ in range(m * m * base_letters):
-        a = P * matrix(n, n, lambda i, j: i < k or j >= k) * P_inv
-        sm = SparseMatrix(n)
-        for i in range(n):
-            for j in range(n):
-                sm.add_entry(i, j, a[i, j])
-        mats.append(sm)
+    P, P_inv = change(draw, n)
+    A = [P * matrix(n, n, lambda i, j: i < k or j >= k, letter_entry) * P_inv for _ in range(letters)]
     B = P * matrix(n, m, lambda i, j: i < k)
     C = matrix(m, n, lambda i, j: j >= k or not zero) * P_inv
+    return C, A, B
+
+
+def _rep(m, base_letters, C, A, B):
+    """The LinRep (C, A, B) about the zero base point."""
+    mats = []
+    for a in A:
+        sm = SparseMatrix(a.rows)
+        for i in range(a.rows):
+            for j in range(a.cols):
+                sm.add_entry(i, j, a[i, j])
+        mats.append(sm)
     bp = BasePoint.from_mapping(
         {Letter(i + 1, False): ExactMatrix.zeros(m, m) for i in range(base_letters)}
     )
-    return LinRep(bp, C, mats, B), zero
+    return LinRep(bp, C, mats, B)
+
+
+@st.composite
+def automata(draw, ms=st.integers(1, 2)):
+    """(LinRep, zero): one _block with k <= 3 and h <= 2 seen through a
+    triangular change of basis, about a zero base point.  The number of
+    states need not be a multiple of m."""
+    m = draw(ms)
+    base_letters = draw(st.integers(1, 2)) if m == 1 else 1
+    k, h = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    zero = draw(st.booleans())
+    block = _block(draw, m, m * m * base_letters, k, h, zero, st.sampled_from(VALUES), _triangular_change)
+    return _rep(m, base_letters, *block), zero
+
+
+# about 75 % zeros
+SPARSE_VALUES = (Scalar(0),) * 24 + VALUES
+
+
+@st.composite
+def block_sums(draw):
+    """(LinRep, zero): the sum of several small _blocks with sparse letter
+    matrices, each seen through a permutation, with 20 to 60 states in all, so that most
+    coordinates of every closure vector are zero.  Some blocks are
+    subtracted again, which cancels them in the series but not in the
+    automaton."""
+    m = draw(st.integers(1, 2))
+    base_letters = draw(st.integers(1, 2)) if m == 1 else 1
+    zero = draw(st.booleans())
+    target = draw(st.integers(20, 52))
+    rep = None
+    while rep is None or rep.states < target:
+        block = _block(draw, m, m * m * base_letters, draw(st.integers(1, 4)), draw(st.integers(0, 3)),
+                       zero, st.sampled_from(SPARSE_VALUES), _permutation_change)
+        term = _rep(m, base_letters, *block)
+        rep = term if rep is None else rep_add(rep, 1, term)
+        if draw(st.booleans()):
+            rep = rep_add(rep, -1, term)
+    return rep, zero
 
 
 @SETTINGS
@@ -89,6 +139,23 @@ def test_closure_matches_reference_and_enumeration(case):
     assert verdict == reference_is_zero(rep) == is_zero_by_enumeration(rep)
     if zero:
         assert verdict
+
+
+@settings(max_examples=15, deadline=None)
+@given(block_sums())
+def test_sparse_block_sums_match_reference(case):
+    # the regime the sparse kernel targets: sparse letter matrices in
+    # blocks that no letter connects, so most coordinates of each closure
+    # vector are zero
+    rep, zero = case
+    assert 20 <= rep.states <= 60
+    verdict = scalar_rep_is_zero(rep)
+    assert verdict == reference_is_zero(rep)
+    if zero:
+        assert verdict
+    red, n_min = minimize_scalar(rep)
+    assert red.states == n_min == reference_minimal_dimension(rep)
+    assert (n_min == 0) == verdict
 
 
 @SETTINGS

@@ -320,6 +320,13 @@ class TestConjugateTranspose:
         assert np.allclose(conjugate_transpose(a), a.conj().T)
 
 
+def _dense(v, n):
+    """A sparse Gaussian-integer vector (re, im) as a list of n Scalars."""
+    re, im = v
+    im = im or {}
+    return [gaussian_scalar(re.get(q, 0), im.get(q, 0)) for q in range(n)]
+
+
 class TestEliminationHelpers:
     def test_reference_rref(self):
         # the Gauss-Jordan reference the kernel tests count ranks with
@@ -351,17 +358,21 @@ class TestEliminationHelpers:
                 rebuilt = [ZERO] * n
                 for j, re, im, den in coords:
                     c = gaussian_scalar(re, im, den)
-                    row_re, row_im = basis.vectors[j]
-                    row = [gaussian_scalar(x, row_im[q] if row_im else 0) for q, x in enumerate(row_re)]
+                    row = _dense(basis.vectors[j], n)
                     rebuilt = [x + c * y for x, y in zip(rebuilt, row)]
                 assert rebuilt == v
             assert len(basis) == len(rref(span)[1])
-            for re, im in basis.vectors:
-                im = im or [0] * n
-                piv = next(q for q in range(n) if re[q] or im[q])
-                assert re[piv] > 0 and im[piv] == 0
-                assert math.gcd(*re, *im) == 1
-                saw_complex_row |= any(im)
+            for k, (re, im) in enumerate(basis.vectors):
+                # a sparse row holds its nonzero entries only; im is None
+                # when the row is real
+                assert all(re.values()) and (im is None or (im and all(im.values())))
+                assert all(0 <= q < n for q in (*re, *(im or ())))
+                piv = min(re.keys() | (im or {}).keys())
+                assert basis.pivots[piv] == (re[piv], re, im, k)
+                im = im or {}
+                assert re[piv] > 0 and piv not in im
+                assert math.gcd(*re.values(), *im.values()) == 1
+                saw_complex_row |= bool(im)
         assert saw_complex_row
 
 

@@ -29,7 +29,8 @@ from ncrat.ideals import (
 )
 from ncrat.ncpoly import Alphabet, Letter, NcPoly, words_up_to
 from ncrat.ratexpr import format_expression, parse_poly
-from ncrat.realization import coefficient, coefficient_table, compile_expression, is_zero
+from ncrat.realization import compile_expression, is_zero
+from ncrat.series import coefficient, coefficient_table
 from ncrat.sampler import SampleDomain, falsify
 
 

@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from ncrat.core import ExactMatrix, Scalar
-from ncrat.errors import AlphabetMismatch, DegreeTooHigh, SpecError
+from ncrat.errors import AlphabetMismatch, BudgetExceeded, DegreeTooHigh, SpecError
 from ncrat.ideals import builtin_ideal
 from ncrat.ncpoly import Alphabet, Letter, NcPoly
 from ncrat.positivity import (
+    GRAM_BASIS_CAP,
     SohsCertificate,
     export_gram,
     gram_constraints,
@@ -143,6 +144,17 @@ class TestGramProblem:
         with pytest.raises(DegreeTooHigh):
             gram_constraints(f, 1)
 
+    def test_budget(self):
+        # the largest basis under the cap builds; one more degree is
+        # refused before the basis is enumerated, however large d is
+        f = parse_poly("X1", AL)
+        assert len(gram_constraints(f, 7).basis) == 255 <= GRAM_BASIS_CAP
+        for d in (8, 30, 10 ** 9):
+            start = time.process_time()
+            with pytest.raises(BudgetExceeded):
+                gram_constraints(f, d)
+            assert time.process_time() - start < 1.0
+
     def test_basis_count(self):
         for g in (1, 2):
             for d in (0, 1, 2):
@@ -190,6 +202,17 @@ class TestExport:
         with pytest.raises(SpecError, match="basis size mismatch"):
             import_gram(str(path))
         assert time.process_time() - start < 0.05
+
+    def test_basis_over_the_cap_is_refused_first(self, tmp_path):
+        # d 30 over one letter with the matching count, 2^31 - 1 words: the
+        # count agrees with the header, and the cap refuses it before any
+        # word is enumerated
+        path = tmp_path / "deep.gram"
+        path.write_text(f"gram-problem d 30 letters 1 basis {2 ** 31 - 1} constraints 0\nalphabet X1\n")
+        start = time.process_time()
+        with pytest.raises(BudgetExceeded, match="GRAM_BASIS_CAP"):
+            import_gram(str(path))
+        assert time.process_time() - start < 1.0
 
     def test_header_counts(self, tmp_path):
         f = parse_poly("X1^*X1 + X1 X1^*", AL)

@@ -13,25 +13,28 @@ from ncrat.errors import (
     SpecError,
 )
 from ncrat.ncpoly import Alphabet, Letter, NcPoly, words_up_to
-from ncrat import realization
+import ncrat
+from ncrat import realization, series
 from ncrat.ratexpr import Add, Const, Inv, Mul, RatExpr, Var, parse_expression, substitute_letters
 from ncrat.realization import (
     BasePoint,
-    GenPoly,
-    coefficient,
-    coefficient_table,
     compile_expression,
-    eval_rep,
     is_zero,
-    is_zero_by_enumeration,
     minimize_scalar,
     rep_add,
     rep_const,
     rep_inv,
     rep_mul,
     rep_var,
-    scalar_alphabet,
     scalarize,
+)
+from ncrat.series import (
+    GenPoly,
+    coefficient,
+    coefficient_table,
+    eval_rep,
+    is_zero_by_enumeration,
+    scalar_alphabet,
 )
 
 from conftest import random_invertible
@@ -529,3 +532,15 @@ def test_sum_of_bimodule_terms_stays_affine():
             expect = expect + a * x * b
         assert eval_rep(s, (x, E21)) == expect
     assert is_zero(rep_add(s, ExactMatrix.scalar(2, -1), s))
+
+
+class TestLayout:
+    def test_traced_functions_and_moved_exports(self):
+        # perfbench's layer tracer looks these up in ncrat.realization by
+        # name, and drops the metric of a function that has left the module
+        for name in ("compile_expression", "scalarize", "scalar_rep_is_zero", "minimize_scalar"):
+            assert callable(getattr(realization, name, None)), name
+        # the series readers live in ncrat.series, and the package still
+        # exports them
+        for name in ("coefficient", "eval_rep", "GenPoly"):
+            assert getattr(ncrat, name) is getattr(series, name), name
