@@ -164,8 +164,9 @@ def _make_ideal(name: str, alphabet: Alphabet, g: int, generators, resolvent: di
     set in ``domain_kind``.  Each resolvent is compiled about the base
     point and minimized (a resolvent undefined there raises DomainError).
     ``g`` must be at least 1 (GOutOfRange).  Every check on the
-    decomposition x = x' u x'' is made here (SpecError), then the graph
-    check (ResolventNotVanishing).
+    decomposition x = x' u x'' is made here (SpecError): among them, every
+    letter of the alphabet, and for a star ideal its adjoint, is in x' or
+    in x''.  Then comes the graph check (ResolventNotVanishing).
     """
     if g < 1:
         raise GOutOfRange(f"need g >= 1, got {g}")
@@ -201,6 +202,17 @@ def _make_ideal(name: str, alphabet: Alphabet, g: int, generators, resolvent: di
     }
     if missing:
         raise SpecError(f"base point misses x' letters {sorted(missing)}")
+    # f may use every letter, and in a star ideal every adjoint, but the
+    # oracle and the graph sampler bind only the letters of x' and x''
+    kinds = (False, True) if domain_kind else (False,)
+    outside = [
+        alphabet.letter_name(Letter(i, starred))
+        for i in range(1, alphabet.size + 1)
+        for starred in kinds
+        if Letter(i, starred) not in resolved and Letter(i, starred) not in bp.letters
+    ]
+    if outside:
+        raise SpecError(f"letters {outside} are neither in the base point nor resolved")
 
     reps = {l: minimize_scalar(compile_expression(expr, bp))[0] for l, expr in resolvent.items()}
     return _validate(RRIdeal(name, alphabet, gens, resolvent, bp, g, domain_kind, reps))
@@ -366,12 +378,12 @@ def _inv_grid(mat):
     # (A - B D^{-1} C)^{-1}
     bdc = _mat_mul(_mat_mul(B, Dinv), C)[0][0]
     top_left = Inv(_sub2(A, bdc))
-    # (C A^{-1} B - D)^{-1}
+    # (D - C A^{-1} B)^{-1}, and T = (C A^{-1} B - D)^{-1} is its negative
     caib = _mat_mul(_mat_mul(C, [[Ainv]]), B)
-    T = _inv_grid(_mat_sub(caib, D))
+    bottom_right = _inv_grid(_mat_sub(D, caib))
+    T = [[Neg(x) for x in row] for row in bottom_right]
     top_right = _mat_mul(_mat_mul([[Ainv]], B), T)[0]
     bottom_left = [row for row in _mat_mul(T, _mat_mul(C, [[Ainv]]))]
-    bottom_right = _inv_grid(_mat_sub(D, caib))
     out = [[top_left] + top_right]
     for i in range(k - 1):
         out.append([bottom_left[i][0]] + bottom_right[i])

@@ -26,8 +26,13 @@ sparse fraction-free kernel of core.py.  Minimization is one reachable
 pass run twice: it restricts the automaton to its reachable space, then
 to the reachable space of the transposed automaton (B^T, {A_l^T}, C^T),
 which is the observable space.  Coefficients are read by the word walk
-of series.py, which lives apart from the closure, shares no code with it
-and so checks it independently.
+of series.py, which lives apart from the closure, shares none of its
+arithmetic and so checks it independently.
+
+Sparse data has one format: a vector is ``{index: Scalar}`` over its
+nonzeros and a matrix ``{row: {col: Scalar}}`` over its nonzero rows
+(``_rows`` of an ExactMatrix, ``SparseMatrix.rows``), and
+``_add_combination`` is the one row-times-matrix step.
 """
 
 from __future__ import annotations
@@ -118,7 +123,9 @@ def _check_same_point(s1: "LinRep", s2: "LinRep"):
 
 
 class SparseMatrix:
-    """Minimal sparse square matrix over Scalar: {row: {col: value}}.
+    """Sparse square matrix over Scalar: ``rows`` holds its nonzero rows
+    as {row: {col: value}}, the one sparse format, which
+    ``_add_combination`` multiplies by.
 
     The letter matrices of a LinRep share row dicts with the operands they
     were built from, and its empty letter matrices are one object, so they
@@ -143,16 +150,6 @@ class SparseMatrix:
             if not row:
                 del self.rows[i]
 
-    def vecmat(self, u):
-        out = [ZERO] * self.n
-        for i, row in self.rows.items():
-            x = u[i]
-            if not x:
-                continue
-            for j, val in row.items():
-                out[j] = out[j] + x * val
-        return out
-
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows.values())
 
@@ -171,53 +168,40 @@ def _vstack(parts) -> ExactMatrix:
     )
 
 
-def _nonzero_rows(a: ExactMatrix, offset: int = 0):
-    """Row i of a as a list of (offset + col, value) over its nonzero entries."""
-    return [
-        [(offset + j, x) for j, x in enumerate(a.row(i)) if x] for i in range(a.rows)
-    ]
-
-
-def _b_rows(x: "LinRep") -> dict:
-    """The nonzero rows of B as {state: [(col, value)]}."""
-    return {q: row for q, row in enumerate(_nonzero_rows(x.B)) if row}
+def _rows(a: ExactMatrix, offset: int = 0) -> dict:
+    """The nonzero rows of a as ``{row: {offset + col: Scalar}}``."""
+    out = {}
+    for i in range(a.rows):
+        row = {offset + j: x for j, x in enumerate(a.row(i)) if x}
+        if row:
+            out[i] = row
+    return out
 
 
 def _constant_term(x: "LinRep", b_rows: dict) -> ExactMatrix:
-    """CB, the coefficient of the empty word."""
+    """CB, the coefficient of the empty word; ``b_rows`` is _rows(x.B)."""
     m = x.m
     out = [ZERO] * (m * m)
     for q, bq in b_rows.items():
         for i in range(m):
             c = x.C[i, q]
             if c:
-                for k, v in bq:
+                for k, v in bq.items():
                     out[i * m + k] = out[i * m + k] + c * v
     return ExactMatrix(m, m, out)
 
 
-def _times_B(row: dict, b_rows: dict, m: int):
-    """The row vector row @ B of length m, or None when it is zero;
-    ``b_rows`` maps each state to the nonzero entries of its row of B."""
-    u = None
-    for q, v in row.items():
-        bq = b_rows.get(q)
-        if bq:
-            if u is None:
-                u = [None] * m
-            for k, x in bq:
-                u[k] = v * x if u[k] is None else u[k] + v * x
-    if u is None or not any(u):
-        return None
-    return u
+def _add_combination(row: dict, u: dict, rows: dict) -> dict:
+    """row += sum_k u[k] * rows[k], dropping entries that cancel; returns row.
 
-
-def _add_combination(row: dict, u, c_rows):
-    """row += sum_k u[k] * c_rows[k], dropping entries that cancel."""
-    for uk, ck in zip(u, c_rows):
-        if not uk:
+    The one sparse row-times-matrix step: u is a sparse vector
+    ``{k: Scalar}`` and rows a sparse matrix ``{k: {j: Scalar}}`` of its
+    nonzero rows, so an index of u with no row adds nothing."""
+    for k, uk in u.items():
+        rk = rows.get(k)
+        if rk is None:
             continue
-        for j, x in ck:
+        for j, x in rk.items():
             old = row.get(j)
             if old is None:
                 row[j] = uk * x
@@ -227,6 +211,7 @@ def _add_combination(row: dict, u, c_rows):
                     row[j] = s
                 else:
                     del row[j]
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -276,24 +261,6 @@ class LinRep:
     @property
     def dim(self) -> int:
         return max(1, -(-self.C.cols // self.basepoint.m))
-
-    def read_out(self, row) -> list:
-        """The entries of the dense row vector row @ B."""
-        out = []
-        for jc in range(self.B.cols):
-            acc = ZERO
-            for q, x in enumerate(row):
-                if x:
-                    acc = acc + x * self.B[q, jc]
-            out.append(acc)
-        return out
-
-    def word_value(self, word) -> ExactMatrix:
-        """C A^w B for a word of scalar letter indices."""
-        rows = [list(self.C.row(r)) for r in range(self.m)]
-        for l in word:
-            rows = [self.A[l].vecmat(r) for r in rows]
-        return ExactMatrix(self.m, self.m, [x for r in rows for x in self.read_out(r)])
 
     def __repr__(self):
         return f"LinRep(m={self.m}, dim={self.dim}, letters={len(self.letters)})"
@@ -369,20 +336,19 @@ def rep_mul(s1: LinRep, s2: LinRep) -> LinRep:
     """Representation of the product S1*S2 of dimension n1 + n2."""
     _check_same_point(s1, s2)
     m, D1 = s1.m, s1.states
-    b_rows = _b_rows(s1)
+    b_rows = _rows(s1.B)
     C = _hstack([s1.C, _constant_term(s1, b_rows) * s2.C])
     B = _vstack([ExactMatrix.zeros(D1, m), s2.B])
-    c_rows = _nonzero_rows(s2.C, D1)
+    c_rows = _rows(s2.C, D1)
     empty = SparseMatrix(C.cols)
     mats = []
     for A1, A2 in zip(s1.A, s2.A):
         rows = {}
         # top-left block A1, top-right block (A1 B1) C2
         for i, row in A1.rows.items():
-            u = _times_B(row, b_rows, m)
-            if u is not None:
-                row = dict(row)
-                _add_combination(row, u, c_rows)
+            u = _add_combination({}, row, b_rows)
+            if u:
+                row = _add_combination(dict(row), u, c_rows)
             rows[i] = row
         for i, row in A2.rows.items():
             rows[D1 + i] = {D1 + j: v for j, v in row.items()}
@@ -398,29 +364,25 @@ def rep_inv(s: LinRep) -> LinRep:
     at this nesting level).
     """
     m, D = s.m, s.states
-    b_rows = _b_rows(s)
+    b_rows = _rows(s.B)
     try:
         a_inv = matrix_inverse(_constant_term(s, b_rows))
     except SingularMatrixError:
         raise SingularConstantTerm(
             "constant term of the series is singular"
         ) from None
-    ac = a_inv * s.C
-    C = _hstack([-ac, a_inv])
+    C = _hstack([-(a_inv * s.C), a_inv])
     B = _vstack([ExactMatrix.zeros(D, m), ExactMatrix.identity(m)])
-    minus_ac = _nonzero_rows(-ac)
-    inv_cols = [[(D + k, a_inv[t, k]) for k in range(m) if a_inv[t, k]] for t in range(m)]
+    c_rows = _rows(C)
     empty = SparseMatrix(D + m)
     mats = []
     for A in s.A:
-        # A' = [[A - (A B) a^-1 C, (A B) a^-1], [0, 0]]
+        # A' = [[A - (A B) a^-1 C, (A B) a^-1], [0, 0]]: row i is A_i + (A_i B) C'
         rows = {}
         for i, row in A.rows.items():
-            u = _times_B(row, b_rows, m)
-            if u is not None:
-                row = dict(row)
-                _add_combination(row, u, minus_ac)
-                _add_combination(row, u, inv_cols)
+            u = _add_combination({}, row, b_rows)
+            if u:
+                row = _add_combination(dict(row), u, c_rows)
             if row:
                 rows[i] = row
         mats.append(SparseMatrix(D + m, rows) if rows else empty)
@@ -540,7 +502,7 @@ def scalar_rep_is_zero(s: LinRep) -> bool:
     ``perfbench/test_perfbench.py::test_missing_layer_function_is_absent``
     expects to be present when ``scalarize`` is deleted.
     """
-    _, c_cols = gaussian_rows(_sparse_rows(s.C))
+    _, c_cols = gaussian_rows(_rows(s.C))
 
     def observed(row):
         re, im = gaussian_matvec(c_cols, row)
@@ -552,16 +514,6 @@ def scalar_rep_is_zero(s: LinRep) -> bool:
 # ---------------------------------------------------------------------------
 # Minimization at the scalar level
 # ---------------------------------------------------------------------------
-
-
-def _sparse_rows(a: ExactMatrix) -> dict:
-    """The nonzero entries of a as ``{row: {col: Scalar}}``."""
-    out = {}
-    for i in range(a.rows):
-        row = {j: x for j, x in enumerate(a.row(i)) if x}
-        if row:
-            out[i] = row
-    return out
 
 
 def _transposed(rows: dict) -> dict:
@@ -613,7 +565,7 @@ def _closure(s: LinRep, stop=None, coords=False):
 
 def _times_vectors(a: ExactMatrix, vectors):
     """The Scalar entries of a @ v for each Gaussian-integer vector v."""
-    d, cols = gaussian_rows(_sparse_rows(a))
+    d, cols = gaussian_rows(_rows(a))
     out = []
     for v in vectors:
         re, im = gaussian_matvec(cols, v)

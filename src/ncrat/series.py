@@ -3,9 +3,9 @@
 A LinRep (see realization.py) stores a series as a weighted automaton
 (C, {A_l}, B), and the coefficient of a scalar word w is C A^w B.  This
 module reads those coefficients by one depth-first walk over words,
-``_word_values``, which shares no code with the reachability closure of
-realization.py and so checks it independently: ``coefficient`` gives the
-generalized-polynomial coefficient [S, w] at a word of base letters,
+``_word_values``, which shares none of the arithmetic of the reachability
+closure of realization.py and so checks it independently: ``coefficient``
+gives the generalized-polynomial coefficient [S, w] at a word of base letters,
 ``coefficient_table`` every nonzero coefficient up to a length, and
 ``is_zero_by_enumeration`` the zero verdict by brute force.  ``eval_rep``
 evaluates the series at exact matrices through the closed form of the
@@ -20,7 +20,7 @@ from typing import Sequence
 from .core import ZERO, ExactMatrix, block_matrix, embed, matrix_inverse, split_blocks
 from .errors import DimensionMismatch, MissingLetter, ResolventSingular, SingularMatrixError
 from .ncpoly import Alphabet, Letter, NcPoly
-from .realization import LinRep, _add_combination, _b_rows, _times_B
+from .realization import LinRep, _add_combination, _rows
 
 
 # ---------------------------------------------------------------------------
@@ -33,35 +33,29 @@ def _word_values(s: LinRep, choices):
     |w| <= len(choices), depth first, shorter words before their
     extensions and letters in the order of each choice.
 
-    The m rows of C A^w are kept as sparse {state: value} dicts.  A word
-    whose rows all vanish is pruned with its extensions, so every word
-    left out has coefficient 0.
+    The m rows of C A^w are kept as sparse {state: value} dicts, and every
+    step, row @ A_l to extend a word and row @ B to read it, is one
+    ``_add_combination``.  A word whose rows all vanish is pruned with its
+    extensions, so every word left out has coefficient 0.
     """
     m, last = s.m, len(choices)
-    b_rows = _b_rows(s)
-    start = [{q: x for q, x in enumerate(s.C.row(r)) if x} for r in range(m)]
-    stack = [((), start)]
+    b_rows = _rows(s.B)
+    c_rows = _rows(s.C)
+    stack = [((), [c_rows.get(r, {}) for r in range(m)])]
     while stack:
         word, rows = stack.pop()
         if not any(rows):
             continue
         value = [ZERO] * (m * m)
         for r, row in enumerate(rows):
-            u = _times_B(row, b_rows, m)
-            if u is not None:
-                value[r * m : (r + 1) * m] = [ZERO if x is None else x for x in u]
+            for k, x in _add_combination({}, row, b_rows).items():
+                value[r * m + k] = x
         yield word, ExactMatrix(m, m, value)
         if len(word) == last:
             continue
         for l in reversed(choices[len(word)]):
             arows = s.A[l].rows
-            nxt = []
-            for row in rows:
-                hits = [q for q in row if q in arows]
-                new = {}
-                _add_combination(new, [row[q] for q in hits], [arows[q].items() for q in hits])
-                nxt.append(new)
-            stack.append((word + (l,), nxt))
+            stack.append((word + (l,), [_add_combination({}, row, arows) for row in rows]))
 
 
 def is_zero_by_enumeration(s: LinRep) -> bool:

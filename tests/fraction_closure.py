@@ -1,14 +1,18 @@
-"""Reference closures over Fractions for the fraction-free kernel.
+"""Dense references over Fractions for the fraction-free kernel and the
+sparse word walk.
 
 This is the Krylov closure that ncrat's zero test and minimization ran on
 before the Gaussian-integer kernel: every vector is a list of Scalars and
 each basis row is normalized to pivot 1.  Tests compare the kernel with it,
-and rank computations with the Gauss-Jordan ``rref`` below.
+rank computations with the Gauss-Jordan ``rref`` below, and word values
+C A^w B with ``reference_word_value``.  Its products ``_matvec``,
+``_vecmat`` and ``_dot`` are dense and borrow nothing from ncrat but the
+data types.
 """
 
 from collections import deque
 
-from ncrat.core import ZERO
+from ncrat.core import ZERO, ExactMatrix
 
 
 def rref(rows):
@@ -87,12 +91,31 @@ def _matvec(mat, v):
     return out
 
 
+def _vecmat(mat, u):
+    """A row of Scalars times a SparseMatrix."""
+    out = [ZERO] * mat.n
+    for i, row in mat.rows.items():
+        x = u[i]
+        if x:
+            for j, val in row.items():
+                out[j] = out[j] + x * val
+    return out
+
+
 def _dot(u, v):
     acc = ZERO
     for x, y in zip(u, v):
         if x and y:
             acc = acc + x * y
     return acc
+
+
+def reference_word_value(rep, word) -> ExactMatrix:
+    """C A^w B for a word of scalar letter indices, by dense products."""
+    rows = [list(rep.C.row(r)) for r in range(rep.m)]
+    for l in word:
+        rows = [_vecmat(rep.A[l], r) for r in rows]
+    return ExactMatrix(rep.m, rep.m, [_dot(r, rep.B.col(c)) for r in rows for c in range(rep.m)])
 
 
 def reference_is_zero(sr) -> bool:
@@ -127,7 +150,7 @@ def observable_basis(sr) -> list:
     while queue:
         red = basis.add(queue.popleft())
         if red is not None:
-            queue.extend(mat.vecmat(red) for mat in sr.A if mat.rows)
+            queue.extend(_vecmat(mat, red) for mat in sr.A if mat.rows)
     return basis.basis_vectors()
 
 

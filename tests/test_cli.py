@@ -366,6 +366,25 @@ class TestCustomIdealFile:
         assert code == 2 and out == ""
         assert "base point outside dom r [subtree path [1]]" in err
 
+    @pytest.mark.parametrize("command", [
+        ["member", "--witness"],
+        ["falsify"],
+    ])
+    def test_letter_outside_the_decomposition(self, tmp_path, command):
+        # X3 is neither bound by the base point nor resolved
+        spec = {
+            "g": 3, "letters": ["X1", "X2", "X3"], "generators": ["X1 X2 - 1"],
+            "resolved": ["X2"], "resolvent": {"X2": "X1^-1"},
+            "basepoint": {"matrices": {"X1": {"rows": 1, "cols": 1, "entries": [["1", "0"]]}}},
+        }
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run_cli(command[0], "--ideal-file", str(path), "--poly", "X1 - 1",
+                                 *command[1:], "--seed", "1")
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: letters ['X3'] are neither")
+
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 

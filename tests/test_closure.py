@@ -19,7 +19,7 @@ from ncrat.realization import (
 )
 from ncrat.series import coefficient, is_zero_by_enumeration
 
-from fraction_closure import reference_is_zero, reference_minimal_dimension
+from fraction_closure import reference_is_zero, reference_minimal_dimension, reference_word_value
 
 # zero-heavy, with non-real values and non-integer denominators
 VALUES = tuple(
@@ -168,15 +168,15 @@ def test_minimization_preserves_words_and_is_minimal(case, data):
     assert (n_min == 0) == scalar_rep_is_zero(rep)
     word = st.lists(st.integers(0, len(rep.A) - 1), max_size=5)
     for w in data.draw(st.lists(word, min_size=1, max_size=8)):
-        assert red.word_value(tuple(w)) == rep.word_value(tuple(w))
+        assert reference_word_value(red, tuple(w)) == reference_word_value(rep, tuple(w))
 
 
 @SETTINGS
 @given(automata(ms=st.just(2)))
 def test_coefficient_matches_word_values_on_the_fiber(case):
-    # coefficient reads the series by its word walk and word_value by dense
-    # products: entry (r, c) of [S, w] holds (C A^v B)[r, c] at every scalar
-    # word v of the fiber of w, and no other monomial
+    # coefficient reads the series by its word walk and reference_word_value
+    # by dense products: entry (r, c) of [S, w] holds (C A^v B)[r, c] at
+    # every scalar word v of the fiber of w, and no other monomial
     rep, _ = case
     m, mm = rep.m, rep.m * rep.m
     for word in itertools.product(rep.letters, repeat=2):
@@ -186,7 +186,7 @@ def test_coefficient_matches_word_values_on_the_fiber(case):
         )))
         monomials = {v: tuple(Letter(i + 1, False) for i in v) for v in fiber}
         for v in fiber:
-            value = rep.word_value(v)
+            value = reference_word_value(rep, v)
             for r in range(m):
                 for c in range(m):
                     assert gp.entries[r][c].coeff(monomials[v]) == value[r, c]

@@ -28,8 +28,8 @@ from ncrat.ideals import (
     zero_set_sampler,
 )
 from ncrat.ncpoly import Alphabet, Letter, NcPoly, words_up_to
-from ncrat.ratexpr import format_expression, parse_poly
-from ncrat.realization import compile_expression, is_zero
+from ncrat.ratexpr import Add, Const, Inv, Mul, Neg, RatExpr, Var, format_expression, parse_poly
+from ncrat.realization import BasePoint, compile_expression, is_zero
 from ncrat.series import coefficient, coefficient_table
 from ncrat.sampler import SampleDomain, falsify
 
@@ -110,6 +110,13 @@ class TestBuiltins:
             ideal = builtin_ideal(kind, g)
             assert (ideal.m, ideal.n, list(ideal.resolved)) == (m, n, resolved), (kind, g)
 
+    def test_uprime_5_builds(self):
+        # the largest g a test builds, about 4 s CPU
+        ideal = builtin_ideal("Uprime", 5)
+        cells = [(i, j) for i in range(1, 6) for j in range(1, 6)]
+        assert (ideal.m, ideal.n) == (1, 5)
+        assert list(ideal.resolved) == [Letter(25 + (i - 1) * 5 + j, False) for i, j in cells]
+
 
 class TestSymbolicInverse:
     def test_g1(self):
@@ -121,32 +128,41 @@ class TestSymbolicInverse:
         assert format_expression(inv[0][0]) == "(X11 - (X12*X22^-1)*X21)^-1"
 
     def test_defining_property(self):
-        for g in (1, 2):
+        # X X^-1 = I and X^-1 X = I, exactly, about the identity
+        for g in (1, 2, 3):
             alph = Alphabet.matrix(g)
             inv = symbolic_matrix_inverse(g, alph)
-            one = ExactMatrix.identity(1)
-            zero = ExactMatrix.zeros(1, 1)
-            from ncrat.realization import BasePoint
+            x = [[Var(Letter((i - 1) * g + j, False)) for j in range(1, g + 1)] for i in range(1, g + 1)]
+            bp = BasePoint.from_mapping({
+                Letter((i - 1) * g + j, False): ExactMatrix.identity(1) if i == j else ExactMatrix.zeros(1, 1)
+                for i in range(1, g + 1)
+                for j in range(1, g + 1)
+            })
+            for left, right in ((x, [[e.node for e in row] for row in inv]),
+                                ([[e.node for e in row] for row in inv], x)):
+                for i in range(g):
+                    for j in range(g):
+                        terms = [Mul((left[i][k], right[k][j])) for k in range(g)]
+                        if i == j:
+                            terms.append(Neg(Const(Scalar(1))))
+                        expr = RatExpr(alph, Add(tuple(terms)))
+                        assert is_zero(compile_expression(expr, bp)), (g, i, j, left is x)
 
-            bp = BasePoint.from_mapping(
-                {
-                    Letter((i - 1) * g + j, False): (one if i == j else zero)
-                    for i in range(1, g + 1)
-                    for j in range(1, g + 1)
-                }
-            )
-            from ncrat.ratexpr import Add, Mul, Neg, Const, RatExpr, Var
+    def test_inverse_is_a_small_dag(self):
+        # two recursions per block step: the off-diagonal blocks use the
+        # negative of the bottom-right block instead of a third recursion
+        def distinct_nodes(inv):
+            seen, stack = set(), [e.node for row in inv for e in row]
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    stack.extend(getattr(node, "children", ()))
+                    if isinstance(node, (Neg, Inv)):
+                        stack.append(node.child)
+            return len(seen)
 
-            for i in range(1, g + 1):
-                for j in range(1, g + 1):
-                    terms = [
-                        Mul((Var(Letter((i - 1) * g + k, False)), inv[k - 1][j - 1].node))
-                        for k in range(1, g + 1)
-                    ]
-                    if i == j:
-                        terms.append(Neg(Const(Scalar(1))))
-                    expr = RatExpr(alph, Add(tuple(terms)))
-                    assert is_zero(compile_expression(expr, bp)), (i, j)
+        assert distinct_nodes(symbolic_matrix_inverse(5)) <= 672
 
 
 class TestSubstitution:
@@ -454,6 +470,30 @@ class TestCustomIdeals:
         del spec["basepoint"]["matrices"]["X2"]
         with pytest.raises(SpecError, match="base point misses x' letters"):
             custom_ideal(spec)
+
+    def test_every_letter_is_in_x_prime_or_resolved(self):
+        # X3 is neither: the graph sampler would have no value for it
+        spec = {
+            "g": 3, "letters": ["X1", "X2", "X3"], "generators": ["X1 X2 - 1"],
+            "resolved": ["X2"], "resolvent": {"X2": "X1^-1"},
+            "basepoint": {"matrices": {"X1": {"rows": 1, "cols": 1, "entries": [["1", "0"]]}}},
+        }
+        with pytest.raises(SpecError, match=r"letters \['X3'\] are neither"):
+            custom_ideal(spec)
+
+    def test_star_ideal_covers_every_adjoint(self):
+        # T(2) written as a spec without X2^*: X2^* is neither in x' nor in x''
+        one = {"rows": 1, "cols": 1, "entries": [["1", "0"]]}
+        spec = {
+            "g": 2, "star": True, "domain_kind": "unitaries",
+            "generators": ["1 - X1^* X1", "1 - X1 X1^*"],
+            "resolved": ["X1^*"], "resolvent": {"X1^*": "X1^-1"},
+            "basepoint": {"matrices": {"X1": one, "X2": one}},
+        }
+        with pytest.raises(SpecError, match=r"letters \['X2\^\*'\] are neither"):
+            custom_ideal(spec)
+        spec["basepoint"]["matrices"]["X2^*"] = one
+        assert custom_ideal(spec).resolved == (Letter(1, True),)
 
     def test_starred_resolvent_letter_needs_a_star_ideal(self):
         spec = json.loads(json.dumps(ONE_RELATOR))

@@ -38,6 +38,7 @@ from ncrat.series import (
 )
 
 from conftest import random_invertible
+from fraction_closure import reference_word_value
 
 L1, L2 = Letter(1, False), Letter(2, False)
 BP1 = BasePoint.scalars([1, 2])
@@ -165,6 +166,41 @@ class TestArithmeticOps:
                                rep_const(ExactMatrix.identity(1), BP1)))
 
 
+class TestAddCombination:
+    """_add_combination is the one sparse row-times-matrix step."""
+
+    def test_cancelled_entry_loses_its_key(self):
+        row = {0: Scalar(1), 1: Scalar(2)}
+        out = realization._add_combination(row, {5: Scalar(-1)}, {5: {0: Scalar(1), 2: Scalar(3)}})
+        assert out is row and row == {1: Scalar(2), 2: Scalar(-3)}
+
+    def test_index_without_a_row_is_skipped(self):
+        rows = {0: {1: Scalar(2)}}
+        assert realization._add_combination({}, {0: Scalar(3), 7: Scalar(5)}, rows) == {1: Scalar(6)}
+        assert realization._add_combination({}, {7: Scalar(5)}, rows) == {}
+
+    def test_dense_products(self):
+        # row @ B for every row of a letter matrix, and u @ C' with rep_inv's
+        # C' = [-a^-1 C, a^-1], against ExactMatrix products
+        def dense(vec, n):
+            return ExactMatrix(1, n, [vec.get(j, Scalar(0)) for j in range(n)])
+
+        def sparse(mat):
+            return {j: x for j, x in enumerate(mat.entries) if x}
+
+        s = compile_text("(X1*X2 - X2*X1)^-1 + X1", BP2x2)
+        c_prime = rep_inv(s).C
+        b_rows, c_rows = realization._rows(s.B), realization._rows(c_prime)
+        used = 0
+        for a in s.A:
+            for row in a.rows.values():
+                u = realization._add_combination({}, row, b_rows)
+                assert u == sparse(dense(row, s.states) * s.B)
+                assert realization._add_combination({}, u, c_rows) == sparse(dense(u, s.m) * c_prime)
+                used += bool(u)
+        assert used
+
+
 class TestCompile:
     def test_scalar_inverse_series(self):
         s = compile_text("X1^-1", BasePoint.scalars([1]), g=1)
@@ -263,10 +299,10 @@ class TestScalarize:
         s = rep_var(L1, BP1)
         assert scalarize(s) is s
         assert s.states == s.dim == 2
-        assert s.word_value(()) == ExactMatrix.from_rows([[1]])
-        assert s.word_value((0,)) == ExactMatrix.from_rows([[1]])
-        assert s.word_value((1,)).is_zero()
-        assert s.word_value((0, 0)).is_zero()
+        assert reference_word_value(s, ()) == ExactMatrix.from_rows([[1]])
+        assert reference_word_value(s, (0,)) == ExactMatrix.from_rows([[1]])
+        assert reference_word_value(s, (1,)).is_zero()
+        assert reference_word_value(s, (0, 0)).is_zero()
 
     def test_state_size(self):
         # a compiled automaton has D = m*n states, and scalar letter
@@ -280,7 +316,7 @@ class TestScalarize:
             for i in range(2):
                 for j in range(2):
                     idx = slot * 4 + i * 2 + j
-                    value = s.word_value((idx,))
+                    value = reference_word_value(s, (idx,))
                     for r in range(2):
                         for c in range(2):
                             assert gp.entries[r][c].coeff((Letter(idx + 1, False),)) == value[r, c]
@@ -370,7 +406,7 @@ class TestMinimize:
         for _ in range(40):
             length = rng.randint(0, 5)
             word = tuple(rng.randrange(len(s.A)) for _ in range(length))
-            assert s.word_value(word) == red.word_value(word)
+            assert reference_word_value(s, word) == reference_word_value(red, word)
 
     def test_minimized_rep(self):
         # the minimized automaton is a LinRep about the same base point that
