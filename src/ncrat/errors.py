@@ -53,6 +53,7 @@ class DomainError(NcratError):
 
     def __init__(self, message, path=()):
         super().__init__(f"{message} [subtree path {list(path)}]")
+        self.message = message
         self.path = tuple(path)
 
 

@@ -54,7 +54,7 @@ from .ratexpr import (
     Neg,
     RatExpr,
     Var,
-    eval_expression,
+    _evaluate,
     parse_expression,
     parse_poly,
     poly_to_expression,
@@ -454,8 +454,9 @@ def zero_set_sampler(ideal: RRIdeal):
     floats.  Other ideals give exact points of the graph of the
     resolvent, which is their zero set: every x' letter an n x n
     ExactMatrix of Gaussian integers with real and imaginary parts in
-    -3..3, and x'' = r(x') evaluated exactly.  A graph
-    point takes up to 20 draws of x', each from its own stdlib stream
+    -3..3, and x'' = r(x') evaluated exactly, all resolvents in one fold
+    over their shared DAG.  A graph point takes up to 20 draws of x',
+    each from its own stdlib stream
     random.Random(f"graph/{seed}/{n}/{trial}/{attempt}").  When r is
     undefined at all of them, the sampler raises ConditioningFailure and
     falsify leaves the size: the graph is then almost surely empty there
@@ -466,6 +467,7 @@ def zero_set_sampler(ideal: RRIdeal):
 
     xprime = ideal.basepoint.letters
     size = ideal.alphabet.size
+    roots = [expr.node for expr in ideal.resolvent.values()]
 
     def sample(n, seed, trial):
         for attempt in range(20):
@@ -476,10 +478,7 @@ def zero_set_sampler(ideal: RRIdeal):
                 for l in xprime
             }
             try:
-                for l in ideal.resolved:
-                    binding[l] = eval_expression(
-                        ideal.resolvent[l], binding, star_rule="formal"
-                    )
+                binding.update(zip(ideal.resolved, _evaluate(roots, binding, "formal")))
             except DomainError:
                 continue
             return tuple(binding[Letter(i, False)] for i in range(1, size + 1))

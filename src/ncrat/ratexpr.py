@@ -1,8 +1,14 @@
-"""Noncommutative rational expressions: syntax trees, parsing and evaluation.
+"""Noncommutative rational expressions: parsing, formatting and passes.
 
-An expression is a finite tree over Const / Var / Add / Neg / Mul / Inv.
-Distinct trees are distinct expressions; nothing is simplified.  The
-concrete grammar (also emitted by the formatter) is
+An expression is a finite DAG over Const / Var / Add / Neg / Mul / Inv:
+a node object may have several parents (the Schur complements of a
+symbolic inverse do), and nothing is simplified.  Every pass -- letters,
+height, adjoint, substitution, evaluation, flattening, compilation -- is
+one ``fold``, which visits each distinct node once and without recursion,
+so sharing costs nothing and depth has no limit.  Only ``_fmt``, which
+prints the tree, the recursive-descent parser and the dataclass ``==``
+and ``hash`` recurse.  The concrete grammar (also emitted by the
+formatter) is
 
     expr    := ["-"] term (("+"|"-") term)*
     term    := factor (factor | "*" factor)*        juxtaposition = product
@@ -24,6 +30,8 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add, matmul, mul
 from typing import Mapping, Union
 
 from .core import ExactMatrix, Scalar, _mk, matrix_inverse
@@ -42,14 +50,22 @@ from .ncpoly import Alphabet, Letter, NcPoly, _point_binding, _point_size, _look
 # ---------------------------------------------------------------------------
 
 
+class _Unary:
+    @property
+    def children(self) -> tuple:
+        return (self.child,)
+
+
 @dataclass(frozen=True)
 class Const:
     value: Scalar
+    children = ()
 
 
 @dataclass(frozen=True)
 class Var:
     letter: Letter
+    children = ()
 
 
 @dataclass(frozen=True)
@@ -62,7 +78,7 @@ class Add:
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Unary):
     child: "Node"
 
 
@@ -76,7 +92,7 @@ class Mul:
 
 
 @dataclass(frozen=True)
-class Inv:
+class Inv(_Unary):
     child: "Node"
 
 
@@ -101,21 +117,67 @@ class RatExpr:
 
     def letters_used(self) -> set:
         out = set()
-        _collect_letters(self.node, out)
+        fold([self.node], lambda node, _: isinstance(node, Var) and out.add(node.letter))
         return out
 
     def __str__(self):
         return self.format()
 
 
-def _collect_letters(node: Node, out: set):
-    if isinstance(node, Var):
-        out.add(node.letter)
-    elif isinstance(node, (Add, Mul)):
-        for c in node.children:
-            _collect_letters(c, out)
-    elif isinstance(node, (Neg, Inv)):
-        _collect_letters(node.child, out)
+def fold(roots, combine) -> list:
+    """The values of the nodes ``roots``, computed bottom-up without recursion.
+
+    ``combine(node, values)`` gets the values of the node's children in
+    order and returns the node's value.  Each distinct node object is
+    combined once, children before parents, in left-to-right depth-first
+    order, and a value is dropped once its last parent has used it.  A
+    DomainError from combine is raised again with the path of child
+    indices from a root to the node's first visit.
+    """
+    order, uses = [], {}  # order: (node, children, depth, index in parent)
+    stack = [[None, roots, 0]]  # the roots are the children of a frame of their own
+    while stack:
+        frame = stack[-1]
+        node, kids, i = frame
+        if i < len(kids):
+            frame[2] = i + 1
+            child = kids[i]
+            if id(child) in uses:
+                uses[id(child)] += 1
+            else:
+                uses[id(child)] = 1
+                stack.append([child, child.children, 0])
+        else:
+            stack.pop()
+            if stack:
+                order.append((node, kids, len(stack), stack[-1][2] - 1))
+    values = {}
+    for pos, (node, kids, _, _) in enumerate(order):
+        args = []
+        for child in kids:
+            key = id(child)
+            args.append(values[key])
+            uses[key] -= 1
+            if not uses[key]:
+                del values[key]
+        try:
+            values[id(node)] = combine(node, args)
+        except DomainError as exc:
+            # its ancestors follow the node in post-order, each the first entry a level up
+            path, depth = [], order[pos][2]
+            for _, _, d, index in order[pos:]:
+                if d == depth and depth > 1:
+                    path.append(index)
+                    depth -= 1
+            raise DomainError(exc.message, path[::-1]) from None
+    return [values[id(root)] for root in roots]
+
+
+def _rebuild(node: Node, kids: list) -> Node:
+    """A node of the same type as node over new children."""
+    if isinstance(node, (Add, Mul)):
+        return type(node)(tuple(kids))
+    return type(node)(kids[0])
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +289,7 @@ class _Parser:
                 node = Inv(node)
             elif k == "*":
                 self.next()
-                node = _star_node(node)
+                node = fold([node], _star)[0]
             elif k == "num":
                 self.next()
                 value, imag = _num_value(v, off)
@@ -305,12 +367,17 @@ def parse_expression(text: str, alphabet: Alphabet | int) -> RatExpr:
     """Parse text into a RatExpr over the given alphabet.
 
     ``alphabet`` may be an integer g, shorthand for the default alphabet
-    X1..Xg.  Raises ParseError (with a byte offset) or UnknownLetter.
+    X1..Xg.  Raises ParseError (with a byte offset) or UnknownLetter; the
+    parser recurses once per level of parentheses, and nesting deeper than
+    Python's recursion limit is a ParseError too.
     """
     if isinstance(alphabet, int):
         alphabet = Alphabet.x(alphabet)
     p = _Parser(text, alphabet)
-    node = p.expr()
+    try:
+        node = p.expr()
+    except RecursionError:
+        raise ParseError("parentheses nested too deeply", p.peek()[2]) from None
     t = p.peek()
     if t[0] != "eof":
         raise ParseError(f"trailing input {t[1]!r}", t[2])
@@ -387,54 +454,32 @@ def format_expression(e: RatExpr) -> str:
 def height(e: RatExpr | Node) -> int:
     """Maximal number of nested inverses (0 for polynomials)."""
     node = e.node if isinstance(e, RatExpr) else e
-    if isinstance(node, (Const, Var)):
-        return 0
-    if isinstance(node, (Add, Mul)):
-        return max(height(c) for c in node.children)
-    if isinstance(node, Neg):
-        return height(node.child)
-    return 1 + height(node.child)  # Inv
+    return fold([node], lambda node, hs: max(hs, default=0) + isinstance(node, Inv))[0]
 
 
-def _star_node(node: Node) -> Node:
+def _star(node: Node, kids: list) -> Node:
     if isinstance(node, Const):
         return Const(node.value.conjugate())
     if isinstance(node, Var):
         return Var(node.letter.star)
-    if isinstance(node, Add):
-        return Add(tuple(_star_node(c) for c in node.children))
-    if isinstance(node, Neg):
-        return Neg(_star_node(node.child))
-    if isinstance(node, Mul):
-        return Mul(tuple(_star_node(c) for c in reversed(node.children)))
-    return Inv(_star_node(node.child))
+    return _rebuild(node, kids[::-1] if isinstance(node, Mul) else kids)
 
 
 def star_expression(e: RatExpr) -> RatExpr:
     """Formal adjoint: reverses products, stars letters, conjugates constants."""
-    return RatExpr(e.alphabet, _star_node(e.node))
+    return RatExpr(e.alphabet, fold([e.node], _star)[0])
 
 
 def substitute_letters(e: RatExpr, mapping: Mapping[Letter, "RatExpr | Node"]) -> RatExpr:
     """Simultaneously replace letters by expressions; unmapped letters stay."""
-    table = {}
-    for l, img in mapping.items():
-        table[l] = img.node if isinstance(img, RatExpr) else img
+    table = {l: img.node if isinstance(img, RatExpr) else img for l, img in mapping.items()}
 
-    def walk(node: Node) -> Node:
+    def combine(node, kids):
         if isinstance(node, Var):
             return table.get(node.letter, node)
-        if isinstance(node, Const):
-            return node
-        if isinstance(node, Add):
-            return Add(tuple(walk(c) for c in node.children))
-        if isinstance(node, Neg):
-            return Neg(walk(node.child))
-        if isinstance(node, Mul):
-            return Mul(tuple(walk(c) for c in node.children))
-        return Inv(walk(node.child))
+        return node if isinstance(node, Const) else _rebuild(node, kids)
 
-    return RatExpr(e.alphabet, walk(e.node))
+    return RatExpr(e.alphabet, fold([e.node], combine)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +492,14 @@ def eval_expression(e: RatExpr, point, star_rule: str = "adjoint"):
 
     Exact matrices give an exact value; numpy arrays evaluate in floats.
     A singular inverse raises DomainError carrying the path of child
-    indices from the root to the offending Inv node.  A node shared by
-    several parents (the DAG of a symbolic inverse) is evaluated once.
+    indices from the root to the offending Inv node.
     """
+    return _evaluate([e.node], point, star_rule)[0]
+
+
+def _evaluate(roots, point, star_rule: str) -> list:
+    """The values of the nodes ``roots`` at a point, in one fold, so a node
+    they share is evaluated once."""
     binding = _point_binding(point, star_rule)
     n = _point_size(binding)
     exact = isinstance(next(iter(binding.values())), ExactMatrix)
@@ -460,50 +510,31 @@ def eval_expression(e: RatExpr, point, star_rule: str = "adjoint"):
 
         ident = np.eye(n, dtype=complex)
 
-    done = {}  # id(node) -> value; the nodes stay alive in e
-
-    def walk(node: Node, path: tuple):
-        value = done.get(id(node))
-        if value is None:
-            value = done[id(node)] = evaluate(node, path)
-        return value
-
-    def evaluate(node: Node, path: tuple):
+    def combine(node, kids):
         if isinstance(node, Const):
-            if exact:
-                return ident.scale(node.value)
-            return node.value.to_complex() * ident
+            return ident.scale(node.value) if exact else node.value.to_complex() * ident
         if isinstance(node, Var):
             return _lookup(binding, node.letter)
         if isinstance(node, Add):
-            acc = walk(node.children[0], path + (0,))
-            for i, c in enumerate(node.children[1:], start=1):
-                acc = acc + walk(c, path + (i,))
-            return acc
+            return reduce(add, kids)
         if isinstance(node, Neg):
-            return -walk(node.child, path + (0,))
+            return -kids[0]
         if isinstance(node, Mul):
-            acc = walk(node.children[0], path + (0,))
-            for i, c in enumerate(node.children[1:], start=1):
-                nxt = walk(c, path + (i,))
-                acc = acc * nxt if exact else acc @ nxt
-            return acc
-        # Inv
-        val = walk(node.child, path + (0,))
+            return reduce(mul if exact else matmul, kids)
         if exact:
             try:
-                return matrix_inverse(val)
+                return matrix_inverse(kids[0])
             except SingularMatrixError:
-                raise DomainError("singular inverse: point outside dom r", path) from None
+                raise DomainError("singular inverse: point outside dom r") from None
         try:
-            inv = np.linalg.inv(val)
+            inv = np.linalg.inv(kids[0])
         except np.linalg.LinAlgError:
-            raise DomainError("singular inverse: point outside dom r", path) from None
+            raise DomainError("singular inverse: point outside dom r") from None
         if not np.all(np.isfinite(inv)):
-            raise DomainError("non-finite inverse: point outside dom r", path)
+            raise DomainError("non-finite inverse: point outside dom r")
         return inv
 
-    return walk(e.node, ())
+    return fold(roots, combine)
 
 
 # ---------------------------------------------------------------------------
@@ -514,26 +545,20 @@ def eval_expression(e: RatExpr, point, star_rule: str = "adjoint"):
 def expression_to_poly(e: RatExpr) -> NcPoly:
     """Flatten an inverse-free expression into an NcPoly."""
 
-    def walk(node: Node) -> NcPoly:
+    def combine(node, kids):
         if isinstance(node, Const):
             return NcPoly.constant(e.alphabet, node.value)
         if isinstance(node, Var):
             return NcPoly.var(e.alphabet, node.letter.index, node.letter.starred)
         if isinstance(node, Add):
-            acc = walk(node.children[0])
-            for c in node.children[1:]:
-                acc = acc + walk(c)
-            return acc
+            return reduce(add, kids)
         if isinstance(node, Neg):
-            return -walk(node.child)
+            return -kids[0]
         if isinstance(node, Mul):
-            acc = walk(node.children[0])
-            for c in node.children[1:]:
-                acc = acc * walk(c)
-            return acc
+            return reduce(mul, kids)
         raise NotPolynomial("expression contains an inverse")
 
-    return walk(e.node)
+    return fold([e.node], combine)[0]
 
 
 def poly_to_expression(f: NcPoly) -> RatExpr:

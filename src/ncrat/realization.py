@@ -10,16 +10,17 @@ LinRep: C of size m x D, one sparse D x D matrix A per scalar letter and
 B of size D x m, so that the coefficient of a scalar word w is C A^w B.
 Its dimension is n = max(1, ceil(D/m)).
 
-Rational expressions compile to automata by structural recursion, with
-the standard constructions: a sum is block diagonal, a product
-S1*S2 is C = [C1, (C1 B1) C2], A = [[A1, (A1 B1) C2], [0, A2]],
-B = [0; B2], and an inverse, with a = CB invertible in M_m, is
-C' = [-a^-1 C, a^-1], A' = [[A - (A B) a^-1 C, (A B) a^-1], [0, 0]],
-B' = [0; I].  A compiled automaton has D = m*n states, and each block of
-m states is one state of the block form (c, A, b) with c in A^{1 x n},
-b in A^{n x 1}, in which the series is c (I_n - sum_l A^{Y_l})^{-1} b:
-block q, entry (r, c) of it is state q*m + r, and letter (l, i, j) has
-index slot(l)*m^2 + i*m + j.
+Rational expressions compile to automata in one fold over the
+expression DAG, with the standard constructions: a sum is block
+diagonal, a product S1*S2 is C = [C1, (C1 B1) C2],
+A = [[A1, (A1 B1) C2], [0, A2]], B = [0; B2], and an inverse, with
+a = CB invertible in M_m, is C' = [-a^-1 C, a^-1],
+A' = [[A - (A B) a^-1 C, (A B) a^-1], [0, 0]], B' = [0; I].  A compiled
+automaton has D = m*n states, and each block of m states is one state
+of the block form (c, A, b) with c in A^{1 x n}, b in A^{n x 1}, in
+which the series is c (I_n - sum_l A^{Y_l})^{-1} b: block q, entry
+(r, c) of it is state q*m + r, and letter (l, i, j) has index
+slot(l)*m^2 + i*m + j.
 
 Zero testing is a reachability closure on the automaton, run on the
 sparse fraction-free kernel of core.py.  Minimization is one reachable
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from typing import Mapping
 
 from .core import (
@@ -64,7 +66,7 @@ from .errors import (
     SpecError,
 )
 from .ncpoly import Letter
-from .ratexpr import Add, Const, Inv, Mul, Neg, RatExpr, Var
+from .ratexpr import Add, Const, Mul, Neg, RatExpr, Var, fold
 
 
 # ---------------------------------------------------------------------------
@@ -404,26 +406,17 @@ def compile_expression(e: RatExpr, basepoint: BasePoint, letter_reps: Mapping | 
     the base point and compiles to one rep_var shared by all its
     occurrences.  A letter bound by neither raises MissingLetter, from
     BasePoint.slot when the walk reaches it.  A singular constant term at
-    some inverse raises DomainError with the path to that node.  A node
-    object that occurs several times in the expression is compiled once.
+    some inverse raises DomainError with the path to that node.  The walk
+    is one ``ratexpr.fold``: each distinct node object of the expression
+    DAG is compiled once, without recursion, whatever its depth.
     """
     reps = dict(letter_reps or {})
     for rep in reps.values():
         if rep.basepoint != basepoint:
             raise BasepointMismatch("letter representation about another base point")
     m = basepoint.m
-    shared = _shared_nodes(e.node)
-    done = {}  # id(node) -> LinRep for the shared nodes, which stay alive in e
 
-    def walk(node, path):
-        rep = done.get(id(node))
-        if rep is None:
-            rep = compile_node(node, path)
-            if id(node) in shared:
-                done[id(node)] = rep
-        return rep
-
-    def compile_node(node, path):
+    def combine(node, kids):
         if isinstance(node, Const):
             return rep_const(ExactMatrix.scalar(m, node.value), basepoint)
         if isinstance(node, Var):
@@ -432,39 +425,17 @@ def compile_expression(e: RatExpr, basepoint: BasePoint, letter_reps: Mapping | 
                 rep = reps[node.letter] = rep_var(node.letter, basepoint)
             return rep
         if isinstance(node, Add):
-            return _sum([walk(child, path + (i,)) for i, child in enumerate(node.children)])
+            return _sum(kids)
         if isinstance(node, Neg):
-            return _scaled(ExactMatrix.scalar(m, -1), walk(node.child, path + (0,)))
+            return _scaled(ExactMatrix.scalar(m, -1), kids[0])
         if isinstance(node, Mul):
-            acc = walk(node.children[0], path + (0,))
-            for i, child in enumerate(node.children[1:], start=1):
-                acc = rep_mul(acc, walk(child, path + (i,)))
-            return acc
-        # Inv
-        sub = walk(node.child, path + (0,))
+            return reduce(rep_mul, kids)
         try:
-            return rep_inv(sub)
+            return rep_inv(kids[0])
         except SingularConstantTerm:
-            raise DomainError("base point outside dom r", path) from None
+            raise DomainError("base point outside dom r") from None
 
-    return walk(e.node, ())
-
-
-def _shared_nodes(root) -> set:
-    """The ids of the node objects that occur more than once below root."""
-    seen, shared = set(), set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            shared.add(id(node))
-            continue
-        seen.add(id(node))
-        if isinstance(node, (Add, Mul)):
-            stack.extend(node.children)
-        elif isinstance(node, (Neg, Inv)):
-            stack.append(node.child)
-    return shared
+    return fold([e.node], combine)[0]
 
 
 def scalarize(s: LinRep) -> LinRep:

@@ -160,6 +160,12 @@ class TestZeroTest:
                                "--g", "1", "--basepoint", "scalar:0")
         assert code == 2 and "error" in err
 
+    def test_deep_parentheses_are_a_usage_error(self):
+        text = "(" * 1000 + "X1" + ")" * 1000
+        code, out, err = run_cli("zero-test", "--expr", text, "--g", "1", "--basepoint", "scalar:1")
+        assert code == 2 and not out
+        assert err.startswith("error: parentheses nested too deeply")
+
     def test_minimal_dimension_is_n_for_matrix_base_points(self, tmp_path):
         # about (E12, E21), m = 2: the compiled rep has 18 states (n = 9) and
         # the minimized one 6 states, so n = 3 on both sides of the line

@@ -28,7 +28,9 @@ from ncrat.ideals import (
     zero_set_sampler,
 )
 from ncrat.ncpoly import Alphabet, Letter, NcPoly, words_up_to
-from ncrat.ratexpr import Add, Const, Inv, Mul, Neg, RatExpr, Var, format_expression, parse_poly
+from ncrat.ratexpr import (
+    Add, Const, Inv, Mul, Neg, RatExpr, Var, eval_expression, format_expression, parse_poly,
+)
 from ncrat.realization import BasePoint, compile_expression, is_zero
 from ncrat.series import coefficient, coefficient_table
 from ncrat.sampler import SampleDomain, falsify
@@ -326,6 +328,23 @@ class TestWitnessSize:
         assert witness_size(one, C) == witness_size(parse_poly("X1", C.alphabet), C)
 
 
+def graph_point_by_letter(ideal, n, seed, trial):
+    """zero_set_sampler's point from the same draws, each resolvent evaluated on its own."""
+    for attempt in range(20):
+        rng = random.Random(f"graph/{seed}/{n}/{trial}/{attempt}")
+        binding = {
+            l: ExactMatrix(n, n, [Scalar(rng.randint(-3, 3), rng.randint(-3, 3))
+                                  for _ in range(n * n)])
+            for l in ideal.basepoint.letters
+        }
+        try:
+            for l, expr in ideal.resolvent.items():
+                binding[l] = eval_expression(expr, binding, star_rule="formal")
+        except DomainError:
+            continue
+        return tuple(binding[Letter(i, False)] for i in range(1, ideal.alphabet.size + 1))
+
+
 class TestZeroSetSampling:
     def test_graph_points_kill_generators(self):
         for kind, g in (("Tprime", 2), ("Sprime", 2), ("CommInv", 3), ("Uprime", 2)):
@@ -335,6 +354,15 @@ class TestZeroSetSampling:
             for f in ideal.generators:
                 value = f.eval(point, star_rule="formal")
                 assert value.is_zero(), ideal.name
+
+    def test_graph_point_evaluates_each_resolvent(self):
+        # one walk over the shared DAG of Uprime(3)'s nine resolvents gives
+        # the point that evaluating them one by one gives, from the same draws
+        ideal = builtin_ideal("Uprime", 3)
+        sample = zero_set_sampler(ideal)
+        for n in (1, 2):
+            for trial in range(4):
+                assert sample(n, 9, trial) == graph_point_by_letter(ideal, n, 9, trial)
 
     def test_star_points_kill_generators(self):
         for kind in ("T", "S", "U"):

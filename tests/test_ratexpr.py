@@ -6,6 +6,7 @@ import pytest
 from ncrat.core import ExactMatrix, Scalar
 from ncrat.errors import DomainError, NotPolynomial, ParseError, UnknownLetter
 from ncrat.ncpoly import Alphabet, Letter
+from ncrat import realization
 from ncrat.ratexpr import (
     Add,
     Const,
@@ -14,6 +15,7 @@ from ncrat.ratexpr import (
     Neg,
     RatExpr,
     Var,
+    eval_expression,
     expression_to_poly,
     format_expression,
     height,
@@ -23,6 +25,7 @@ from ncrat.ratexpr import (
     star_expression,
     substitute_letters,
 )
+from ncrat.realization import BasePoint, compile_expression
 
 from conftest import random_invertible
 
@@ -85,6 +88,12 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             parse_expression(text, A1)
         assert err.value.offset == offset
+
+    def test_deep_parentheses_are_a_parse_error(self):
+        text = "(" * 1000 + "X1" + ")" * 1000
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, A1)
+        assert 0 < err.value.offset < 1000
 
 
 def random_node(rng, alphabet, depth):
@@ -221,6 +230,76 @@ class TestStructure:
             qstar = {l.star: m.conjugate_transpose() for l, m in q.items()}
             rhs = star_expression(e).eval(qstar, star_rule="formal")
             assert rhs == lhs.conjugate_transpose()
+
+
+def distinct_nodes(node) -> int:
+    seen, stack = set(), [node]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.children)
+    return len(seen)
+
+
+def doubling_dag(levels: int) -> RatExpr:
+    """levels of x + x: levels + 1 distinct nodes, 2^(levels + 1) - 1 as a tree."""
+    node = Var(Letter(1))
+    for _ in range(levels):
+        node = Add((node, node))
+    return RatExpr(A1, node)
+
+
+class TestDagsAndDepth:
+    def test_passes_visit_each_shared_node_once(self):
+        dag = doubling_dag(64)
+        assert distinct_nodes(dag.node) == 65
+        assert dag.letters_used() == {Letter(1)}
+        assert height(dag) == 0
+        assert distinct_nodes(star_expression(dag).node) == 65
+        assert distinct_nodes(substitute_letters(dag, {}).node) == 65
+        inverted = substitute_letters(dag, {Letter(1): Inv(Var(Letter(1)))})
+        assert distinct_nodes(inverted.node) == 66 and height(inverted) == 1
+        assert expression_to_poly(dag) == parse_poly(f"{2**64} X1", A1)
+
+    def test_compile_builds_each_shared_node_once(self, monkeypatch):
+        # an automaton has as many states as the tree, so the DAG is small
+        # enough to compile, and each level is one sum
+        calls = []
+
+        def counting_sum(reps):
+            calls.append(len(reps))
+            return sum_reps(reps)
+
+        sum_reps = realization._sum
+        monkeypatch.setattr(realization, "_sum", counting_sum)
+        rep = compile_expression(doubling_dag(12), BasePoint.scalars([1]))
+        assert calls == [2] * 12
+        assert rep.states == 2**13
+
+    def test_deep_chain_goes_through_every_pass(self):
+        node = Var(Letter(1))
+        for _ in range(10_000):
+            node = Neg(node)
+        e = RatExpr(A1, node)
+        three = ExactMatrix.scalar(1, 3)
+        assert e.letters_used() == {Letter(1)}
+        assert height(e) == 0
+        assert eval_expression(star_expression(e), (three,)) == three
+        substituted = substitute_letters(e, {Letter(1): Inv(Var(Letter(1)))})
+        assert height(substituted) == 1
+        assert eval_expression(substituted, (three,)) == ExactMatrix.scalar(1, Fraction(1, 3))
+        assert expression_to_poly(e) == parse_poly("X1", A1)
+        assert compile_expression(e, BasePoint.scalars([3])).states == 2
+
+    def test_deep_inverse_chain_reports_its_path(self):
+        # 2,001 inverses of X1 - X1 are singular at the innermost one
+        node = Add((Var(Letter(1)), Neg(Var(Letter(1)))))
+        for _ in range(2001):
+            node = Inv(node)
+        with pytest.raises(DomainError) as err:
+            eval_expression(RatExpr(A1, node), (ExactMatrix.identity(1),))
+        assert err.value.path == (0,) * 2000
 
 
 class TestPolyConversion:
