@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .core import ExactMatrix, FLOAT_TOL, Scalar, float_to_json
-from .errors import MALFORMED, NcratError, SpecError
+from .errors import MALFORMED, BudgetExceeded, NcratError, SpecError
 from .ideals import (
     BUILTIN_KINDS,
     builtin_ideal,
@@ -26,7 +26,7 @@ from .ideals import (
     is_member,
     witness_size,
 )
-from .ncpoly import Alphabet, Letter, NcPoly, _point_binding, words_up_to
+from .ncpoly import Alphabet, Letter, NcPoly, _point_binding, word_count, words_up_to
 from .positivity import (
     SohsCertificate,
     export_gram,
@@ -137,10 +137,19 @@ def cmd_eval(args) -> int:
     return 0
 
 
+#: The most scalar words ``expand`` may walk, sum_{k<=order} (m^2 L)^k over
+#: L base letters; 9,841 (order 8, three scalar letters) take about 2 s.
+EXPAND_WORD_CAP = 10_000
+
+
 def cmd_expand(args) -> int:
     expr = parse_expression(args.expr, _alphabet_for(args, args.expr))
     bp = _parse_basepoint(args.basepoint, expr)
     rep = compile_expression(expr, bp)
+    letters = rep.m * rep.m * len(rep.letters)
+    if word_count(letters, args.order, EXPAND_WORD_CAP) > EXPAND_WORD_CAP:
+        raise BudgetExceeded(f"expand --order {args.order} over {letters} scalar letters walks"
+                             f" more than {EXPAND_WORD_CAP} words (cli.EXPAND_WORD_CAP)")
     alph = expr.alphabet
     lines = []
     rows = []

@@ -1,12 +1,14 @@
 """Exact scalar field Q(i), dense exact/float matrices, and the sparse
 exact elimination kernel.
 
-The scalar field is the Gaussian rationals: numbers a + b*i with
-arbitrary-precision rational a, b, each held as a Python int when it is
-integral and as a reduced Fraction otherwise, so that the small integers
-that make up most entries cost no Fraction arithmetic.  Every symbolic
-computation in the package runs over this field so that zero tests are
-exact decisions.
+The scalar field is the Gaussian rationals.  A Scalar is (a + b*i)/d with
+Python ints a, b and one denominator d >= 1, in lowest terms, so its
+arithmetic is int arithmetic plus at most one gcd, and the elimination
+kernel reads a, b and d as they are.  ``re`` and ``im`` are read-only
+views: an int when the part is integral, else a reduced Fraction.  An
+integral Scalar has two slots; only a non-integral one also holds d.
+Every symbolic computation in the package runs over this field so that
+zero tests are exact decisions.
 Every exact elimination (the closures of zero tests and minimization, and
 matrix inverses) runs on one fraction-free echelon kernel over the
 Gaussian integers Z[i], after denominators are cleared.  Its vectors and
@@ -34,38 +36,50 @@ if TYPE_CHECKING:
 FLOAT_TOL = 1e-10
 
 
-def _mk(re: int | Fraction, im: int | Fraction) -> "Scalar":
-    # internal fast constructor; arguments must already be ints or Fractions,
-    # and an integral Fraction is stored as its int
-    s = Scalar.__new__(Scalar)
-    s.re = re if re.__class__ is int or re.denominator != 1 else re.numerator
-    s.im = im if im.__class__ is int or im.denominator != 1 else im.numerator
+_new = object.__new__
+
+
+def gaussian_scalar(re: int, im: int, den: int = 1) -> "Scalar":
+    """The Scalar (re + im*i) / den, for ints re, im and den > 0."""
+    if den != 1:
+        g = gcd(re, im, den)
+        if g != 1:
+            re, im, den = re // g, im // g, den // g
+        if den != 1:
+            s = _new(_Fractional)
+            s.a, s.b, s.d = re, im, den
+            return s
+    s = _new(Scalar)
+    s.a, s.b = re, im
     return s
 
 
-def _part(x) -> int | Fraction:
-    """x (an int, Fraction, str or float) as an exact part of a Scalar: an
-    int when it is integral, else a Fraction."""
-    if x.__class__ is not int:
-        x = Fraction(x)
-        if x.denominator == 1:
-            return x.numerator
-    return x
+def _mk(re, im) -> "Scalar":
+    # re + im*i from ints, Fractions, or strings and floats that Fraction reads
+    if re.__class__ is int and im.__class__ is int:
+        return gaussian_scalar(re, im)
+    x, y = Fraction(re), Fraction(im)
+    d = lcm(x.denominator, y.denominator)
+    return gaussian_scalar(x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d)
 
 
 class Scalar:
-    """An exact Gaussian rational ``re + im*i``.
-
-    Immutable; equality is structural.  Each part is an int when it is
-    integral and a Fraction (lowest terms, positive denominator) otherwise,
-    so equal Scalars have equal parts of the same type.
+    """An exact Gaussian rational ``(a + b*i)/d``: ints a, b and d >= 1 with
+    gcd(a, b, d) = 1, a canonical form, so equality is structural and d = 1
+    exactly when the value is integral.  An integral Scalar has two slots,
+    ``a`` and ``b``, and reads d = 1 from the class; only a non-integral
+    one has a slot for d.  ``re`` and ``im`` are read-only views: an int
+    when the part is integral, else a reduced Fraction.  Immutable.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b")
+    d = 1
 
-    def __init__(self, re=0, im=0):
-        self.re = _part(re)
-        self.im = _part(im)
+    def __new__(cls, re=0, im=0):
+        return _mk(re, im)
+
+    re = property(lambda s: Fraction(s.a, s.d) if s.a % s.d else s.a // s.d)
+    im = property(lambda s: Fraction(s.b, s.d) if s.b % s.d else s.b // s.d)
 
     # -- constructors ----------------------------------------------------
 
@@ -77,49 +91,53 @@ class Scalar:
     # -- queries ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self.a != 0 or self.b != 0
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        return _mk(self.re + other.re, self.im + other.im)
+        if not isinstance(other, Scalar):
+            other = _coerce(other)
+        d, e = self.d, other.d
+        if d == e:
+            return gaussian_scalar(self.a + other.a, self.b + other.b, d)
+        return gaussian_scalar(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        return _mk(self.re - other.re, self.im - other.im)
+        if not isinstance(other, Scalar):
+            other = _coerce(other)
+        d, e = self.d, other.d
+        if d == e:
+            return gaussian_scalar(self.a - other.a, self.b - other.b, d)
+        return gaussian_scalar(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __rsub__(self, other):
         return _coerce(other).__sub__(self)
 
     def __neg__(self):
-        return _mk(-self.re, -self.im)
+        return gaussian_scalar(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not b and not d:
-            return _mk(a * c, 0)
-        return _mk(a * c - b * d, a * d + b * c)
+        if not isinstance(other, Scalar):
+            other = _coerce(other)
+        a, b, c, e = self.a, self.b, other.a, other.b
+        if not b and not e:
+            return gaussian_scalar(a * c, 0, self.d * other.d)
+        return gaussian_scalar(a * c - b * e, a * e + b * c, self.d * other.d)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        a, b = self.re, self.im
+        # d / (a + b*i) = d (a - b*i) / (a^2 + b^2)
+        a, b, d = self.a, self.b, self.d
         if not a and not b:
             raise ZeroDivisionError("inverse of zero scalar")
-        # Fraction division: 1 / a on an int part would give a float
-        if not b:
-            return _mk(Fraction(1, a), 0)
-        n = a * a + b * b
-        return _mk(Fraction(a, n), Fraction(-b, n))
+        return gaussian_scalar(d * a, -d * b, a * a + b * b)
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
@@ -128,24 +146,23 @@ class Scalar:
         return _coerce(other) * self.inverse()
 
     def conjugate(self) -> "Scalar":
-        return _mk(self.re, -self.im)
+        return gaussian_scalar(self.a, -self.b, self.d)
 
     # -- structure --------------------------------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, Scalar):
+            return self.a == other.a and self.b == other.b and self.d == other.d
         if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+            return not self.b and self.re == other
+        return NotImplemented
 
     def __hash__(self):
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        return hash((self.re, self.im)) if self.b else hash(self.re)
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        # int / int rounds correctly, as float(Fraction) does
+        return complex(self.a / self.d, self.b / self.d)
 
     def to_json(self):
         return [str(self.re), str(self.im)]
@@ -162,11 +179,16 @@ class Scalar:
         return f"({self.re} {sign} {abs(self.im)}i)"
 
 
+class _Fractional(Scalar):
+    # a Scalar whose denominator d is not 1
+    __slots__ = ("d",)
+
+
 def _coerce(x) -> Scalar:
     if isinstance(x, Scalar):
         return x
     if isinstance(x, (int, Fraction, str)):
-        return _mk(_part(x), 0)
+        return _mk(x, 0)
     raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
 
 
@@ -400,7 +422,7 @@ def conjugate_transpose(a):
 
 
 def _common_denominator(values) -> int:
-    return lcm(*{x.re.denominator for x in values}, *{x.im.denominator for x in values})
+    return lcm(*{x.d for x in values})
 
 
 def gaussian_vector(values):
@@ -408,8 +430,8 @@ def gaussian_vector(values):
     and the sparse Gaussian-integer vector v = d * values."""
     items = [(i, x) for i, x in enumerate(values) if x]
     d = _common_denominator([x for _, x in items])
-    re = {i: x.re.numerator * (d // x.re.denominator) for i, x in items if x.re}
-    im = {i: x.im.numerator * (d // x.im.denominator) for i, x in items if x.im}
+    re = {i: x.a * (d // x.d) for i, x in items if x.a}
+    im = {i: x.b * (d // x.d) for i, x in items if x.b}
     return d, (re, im or None)
 
 
@@ -429,10 +451,10 @@ def gaussian_rows(rows):
             col = cols.get(j)
             if col is None:
                 col = cols[j] = ([], [])
-            if x.re:
-                col[0].append((i, x.re.numerator * (d // x.re.denominator)))
-            if x.im:
-                col[1].append((i, x.im.numerator * (d // x.im.denominator)))
+            if x.a:
+                col[0].append((i, x.a * (d // x.d)))
+            if x.b:
+                col[1].append((i, x.b * (d // x.d)))
     return d, cols
 
 
@@ -465,13 +487,6 @@ def gaussian_matvec(cols, v):
     out_re = {i: x for i, x in out_re.items() if x}
     out_im = {i: x for i, x in out_im.items() if x}
     return out_re, out_im or None
-
-
-def gaussian_scalar(re: int, im: int, den: int = 1) -> Scalar:
-    """The Scalar (re + im*i) / den."""
-    if den == 1:
-        return _mk(re, im)
-    return _mk(Fraction(re, den), Fraction(im, den))
 
 
 def _axpy(v: dict, f: int, row: dict):
@@ -682,7 +697,7 @@ def float_to_json(a) -> dict:
         return {
             "rows": a.rows,
             "cols": a.cols,
-            "entries": [[float(x.re), float(x.im)] for x in a.entries],
+            "entries": [[x.a / x.d, x.b / x.d] for x in a.entries],
         }
     import numpy as np
 

@@ -56,6 +56,21 @@ def words_up_to(letters: Sequence[Letter], d: int) -> list:
     return words
 
 
+def word_count(n: int, d: int, cap: int) -> int:
+    """sum_{k<=d} n^k, the words of length <= d over n letters, or cap + 1
+    once the sum passes cap: about log_n(cap) steps for n >= 2 (cap + 1 for
+    n = 1), whatever d is."""
+    if d < 0 or not n:
+        return int(d >= 0)
+    count, layer = 0, 1
+    for _ in range(d + 1):
+        count += layer
+        if count > cap:
+            return cap + 1
+        layer *= n
+    return count
+
+
 class Alphabet:
     """An ordered list of base letter names, e.g. ("X1", "X2", "Y1", "Y2")."""
 

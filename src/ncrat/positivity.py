@@ -22,7 +22,7 @@ from typing import Callable
 
 from .core import ExactMatrix, Scalar, ZERO
 from .errors import MALFORMED, BudgetExceeded, DegreeTooHigh, SpecError
-from .ncpoly import Alphabet, Letter, NcPoly, grlex_key, word_star, words_up_to
+from .ncpoly import Alphabet, Letter, NcPoly, grlex_key, word_count, word_star, words_up_to
 from .sampler import _score, check_search
 
 
@@ -151,23 +151,8 @@ class GramProblem:
 GRAM_BASIS_CAP = 400
 
 
-def _basis_count(g: int, d: int, cap: int) -> int:
-    """sum_{k<=d} (2g)^k, the number of words of degree <= d over 2g
-    letters, or cap + 1 once the sum passes cap; at most about log2(cap)
-    steps, whatever d is."""
-    if d < 0 or not g:
-        return int(d >= 0)
-    count, layer = 0, 1
-    for _ in range(d + 1):
-        count += layer
-        if count > cap:
-            return cap + 1
-        layer *= 2 * g
-    return count
-
-
 def _check_basis_budget(g: int, d: int):
-    if _basis_count(g, d, GRAM_BASIS_CAP) > GRAM_BASIS_CAP:
+    if word_count(2 * g, d, GRAM_BASIS_CAP) > GRAM_BASIS_CAP:
         raise BudgetExceeded(
             f"a Gram problem with g = {g} and d = {d} has more than"
             f" {GRAM_BASIS_CAP} basis words (positivity.GRAM_BASIS_CAP)"
@@ -283,7 +268,7 @@ def import_gram(path: str) -> GramProblem:
             raise SpecError(f"header gives {g} letters, the alphabet line {alphabet.size}")
         # compare the basis count with the header, then with the cap,
         # before enumerating the basis
-        if _basis_count(g, d, nbasis) != nbasis:
+        if word_count(2 * g, d, nbasis) != nbasis:
             raise SpecError("basis size mismatch")
         _check_basis_budget(g, d)
         basis = word_basis(alphabet, d)

@@ -10,9 +10,10 @@ import time
 import pytest
 
 import ncrat
-from ncrat.cli import main
+from ncrat.cli import EXPAND_WORD_CAP, main
 from ncrat.core import ExactMatrix
 from ncrat.ideals import builtin_ideal
+from ncrat.ncpoly import word_count
 from ncrat.positivity import import_gram
 from ncrat.ratexpr import parse_poly
 
@@ -215,6 +216,28 @@ class TestExpandAndEval:
         assert code == 0
         # B (i E12)^* = B (-i E21) = [[-i, 0], [-2i, 0]]
         assert json.loads(out)["value"]["entries"] == [["0", "-1"], ["0", "0"], ["0", "-2"], ["0", "0"]]
+
+    def test_expand_order_over_the_word_cap_is_refused_at_once(self):
+        # sum_{k<=30} 3^k words: refused from the count, before any is listed
+        start = time.process_time()
+        code, out, err = run_cli("expand", "--expr", "(4 - X1 - X2 - X3)^-1", "--g", "3",
+                                 "--basepoint", "scalar:0", "--order", "30")
+        assert code == 2 and out == "" and "EXPAND_WORD_CAP" in err
+        assert time.process_time() - start < 1.0
+        # order 8 walks 9,841 words, under the cap
+        assert word_count(3, 8, EXPAND_WORD_CAP) == 9841 <= EXPAND_WORD_CAP
+
+    def test_expand_cap_counts_scalar_letters(self, tmp_path):
+        # at a 2 x 2 base point X1 has four scalar letters: order 7 walks
+        # 21,845 words, over the cap, and order 5 walks 1,365
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps([E12]))
+        code, _, err = run_cli("expand", "--expr", "(1 + X1)^-1", "--g", "1",
+                               "--basepoint", f"file:{path}", "--order", "7")
+        assert code == 2 and "over 4 scalar letters" in err
+        code, out, _ = run_cli("expand", "--expr", "(1 + X1)^-1", "--g", "1",
+                               "--basepoint", f"file:{path}", "--order", "5")
+        assert code == 0 and "X1_12" in out
 
     def test_expand_names_letters_from_the_expression_alphabet(self, tmp_path):
         code, out, _ = run_cli("expand", "--expr", "Y1^-1 + X1", "--g", "1",

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from ncrat.core import (
     embed,
     float_from_json,
     float_to_json,
+    gaussian_rows,
     gaussian_scalar,
     gaussian_vector,
     matrix_inverse,
@@ -171,6 +173,126 @@ class TestIntegralParts:
     def test_text_unchanged(self, s, text, pair):
         assert str(s) == text and s.to_json() == pair
         assert repr(s) == f"Scalar({pair[0]}, {pair[1]})"
+
+
+def canonical(s) -> bool:
+    """s is (a + b*i)/d in lowest terms: ints a, b, d with d >= 1 and
+    gcd(a, b, d) = 1, d = 1 exactly when both parts are integral, and a
+    third slot only when d != 1."""
+    a, b, d = s.a, s.b, s.d
+    integral = type(s.re) is int and type(s.im) is int
+    return (type(a) is type(b) is type(d) is int and d >= 1 and math.gcd(a, b, d) == 1
+            and (d == 1) == integral and hasattr(type(s), "__slots__")
+            and ("d" in type(s).__slots__) == (d != 1) and not hasattr(s, "__dict__"))
+
+
+class TestGaussianRationalForm:
+    """A Scalar is one canonical (a + b*i)/d, whatever made it."""
+
+    @staticmethod
+    def reference(rng):
+        """A random Gaussian rational as a pair of Fractions, parts up to 10^40."""
+        def part():
+            den = rng.choice([1, 1, 2, 6, 10 ** rng.randint(1, 40) + rng.randint(1, 9)])
+            return Fraction(rng.randint(-(10 ** rng.randint(0, 40)), 10 ** rng.randint(0, 40)), den)
+
+        return part(), rng.choice([Fraction(0), part()])
+
+    def test_every_operation_matches_fraction_pairs_and_stays_canonical(self):
+        rng = random.Random(2301)
+
+        def mul(x, y):
+            return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+        def inv(x):
+            n = x[0] * x[0] + x[1] * x[1]
+            return x[0] / n, -x[1] / n
+
+        for _ in range(500):
+            x, y = self.reference(rng), self.reference(rng)
+            sx, sy = Scalar(*x), Scalar(*y)
+            cases = [(sx, x), (sy, y),
+                     (sx + sy, (x[0] + y[0], x[1] + y[1])), (sx - sy, (x[0] - y[0], x[1] - y[1])),
+                     (sx * sy, mul(x, y)), (-sx, (-x[0], -x[1])), (sx.conjugate(), (x[0], -x[1])),
+                     (sx + 3, (x[0] + 3, x[1])), (2 - sx, (2 - x[0], -x[1])),
+                     (sx * Fraction(5, 7), (x[0] * Fraction(5, 7), x[1] * Fraction(5, 7)))]
+            if any(y):
+                cases += [(sy.inverse(), inv(y)), (sx / sy, mul(x, inv(y))), (1 / sy, inv(y))]
+            for got, want in cases:
+                assert canonical(got)
+                assert (Fraction(got.a, got.d), Fraction(got.b, got.d)) == want
+                assert (got.re, got.im) == want
+
+    @pytest.mark.parametrize("made", [
+        Scalar(), Scalar(0, 0), Scalar(-7), Scalar(Fraction(6, 4), "-9/6"), Scalar("6/3", 2.0),
+        Scalar(True, False), Scalar(0, Fraction(-3, 9)), Scalar(Fraction(1, 2), Fraction(1, 2)),
+        _mk(Fraction(6, 3), Fraction(0)), _mk(4, -6), _mk(Fraction(1, 6), Fraction(1, 4)),
+        gaussian_scalar(6, -4, 2), gaussian_scalar(0, 0, 12), gaussian_scalar(-3, 9, 6),
+        gaussian_scalar(10 ** 30, 2 * 10 ** 30, 4 * 10 ** 30),
+        Scalar.from_json(["6/3", "-0"]), Scalar.from_json(["-10/4", "5/10"]),
+        parse_expression("6/3", 1).node.value, parse_expression("(1/2 - 4/2i)", 1).node.value,
+        parse_expression("(-2/6i)", 1).node.value, parse_expression("(-9/6 + 6/4i)", 1).node.value,
+    ])
+    def test_every_route_is_canonical(self, made):
+        assert canonical(made)
+        assert Scalar.from_json(made.to_json()) == made
+
+    def test_real_values_compare_and_hash_as_int_and_fraction(self):
+        rng = random.Random(2302)
+        for _ in range(300):
+            x = self.reference(rng)[0]
+            s = Scalar(x)
+            assert s == x and x == s and hash(s) == hash(x)
+            if x.denominator == 1:
+                n = int(x)
+                assert s == n and n == s and hash(s) == hash(n)
+            assert s != x + 1 and s != Scalar(x, 1)
+        assert Scalar(0, 1) != 0 and Scalar(Fraction(1, 2), 1) != Fraction(1, 2)
+
+    def test_an_integral_scalar_is_a_two_slot_object(self):
+        class TwoSlots:
+            __slots__ = ("x", "y")
+
+        two = sys.getsizeof(TwoSlots())
+        for s in (ZERO, ONE, I, Scalar(10 ** 40, -3), Scalar(Fraction(1, 2)) * 2):
+            assert sys.getsizeof(s) <= two
+        assert sys.getsizeof(Scalar(Fraction(1, 3))) > two
+
+    def test_float_views_round_like_fraction(self):
+        rng = random.Random(2303)
+        values = []
+        for _ in range(300):
+            def part():
+                return Fraction(rng.randint(-(10 ** rng.randint(0, 300)), 10 ** rng.randint(0, 300)),
+                                rng.randint(1, 10 ** rng.randint(0, 60)))
+
+            values.append((part(), rng.choice([Fraction(0), part()])))
+        values += [(Fraction(1, 10 ** 400), Fraction(-1, 3 * 10 ** 400)), (Fraction(2 ** 60 + 1), 0),
+                   (Fraction(10 ** 308 - 1, 7), Fraction(-(2 ** 53) - 1, 2))]
+        m = ExactMatrix(1, len(values), [Scalar(*x) for x in values])
+        assert float_to_json(m)["entries"] == [[float(re), float(im)] for re, im in values]
+        for s, (re, im) in zip(m.entries, values):
+            assert s.to_complex() == complex(float(re), float(im))
+
+    def test_gaussian_vector_and_rows_round_trip(self):
+        rng = random.Random(2304)
+        for _ in range(100):
+            values = [rng.choice([ZERO, Scalar(*self.reference(rng))]) for _ in range(rng.randint(0, 8))]
+            d, (re, im) = gaussian_vector(values)
+            assert d == math.lcm(*(x.d for x in values))
+            im = im or {}
+            assert all(re.values()) and all(im.values())
+            assert [gaussian_scalar(re.get(i, 0), im.get(i, 0), d) for i in range(len(values))] == values
+            rows = {r: {c: x for c, x in enumerate(values) if x and (r + c) % 3}
+                    for r in range(rng.randint(0, 4))}
+            d, cols = gaussian_rows(rows)
+            back = {}
+            for c, (col_re, col_im) in cols.items():
+                for r, v in col_re:
+                    back[r, c] = back.get((r, c), ZERO) + gaussian_scalar(v, 0, d)
+                for r, v in col_im:
+                    back[r, c] = back.get((r, c), ZERO) + gaussian_scalar(0, v, d)
+            assert back == {(r, c): x for r, row in rows.items() for c, x in row.items()}
 
 
 class TestPipelineParts:

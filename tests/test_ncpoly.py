@@ -12,7 +12,8 @@ from ncrat.errors import (
     SpecError,
     ZeroPolynomialError,
 )
-from ncrat.ncpoly import Alphabet, Letter, NcPoly, grlex_key, word_star, words_up_to
+from ncrat.ncpoly import (Alphabet, Letter, NcPoly, grlex_key, word_count, word_star,
+                          words_up_to)
 
 from conftest import random_exact_matrix
 
@@ -191,3 +192,13 @@ def test_words_up_to_is_grlex_over_grlex_letters():
     assert words_up_to(letters, 0) == [()]
     with pytest.raises(SpecError):
         words_up_to(letters, -1)
+
+
+def test_word_count_counts_words_up_to_its_cap():
+    for n in range(4):
+        for d in range(-1, 5):
+            expect = len(words_up_to([Letter(i + 1, False) for i in range(n)], d)) if d >= 0 else 0
+            assert word_count(n, d, 10 ** 6) == expect
+    assert word_count(3, 8, 9841) == 9841 and word_count(3, 8, 9840) == 9841
+    # the count stops once it passes the cap, whatever the length
+    assert word_count(1, 10 ** 12, 50) == 51 and word_count(2, 10 ** 12, 10 ** 6) == 10 ** 6 + 1
