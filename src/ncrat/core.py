@@ -160,6 +160,10 @@ class Scalar:
     def __hash__(self):
         return hash((self.re, self.im)) if self.b else hash(self.re)
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the canonical constructor
+        return gaussian_scalar, (self.a, self.b, self.d)
+
     def to_complex(self) -> complex:
         # int / int rounds correctly, as float(Fraction) does
         return complex(self.a / self.d, self.b / self.d)

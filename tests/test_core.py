@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -257,6 +259,13 @@ class TestGaussianRationalForm:
         for s in (ZERO, ONE, I, Scalar(10 ** 40, -3), Scalar(Fraction(1, 2)) * 2):
             assert sys.getsizeof(s) <= two
         assert sys.getsizeof(Scalar(Fraction(1, 3))) > two
+
+    @pytest.mark.parametrize("value", [Scalar(-7, 3), Scalar(Fraction(1, 3), "-5/6")])
+    def test_copy_and_pickle_keep_the_canonical_form(self, value):
+        m = ExactMatrix(1, 1, [value])
+        for got in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)),
+                    copy.deepcopy(m).entries[0], pickle.loads(pickle.dumps(m)).entries[0]):
+            assert got == value and canonical(got) and type(got) is type(value)
 
     def test_float_views_round_like_fraction(self):
         rng = random.Random(2303)
