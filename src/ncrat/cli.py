@@ -185,12 +185,15 @@ def cmd_zero_test(args) -> int:
     return 0 if zero else 1
 
 
-def _witness_size(witness, label: str) -> str:
-    """How far a witness is from vanishing, as text: ``label`` and the float
-    score, or for an exact value its largest entry (by modulus) written
-    exactly, which a score below the float range would show as 0."""
-    if not isinstance(witness.value, ExactMatrix):
-        return f"{label} {witness.score:.3g}"
+def _witness_size(witness, mode: str = "nonzero") -> str:
+    """How far a witness is from vanishing, as text: the float score, or
+    for an exact value in nonzero mode its largest entry (by modulus)
+    written exactly, which a score below the float range would show as 0.
+    In negative-eigenvalue mode the score, minus the least eigenvalue of
+    the Hermitian part, is printed for an exact value too: no entry of
+    the value tells how far it is from PSD."""
+    if mode != "nonzero" or not isinstance(witness.value, ExactMatrix):
+        return f"score {witness.score:.3g}"
     top = max(witness.value.entries, key=lambda x: x.re * x.re + x.im * x.im)
     return f"largest entry = {top}"
 
@@ -199,9 +202,7 @@ def cmd_member(args) -> int:
     ideal = _resolve_ideal(args)
     f = parse_poly(args.poly, ideal.alphabet)
     seed = _seed(args) if args.witness else (args.seed or 0)
-    verdict = is_member(
-        f, ideal, find_witness=args.witness, trials=args.trials, seed=seed, tol=args.tol
-    )
+    verdict = is_member(f, ideal, find_witness=args.witness, trials=args.trials, seed=seed)
     data = {"ideal": ideal.name, "member": verdict.member}
     if args.witness and args.seed is None:
         data["seed"] = seed
@@ -210,7 +211,7 @@ def cmd_member(args) -> int:
         data["witness"] = verdict.witness.to_json()
         human += (
             f"\nwitness at size {verdict.witness.size}, trial {verdict.witness.trial},"
-            f" {_witness_size(verdict.witness, '|value| =')}"
+            f" {_witness_size(verdict.witness)}"
         )
     _emit(args, data, human)
     return 0 if verdict.member else 1
@@ -281,7 +282,8 @@ def cmd_falsify(args) -> int:
     _emit(
         args,
         {"witness": witness.to_json(), "seed": seed},
-        f"witness at size {witness.size}, trial {witness.trial}, {_witness_size(witness, 'score')}",
+        f"witness at size {witness.size}, trial {witness.trial},"
+        f" {_witness_size(witness, args.mode)}",
     )
     return 1
 
@@ -368,7 +370,6 @@ def _add_common(p, ideal=False, rand=False):
     if rand:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--trials", type=int, default=200)
-        p.add_argument("--tol", type=float, default=FLOAT_TOL)
 
 
 def _add_text(p):
@@ -435,6 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=DOMAIN_KINDS)
     p.add_argument("--sizes", help="e.g. 1..6 or 4")
     p.add_argument("--mode", choices=FALSIFY_MODES, default="nonzero")
+    p.add_argument("--tol", type=float, default=FLOAT_TOL,
+                   help="float tolerance of --domain samples and --mode negative-eigenvalue")
     _add_common(p, ideal=True, rand=True)
     p.set_defaults(func=cmd_falsify)
 

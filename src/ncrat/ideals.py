@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import bounds as _bounds
-from .core import ExactMatrix, FLOAT_TOL, Scalar
+from .core import ExactMatrix, FLOAT_TOL, Scalar, matrix_inverse, split_blocks
 from .errors import (
     ConditioningFailure,
     DomainError,
@@ -67,13 +67,7 @@ from .realization import (
     is_zero,
     minimize_scalar,
 )
-from .sampler import (
-    DOMAIN_KINDS,
-    SampleDomain,
-    Witness,
-    check_search,
-    falsify,
-)
+from .sampler import DOMAIN_KINDS, Witness, check_search, falsify
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,28 +402,28 @@ def is_member(
     find_witness: bool = False,
     trials: int = 200,
     seed: int = 0,
-    tol: float = FLOAT_TOL,
 ) -> MembershipVerdict:
     """Exact membership: realize f(x', r(x')) and test for the zero series.
 
     f is compiled with each resolved letter bound to the ideal's resolvent
     representation (RRIdeal.oracle_rep); substituting the resolvent
     expressions and compiling realizes the same series.
-    With ``find_witness`` a non-member gets a counterexample searched at
-    sizes up to witness_size(f, ideal): an exact point of the graph of the
-    resolvent for a non-star ideal, a float sample of its *-zero set for a
-    star ideal (zero_set_sampler).  ``trials`` and ``tol`` go through
-    sampler.check_search, and f must be over the ideal's alphabet
-    (AlphabetMismatch), whether or not a witness is searched.
+    With ``find_witness`` a non-member gets an exact counterexample
+    searched at sizes up to witness_size(f, ideal) among the points of
+    zero_set_sampler: graph points of the resolvent for a non-star ideal,
+    Cayley points of the *-zero set for a star ideal.  A point is a
+    witness when f's exact value there is not zero, so no tolerance
+    enters.  ``trials`` goes through sampler.check_search, and f must be
+    over the ideal's alphabet (AlphabetMismatch), whether or not a
+    witness is searched.
     """
-    check_search(trials, tol=tol)
+    check_search(trials)
     if is_zero(ideal.oracle_rep(f)):
         return MembershipVerdict(True)
     witness = None
     if find_witness and f:
         limit = witness_size(f, ideal)
-        witness = falsify(f, zero_set_sampler(ideal), range(1, limit + 1), trials, seed,
-                          "nonzero", tol)
+        witness = falsify(f, zero_set_sampler(ideal), range(1, limit + 1), trials, seed)
     return MembershipVerdict(False, witness)
 
 
@@ -446,24 +440,65 @@ def witness_size(f: NcPoly, ideal: RRIdeal) -> int:
     return _bounds.nss_bound(ideal.m, ideal.n, u, v)
 
 
-def zero_set_sampler(ideal: RRIdeal):
-    """A callable (n, seed, trial) -> point tuple in alphabet order.
+def _gaussian_integer_matrix(rng: random.Random, n: int) -> ExactMatrix:
+    """An n x n matrix of Gaussian integers with real and imaginary parts
+    in -3..3, drawn row by row, real part first."""
+    return ExactMatrix(n, n, [Scalar(rng.randint(-3, 3), rng.randint(-3, 3))
+                              for _ in range(n * n)])
 
-    A star ideal's sampler is the SampleDomain of its structured *-zero
-    set (unitaries, spherical isometries, partitioned unitaries), in
-    floats.  Other ideals give exact points of the graph of the
-    resolvent, which is their zero set: every x' letter an n x n
-    ExactMatrix of Gaussian integers with real and imaginary parts in
-    -3..3, and x'' = r(x') evaluated exactly, all resolvents in one fold
-    over their shared DAG.  A graph point takes up to 20 draws of x',
-    each from its own stdlib stream
+
+def _cayley_unitary(rng: random.Random, n: int) -> ExactMatrix:
+    """The Cayley transform (I - K)(I + K)^-1 of K = G - G^* for a drawn
+    Gaussian-integer G.  K is skew-Hermitian, so I + K is invertible and
+    the result is an exact unitary with Gaussian-rational entries."""
+    g = _gaussian_integer_matrix(rng, n)
+    k = g - g.conjugate_transpose()
+    eye = ExactMatrix.identity(n)
+    return (eye - k) * matrix_inverse(eye + k)
+
+
+def _star_sampler(kind: str, g: int):
+    """Exact points of a structured *-zero set, one Cayley unitary or g of
+    them per draw, from the stream random.Random(f"star/{seed}/{n}/{trial}")."""
+
+    def sample(n, seed, trial):
+        rng = random.Random(f"star/{seed}/{n}/{trial}")
+        if kind == "unitaries":
+            return tuple(_cayley_unitary(rng, n) for _ in range(g))
+        blocks = split_blocks(_cayley_unitary(rng, g * n), g)
+        if kind == "spherical":
+            # the first n columns of a unitary: sum_j A_j^* A_j = I
+            return tuple(row[0] for row in blocks)
+        return tuple(block for row in blocks for block in row)
+
+    return sample
+
+
+def zero_set_sampler(ideal: RRIdeal):
+    """A callable (n, seed, trial) -> point tuple of ExactMatrix in
+    alphabet order, a point of the ideal's zero set.
+
+    A star ideal draws from its structured *-zero set through the Cayley
+    transform U = (I - K)(I + K)^-1 of K = G - G^*, G an n x n (for
+    ``unitaries``) or gn x gn Gaussian-integer matrix with parts in
+    -3..3: g independent unitaries (T), the first n columns of one
+    gn x gn unitary cut into g blocks (S), or one gn x gn unitary cut
+    into its g x g grid of blocks, row by row (U).  Every draw succeeds,
+    and these points are dense in the *-zero set.  The stream is
+    random.Random(f"star/{seed}/{n}/{trial}").
+
+    Other ideals give exact points of the graph of the resolvent, which
+    is their zero set: every x' letter an n x n Gaussian-integer matrix
+    drawn the same way, and x'' = r(x') evaluated exactly, all resolvents
+    in one fold over their shared DAG.  A graph point takes up to 20
+    draws of x', each from its own stdlib stream
     random.Random(f"graph/{seed}/{n}/{trial}/{attempt}").  When r is
     undefined at all of them, the sampler raises ConditioningFailure and
     falsify leaves the size: the graph is then almost surely empty there
     (CommInv has no 1 x 1 points, because scalars commute).
     """
     if ideal.star:
-        return SampleDomain(ideal.domain_kind, ideal.g)
+        return _star_sampler(ideal.domain_kind, ideal.g)
 
     xprime = ideal.basepoint.letters
     size = ideal.alphabet.size
@@ -472,11 +507,7 @@ def zero_set_sampler(ideal: RRIdeal):
     def sample(n, seed, trial):
         for attempt in range(20):
             rng = random.Random(f"graph/{seed}/{n}/{trial}/{attempt}")
-            binding = {
-                l: ExactMatrix(n, n, [Scalar(rng.randint(-3, 3), rng.randint(-3, 3))
-                                      for _ in range(n * n)])
-                for l in xprime
-            }
+            binding = {l: _gaussian_integer_matrix(rng, n) for l in xprime}
             try:
                 binding.update(zip(ideal.resolved, _evaluate(roots, binding, "formal")))
             except DomainError:
@@ -501,8 +532,8 @@ def find_zero_set_witness(
 
     The exact oracle runs first: when f vanishes on the zero set no point
     can witness anything, and None is returned without sampling.
-    Otherwise falsify searches the points of zero_set_sampler (exact
-    graph points for a non-star ideal).
+    Otherwise falsify searches the exact points of zero_set_sampler; only
+    ``negative-eigenvalue`` mode judges their values in floats, to ``tol``.
     """
     sizes = check_search(trials, sizes, tol, mode)
     if is_zero(ideal.oracle_rep(f)):

@@ -1,11 +1,14 @@
-"""Random structured matrix tuples and the falsification search.
+"""Random structured matrix tuples in floats and the falsification search.
 
 Sampling is deterministic: every float draw comes from a counter-based
 Philox stream keyed by (seed, trial index, ...), so identical seeds
 reproduce bit-identical samples and distinct trials are independent
 substreams.  Structural residuals (unitarity, isometry, ...) are checked
-to 1e-10 after every draw.  falsify also searches exact points (the
-graph points of ideals.zero_set_sampler) and judges them without numpy.
+to 1e-10 after every draw.  These float samplers serve ``sample``,
+``falsify --domain`` and the positivity probe.  falsify also searches
+the exact points of ideals.zero_set_sampler (graph points, and Cayley
+points of the *-zero sets of star ideals) and in nonzero mode judges
+them without numpy.
 """
 
 from __future__ import annotations

@@ -116,10 +116,47 @@ class TestMember:
         assert entry and f"witness at size 1, trial 0, largest entry = {entry}\n" in out
         assert "|value|" not in out and f"/{10 ** 400}" in str(entry)
 
-    def test_star_witness_stays_float(self):
+    def test_star_witness_is_exact(self):
         code, out, _ = run_cli("member", "--ideal", "T", "--g", "2", "--poly", "X1 X2 - X2 X1",
                                "--witness", "--seed", "4", "--json")
-        assert code == 1 and "exact_point" not in json.loads(out)["witness"]
+        assert code == 1
+        witness = json.loads(out)["witness"]
+        assert "exact_point" in witness and "exact_value" in witness
+
+    @pytest.mark.parametrize("kind, g, text", [
+        ("T", 1, "X1 + X1^*"),
+        ("T", 2, "X1 X2 - X2 X1"),
+        ("S", 2, "X1 X1^* + X2 X2^* - 1"),
+        ("S", 3, "X1 X2^* - X2^* X1"),
+        ("U", 1, "X11 - 1"),
+        ("U", 2, "X11 X22 - X22 X11"),
+    ])
+    def test_star_witness_round_trip(self, kind, g, text):
+        # the exact point reloads from JSON and checks on its own: it is a
+        # *-tuple on which every generator vanishes exactly, and f's
+        # value there is exact_value, which is not zero
+        code, out, _ = run_cli("member", "--ideal", kind, "--g", str(g), "--poly", text,
+                               "--witness", "--seed", "5", "--json")
+        assert code == 1
+        witness = json.loads(out)["witness"]
+        point = tuple(ExactMatrix.from_json(m) for m in witness["exact_point"])
+        ideal = builtin_ideal(kind, g)
+        assert all(f.eval(point, star_rule="adjoint").is_zero() for f in ideal.generators)
+        value = ExactMatrix.from_json(witness["exact_value"])
+        assert not value.is_zero()
+        assert parse_poly(text, ideal.alphabet).eval(point, star_rule="adjoint") == value
+
+    def test_negative_eigenvalue_witness_prints_its_score(self):
+        # the score is how far the Hermitian part is from PSD; the largest
+        # entry of an exact value says nothing about that
+        code, out, _ = run_cli("falsify", "--ideal", "Tprime", "--g", "1", "--poly",
+                               "-2 X1 X1 Y1 + X1", "--mode", "negative-eigenvalue", "--seed", "3",
+                               "--sizes", "1..2")
+        assert code == 1
+        assert out.startswith("witness at size 1, trial 0, score ") and "largest entry" not in out
+        code, out, _ = run_cli("falsify", "--ideal", "T", "--g", "2", "--poly", "-1 - X1 X2",
+                               "--mode", "negative-eigenvalue", "--seed", "3", "--sizes", "1")
+        assert code == 1 and ", score " in out and "largest entry" not in out
 
 
 class TestBound:
@@ -683,10 +720,20 @@ class TestImportBoundary:
         (["falsify", "--ideal", "Tprime", "--g", "2", "--poly", "X1 X2 - X2 X1 + 2 Y1",
           "--seed", "1", "--json"], 1),
         (["falsify", "--ideal", "T", "--g", "1", "--poly", "1 - X1^* X1", "--seed", "1"], 0),
+        (["member", "--ideal", "T", "--g", "2", "--poly", "X1 X2 - X2 X1",
+          "--witness", "--seed", "1", "--json"], 1),
+        (["member", "--ideal", "S", "--g", "2", "--poly", "X1 X1^* + X2 X2^* - 1",
+          "--witness", "--seed", "1", "--json"], 1),
+        (["member", "--ideal", "U", "--g", "2", "--poly", "X11 X22 - X22 X11",
+          "--witness", "--seed", "1", "--json"], 1),
+        (["falsify", "--ideal", "S", "--g", "2", "--poly", "X1 X1^* + X2 X2^* - 1",
+          "--seed", "1", "--json"], 1),
     ], ids=["member-witness-Tprime", "member-witness-CommInv", "falsify-ideal-Tprime",
-            "falsify-ideal-member"])
+            "falsify-ideal-member", "member-witness-T", "member-witness-S", "member-witness-U",
+            "falsify-ideal-S"])
     def test_exact_witness_search_leaves_numpy_unloaded(self, argv, expected):
-        # graph points are exact, and a vanishing f is never searched
+        # graph points and Cayley points are exact, and a vanishing f is
+        # never searched
         code, out, report = _fresh_cli(argv)
         assert code == expected
         assert not report["numpy"]
