@@ -20,10 +20,10 @@ from .core import ExactMatrix, Scalar
 from .errors import GOutOfRange
 from .ideals import (
     builtin_ideal,
-    find_zero_set_witness,
     is_member,
     random_ideal_element,
     witness_size,
+    zero_set_sampler,
 )
 from .ncpoly import Alphabet, Letter, NcPoly, words_up_to
 from .positivity import (
@@ -47,7 +47,7 @@ from .realization import (
     rep_var,
 )
 from .series import GenPoly, coefficient, coefficient_table, is_zero_by_enumeration, scalar_alphabet
-from .sampler import SampleDomain, zero_divisor_witness
+from .sampler import SampleDomain, draws, falsify, zero_divisor_witness
 
 
 @dataclass
@@ -326,8 +326,8 @@ def criterion_6(full: bool = True) -> CriterionResult:
         # fixed non-members with exact witnesses
         T2 = builtin_ideal("T", 2)
         f = parse_poly("X1*X2 - X2*X1", T2.alphabet)
-        verdict = is_member(f, T2, find_witness=True, seed=2024)
-        assert not verdict.member and verdict.witness is not None
+        assert not is_member(f, T2).member
+        assert _zero_set_witness(f, T2, seed=2024) is not None
         u1, u2 = exact_unitary_commutator_witness()
         for u in (u1, u2):
             assert (u * u.conjugate_transpose()) == ExactMatrix.identity(2)
@@ -336,8 +336,8 @@ def criterion_6(full: bool = True) -> CriterionResult:
 
         S2 = builtin_ideal("S", 2)
         f = parse_poly("X1*X1^* + X2*X2^* - 1", S2.alphabet)
-        verdict = is_member(f, S2, find_witness=True, seed=2024)
-        assert not verdict.member and verdict.witness is not None
+        assert not is_member(f, S2).member
+        assert _zero_set_witness(f, S2, seed=2024) is not None
         a1, a2 = exact_spherical_witness()
         iso = a1.conjugate_transpose() * a1 + a2.conjugate_transpose() * a2
         assert iso == ExactMatrix.identity(2)
@@ -345,6 +345,12 @@ def criterion_6(full: bool = True) -> CriterionResult:
         assert value == ExactMatrix.from_rows([[1, 0], [0, -1]])
 
     return _run(6, "membership oracle on built-in ideals", 300.0, body)
+
+
+def _zero_set_witness(f, ideal, seed):
+    """The witness search that follows a non-member verdict: exact points
+    of the zero set at the sizes up to witness_size, 200 trials each."""
+    return falsify(f, zero_set_sampler(ideal), range(1, witness_size(f, ideal) + 1), 200, seed)
 
 
 def _small_star_members(ideal, count, seed, limit=12):
@@ -383,25 +389,21 @@ def criterion_7(full: bool = True) -> CriterionResult:
             # below draw exact points
             sampler = SampleDomain(ideal.domain_kind, g)
             for i, f in enumerate(_small_star_members(ideal, members, seed=7000 + g)):
-                limit = witness_size(f, ideal)
-                worst = 0.0
-                for n in range(1, limit + 1):
-                    for trial in range(per_size):
-                        point = sampler(n, 9000 + i, trial)
-                        value = f.eval(point, star_rule="adjoint")
-                        worst = max(worst, float(np.max(np.abs(value))))
+                sizes = range(1, witness_size(f, ideal) + 1)
+                worst = max(float(np.max(np.abs(value)))
+                            for *_, value in draws(f, sampler, sizes, per_size, 9000 + i))
                 assert worst <= 1e-10, f"{ideal.name} member {i}: residual {worst}"
 
         T2 = builtin_ideal("T", 2)
         f = parse_poly("X1*X2 - X2*X1", T2.alphabet)
-        w = find_zero_set_witness(f, T2, sizes=range(1, witness_size(f, T2) + 1),
-                                  trials=200, seed=4242)
+        assert not is_member(f, T2).member
+        w = _zero_set_witness(f, T2, seed=4242)
         assert w is not None and w.size <= witness_size(f, T2)
 
         S2 = builtin_ideal("S", 2)
         f = parse_poly("X1*X1^* + X2*X2^* - 1", S2.alphabet)
-        w = find_zero_set_witness(f, S2, sizes=range(1, witness_size(f, S2) + 1),
-                                  trials=200, seed=4242)
+        assert not is_member(f, S2).member
+        w = _zero_set_witness(f, S2, seed=4242)
         assert w is not None and w.size <= witness_size(f, S2)
 
     return _run(7, "numeric vanishing consistency", 300.0, body)

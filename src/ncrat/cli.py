@@ -22,9 +22,9 @@ from .ideals import (
     BUILTIN_KINDS,
     builtin_ideal,
     custom_ideal,
-    find_zero_set_witness,
     is_member,
     witness_size,
+    zero_set_sampler,
 )
 from .ncpoly import Alphabet, Letter, NcPoly, _point_binding, word_count, words_up_to
 from .positivity import (
@@ -36,7 +36,7 @@ from .positivity import (
 from .ratexpr import parse_expression, parse_poly
 from .realization import BasePoint, compile_expression, minimize_scalar
 from .series import coefficient
-from .sampler import DOMAIN_KINDS, FALSIFY_MODES, SampleDomain, falsify, sample_point
+from .sampler import DOMAIN_KINDS, FALSIFY_MODES, SampleDomain, check_search, falsify, sample_point
 from . import bounds
 
 
@@ -201,18 +201,20 @@ def _witness_size(witness, mode: str = "nonzero") -> str:
 def cmd_member(args) -> int:
     ideal = _resolve_ideal(args)
     f = parse_poly(args.poly, ideal.alphabet)
-    seed = _seed(args) if args.witness else (args.seed or 0)
-    verdict = is_member(f, ideal, find_witness=args.witness, trials=args.trials, seed=seed)
+    seed = _seed(args) if args.witness else None
+    check_search(args.trials)
+    verdict = is_member(f, ideal)
     data = {"ideal": ideal.name, "member": verdict.member}
     if args.witness and args.seed is None:
         data["seed"] = seed
     human = f"{args.poly!r} in {ideal.name}: member = {verdict.member}"
-    if verdict.witness is not None:
-        data["witness"] = verdict.witness.to_json()
-        human += (
-            f"\nwitness at size {verdict.witness.size}, trial {verdict.witness.trial},"
-            f" {_witness_size(verdict.witness)}"
-        )
+    if args.witness and not verdict.member:
+        sizes = range(1, witness_size(f, ideal) + 1)
+        witness = falsify(f, zero_set_sampler(ideal), sizes, args.trials, seed)
+        if witness is not None:
+            data["witness"] = witness.to_json()
+            human += (f"\nwitness at size {witness.size}, trial {witness.trial},"
+                      f" {_witness_size(witness)}")
     _emit(args, data, human)
     return 0 if verdict.member else 1
 
@@ -269,7 +271,10 @@ def cmd_falsify(args) -> int:
         ideal = _resolve_ideal(args)
         f = parse_poly(text, ideal.alphabet)
         sizes = _parse_sizes(args.sizes) if args.sizes else range(1, witness_size(f, ideal) + 1)
-        witness = find_zero_set_witness(f, ideal, sizes, args.trials, seed, args.mode, args.tol)
+        sizes = check_search(args.trials, sizes, args.tol, args.mode)
+        # where f vanishes on the zero set no point can witness anything
+        witness = None if is_member(f, ideal) else falsify(
+            f, zero_set_sampler(ideal), sizes, args.trials, seed, args.mode, args.tol)
     else:
         alph = _alphabet_for(args, text)
         f = parse_poly(text, alph) if args.expr is None else parse_expression(text, alph)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd, inf, isfinite, lcm
 from typing import TYPE_CHECKING
 
 from .errors import DimensionMismatch, SingularMatrixError
@@ -165,8 +165,9 @@ class Scalar:
         return gaussian_scalar, (self.a, self.b, self.d)
 
     def to_complex(self) -> complex:
-        # int / int rounds correctly, as float(Fraction) does
-        return complex(self.a / self.d, self.b / self.d)
+        """The nearest complex float, the one conversion of an exact value
+        to floats; a part beyond the float range rounds to +-inf."""
+        return complex(_ratio(self.a, self.d), _ratio(self.b, self.d))
 
     def to_json(self):
         return [str(self.re), str(self.im)]
@@ -181,6 +182,14 @@ class Scalar:
             return f"{self.im}i"
         sign = "+" if self.im > 0 else "-"
         return f"({self.re} {sign} {abs(self.im)}i)"
+
+
+def _ratio(n: int, d: int) -> float:
+    # int / int rounds correctly, as float(Fraction) does; d >= 1
+    try:
+        return n / d
+    except OverflowError:
+        return inf if n > 0 else -inf
 
 
 class _Fractional(Scalar):
@@ -694,22 +703,25 @@ def embed(a: ExactMatrix, s: int) -> ExactMatrix:
 # ---------------------------------------------------------------------------
 
 
-def float_to_json(a) -> dict:
-    """A float or exact matrix as float pairs ``[re, im]``; an ExactMatrix
-    is converted without numpy."""
-    if isinstance(a, ExactMatrix):
-        return {
-            "rows": a.rows,
-            "cols": a.cols,
-            "entries": [[x.a / x.d, x.b / x.d] for x in a.entries],
-        }
-    import numpy as np
+def json_float(x: float) -> float | None:
+    """x for strict JSON, which has no Infinity or NaN: those become None."""
+    return x if isfinite(x) else None
 
-    a = np.asarray(a, dtype=complex)
+
+def float_to_json(a) -> dict:
+    """A float or exact matrix as json_float pairs ``[re, im]``; an
+    ExactMatrix goes through Scalar.to_complex, without numpy."""
+    if isinstance(a, ExactMatrix):
+        rows, cols, values = a.rows, a.cols, [x.to_complex() for x in a.entries]
+    else:
+        import numpy as np
+
+        a = np.asarray(a, dtype=complex)
+        rows, cols, values = a.shape[0], a.shape[1], a.flatten()
     return {
-        "rows": a.shape[0],
-        "cols": a.shape[1],
-        "entries": [[float(x.real), float(x.imag)] for x in a.flatten()],
+        "rows": rows,
+        "cols": cols,
+        "entries": [[json_float(float(z.real)), json_float(float(z.imag))] for z in values],
     }
 
 

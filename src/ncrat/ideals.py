@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import bounds as _bounds
-from .core import ExactMatrix, FLOAT_TOL, Scalar, matrix_inverse, split_blocks
+from .core import ExactMatrix, Scalar, matrix_inverse, split_blocks
 from .errors import (
     ConditioningFailure,
     DomainError,
@@ -67,7 +67,7 @@ from .realization import (
     is_zero,
     minimize_scalar,
 )
-from .sampler import DOMAIN_KINDS, Witness, check_search, falsify
+from .sampler import DOMAIN_KINDS
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +117,6 @@ class RRIdeal:
 @dataclass
 class MembershipVerdict:
     member: bool
-    witness: Witness | None = None
 
     def __bool__(self):
         return self.member
@@ -396,35 +395,17 @@ def substitute_resolvent(f: NcPoly, ideal: RRIdeal) -> RatExpr:
     return substitute_letters(poly_to_expression(f), ideal.resolvent)
 
 
-def is_member(
-    f: NcPoly,
-    ideal: RRIdeal,
-    find_witness: bool = False,
-    trials: int = 200,
-    seed: int = 0,
-) -> MembershipVerdict:
+def is_member(f: NcPoly, ideal: RRIdeal) -> MembershipVerdict:
     """Exact membership: realize f(x', r(x')) and test for the zero series.
 
     f is compiled with each resolved letter bound to the ideal's resolvent
     representation (RRIdeal.oracle_rep); substituting the resolvent
-    expressions and compiling realizes the same series.
-    With ``find_witness`` a non-member gets an exact counterexample
-    searched at sizes up to witness_size(f, ideal) among the points of
-    zero_set_sampler: graph points of the resolvent for a non-star ideal,
-    Cayley points of the *-zero set for a star ideal.  A point is a
-    witness when f's exact value there is not zero, so no tolerance
-    enters.  ``trials`` goes through sampler.check_search, and f must be
-    over the ideal's alphabet (AlphabetMismatch), whether or not a
-    witness is searched.
+    expressions and compiling realizes the same series.  f must be over
+    the ideal's alphabet (AlphabetMismatch).  The verdict only decides: a
+    counterexample to a non-member is falsify(f, zero_set_sampler(ideal),
+    range(1, witness_size(f, ideal) + 1), trials, seed).
     """
-    check_search(trials)
-    if is_zero(ideal.oracle_rep(f)):
-        return MembershipVerdict(True)
-    witness = None
-    if find_witness and f:
-        limit = witness_size(f, ideal)
-        witness = falsify(f, zero_set_sampler(ideal), range(1, limit + 1), trials, seed)
-    return MembershipVerdict(False, witness)
+    return MembershipVerdict(is_zero(ideal.oracle_rep(f)))
 
 
 def witness_size(f: NcPoly, ideal: RRIdeal) -> int:
@@ -494,7 +475,7 @@ def zero_set_sampler(ideal: RRIdeal):
     draws of x', each from its own stdlib stream
     random.Random(f"graph/{seed}/{n}/{trial}/{attempt}").  When r is
     undefined at all of them, the sampler raises ConditioningFailure and
-    falsify leaves the size: the graph is then almost surely empty there
+    sampler.draws leaves the size: the graph is then almost surely empty there
     (CommInv has no 1 x 1 points, because scalars commute).
     """
     if ideal.star:
@@ -516,29 +497,6 @@ def zero_set_sampler(ideal: RRIdeal):
         raise ConditioningFailure("could not sample a graph point")
 
     return sample
-
-
-def find_zero_set_witness(
-    f: NcPoly,
-    ideal: RRIdeal,
-    sizes,
-    trials: int = 200,
-    seed: int = 0,
-    mode: str = "nonzero",
-    tol: float = FLOAT_TOL,
-) -> Witness | None:
-    """Search for a zero-set point where f does not vanish (or is not PSD,
-    in ``negative-eigenvalue`` mode).
-
-    The exact oracle runs first: when f vanishes on the zero set no point
-    can witness anything, and None is returned without sampling.
-    Otherwise falsify searches the exact points of zero_set_sampler; only
-    ``negative-eigenvalue`` mode judges their values in floats, to ``tol``.
-    """
-    sizes = check_search(trials, sizes, tol, mode)
-    if is_zero(ideal.oracle_rep(f)):
-        return None
-    return falsify(f, zero_set_sampler(ideal), sizes, trials, seed, mode, tol)
 
 
 def random_ideal_element(

@@ -21,9 +21,9 @@ from fractions import Fraction
 from typing import Callable
 
 from .core import ExactMatrix, Scalar, ZERO
-from .errors import MALFORMED, BudgetExceeded, DegreeTooHigh, SpecError
+from .errors import MALFORMED, BudgetExceeded, ConditioningFailure, DegreeTooHigh, SpecError
 from .ncpoly import Alphabet, Letter, NcPoly, grlex_key, word_count, word_star, words_up_to
-from .sampler import _score, check_search
+from .sampler import _score, draws
 
 
 @dataclass
@@ -311,20 +311,20 @@ def positivity_probe(f: NcPoly, sample: Callable, sizes, trials: int, seed: int)
     """Minimum eigenvalue of the Hermitian part of f over seeded samples.
 
     ``sample`` is a callable (n, seed, trial) -> point tuple, such as a
-    SampleDomain; each value is judged as falsify judges it in
-    negative-eigenvalue mode.  A certificate for f modulo the matching
-    ideal implies the reported minimum is not negative, up to rounding
-    (necessary-condition probe).  ``trials`` and ``sizes`` go through
-    sampler.check_search before anything is sampled.
+    SampleDomain or ideals.zero_set_sampler.  The values come from
+    sampler.draws, as falsify's do, and each is judged as falsify judges
+    it in negative-eigenvalue mode; ``samples`` counts them, and none at
+    all raises ConditioningFailure.  A certificate for f modulo the
+    matching ideal implies the reported minimum is not negative, up to
+    rounding (necessary-condition probe).
     """
-    sizes = check_search(trials, sizes)
     best = None
     count = 0
-    for n in sizes:
-        for trial in range(trials):
-            value = f.eval(sample(n, seed, trial), star_rule="adjoint")
-            lo = -_score(value, "negative-eigenvalue")
-            count += 1
-            if best is None or lo < best[0]:
-                best = (lo, n, trial)
-    return ProbeReport(best[0], best[1], best[2], count)
+    for n, trial, _, value in draws(f, sample, sizes, trials, seed):
+        lo = -_score(value, "negative-eigenvalue")
+        count += 1
+        if best is None or lo < best[0]:
+            best = (lo, n, trial)
+    if best is None:
+        raise ConditioningFailure(f"no point drawn at sizes {list(sizes)}")
+    return ProbeReport(*best, count)

@@ -1,11 +1,13 @@
-"""Random structured matrix tuples in floats and the falsification search.
+"""Random structured matrix tuples in floats and the seeded witness search.
 
 Sampling is deterministic: every float draw comes from a counter-based
 Philox stream keyed by (seed, trial index, ...), so identical seeds
 reproduce bit-identical samples and distinct trials are independent
 substreams.  Structural residuals (unitarity, isometry, ...) are checked
 to 1e-10 after every draw.  These float samplers serve ``sample``,
-``falsify --domain`` and the positivity probe.  falsify also searches
+``falsify --domain`` and the positivity probe.  ``draws`` is the one
+(size, trial) loop of a seeded search, sampler -> f.eval, and falsify
+and the positivity probe judge what it yields.  falsify also searches
 the exact points of ideals.zero_set_sampler (graph points, and Cayley
 points of the *-zero sets of star ideals) and in nonzero mode judges
 them without numpy.
@@ -17,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .core import ExactMatrix, FLOAT_TOL, ONE
+from .core import ExactMatrix, FLOAT_TOL, ONE, float_to_json, json_float
 from .errors import ConditioningFailure, DomainError, GOutOfRange, SpecError
 
 if TYPE_CHECKING:
@@ -185,13 +187,11 @@ class Witness:
         """``point`` and ``value`` as float pairs; an exact point also
         gives ``exact_point`` and ``exact_value``, each matrix as
         ExactMatrix.to_json, which keep what the floats round away."""
-        from .core import float_to_json
-
         data = {
             "size": self.size,
             "trial": self.trial,
             "seed": self.seed,
-            "score": self.score,
+            "score": json_float(self.score),
             "point": [float_to_json(p) for p in self.point],
             "value": float_to_json(self.value),
         }
@@ -221,31 +221,20 @@ def _score(value, mode: str) -> float:
     return float(-np.min(np.linalg.eigvalsh(herm)))
 
 
-def falsify(
-    f,
-    sample: Callable,
-    sizes: Sequence[int],
-    trials: int,
-    seed: int,
-    mode: str = "nonzero",
-    tol: float = FLOAT_TOL,
-) -> Witness | None:
-    """Search for a sample where f does not vanish (or is not PSD).
+def draws(f, sample: Callable, sizes: Sequence[int], trials: int, seed: int,
+          mode: str = "nonzero", tol: float = FLOAT_TOL):
+    """The (size, trial) loop of a seeded search: yields (n, trial, point,
+    f(point)) for each size n in ``sizes`` and trial 0..trials-1, the
+    point drawn as ``sample(n, seed, trial)`` and f evaluated there with
+    adjoint letters.  The settings go through check_search before the
+    first draw.
 
-    ``sample`` is a callable (n, seed, trial) -> point tuple, float or
-    exact, such as a SampleDomain or ideals.zero_set_sampler.  In
-    ``nonzero`` mode a float value is a witness when some entry of
-    |f(point)| is above tol, an exact value when it is not zero; in
-    ``negative-eigenvalue`` mode the Hermitian part of the value has an
-    eigenvalue below -tol.  Returns the first witness in (size, trial)
-    order, or None.  The settings go through check_search before anything
-    is sampled.  numpy is imported only to sample or score float values.
-
-    A ConditioningFailure from the sampler ends the current size: the
-    search moves on to the next one.  At size n the domain of a
-    noncommutative rational function is Zariski-open in the g-tuples of
-    n x n matrices, so it is either empty or misses only a null set.  A
-    sampler that raises has already failed on several independent draws
+    A draw where f is undefined (DomainError) is skipped.  A
+    ConditioningFailure from the sampler ends the current size: the loop
+    moves on to the next one.  At size n the domain of a noncommutative
+    rational function is Zariski-open in the g-tuples of n x n matrices,
+    so it is either empty or misses only a null set.  A sampler that
+    raises has already failed on several independent draws
     (zero_set_sampler on 20), so the set it samples is almost surely empty
     at that size and its later trials would fail the same way.  Trials
     are numbered per size, so leaving a size early changes none of the
@@ -262,10 +251,35 @@ def falsify(
                 value = f.eval(point, star_rule="adjoint")
             except DomainError:
                 continue
-            score = _score(value, mode)
-            exact = mode == "nonzero" and isinstance(value, ExactMatrix)
-            if (not value.is_zero()) if exact else score > tol:
-                return Witness(n, trial, seed, point, value, score)
+            yield n, trial, point, value
+
+
+def falsify(
+    f,
+    sample: Callable,
+    sizes: Sequence[int],
+    trials: int,
+    seed: int,
+    mode: str = "nonzero",
+    tol: float = FLOAT_TOL,
+) -> Witness | None:
+    """Search for a sample where f does not vanish (or is not PSD).
+
+    ``sample`` is a callable (n, seed, trial) -> point tuple, float or
+    exact, such as a SampleDomain or ideals.zero_set_sampler; the points
+    come from ``draws``, which checks the settings first.  In ``nonzero``
+    mode a float value is a witness when some entry of |f(point)| is
+    above tol, an exact value when it is not zero (ExactMatrix.is_zero;
+    only the witness returned is scored); in ``negative-eigenvalue`` mode
+    the Hermitian part of the value has an eigenvalue below -tol.
+    Returns the first witness in (size, trial) order, or None.  numpy is
+    imported only to sample or score float values.  A zero-set search
+    follows a verdict that f does not vanish there (ideals.is_member).
+    """
+    for n, trial, point, value in draws(f, sample, sizes, trials, seed, mode, tol):
+        exact = mode == "nonzero" and isinstance(value, ExactMatrix)
+        if (not value.is_zero()) if exact else _score(value, mode) > tol:
+            return Witness(n, trial, seed, point, value, _score(value, mode))
     return None
 
 

@@ -116,6 +116,41 @@ class TestMember:
         assert entry and f"witness at size 1, trial 0, largest entry = {entry}\n" in out
         assert "|value|" not in out and f"/{10 ** 400}" in str(entry)
 
+    @pytest.mark.parametrize("argv, kind", [
+        (["member", "--ideal", "Tprime", "--g", "1", "--poly", f"{10 ** 400} X1", "--witness"], "Tprime"),
+        (["falsify", "--ideal", "T", "--g", "1", "--poly", f"{10 ** 400} X1", "--sizes", "1"], "T"),
+    ], ids=["member", "falsify"])
+    def test_exact_value_above_the_float_range(self, argv, kind):
+        # the floats of the value are infinite: the text line prints the
+        # exact largest entry, and --json stays strict JSON, with the
+        # float parts that are not finite as null
+        code, out, err = run_cli(*argv, "--seed", "1")
+        assert code == 1 and err == ""
+        code, js, err = run_cli(*argv, "--seed", "1", "--json")
+        assert code == 1 and err == ""
+
+        def no_constants(name):
+            raise ValueError(f"{name} is not JSON")
+
+        witness = json.loads(js, parse_constant=no_constants)["witness"]
+        assert witness["score"] is None
+        value = ExactMatrix.from_json(witness["exact_value"])
+        entry = max(value.entries, key=lambda x: x.re * x.re + x.im * x.im)
+        assert f"witness at size 1, trial 0, largest entry = {entry}\n" in out
+        assert None in witness["value"]["entries"][0]
+        point = tuple(ExactMatrix.from_json(m) for m in witness["exact_point"])
+        ideal = builtin_ideal(kind, 1)
+        assert value == parse_poly(f"{10 ** 400} X1", ideal.alphabet).eval(point, star_rule="adjoint")
+
+    @pytest.mark.parametrize("witness", [[], ["--witness", "--seed", "1"]], ids=["verdict", "witness"])
+    @pytest.mark.parametrize("poly", ["1 - X1 X1^*", "X1 X2 - X2 X1"], ids=["member", "non-member"])
+    def test_trials_below_one_are_refused(self, poly, witness):
+        # the verdict takes no trials, but member refuses them with or
+        # without a search, through sampler.check_search
+        code, out, err = run_cli("member", "--ideal", "T", "--g", "2", "--poly", poly,
+                                 "--trials", "0", *witness)
+        assert (code, out, err) == (2, "", "error: trials must be at least 1, got 0\n")
+
     def test_star_witness_is_exact(self):
         code, out, _ = run_cli("member", "--ideal", "T", "--g", "2", "--poly", "X1 X2 - X2 X1",
                                "--witness", "--seed", "4", "--json")

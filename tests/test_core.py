@@ -30,10 +30,11 @@ from ncrat.core import (
     _mk,
 )
 from ncrat.errors import DimensionMismatch, SingularMatrixError
-from ncrat.ideals import builtin_ideal, find_zero_set_witness
+from ncrat.ideals import builtin_ideal, zero_set_sampler
 from ncrat.ncpoly import Letter
 from ncrat.ratexpr import parse_expression, parse_poly
 from ncrat.realization import BasePoint, compile_expression, minimize_scalar
+from ncrat.sampler import falsify
 
 from conftest import random_exact_matrix, random_scalar
 from fraction_closure import rref
@@ -354,8 +355,8 @@ class TestPipelineParts:
 
     def test_exact_witness(self):
         ideal = builtin_ideal("Tprime", 2)
-        w = find_zero_set_witness(parse_poly("X1 X2 - X2 X1 + 2 Y1", ideal.alphabet),
-                                  ideal, (1, 2), 20, 3)
+        w = falsify(parse_poly("X1 X2 - X2 X1 + 2 Y1", ideal.alphabet),
+                    zero_set_sampler(ideal), (1, 2), 20, 3)
         assert isinstance(w.value, ExactMatrix)
         assert self.all_exact(w.value.entries)
         assert self.all_exact(x for p in w.point for x in p.entries)

@@ -18,7 +18,6 @@ from ncrat.ideals import (
     RRIdeal,
     builtin_ideal,
     custom_ideal,
-    find_zero_set_witness,
     is_member,
     random_ideal_element,
     substitute_resolvent,
@@ -199,10 +198,10 @@ class TestMembership:
     def test_commutator_not_member_with_witness(self):
         T2 = builtin_ideal("T", 2)
         f = parse_poly("X1 X2 - X2 X1", T2.alphabet)
-        verdict = is_member(f, T2, find_witness=True, seed=99)
-        assert not verdict.member
-        assert verdict.witness is not None
-        assert verdict.witness.size <= witness_size(f, T2) == 4
+        assert not is_member(f, T2).member
+        witness = falsify(f, zero_set_sampler(T2), range(1, witness_size(f, T2) + 1), 200, 99)
+        assert witness is not None
+        assert witness.size <= witness_size(f, T2) == 4
         # the explicit exact pair: swap and diag(1,-1)
         u1 = ExactMatrix.from_rows([[0, 1], [1, 0]])
         u2 = ExactMatrix.from_rows([[1, 0], [0, -1]])
@@ -211,8 +210,8 @@ class TestMembership:
     def test_spherical_defect_not_member(self):
         S2 = builtin_ideal("S", 2)
         f = parse_poly("X1 X1^* + X2 X2^* - 1", S2.alphabet)
-        verdict = is_member(f, S2, find_witness=True, seed=5)
-        assert not verdict.member and verdict.witness is not None
+        assert not is_member(f, S2).member
+        assert falsify(f, zero_set_sampler(S2), range(1, witness_size(f, S2) + 1), 200, 5)
         a1, a2 = ExactMatrix.unit(2, 0, 1), ExactMatrix.unit(2, 0, 0)
         star = lambda m: m.conjugate_transpose()
         assert star(a1) * a1 + star(a2) * a2 == ExactMatrix.identity(2)
@@ -227,14 +226,6 @@ class TestMembership:
             is_member(f, U2)
         with pytest.raises(AlphabetMismatch):
             U2.oracle_rep(f)
-
-    @pytest.mark.parametrize("settings", [{"trials": 0}, {"trials": -3}], ids=repr)
-    @pytest.mark.parametrize("find_witness", [True, False])
-    def test_search_settings_are_checked(self, settings, find_witness):
-        T2 = builtin_ideal("T", 2)
-        f = parse_poly("X1 X2 - X2 X1", T2.alphabet)
-        with pytest.raises(SpecError):
-            is_member(f, T2, find_witness=find_witness, seed=1, **settings)
 
     def test_zero_polynomial_is_member(self):
         T1 = builtin_ideal("T", 1)
@@ -393,28 +384,24 @@ class TestZeroSetSampling:
     def test_witness_search_finds_counterexample(self):
         Tp = builtin_ideal("Tprime", 2)
         f = parse_poly("X1 X2 - X2 X1", Tp.alphabet)
-        w = find_zero_set_witness(f, Tp, sizes=range(1, 5), trials=50, seed=17)
+        w = falsify(f, zero_set_sampler(Tp), range(1, 5), 50, 17)
         assert w is not None and w.size >= 2  # commutators vanish at size 1
 
-    def test_comminv_search_draws_once_at_the_empty_size(self, monkeypatch):
+    def test_comminv_search_draws_once_at_the_empty_size(self):
         # scalars commute, so CommInv has no 1 x 1 points: one failed draw
         # there moves the search on to size 2
         calls = []
-
-        def counting_sampler(ideal):
-            sample = zero_set_sampler(ideal)
-
-            def counted(n, seed, trial):
-                calls.append(n)
-                return sample(n, seed, trial)
-            return counted
-
-        monkeypatch.setattr("ncrat.ideals.zero_set_sampler", counting_sampler)
         C = builtin_ideal("CommInv", 3)
+        sample = zero_set_sampler(C)
+
+        def counted(n, seed, trial):
+            calls.append(n)
+            return sample(n, seed, trial)
+
         f = parse_poly("X1 X2 - X2 X1", C.alphabet)
-        verdict = is_member(f, C, find_witness=True, seed=5)
-        assert not verdict.member
-        assert (verdict.witness.size, verdict.witness.trial) == (2, 0)
+        assert not is_member(f, C).member
+        witness = falsify(f, counted, range(1, witness_size(f, C) + 1), 200, 5)
+        assert (witness.size, witness.trial) == (2, 0)
         assert calls == [1, 2]
 
     def test_falsify_never_flags_members(self):

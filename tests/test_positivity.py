@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from ncrat.core import ExactMatrix, Scalar
-from ncrat.errors import AlphabetMismatch, BudgetExceeded, DegreeTooHigh, SpecError
-from ncrat.ideals import builtin_ideal
+from ncrat.errors import (
+    AlphabetMismatch, BudgetExceeded, ConditioningFailure, DegreeTooHigh, SpecError,
+)
+from ncrat.ideals import builtin_ideal, zero_set_sampler
 from ncrat.ncpoly import Alphabet, Letter, NcPoly
 from ncrat.positivity import (
     GRAM_BASIS_CAP,
@@ -263,6 +265,18 @@ class TestProbe:
         rep = positivity_probe(parse_poly("- X1^* X1", AL), lambda n, seed, trial: (two,),
                                [1], 3, seed=1)
         assert (rep.min_eigenvalue, rep.size, rep.trial, rep.samples) == (-4.0, 1, 0, 3)
+
+    def test_probe_leaves_a_size_without_points(self):
+        # scalars commute, so CommInv has no 1 x 1 points: the probe draws
+        # its values at size 2, as falsify would
+        C = builtin_ideal("CommInv", 3)
+        rep = positivity_probe(parse_poly("X1 X2", C.alphabet), zero_set_sampler(C), range(1, 3), 5, 1)
+        assert (rep.size, rep.samples) == (2, 5)
+
+    def test_probe_without_any_point_fails_typed(self):
+        C = builtin_ideal("CommInv", 3)
+        with pytest.raises(ConditioningFailure):
+            positivity_probe(parse_poly("X1 X2", C.alphabet), zero_set_sampler(C), range(1, 2), 5, 1)
 
     def test_certificate_soundness_vs_probe(self):
         fixtures = [

@@ -4,9 +4,11 @@ import pytest
 from ncrat.core import ExactMatrix
 from ncrat.errors import ConditioningFailure, GOutOfRange, SpecError
 from ncrat.ncpoly import Alphabet
-from ncrat.ratexpr import parse_poly
+from ncrat import sampler
+from ncrat.ratexpr import parse_expression, parse_poly
 from ncrat.sampler import (
     SampleDomain,
+    draws,
     falsify,
     haar_unitary,
     partitioned_unitary,
@@ -136,6 +138,51 @@ class TestSizeWithoutPoints:
         sample, calls = self._counting({1, 2, 3})
         assert falsify(f, sample, sizes=[1, 2, 3], trials=200, seed=3) is None
         assert calls == [(1, 0), (2, 0), (3, 0)]
+
+
+class TestDraws:
+    # the one (size, trial) loop that falsify and the positivity probe judge
+    def test_leaves_an_empty_size(self):
+        f = parse_poly("X1 X2 - X2 X1", Alphabet.x(2))
+        calls = []
+
+        def sample(n, seed, trial):
+            calls.append((n, trial))
+            if n == 2:
+                raise ConditioningFailure("no point of size 2")
+            return _SWAP_AND_SIGN
+
+        got = [(n, trial) for n, trial, _, _ in draws(f, sample, [1, 2, 3], 2, seed=1)]
+        assert got == [(1, 0), (1, 1), (3, 0), (3, 1)]
+        assert calls == [(1, 0), (1, 1), (2, 0), (3, 0), (3, 1)]
+
+    def test_skips_a_draw_where_f_is_undefined(self):
+        # (X1 - X2)^-1 is undefined at (I, I), the draw of trial 0
+        f = parse_expression("(X1 - X2)^-1", Alphabet.x(2))
+        eye = ExactMatrix.identity(2)
+        points = {0: (eye, eye), 1: (eye + eye, eye)}
+        got = [(trial, value) for _, trial, _, value in
+               draws(f, lambda n, seed, trial: points[trial], [2], 2, seed=1)]
+        assert got == [(1, eye)]
+
+    def test_checks_its_settings_before_the_first_draw(self):
+        calls = []
+        loop = draws(parse_poly("X1", Alphabet.x(1)), lambda *draw: calls.append(draw), [1], 0, seed=1)
+        with pytest.raises(SpecError):
+            next(loop)
+        assert calls == []
+
+    def test_falsify_scores_only_its_witness(self, monkeypatch):
+        # exact values are judged by is_zero; the commuting draw of trial 0
+        # is never scored
+        scored = []
+        monkeypatch.setattr(sampler, "_score", lambda value, mode: scored.append(mode) or 2.0)
+        f = parse_poly("X1 X2 - X2 X1", Alphabet.x(2))
+        eye = ExactMatrix.identity(2)
+        swap, sign = ExactMatrix.from_rows([[0, 1], [1, 0]]), ExactMatrix.from_rows([[1, 0], [0, -1]])
+        points = {0: (eye, swap), 1: (swap, sign)}
+        w = falsify(f, lambda n, seed, trial: points[trial], [2], 2, seed=1)
+        assert (w.trial, w.score, scored) == (1, 2.0, ["nonzero"])
 
 
 class TestFalsify:
