@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import bounds
-from .core import ExactMatrix, Scalar
+from .core import ExactMatrix, Scalar, Value
 from .errors import GOutOfRange
 from .ideals import (
     builtin_ideal,
@@ -50,13 +49,15 @@ from .series import GenPoly, coefficient, coefficient_table, is_zero_by_enumerat
 from .sampler import SampleDomain, draws, falsify, zero_divisor_witness
 
 
-@dataclass
-class CriterionResult:
-    number: int
-    name: str
-    ok: bool
-    seconds: float
-    detail: str = ""
+class CriterionResult(Value):
+    __slots__ = ("number", "name", "ok", "seconds", "detail")
+
+    def __init__(self, number: int, name: str, ok: bool, seconds: float, detail: str = ""):
+        self.number = number
+        self.name = name
+        self.ok = ok
+        self.seconds = seconds
+        self.detail = detail
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"

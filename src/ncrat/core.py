@@ -1,5 +1,6 @@
-"""Exact scalar field Q(i), dense exact/float matrices, and the sparse
-exact elimination kernel.
+"""Exact scalar field Q(i), dense exact/float matrices, the sparse exact
+elimination kernel, and Value and Frozen, the base of the package's
+record classes.
 
 The scalar field is the Gaussian rationals.  A Scalar is (a + b*i)/d with
 Python ints a, b and one denominator d >= 1, in lowest terms, so its
@@ -208,6 +209,57 @@ def _coerce(x) -> Scalar:
 ZERO = Scalar(0)
 ONE = Scalar(1)
 I = Scalar(0, 1)
+
+
+# ---------------------------------------------------------------------------
+# Value classes
+# ---------------------------------------------------------------------------
+
+
+class Value:
+    """Base of the package's small record classes.  A subclass lists its
+    fields as its own ``__slots__``, in constructor order, and writes its
+    ``__init__``.  Equality is field-wise and per class, ``repr`` reads
+    ``Name(field=...)``, and copy and pickle rebuild through the
+    constructor.  Mutable, so unhashable."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class Frozen(Value):
+    """An immutable Value, hashable over its fields.  Its ``__init__`` sets
+    the fields through ``object.__setattr__``; any other assignment raises
+    AttributeError."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class ExactMatrix:

@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import bounds as _bounds
-from .core import ExactMatrix, Scalar, matrix_inverse, split_blocks
+from .core import ExactMatrix, Frozen, Scalar, Value, matrix_inverse, split_blocks
 from .errors import (
     ConditioningFailure,
     DomainError,
@@ -70,16 +69,35 @@ from .realization import (
 from .sampler import DOMAIN_KINDS
 
 
-@dataclass(frozen=True, eq=False)
-class RRIdeal:
-    name: str
-    alphabet: Alphabet
-    generators: tuple  # NcPoly
-    resolvent: dict  # Letter -> RatExpr over x', keyed by the x'' letters
-    basepoint: BasePoint  # binds exactly the x' letters
-    g: int  # bound parameter (g letters / g x g symbol matrix)
-    domain_kind: str | None  # structured sampling family, None = graph sampling
-    resolvent_reps: dict  # Letter -> LinRep, the minimized compiled resolvents
+_set = object.__setattr__
+
+
+class RRIdeal(Frozen):
+    """A rationally resolvable ideal, equal only to itself.
+
+    ``generators`` are NcPolys; ``resolvent`` maps each x'' letter to a
+    RatExpr over x'; ``basepoint`` binds exactly the x' letters; ``g`` is
+    the bound parameter (g letters / g x g symbol matrix); ``domain_kind``
+    is the structured sampling family, None for graph sampling; and
+    ``resolvent_reps`` maps each x'' letter to its minimized compiled
+    resolvent, a LinRep.
+    """
+
+    __slots__ = ("name", "alphabet", "generators", "resolvent", "basepoint", "g",
+                 "domain_kind", "resolvent_reps")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, name: str, alphabet: Alphabet, generators: tuple, resolvent: dict,
+                 basepoint: BasePoint, g: int, domain_kind: str | None, resolvent_reps: dict):
+        _set(self, "name", name)
+        _set(self, "alphabet", alphabet)
+        _set(self, "generators", generators)
+        _set(self, "resolvent", resolvent)
+        _set(self, "basepoint", basepoint)
+        _set(self, "g", g)
+        _set(self, "domain_kind", domain_kind)
+        _set(self, "resolvent_reps", resolvent_reps)
 
     def __repr__(self):
         return f"RRIdeal({self.name}, {len(self.generators)} generators)"
@@ -114,9 +132,11 @@ class RRIdeal:
         return compile_expression(poly_to_expression(f), self.basepoint, self.resolvent_reps)
 
 
-@dataclass
-class MembershipVerdict:
-    member: bool
+class MembershipVerdict(Value):
+    __slots__ = ("member",)
+
+    def __init__(self, member: bool):
+        self.member = member
 
     def __bool__(self):
         return self.member

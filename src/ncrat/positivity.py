@@ -16,33 +16,33 @@ via G = sum_i vec(p_i) vec(p_i)^*.
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
 from fractions import Fraction
+from math import isnan
 from typing import Callable
 
-from .core import ExactMatrix, Scalar, ZERO
+from .core import ExactMatrix, Scalar, Value, ZERO
 from .errors import MALFORMED, BudgetExceeded, ConditioningFailure, DegreeTooHigh, SpecError
 from .ncpoly import Alphabet, Letter, NcPoly, grlex_key, word_count, word_star, words_up_to
 from .sampler import _score, draws
 
 
-@dataclass
-class SohsCertificate:
-    squares: tuple  # NcPoly p_i
-    remainder: NcPoly  # q
-    cofactors: tuple | None = None  # ((a_i, generator_index, b_i), ...)
+class SohsCertificate(Value):
+    __slots__ = ("squares", "remainder", "cofactors")
 
-    def __post_init__(self):
-        self.squares = tuple(self.squares)
-        if self.cofactors is not None:
-            self.cofactors = tuple(self.cofactors)
+    def __init__(self, squares, remainder: NcPoly, cofactors=None):
+        self.squares = tuple(squares)  # NcPoly p_i
+        self.remainder = remainder  # q
+        # ((a_i, generator_index, b_i), ...)
+        self.cofactors = None if cofactors is None else tuple(cofactors)
 
 
-@dataclass
-class VerifyResult:
-    identity_ok: bool
-    remainder_path: str  # "zero" | "cofactors" | "oracle"
-    remainder_ok: bool
+class VerifyResult(Value):
+    __slots__ = ("identity_ok", "remainder_path", "remainder_ok")
+
+    def __init__(self, identity_ok: bool, remainder_path: str, remainder_ok: bool):
+        self.identity_ok = identity_ok
+        self.remainder_path = remainder_path  # "zero" | "cofactors" | "oracle"
+        self.remainder_ok = remainder_ok
 
     @property
     def ok(self) -> bool:
@@ -91,19 +91,23 @@ def verify_certificate(f: NcPoly, cert: SohsCertificate, ideal) -> VerifyResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GramConstraint:
-    word: tuple  # the target word w (of degree <= 2d)
-    pairs: tuple  # ((row_index, col_index), ...) with basis[row]^* basis[col] = w
-    rhs: Scalar
+class GramConstraint(Value):
+    __slots__ = ("word", "pairs", "rhs")
+
+    def __init__(self, word: tuple, pairs: tuple, rhs: Scalar):
+        self.word = word  # the target word w (of degree <= 2d)
+        self.pairs = pairs  # ((row_index, col_index), ...) with basis[row]^* basis[col] = w
+        self.rhs = rhs
 
 
-@dataclass
-class GramProblem:
-    d: int
-    alphabet: Alphabet
-    basis: tuple  # all words of degree <= d over the 2g letters, graded-lex
-    constraints: tuple
+class GramProblem(Value):
+    __slots__ = ("d", "alphabet", "basis", "constraints")
+
+    def __init__(self, d: int, alphabet: Alphabet, basis: tuple, constraints: tuple):
+        self.d = d
+        self.alphabet = alphabet
+        self.basis = basis  # all words of degree <= d over the 2g letters, graded-lex
+        self.constraints = constraints
 
     @property
     def g(self) -> int:
@@ -299,12 +303,14 @@ def import_gram(path: str) -> GramProblem:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ProbeReport:
-    min_eigenvalue: float
-    size: int
-    trial: int
-    samples: int
+class ProbeReport(Value):
+    __slots__ = ("min_eigenvalue", "size", "trial", "samples")
+
+    def __init__(self, min_eigenvalue: float, size: int, trial: int, samples: int):
+        self.min_eigenvalue = min_eigenvalue
+        self.size = size
+        self.trial = trial
+        self.samples = samples
 
 
 def positivity_probe(f: NcPoly, sample: Callable, sizes, trials: int, seed: int) -> ProbeReport:
@@ -316,14 +322,16 @@ def positivity_probe(f: NcPoly, sample: Callable, sizes, trials: int, seed: int)
     it in negative-eigenvalue mode; ``samples`` counts them, and none at
     all raises ConditioningFailure.  A certificate for f modulo the
     matching ideal implies the reported minimum is not negative, up to
-    rounding (necessary-condition probe).
+    rounding (necessary-condition probe).  A value that is not finite
+    scores NaN, which never beats a number: the minimum is NaN only when
+    every value is.
     """
     best = None
     count = 0
     for n, trial, _, value in draws(f, sample, sizes, trials, seed):
         lo = -_score(value, "negative-eigenvalue")
         count += 1
-        if best is None or lo < best[0]:
+        if best is None or lo < best[0] or isnan(best[0]) and not isnan(lo):
             best = (lo, n, trial)
     if best is None:
         raise ConditioningFailure(f"no point drawn at sizes {list(sizes)}")

@@ -6,9 +6,9 @@ symbolic inverse do), and nothing is simplified.  Every pass -- letters,
 height, adjoint, substitution, evaluation, flattening, compilation -- is
 one ``fold``, which visits each distinct node once and without recursion,
 so sharing costs nothing and depth has no limit.  Only ``_fmt``, which
-prints the tree, the recursive-descent parser and the dataclass ``==``
-and ``hash`` recurse.  The concrete grammar (also emitted by the
-formatter) is
+prints the tree, the recursive-descent parser and the field-wise ``==``
+and ``hash`` of the node classes (``core.Frozen``) recurse.  The
+concrete grammar (also emitted by the formatter) is
 
     expr    := ["-"] term (("+"|"-") term)*
     term    := factor (factor | "*" factor)*        juxtaposition = product
@@ -28,13 +28,12 @@ applies the formal adjoint to the subtree it follows.
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import add, matmul, mul
 from typing import Mapping, Union
 
-from .core import ExactMatrix, Scalar, _mk, matrix_inverse
+from .core import FLOAT_TOL, ExactMatrix, Frozen, Scalar, _mk, matrix_inverse
 from .errors import (
     DomainError,
     NotPolynomial,
@@ -50,61 +49,73 @@ from .ncpoly import Alphabet, Letter, NcPoly, _point_binding, _point_size, _look
 # ---------------------------------------------------------------------------
 
 
-class _Unary:
+_set = object.__setattr__
+
+
+class _Unary(Frozen):
+    __slots__ = ()
+
+    def __init__(self, child: "Node"):
+        _set(self, "child", child)
+
     @property
     def children(self) -> tuple:
         return (self.child,)
 
 
-@dataclass(frozen=True)
-class Const:
-    value: Scalar
+class Const(Frozen):
+    __slots__ = ("value",)
     children = ()
 
+    def __init__(self, value: Scalar):
+        _set(self, "value", value)
 
-@dataclass(frozen=True)
-class Var:
-    letter: Letter
+
+class Var(Frozen):
+    __slots__ = ("letter",)
     children = ()
 
+    def __init__(self, letter: Letter):
+        _set(self, "letter", letter)
 
-@dataclass(frozen=True)
-class Add:
-    children: tuple
 
-    def __post_init__(self):
-        if not self.children:
+class Add(Frozen):
+    __slots__ = ("children",)
+
+    def __init__(self, children: tuple):
+        if not children:
             raise ValueError("Add needs at least one child")
+        _set(self, "children", children)
 
 
-@dataclass(frozen=True)
 class Neg(_Unary):
-    child: "Node"
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True)
-class Mul:
-    children: tuple
+class Mul(Frozen):
+    __slots__ = ("children",)
 
-    def __post_init__(self):
-        if not self.children:
+    def __init__(self, children: tuple):
+        if not children:
             raise ValueError("Mul needs at least one child")
+        _set(self, "children", children)
 
 
-@dataclass(frozen=True)
 class Inv(_Unary):
-    child: "Node"
+    __slots__ = ("child",)
 
 
 Node = Union[Const, Var, Add, Neg, Mul, Inv]
 
 
-@dataclass(frozen=True)
-class RatExpr:
+class RatExpr(Frozen):
     """A rational expression together with its alphabet."""
 
-    alphabet: Alphabet
-    node: Node
+    __slots__ = ("alphabet", "node")
+
+    def __init__(self, alphabet: Alphabet, node: Node):
+        _set(self, "alphabet", alphabet)
+        _set(self, "node", node)
 
     def format(self) -> str:
         return format_expression(self)
@@ -492,7 +503,9 @@ def eval_expression(e: RatExpr, point, star_rule: str = "adjoint"):
 
     Exact matrices give an exact value; numpy arrays evaluate in floats.
     A singular inverse raises DomainError carrying the path of child
-    indices from the root to the offending Inv node.
+    indices from the root to the offending Inv node.  In floats, an
+    argument whose smallest singular value is at most
+    FLOAT_TOL * max(1, largest) counts as singular.
     """
     return _evaluate([e.node], point, star_rule)[0]
 
@@ -527,12 +540,13 @@ def _evaluate(roots, point, star_rule: str) -> list:
             except SingularMatrixError:
                 raise DomainError("singular inverse: point outside dom r") from None
         try:
-            inv = np.linalg.inv(kids[0])
+            sv = np.linalg.svd(kids[0], compute_uv=False)
+            singular = not sv[-1] > FLOAT_TOL * max(1.0, sv[0])  # a NaN is singular too
         except np.linalg.LinAlgError:
-            raise DomainError("singular inverse: point outside dom r") from None
-        if not np.all(np.isfinite(inv)):
-            raise DomainError("non-finite inverse: point outside dom r")
-        return inv
+            singular = True
+        if singular:
+            raise DomainError("singular inverse: point outside dom r")
+        return np.linalg.inv(kids[0])
 
     return fold(roots, combine)
 

@@ -39,7 +39,6 @@ nonzeros and a matrix ``{row: {col: Scalar}}`` over its nonzero rows
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping
 
@@ -47,6 +46,7 @@ from .core import (
     ONE,
     ExactMatrix,
     FractionFreeBasis,
+    Frozen,
     Scalar,
     ZERO,
     _coerce,
@@ -74,13 +74,18 @@ from .ratexpr import Add, Const, Mul, Neg, RatExpr, Var, fold
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BasePoint:
+_set = object.__setattr__
+
+
+class BasePoint(Frozen):
     """A tuple of m x m exact matrices indexed by the letters they shift."""
 
-    letters: tuple
-    mats: tuple
-    m: int
+    __slots__ = ("letters", "mats", "m")
+
+    def __init__(self, letters: tuple, mats: tuple, m: int):
+        _set(self, "letters", letters)
+        _set(self, "mats", mats)
+        _set(self, "m", m)
 
     @staticmethod
     def from_mapping(mapping: Mapping[Letter, ExactMatrix]) -> "BasePoint":

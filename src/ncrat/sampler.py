@@ -16,10 +16,9 @@ them without numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .core import ExactMatrix, FLOAT_TOL, ONE, float_to_json, json_float
+from .core import ExactMatrix, FLOAT_TOL, ONE, Frozen, Value, float_to_json, json_float
 from .errors import ConditioningFailure, DomainError, GOutOfRange, SpecError
 
 if TYPE_CHECKING:
@@ -35,19 +34,19 @@ DOMAIN_KINDS = ("unitaries", "spherical", "partitioned", "xgn", "unrestricted")
 FALSIFY_MODES = ("nonzero", "negative-eigenvalue")
 
 
-@dataclass(frozen=True)
-class SampleDomain:
+class SampleDomain(Frozen):
     """A family of structured tuples: which constraint and how many letters.
     As a sampler for falsify, domain(n, seed, trial) = sample_point(domain, n, seed, trial)."""
 
-    kind: str  # one of DOMAIN_KINDS
-    g: int
+    __slots__ = ("kind", "g")
 
-    def __post_init__(self):
-        if self.kind not in DOMAIN_KINDS:
-            raise SpecError(f"unknown sample domain kind {self.kind!r}")
-        if self.g < 1:
-            raise GOutOfRange(f"domain needs g >= 1, got {self.g}")
+    def __init__(self, kind: str, g: int):
+        if kind not in DOMAIN_KINDS:
+            raise SpecError(f"unknown sample domain kind {kind!r}")
+        if g < 1:
+            raise GOutOfRange(f"domain needs g >= 1, got {g}")
+        object.__setattr__(self, "kind", kind)  # one of DOMAIN_KINDS
+        object.__setattr__(self, "g", g)
 
     def __call__(self, n: int, seed: int, trial: int) -> tuple:
         return sample_point(self, n, seed, trial)
@@ -174,14 +173,17 @@ def sample_point(domain: SampleDomain, n: int, seed: int, index: int = 0) -> tup
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Witness:
-    size: int
-    trial: int
-    seed: int
-    point: tuple
-    value: np.ndarray | ExactMatrix  # exact exactly when the point is
-    score: float
+class Witness(Value):
+    __slots__ = ("size", "trial", "seed", "point", "value", "score")
+
+    def __init__(self, size: int, trial: int, seed: int, point: tuple,
+                 value: np.ndarray | ExactMatrix, score: float):
+        self.size = size
+        self.trial = trial
+        self.seed = seed
+        self.point = point
+        self.value = value  # exact exactly when the point is
+        self.score = score
 
     def to_json(self):
         """``point`` and ``value`` as float pairs; an exact point also

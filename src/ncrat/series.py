@@ -14,10 +14,9 @@ automaton.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .core import ZERO, ExactMatrix, block_matrix, embed, matrix_inverse, split_blocks
+from .core import ZERO, ExactMatrix, Value, block_matrix, embed, matrix_inverse, split_blocks
 from .errors import DimensionMismatch, MissingLetter, ResolventSingular, SingularMatrixError
 from .ncpoly import Alphabet, Letter, NcPoly
 from .realization import LinRep, _add_combination, _rows
@@ -73,14 +72,16 @@ def is_zero_by_enumeration(s: LinRep) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GenPoly:
+class GenPoly(Value):
     """A generalized polynomial as an m x m matrix of polynomials in the
     scalarized letters (one block of m^2 scalar letters per base letter)."""
 
-    m: int
-    letters: tuple  # the base letters, defining the scalar alphabet layout
-    entries: tuple  # m x m grid of NcPoly
+    __slots__ = ("m", "letters", "entries")
+
+    def __init__(self, m: int, letters: tuple, entries: tuple):
+        self.m = m
+        self.letters = letters  # the base letters, defining the scalar alphabet layout
+        self.entries = entries  # m x m grid of NcPoly
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)

@@ -362,6 +362,12 @@ class TestSampleAndFalsify:
         assert got == code
         assert ("no witness found" in out) == (code == 0)
 
+    def test_falsify_skips_numerically_singular_inverses(self):
+        # X1 Y1 = 1 at every xgn point, so (X1 Y1 - 1)^-1 is defined nowhere
+        code, out, _ = run_cli("falsify", "--domain", "xgn", "--g", "1", "--expr", "(X1 Y1 - 1)^-1",
+                               "--sizes", "1..2", "--seed", "6", "--trials", "5")
+        assert code == 0 and out == "no witness found\n"
+
     def test_falsify_on_a_vanishing_polynomial_skips_the_search(self):
         # the exact oracle shows that f vanishes on CommInv's zero set, so
         # none of the sizes 1..36 is sampled
@@ -780,6 +786,17 @@ class TestImportBoundary:
         assert not report["numpy"]
         # the float modules are still imported eagerly, only numpy waits
         assert {"ncrat.sampler", "ncrat.positivity", "ncrat.ideals"} <= set(report["modules"])
+
+    def test_import_ncrat_cli_builds_no_dataclasses(self):
+        # the record classes are plain __slots__ classes, so start-up pays
+        # neither for dataclasses nor for inspect, which it would pull in
+        proc, _ = _fresh("import json, sys\n"
+                         "before = set(sys.modules)\n"
+                         "import ncrat.cli\n"
+                         "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+        added = set(json.loads(proc.stdout))
+        assert "ncrat.cli" in added
+        assert not added & {"dataclasses", "inspect"}
 
     def test_sampling_commands_still_work(self):
         code, out, report = _fresh_cli(["sample", "--domain", "unitaries", "--g", "2",

@@ -266,6 +266,22 @@ class TestProbe:
                                [1], 3, seed=1)
         assert (rep.min_eigenvalue, rep.size, rep.trial, rep.samples) == (-4.0, 1, 0, 3)
 
+    @pytest.mark.parametrize("order", ["overflow-first", "overflow-last"])
+    def test_nan_score_never_hides_a_number(self, order):
+        # X1 = 10^200 overflows to a NaN score; X1 = 1 reads -1 in either order
+        huge, one = ExactMatrix.scalar(1, 10**200), ExactMatrix.scalar(1, 1)
+        points = [huge, one] if order == "overflow-first" else [one, huge]
+        rep = positivity_probe(parse_poly("- X1^* X1", AL), lambda n, seed, trial: (points[trial],),
+                               [1], 2, seed=1)
+        assert (rep.min_eigenvalue, rep.trial, rep.samples) == (-1.0, points.index(one), 2)
+
+    def test_nan_only_when_every_score_is_nan(self):
+        huge = ExactMatrix.scalar(1, 10**200)
+        rep = positivity_probe(parse_poly("- X1^* X1", AL), lambda n, seed, trial: (huge,),
+                               [1], 3, seed=1)
+        assert rep.min_eigenvalue != rep.min_eigenvalue
+        assert (rep.size, rep.trial, rep.samples) == (1, 0, 3)
+
     def test_probe_leaves_a_size_without_points(self):
         # scalars commute, so CommInv has no 1 x 1 points: the probe draws
         # its values at size 2, as falsify would

@@ -152,6 +152,19 @@ class TestEvaluation:
             e.eval((zero, one))
         assert err.value.path == (1,)
 
+    def test_numerically_singular_float_inverse(self):
+        # in floats, a smallest singular value at most FLOAT_TOL * max(1,
+        # largest) is outside the domain
+        import numpy as np
+
+        e = parse_expression("X1^-1", A1)
+        for rows in ([[1, 1], [1, 1 + 1e-12]], [[1e12, 0], [0, 1]], [[0, 0], [0, 1]]):
+            with pytest.raises(DomainError):
+                e.eval((np.array(rows, dtype=complex),))
+        for scale in (1e-6, 1e9):
+            value = e.eval((scale * np.eye(2, dtype=complex),))
+            assert np.allclose(value, np.eye(2) / scale, rtol=1e-12, atol=0)
+
     def test_inverse_law(self):
         rng = random.Random(42)
         e = parse_expression("X1*X1^-1", A1)
