@@ -490,13 +490,12 @@ def _common_denominator(values) -> int:
     return lcm(*{x.d for x in values})
 
 
-def gaussian_vector(values):
-    """(d, v): the least common denominator d > 0 of a sequence of Scalars
-    and the sparse Gaussian-integer vector v = d * values."""
-    items = [(i, x) for i, x in enumerate(values) if x]
-    d = _common_denominator([x for _, x in items])
-    re = {i: x.a * (d // x.d) for i, x in items if x.a}
-    im = {i: x.b * (d // x.d) for i, x in items if x.b}
+def gaussian_vector(values: dict):
+    """(d, v): the least common denominator d > 0 of a sparse vector
+    ``{index: Scalar}`` and the sparse Gaussian-integer vector v = d * values."""
+    d = _common_denominator(values.values())
+    re = {i: x.a * (d // x.d) for i, x in values.items() if x.a}
+    im = {i: x.b * (d // x.d) for i, x in values.items() if x.b}
     return d, (re, im or None)
 
 
@@ -689,9 +688,10 @@ def matrix_inverse(a: ExactMatrix) -> ExactMatrix:
         raise DimensionMismatch("inverse of a non-square matrix")
     n = a.rows
     basis = FractionFreeBasis(2 * n)
-    eye = ExactMatrix.identity(n)
     for i in range(n):
-        basis.add(gaussian_vector(a.row(i) + eye.row(i))[1])
+        row = {j: x for j, x in enumerate(a.row(i)) if x}
+        row[n + i] = ONE
+        basis.add(gaussian_vector(row)[1])
     if n and max(basis.pivots) >= n:
         raise SingularMatrixError(f"matrix of size {n} is singular")
     out = []

@@ -8,7 +8,9 @@ l and matrix position (i, j); Y_l is the m x m matrix of its letters.
 Such a matrix of series is stored as an ordinary weighted automaton, a
 LinRep: C of size m x D, one sparse D x D matrix A per scalar letter and
 B of size D x m, so that the coefficient of a scalar word w is C A^w B.
-Its dimension is n = max(1, ceil(D/m)).
+C and B are stored as their nonzero rows too, and ``LinRep.C`` and
+``LinRep.B`` are dense views built on access.  Its dimension is
+n = max(1, ceil(D/m)).
 
 Rational expressions compile to automata in one fold over the
 expression DAG, with the standard constructions: a sum is block
@@ -20,7 +22,10 @@ automaton has D = m*n states, and each block of m states is one state
 of the block form (c, A, b) with c in A^{1 x n}, b in A^{n x 1}, in
 which the series is c (I_n - sum_l A^{Y_l})^{-1} b: block q, entry
 (r, c) of it is state q*m + r, and letter (l, i, j) has index
-slot(l)*m^2 + i*m + j.
+slot(l)*m^2 + i*m + j.  Each construction reads and builds the rows of
+C, B and the letter matrices directly: C1 B1, (C1 B1) C2, a^-1 C and
+a C are _add_combination steps, a block B = [0; B2] is the rows of B2
+under shifted keys, and no block of zeros is ever built.
 
 Zero testing is a reachability closure on the automaton, run on the
 sparse fraction-free kernel of core.py.  Minimization is one reachable
@@ -32,8 +37,9 @@ arithmetic and so checks it independently.
 
 Sparse data has one format: a vector is ``{index: Scalar}`` over its
 nonzeros and a matrix ``{row: {col: Scalar}}`` over its nonzero rows
-(``_rows`` of an ExactMatrix, ``SparseMatrix.rows``), and
-``_add_combination`` is the one row-times-matrix step.
+(``_rows`` of an ExactMatrix, ``SparseMatrix.rows``, ``LinRep.c_rows``
+and ``LinRep.b_rows``), and ``_add_combination`` is the one
+row-times-matrix step.
 """
 
 from __future__ import annotations
@@ -146,6 +152,7 @@ class SparseMatrix:
         self.rows = {} if rows is None else rows
 
     def add_entry(self, i: int, j: int, value: Scalar):
+        """Add value at (i, j), for entries that may add up or cancel."""
         if not value:
             return
         row = self.rows.setdefault(i, {})
@@ -161,41 +168,23 @@ class SparseMatrix:
         return sum(len(r) for r in self.rows.values())
 
 
-def _hstack(parts) -> ExactMatrix:
-    entries = []
-    for r in range(parts[0].rows):
-        for p in parts:
-            entries.extend(p.row(r))
-    return ExactMatrix(parts[0].rows, sum(p.cols for p in parts), entries)
-
-
-def _vstack(parts) -> ExactMatrix:
-    return ExactMatrix(
-        sum(p.rows for p in parts), parts[0].cols, [x for p in parts for x in p.entries]
-    )
-
-
-def _rows(a: ExactMatrix, offset: int = 0) -> dict:
-    """The nonzero rows of a as ``{row: {offset + col: Scalar}}``."""
+def _rows(a: ExactMatrix) -> dict:
+    """The nonzero rows of a as ``{row: {col: Scalar}}``."""
     out = {}
     for i in range(a.rows):
-        row = {offset + j: x for j, x in enumerate(a.row(i)) if x}
+        row = {j: x for j, x in enumerate(a.row(i)) if x}
         if row:
             out[i] = row
     return out
 
 
-def _constant_term(x: "LinRep", b_rows: dict) -> ExactMatrix:
-    """CB, the coefficient of the empty word; ``b_rows`` is _rows(x.B)."""
-    m = x.m
-    out = [ZERO] * (m * m)
-    for q, bq in b_rows.items():
-        for i in range(m):
-            c = x.C[i, q]
-            if c:
-                for k, v in bq.items():
-                    out[i * m + k] = out[i * m + k] + c * v
-    return ExactMatrix(m, m, out)
+def _dense(rows: dict, n_rows: int, n_cols: int) -> ExactMatrix:
+    """The n_rows x n_cols ExactMatrix whose nonzero rows are ``rows``."""
+    entries = [ZERO] * (n_rows * n_cols)
+    for i, row in rows.items():
+        for j, x in row.items():
+            entries[i * n_cols + j] = x
+    return ExactMatrix(n_rows, n_cols, entries)
 
 
 def _add_combination(row: dict, u: dict, rows: dict) -> dict:
@@ -231,12 +220,18 @@ class LinRep:
     (m x D), one SparseMatrix of size D per scalar letter (``A``) and
     B (D x m), with m and the letters those of the base point.
 
-    ``states`` is D and ``dim`` the dimension n = max(1, ceil(D/m)); a
-    compiled representation has D = m*n states, a minimized one any
-    number.  Instances are immutable.
+    C and B are stored in the one sparse format, as their nonzero rows:
+    ``c_rows`` is {i: {state: Scalar}} over the m rows of C and ``b_rows``
+    {state: {j: Scalar}} over the D rows of B, with no zero entry and no
+    empty row.  ``states`` is D and ``dim`` the dimension
+    n = max(1, ceil(D/m)); a compiled representation has D = m*n states,
+    a minimized one any number.  ``C`` and ``B`` are dense ExactMatrix
+    views, built on each access and never stored.  Instances are
+    immutable, and share row dicts with the operands they were built
+    from.
     """
 
-    __slots__ = ("basepoint", "C", "A", "B")
+    __slots__ = ("basepoint", "c_rows", "A", "b_rows", "states")
 
     def __init__(self, basepoint: BasePoint, C: ExactMatrix, A, B: ExactMatrix):
         A = tuple(A)
@@ -248,10 +243,16 @@ class LinRep:
             or any(a.n != D for a in A)
         ):
             raise DimensionMismatch("automaton does not fit the base point")
-        self.basepoint = basepoint
-        self.C = C
-        self.A = A
-        self.B = B
+        self.basepoint, self.A, self.states = basepoint, A, D
+        self.c_rows, self.b_rows = _rows(C), _rows(B)
+
+    @property
+    def C(self) -> ExactMatrix:
+        return _dense(self.c_rows, self.basepoint.m, self.states)
+
+    @property
+    def B(self) -> ExactMatrix:
+        return _dense(self.b_rows, self.states, self.basepoint.m)
 
     @property
     def m(self) -> int:
@@ -262,15 +263,20 @@ class LinRep:
         return self.basepoint.letters
 
     @property
-    def states(self) -> int:
-        return self.C.cols
-
-    @property
     def dim(self) -> int:
-        return max(1, -(-self.C.cols // self.basepoint.m))
+        return max(1, -(-self.states // self.basepoint.m))
 
     def __repr__(self):
         return f"LinRep(m={self.m}, dim={self.dim}, letters={len(self.letters)})"
+
+
+def _rep(basepoint: BasePoint, c_rows: dict, A, b_rows: dict, states: int) -> LinRep:
+    """The LinRep with these rows of C and B, unchecked: the constructor of
+    the constructions, whose rows hold no zero and no empty row."""
+    rep = object.__new__(LinRep)
+    rep.basepoint, rep.A, rep.states = basepoint, tuple(A), states
+    rep.c_rows, rep.b_rows = c_rows, b_rows
+    return rep
 
 
 def automaton_rep(basepoint: BasePoint, C: ExactMatrix, entries, B: ExactMatrix) -> LinRep:
@@ -284,11 +290,16 @@ def automaton_rep(basepoint: BasePoint, C: ExactMatrix, entries, B: ExactMatrix)
     return LinRep(basepoint, C, mats, B)
 
 
+def _identity_rows(m: int, offset: int = 0) -> dict:
+    """The rows of B = [0; I_m] below ``offset`` zero rows."""
+    return {offset + i: {i: ONE} for i in range(m)}
+
+
 def rep_const(a: ExactMatrix, basepoint: BasePoint) -> LinRep:
     """Dimension-1 representation of the constant series a."""
     m = basepoint.m
     mats = [SparseMatrix(m)] * (m * m * len(basepoint.letters))
-    return LinRep(basepoint, a, mats, ExactMatrix.identity(m))
+    return _rep(basepoint, _rows(a), mats, _identity_rows(m), m)
 
 
 def rep_var(letter: Letter, basepoint: BasePoint) -> LinRep:
@@ -300,9 +311,9 @@ def rep_var(letter: Letter, basepoint: BasePoint) -> LinRep:
     for i in range(m):
         for j in range(m):
             mats[slot * m * m + i * m + j] = SparseMatrix(2 * m, {i: {m + j: ONE}})
-    C = _hstack([ExactMatrix.identity(m), basepoint.mats[slot]])
-    B = _vstack([ExactMatrix.zeros(m, m), ExactMatrix.identity(m)])
-    return LinRep(basepoint, C, mats, B)
+    p = basepoint.mats[slot]
+    c_rows = {i: {i: ONE, **{m + j: x for j, x in enumerate(p.row(i)) if x}} for i in range(m)}
+    return _rep(basepoint, c_rows, mats, _identity_rows(m, m), 2 * m)
 
 
 def _sum(reps) -> LinRep:
@@ -311,9 +322,17 @@ def _sum(reps) -> LinRep:
     first = reps[0]
     for s in reps[1:]:
         _check_same_point(first, s)
-    C = _hstack([x.C for x in reps])
-    B = _vstack([x.B for x in reps])
-    empty = SparseMatrix(C.cols)
+    c_rows = {i: dict(row) for i, row in first.c_rows.items()}
+    b_rows = dict(first.b_rows)
+    offset = first.states
+    for x in reps[1:]:
+        for i, row in x.c_rows.items():
+            c_rows.setdefault(i, {}).update((offset + j, v) for j, v in row.items())
+        for q, row in x.b_rows.items():
+            b_rows[offset + q] = row
+        offset += x.states
+    D = offset
+    empty = SparseMatrix(D)
     mats = []
     for letter_mats in zip(*(x.A for x in reps)):
         rows = dict(letter_mats[0].rows)
@@ -322,14 +341,25 @@ def _sum(reps) -> LinRep:
             for i, row in mat.rows.items():
                 rows[offset + i] = {offset + j: v for j, v in row.items()}
             offset += x.states
-        mats.append(SparseMatrix(C.cols, rows) if rows else empty)
-    return LinRep(first.basepoint, C, mats, B)
+        mats.append(SparseMatrix(D, rows) if rows else empty)
+    return _rep(first.basepoint, c_rows, mats, b_rows, D)
+
+
+def _times_rows(a_rows: dict, rows: dict) -> dict:
+    """The nonzero rows of a @ M for a sparse m x m matrix a and the rows of
+    M: row i is sum_k a[i, k] * M[k], one _add_combination."""
+    out = {}
+    for i, u in a_rows.items():
+        row = _add_combination({}, u, rows)
+        if row:
+            out[i] = row
+    return out
 
 
 def _scaled(a: ExactMatrix, s: LinRep) -> LinRep:
     """a*S for an m x m matrix a: C becomes a C, and the letter matrices
     and B are shared with s."""
-    return LinRep(s.basepoint, a * s.C, s.A, s.B)
+    return _rep(s.basepoint, _times_rows(_rows(a), s.c_rows), s.A, s.b_rows, s.states)
 
 
 def rep_add(s1: LinRep, a, s2: LinRep) -> LinRep:
@@ -339,28 +369,30 @@ def rep_add(s1: LinRep, a, s2: LinRep) -> LinRep:
     return _sum([s1, _scaled(a, s2)])
 
 
+def _extended(row: dict, b_rows: dict, c_rows: dict) -> dict:
+    """row + (row B) C for the rows of B and of C: row itself when row B
+    vanishes, else a new dict."""
+    u = _add_combination({}, row, b_rows)
+    return _add_combination(dict(row), u, c_rows) if u else row
+
+
 def rep_mul(s1: LinRep, s2: LinRep) -> LinRep:
     """Representation of the product S1*S2 of dimension n1 + n2."""
     _check_same_point(s1, s2)
-    m, D1 = s1.m, s1.states
-    b_rows = _rows(s1.B)
-    C = _hstack([s1.C, _constant_term(s1, b_rows) * s2.C])
-    B = _vstack([ExactMatrix.zeros(D1, m), s2.B])
-    c_rows = _rows(s2.C, D1)
-    empty = SparseMatrix(C.cols)
+    D1, b1 = s1.states, s1.b_rows
+    D = D1 + s2.states
+    c2 = {i: {D1 + j: v for j, v in row.items()} for i, row in s2.c_rows.items()}  # [0, C2]
+    # C = [C1, (C1 B1) C2], A = [[A1, (A1 B1) C2], [0, A2]] and B = [0; B2]
+    c_rows = {i: _extended(row, b1, c2) for i, row in s1.c_rows.items()}
+    b_rows = {D1 + q: row for q, row in s2.b_rows.items()}
+    empty = SparseMatrix(D)
     mats = []
     for A1, A2 in zip(s1.A, s2.A):
-        rows = {}
-        # top-left block A1, top-right block (A1 B1) C2
-        for i, row in A1.rows.items():
-            u = _add_combination({}, row, b_rows)
-            if u:
-                row = _add_combination(dict(row), u, c_rows)
-            rows[i] = row
+        rows = {i: _extended(row, b1, c2) for i, row in A1.rows.items()}
         for i, row in A2.rows.items():
             rows[D1 + i] = {D1 + j: v for j, v in row.items()}
-        mats.append(SparseMatrix(C.cols, rows) if rows else empty)
-    return LinRep(s1.basepoint, C, mats, B)
+        mats.append(SparseMatrix(D, rows) if rows else empty)
+    return _rep(s1.basepoint, c_rows, mats, b_rows, D)
 
 
 def rep_inv(s: LinRep) -> LinRep:
@@ -370,30 +402,25 @@ def rep_inv(s: LinRep) -> LinRep:
     raises SingularConstantTerm otherwise (base point outside the domain
     at this nesting level).
     """
-    m, D = s.m, s.states
-    b_rows = _rows(s.B)
+    m, D, b_rows = s.m, s.states, s.b_rows
     try:
-        a_inv = matrix_inverse(_constant_term(s, b_rows))
+        a_inv = matrix_inverse(_dense(_times_rows(s.c_rows, b_rows), m, m))
     except SingularMatrixError:
         raise SingularConstantTerm(
             "constant term of the series is singular"
         ) from None
-    C = _hstack([-(a_inv * s.C), a_inv])
-    B = _vstack([ExactMatrix.zeros(D, m), ExactMatrix.identity(m)])
-    c_rows = _rows(C)
+    # C' = [-a^-1 C, a^-1] and B' = [0; I]
+    c_rows = {}
+    for i, row in _rows(a_inv).items():
+        out = c_rows[i] = _add_combination({}, {k: -x for k, x in row.items()}, s.c_rows)
+        out.update((D + j, x) for j, x in row.items())
     empty = SparseMatrix(D + m)
     mats = []
     for A in s.A:
         # A' = [[A - (A B) a^-1 C, (A B) a^-1], [0, 0]]: row i is A_i + (A_i B) C'
-        rows = {}
-        for i, row in A.rows.items():
-            u = _add_combination({}, row, b_rows)
-            if u:
-                row = _add_combination(dict(row), u, c_rows)
-            if row:
-                rows[i] = row
+        rows = {i: _extended(row, b_rows, c_rows) for i, row in A.rows.items()}
         mats.append(SparseMatrix(D + m, rows) if rows else empty)
-    return LinRep(s.basepoint, C, mats, B)
+    return _rep(s.basepoint, c_rows, mats, _identity_rows(m, D), D + m)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +505,7 @@ def scalar_rep_is_zero(s: LinRep) -> bool:
     ``perfbench/test_perfbench.py::test_missing_layer_function_is_absent``
     expects to be present when ``scalarize`` is deleted.
     """
-    _, c_cols = gaussian_rows(_rows(s.C))
+    _, c_cols = gaussian_rows(s.c_rows)
 
     def observed(row):
         re, im = gaussian_matvec(c_cols, row)
@@ -514,7 +541,8 @@ def _closure(s: LinRep, stop=None, coords=False):
     converts none.  Every vector is sparse: a step costs the nonzeros of
     the basis row and of the columns they select, not D.
     """
-    starts = [gaussian_vector(s.B.col(j)) for j in range(s.B.cols)]
+    b_cols = _transposed(s.b_rows)
+    starts = [gaussian_vector(b_cols.get(j, {})) for j in range(s.m)]
     letters = [l for l, mat in enumerate(s.A) if mat.rows]
     basis = FractionFreeBasis(s.states)
     found, converted = {}, {}
@@ -539,33 +567,28 @@ def _closure(s: LinRep, stop=None, coords=False):
     return basis, found
 
 
-def _times_vectors(a: ExactMatrix, vectors):
-    """The Scalar entries of a @ v for each Gaussian-integer vector v."""
-    d, cols = gaussian_rows(_rows(a))
-    out = []
-    for v in vectors:
-        re, im = gaussian_matvec(cols, v)
-        im = im or {}
-        out.append([gaussian_scalar(re.get(i, 0), im.get(i, 0), d) for i in range(a.rows)])
-    return out
-
-
 def _reachable(s: LinRep) -> LinRep:
     """The automaton restricted to its reachable space, the closure of the
     columns of B, with the closure's basis V: B = V B1, A_l V = V A1_l and
     C1 = C V.  The closure's reductions already give the coordinates of B
-    and of every A_l v."""
+    and of every A_l v, each once, so they are written straight into the
+    rows of B1 and of the A1_l."""
     basis, found = _closure(s, coords=True)
-    m, r = s.m, len(basis)
-    mats = [SparseMatrix(r) for _ in s.A]
+    r = len(basis)
+    rows = [{} for _ in s.A]
+    b_rows = {}
     for (l, k), coords in found.items():
-        if l is not None:
-            for j, x in coords.items():
-                mats[l].add_entry(j, k, x)
-    cv = _times_vectors(s.C, basis.vectors)
-    C1 = ExactMatrix(m, r, [cv[k][i] for i in range(m) for k in range(r)])
-    B1 = ExactMatrix(r, m, [found[(None, j)].get(k, ZERO) for k in range(r) for j in range(m)])
-    return LinRep(s.basepoint, C1, mats, B1)
+        target = b_rows if l is None else rows[l]
+        for j, x in coords.items():
+            target.setdefault(j, {})[k] = x
+    d, c_cols = gaussian_rows(s.c_rows)
+    c_rows = {}
+    for k, v in enumerate(basis.vectors):
+        re, im = gaussian_matvec(c_cols, v)
+        im = im or {}
+        for i in re.keys() | im.keys():
+            c_rows.setdefault(i, {})[k] = gaussian_scalar(re.get(i, 0), im.get(i, 0), d)
+    return _rep(s.basepoint, c_rows, [SparseMatrix(r, a) for a in rows], b_rows, r)
 
 
 def _transpose(s: LinRep) -> LinRep:
@@ -573,7 +596,7 @@ def _transpose(s: LinRep) -> LinRep:
     backwards and transposes its coefficient; its reachable space is the
     observable space of s."""
     mats = [SparseMatrix(s.states, _transposed(a.rows)) for a in s.A]
-    return LinRep(s.basepoint, s.B.transpose(), mats, s.C.transpose())
+    return _rep(s.basepoint, _transposed(s.b_rows), mats, _transposed(s.c_rows), s.states)
 
 
 def minimize_scalar(s: LinRep):
@@ -586,9 +609,7 @@ def minimize_scalar(s: LinRep):
     states is returned at once.
     """
     mid = _reachable(s)
-    if mid.C.is_zero():
-        m = s.m
-        empty = [SparseMatrix(0)] * len(s.A)
-        return LinRep(s.basepoint, ExactMatrix(m, 0, []), empty, ExactMatrix(0, m, [])), 0
+    if not mid.c_rows:
+        return _rep(s.basepoint, {}, [SparseMatrix(0)] * len(s.A), {}, 0), 0
     out = _transpose(_reachable(_transpose(mid)))
     return out, out.states

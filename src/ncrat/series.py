@@ -19,7 +19,7 @@ from typing import Sequence
 from .core import ZERO, ExactMatrix, Value, block_matrix, embed, matrix_inverse, split_blocks
 from .errors import DimensionMismatch, MissingLetter, ResolventSingular, SingularMatrixError
 from .ncpoly import Alphabet, Letter, NcPoly
-from .realization import LinRep, _add_combination, _rows
+from .realization import LinRep, _add_combination
 
 
 # ---------------------------------------------------------------------------
@@ -38,9 +38,8 @@ def _word_values(s: LinRep, choices):
     extensions, so every word left out has coefficient 0.
     """
     m, last = s.m, len(choices)
-    b_rows = _rows(s.B)
-    c_rows = _rows(s.C)
-    stack = [((), [c_rows.get(r, {}) for r in range(m)])]
+    b_rows = s.b_rows
+    stack = [((), [s.c_rows.get(r, {}) for r in range(m)])]
     while stack:
         word, rows = stack.pop()
         if not any(rows):

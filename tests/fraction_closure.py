@@ -7,7 +7,9 @@ each basis row is normalized to pivot 1.  Tests compare the kernel with it,
 rank computations with the Gauss-Jordan ``rref`` below, and word values
 C A^w B with ``reference_word_value``.  Its products ``_matvec``,
 ``_vecmat`` and ``_dot`` are dense and borrow nothing from ncrat but the
-data types.
+data types, and ``hstack``, ``vstack`` and ``dense`` build the block
+formulas of the automaton constructions that tests compare ncrat's sparse
+rows with.
 """
 
 from collections import deque
@@ -162,3 +164,22 @@ def reference_minimal_dimension(sr) -> int:
     if not reach or not obs:
         return 0
     return len(rref([[_dot(o, v) for v in reach] for o in obs])[1])
+
+
+def hstack(parts) -> ExactMatrix:
+    """[P_1, P_2, ...] for matrices with the same number of rows."""
+    entries = []
+    for r in range(parts[0].rows):
+        for p in parts:
+            entries.extend(p.row(r))
+    return ExactMatrix(parts[0].rows, sum(p.cols for p in parts), entries)
+
+
+def vstack(parts) -> ExactMatrix:
+    """[P_1; P_2; ...] for matrices with the same number of columns."""
+    return ExactMatrix(sum(p.rows for p in parts), parts[0].cols, [x for p in parts for x in p.entries])
+
+
+def dense(mat) -> ExactMatrix:
+    """A SparseMatrix as an n x n ExactMatrix."""
+    return ExactMatrix(mat.n, mat.n, [mat.rows.get(i, {}).get(j, ZERO) for i in range(mat.n) for j in range(mat.n)])

@@ -288,7 +288,7 @@ class TestGaussianRationalForm:
         rng = random.Random(2304)
         for _ in range(100):
             values = [rng.choice([ZERO, Scalar(*self.reference(rng))]) for _ in range(rng.randint(0, 8))]
-            d, (re, im) = gaussian_vector(values)
+            d, (re, im) = gaussian_vector(dict(enumerate(values)))
             assert d == math.lcm(*(x.d for x in values))
             im = im or {}
             assert all(re.values()) and all(im.values())
@@ -486,7 +486,7 @@ class TestEliminationHelpers:
                     v = [rng.choice(pool) for _ in range(n)]
                 span.append(v)
                 coords = []
-                basis.add(gaussian_vector(v)[1], coords)
+                basis.add(gaussian_vector(dict(enumerate(v)))[1], coords)
                 rebuilt = [ZERO] * n
                 for j, re, im, den in coords:
                     c = gaussian_scalar(re, im, den)
