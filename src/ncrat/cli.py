@@ -26,14 +26,14 @@ from .ideals import (
     witness_size,
     zero_set_sampler,
 )
-from .ncpoly import Alphabet, Letter, NcPoly, _point_binding, word_count, words_up_to
+from .ncpoly import Alphabet, Letter, NcPoly, word_count, words_up_to
 from .positivity import (
     SohsCertificate,
     export_gram,
     gram_constraints,
     verify_certificate,
 )
-from .ratexpr import parse_expression, parse_poly
+from .ratexpr import _point_binding, parse_expression, parse_poly
 from .realization import BasePoint, compile_expression, minimize_scalar
 from .series import coefficient
 from .sampler import DOMAIN_KINDS, FALSIFY_MODES, SampleDomain, check_search, falsify, sample_point

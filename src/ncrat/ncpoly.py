@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .core import ExactMatrix, Scalar, ZERO, ONE, _coerce, conjugate_transpose
+from .core import Scalar, ZERO, ONE, _coerce
 from .errors import (
     AlphabetMismatch,
     GOutOfRange,
     MissingLetter,
-    SizeMismatch,
     SpecError,
     ZeroPolynomialError,
 )
@@ -270,29 +269,12 @@ class NcPoly:
         ``point`` binds the unstarred letters in alphabet order; it may also
         be a mapping from Letter to matrix.  Under the adjoint rule a starred
         letter evaluates to the conjugate transpose of its partner; under the
-        formal rule every starred letter must be bound explicitly.
+        formal rule every starred letter must be bound explicitly.  The value
+        is that of ratexpr.poly_to_expression(self) under eval_expression.
         """
-        binding = _point_binding(point, star_rule)
-        n = _point_size(binding)
-        if isinstance(next(iter(binding.values())), ExactMatrix):
-            ident = ExactMatrix.identity(n)
-            acc = ExactMatrix.zeros(n, n)
-            for w, c in self.terms.items():
-                val = ident
-                for l in w:
-                    val = val * _lookup(binding, l)
-                acc = acc + val.scale(c)
-            return acc
-        import numpy as np
+        from .ratexpr import eval_expression, poly_to_expression
 
-        ident = np.eye(n, dtype=complex)
-        acc = np.zeros((n, n), dtype=complex)
-        for w, c in self.terms.items():
-            val = ident
-            for l in w:
-                val = val @ _lookup(binding, l)
-            acc = acc + c.to_complex() * val
-        return acc
+        return eval_expression(poly_to_expression(self), point, star_rule)
 
     # -- structure --------------------------------------------------------
 
@@ -328,54 +310,3 @@ class NcPoly:
 
     def __repr__(self):
         return f"NcPoly({self})"
-
-
-# How an evaluation point binds a starred letter: to the conjugate transpose
-# of its partner, or only to a matrix the point gives for it.
-STAR_RULES = ("adjoint", "formal")
-
-
-def _point_binding(point, star_rule) -> dict:
-    """Letter -> matrix for a point tuple (unstarred letters in alphabet
-    order) or mapping.  Under the adjoint rule each unstarred letter whose
-    starred partner the point does not bind also binds that partner, to
-    its conjugate transpose.  A rule outside STAR_RULES raises SpecError."""
-    if star_rule not in STAR_RULES:
-        raise SpecError(f"unknown star rule {star_rule!r}; choose from {STAR_RULES}")
-    if isinstance(point, Mapping):
-        binding = dict(point)
-    else:
-        binding = {Letter(i + 1, False): m for i, m in enumerate(point)}
-    if star_rule == "adjoint":
-        for l, m in list(binding.items()):
-            if not l.starred and l.star not in binding:
-                binding[l.star] = conjugate_transpose(m)
-    if not binding:
-        raise SizeMismatch("empty evaluation point")
-    return binding
-
-
-def _point_size(binding) -> int:
-    sizes = set()
-    for m in binding.values():
-        if isinstance(m, ExactMatrix):
-            if not m.is_square:
-                raise SizeMismatch("evaluation point matrices must be square")
-            sizes.add(m.rows)
-        else:
-            import numpy as np
-
-            a = np.asarray(m)
-            if a.ndim != 2 or a.shape[0] != a.shape[1]:
-                raise SizeMismatch("evaluation point matrices must be square")
-            sizes.add(a.shape[0])
-    if len(sizes) != 1:
-        raise SizeMismatch(f"mixed matrix sizes {sorted(sizes)}")
-    return sizes.pop()
-
-
-def _lookup(binding, letter: Letter):
-    try:
-        return binding[letter]
-    except KeyError:
-        raise MissingLetter(f"letter {letter} not bound by evaluation point") from None

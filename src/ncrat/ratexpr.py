@@ -33,15 +33,18 @@ from functools import reduce
 from operator import add, matmul, mul
 from typing import Mapping, Union
 
-from .core import FLOAT_TOL, ExactMatrix, Frozen, Scalar, _mk, matrix_inverse
+from .core import FLOAT_TOL, ExactMatrix, Frozen, Scalar, _mk, conjugate_transpose, matrix_inverse
 from .errors import (
     DomainError,
+    MissingLetter,
     NotPolynomial,
     ParseError,
     SingularMatrixError,
+    SizeMismatch,
+    SpecError,
     UnknownLetter,
 )
-from .ncpoly import Alphabet, Letter, NcPoly, _point_binding, _point_size, _lookup
+from .ncpoly import Alphabet, Letter, NcPoly
 
 
 # ---------------------------------------------------------------------------
@@ -497,15 +500,71 @@ def substitute_letters(e: RatExpr, mapping: Mapping[Letter, "RatExpr | Node"]) -
 # Evaluation
 # ---------------------------------------------------------------------------
 
+# How an evaluation point binds a starred letter: to the conjugate transpose
+# of its partner, or only to a matrix the point gives for it.
+STAR_RULES = ("adjoint", "formal")
+
+
+def _point_binding(point, star_rule) -> dict:
+    """Letter -> matrix for a point tuple (unstarred letters in alphabet
+    order) or mapping.  Under the adjoint rule each unstarred letter whose
+    starred partner the point does not bind also binds that partner, to
+    its conjugate transpose.  A rule outside STAR_RULES raises SpecError."""
+    if star_rule not in STAR_RULES:
+        raise SpecError(f"unknown star rule {star_rule!r}; choose from {STAR_RULES}")
+    if isinstance(point, Mapping):
+        binding = dict(point)
+    else:
+        binding = {Letter(i + 1, False): m for i, m in enumerate(point)}
+    if star_rule == "adjoint":
+        for l, m in list(binding.items()):
+            if not l.starred and l.star not in binding:
+                binding[l.star] = conjugate_transpose(m)
+    if not binding:
+        raise SizeMismatch("empty evaluation point")
+    return binding
+
+
+def _point_size(binding) -> int:
+    """The common size n of a binding's matrices, which must all be square
+    and either all exact or all float: a point that mixes the two raises
+    SpecError, as no arithmetic combines them."""
+    if len({isinstance(m, ExactMatrix) for m in binding.values()}) > 1:
+        raise SpecError("evaluation point mixes exact and float matrices")
+    sizes = set()
+    for m in binding.values():
+        if isinstance(m, ExactMatrix):
+            if not m.is_square:
+                raise SizeMismatch("evaluation point matrices must be square")
+            sizes.add(m.rows)
+        else:
+            import numpy as np
+
+            a = np.asarray(m)
+            if a.ndim != 2 or a.shape[0] != a.shape[1]:
+                raise SizeMismatch("evaluation point matrices must be square")
+            sizes.add(a.shape[0])
+    if len(sizes) != 1:
+        raise SizeMismatch(f"mixed matrix sizes {sorted(sizes)}")
+    return sizes.pop()
+
+
+def _lookup(binding, letter: Letter):
+    try:
+        return binding[letter]
+    except KeyError:
+        raise MissingLetter(f"letter {letter} not bound by evaluation point") from None
+
 
 def eval_expression(e: RatExpr, point, star_rule: str = "adjoint"):
     """Evaluate at a tuple (or Letter mapping) of square matrices.
 
-    Exact matrices give an exact value; numpy arrays evaluate in floats.
-    A singular inverse raises DomainError carrying the path of child
-    indices from the root to the offending Inv node.  In floats, an
-    argument whose smallest singular value is at most
-    FLOAT_TOL * max(1, largest) counts as singular.
+    Exact matrices give an exact value; numpy arrays evaluate in floats,
+    and a point that mixes the two raises SpecError.  A singular inverse
+    raises DomainError carrying the path of child indices from the root
+    to the offending Inv node.  In floats, an argument whose smallest
+    singular value is at most FLOAT_TOL * max(1, largest) counts as
+    singular.
     """
     return _evaluate([e.node], point, star_rule)[0]
 

@@ -6,11 +6,11 @@ reproduce bit-identical samples and distinct trials are independent
 substreams.  Structural residuals (unitarity, isometry, ...) are checked
 to 1e-10 after every draw.  These float samplers serve ``sample``,
 ``falsify --domain`` and the positivity probe.  ``draws`` is the one
-(size, trial) loop of a seeded search, sampler -> f.eval, and falsify
-and the positivity probe judge what it yields.  falsify also searches
-the exact points of ideals.zero_set_sampler (graph points, and Cayley
-points of the *-zero sets of star ideals) and in nonzero mode judges
-them without numpy.
+(size, trial) loop of a seeded search, sampler -> eval_expression(f),
+and falsify and the positivity probe judge what it yields.  falsify
+also searches the exact points of ideals.zero_set_sampler (graph
+points, and Cayley points of the *-zero sets of star ideals) and in
+nonzero mode judges them without numpy.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from .core import ExactMatrix, FLOAT_TOL, ONE, Frozen, Value, float_to_json, json_float
 from .errors import ConditioningFailure, DomainError, GOutOfRange, SpecError
+from .ratexpr import RatExpr, eval_expression, poly_to_expression
 
 if TYPE_CHECKING:
     import numpy as np
@@ -227,9 +228,10 @@ def draws(f, sample: Callable, sizes: Sequence[int], trials: int, seed: int,
           mode: str = "nonzero", tol: float = FLOAT_TOL):
     """The (size, trial) loop of a seeded search: yields (n, trial, point,
     f(point)) for each size n in ``sizes`` and trial 0..trials-1, the
-    point drawn as ``sample(n, seed, trial)`` and f evaluated there with
-    adjoint letters.  The settings go through check_search before the
-    first draw.
+    point drawn as ``sample(n, seed, trial)`` and f, an NcPoly or a
+    RatExpr, evaluated there with adjoint letters by
+    ratexpr.eval_expression; a polynomial's expression is built once.
+    The settings go through check_search before the first draw.
 
     A draw where f is undefined (DomainError) is skipped.  A
     ConditioningFailure from the sampler ends the current size: the loop
@@ -243,6 +245,7 @@ def draws(f, sample: Callable, sizes: Sequence[int], trials: int, seed: int,
     points drawn at the next ones.
     """
     sizes = check_search(trials, sizes, tol, mode)
+    expr = f if isinstance(f, RatExpr) else poly_to_expression(f)
     for n in sizes:
         for trial in range(trials):
             try:
@@ -250,7 +253,7 @@ def draws(f, sample: Callable, sizes: Sequence[int], trials: int, seed: int,
             except ConditioningFailure:
                 break
             try:
-                value = f.eval(point, star_rule="adjoint")
+                value = eval_expression(expr, point, "adjoint")
             except DomainError:
                 continue
             yield n, trial, point, value

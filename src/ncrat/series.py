@@ -19,6 +19,7 @@ from typing import Sequence
 from .core import ZERO, ExactMatrix, Value, block_matrix, embed, matrix_inverse, split_blocks
 from .errors import DimensionMismatch, MissingLetter, ResolventSingular, SingularMatrixError
 from .ncpoly import Alphabet, Letter, NcPoly
+from .ratexpr import _evaluate, poly_to_expression
 from .realization import LinRep, _add_combination
 
 
@@ -102,17 +103,12 @@ class GenPoly(Value):
         """
         if len(point) != len(self.letters):
             raise DimensionMismatch("one point matrix per base letter required")
-        binding = {}
-        for slot in range(len(self.letters)):
-            blocks = split_blocks(point[slot], self.m)
-            for i in range(self.m):
-                for j in range(self.m):
-                    idx = slot * self.m * self.m + i * self.m + j
-                    binding[Letter(idx + 1, False)] = blocks[i][j]
-        grid = [
-            [p.eval(binding, star_rule="formal") for p in row] for row in self.entries
-        ]
-        return block_matrix(grid)
+        m = self.m
+        blocks = [b for mat in point for row in split_blocks(mat, m) for b in row]
+        binding = {Letter(k, False): b for k, b in enumerate(blocks, 1)}
+        values = _evaluate([poly_to_expression(p).node for row in self.entries for p in row],
+                           binding, "formal")
+        return block_matrix([values[i * m : (i + 1) * m] for i in range(m)])
 
     def __str__(self):
         return "[" + "; ".join(", ".join(str(p) for p in row) for row in self.entries) + "]"
@@ -190,6 +186,8 @@ def eval_rep(s: LinRep, point) -> ExactMatrix:
     where Y_(l,i,j) is block (i, j) of point_l - p_l (x) I_s."""
     if len(point) != len(s.letters):
         raise DimensionMismatch("one point matrix per letter required")
+    if not all(isinstance(p, ExactMatrix) for p in point):
+        raise DimensionMismatch("cannot evaluate a series at float matrices: exact matrices only")
     m = s.m
     size = point[0].rows
     if size % m:

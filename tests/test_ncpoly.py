@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ncrat.core import ExactMatrix, Scalar
 from ncrat.errors import (
@@ -14,6 +16,7 @@ from ncrat.errors import (
 )
 from ncrat.ncpoly import (Alphabet, Letter, NcPoly, grlex_key, word_count, word_star,
                           words_up_to)
+from ncrat.ratexpr import STAR_RULES, _lookup, _point_binding, _point_size
 
 from conftest import random_exact_matrix
 
@@ -167,6 +170,76 @@ class TestEvaluation:
         a = np.array([[0, 1], [1, 0]], dtype=complex)
         b = np.diag([1, -1]).astype(complex)
         assert np.allclose(f.eval((a, b)), a @ b)
+
+
+def reference_eval(f: NcPoly, point, star_rule="adjoint"):
+    """f at a point, word by word: each word multiplied out from the
+    identity and scaled by its coefficient, exactly at exact points and in
+    complex floats otherwise."""
+    binding = _point_binding(point, star_rule)
+    n = _point_size(binding)
+    if isinstance(next(iter(binding.values())), ExactMatrix):
+        acc = ExactMatrix.zeros(n, n)
+        for w, c in f.terms.items():
+            val = ExactMatrix.identity(n)
+            for l in w:
+                val = val * _lookup(binding, l)
+            acc = acc + val.scale(c)
+        return acc
+    acc = np.zeros((n, n), dtype=complex)
+    for w, c in f.terms.items():
+        val = np.eye(n, dtype=complex)
+        for l in w:
+            val = val @ _lookup(binding, l)
+        acc = acc + c.to_complex() * val
+    return acc
+
+
+LETTERS4 = [Letter(i, s) for i in (1, 2) for s in (False, True)]
+gaussian_ints = st.builds(Scalar, st.integers(-2, 2), st.integers(-2, 2))
+polys = st.dictionaries(
+    st.lists(st.sampled_from(LETTERS4), max_size=3).map(tuple),
+    st.builds(Scalar, st.fractions(-3, 3, max_denominator=3), st.integers(-2, 2)),
+    max_size=4,
+).map(lambda terms: NcPoly(A2, terms))
+# a point binds X1 and X2 as a tuple or a mapping, or binds all four letters
+POINT_FORMS = ("tuple", "mapping", "starred mapping")
+SOME_ENTRIES = [Scalar(k, k % 3 - 1) for k in range(16)]
+
+
+@settings(max_examples=300)
+@given(polys, st.integers(1, 2), st.lists(gaussian_ints, min_size=16, max_size=16),
+       st.sampled_from(POINT_FORMS), st.sampled_from(STAR_RULES), st.booleans())
+@example(NcPoly.zero(A2), 2, SOME_ENTRIES, "tuple", "adjoint", True)
+@example(NcPoly.zero(A2), 2, SOME_ENTRIES, "starred mapping", "formal", False)
+@example(NcPoly.constant(A2, Scalar(Fraction(1, 3), -1)), 2, SOME_ENTRIES, "mapping", "formal", True)
+@example(NcPoly.constant(A2, Scalar(Fraction(1, 3), -1)), 2, SOME_ENTRIES, "tuple", "adjoint", False)
+def test_eval_matches_word_by_word_reference(f, n, entries, form, star_rule, exact):
+    chunks = [entries[4 * k : 4 * k + n * n] for k in range(4)]
+    if exact:
+        mats = [ExactMatrix(n, n, chunk) for chunk in chunks]
+    else:
+        mats = [np.array([x.to_complex() for x in chunk]).reshape(n, n) for chunk in chunks]
+    if form == "tuple":
+        point = tuple(mats[:2])
+    else:
+        point = dict(zip(LETTERS4[::2] + LETTERS4[1::2], mats))
+        if form == "mapping":
+            point = {l: m for l, m in point.items() if not l.starred}
+
+    def outcome(evaluate):
+        try:
+            return evaluate(f, point, star_rule)
+        except MissingLetter:  # a starred letter the formal rule leaves unbound
+            return MissingLetter
+
+    want, got = outcome(reference_eval), outcome(NcPoly.eval)
+    if want is MissingLetter or got is MissingLetter:
+        assert got is want
+    elif exact:
+        assert got == want
+    else:
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_word_star():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ncrat.core import ExactMatrix, Scalar
-from ncrat.errors import DomainError, NotPolynomial, ParseError, UnknownLetter
+from ncrat.errors import DomainError, NotPolynomial, ParseError, SpecError, UnknownLetter
 from ncrat.ncpoly import Alphabet, Letter
 from ncrat import realization
 from ncrat.ratexpr import (
@@ -171,6 +171,16 @@ class TestEvaluation:
         for n in (1, 2, 3):
             m = random_invertible(rng, n)
             assert e.eval((m,)) == ExactMatrix.identity(n)
+
+    @pytest.mark.parametrize("exact_first", [True, False], ids=["exact-first", "float-first"])
+    @pytest.mark.parametrize("f", [parse_poly("X1 X2 + 3", A2), parse_expression("X1 X2^-1 + 3", A2)],
+                             ids=["NcPoly", "RatExpr"])
+    def test_point_mixing_exact_and_float_rejected(self, f, exact_first):
+        import numpy as np
+
+        point = (ExactMatrix.identity(2), np.eye(2))
+        with pytest.raises(SpecError, match="mixes exact and float"):
+            f.eval(point if exact_first else point[::-1])
 
     def test_shared_nodes_evaluate_once(self):
         # 64 levels of x + x as a DAG: 65 distinct nodes, 2^65 - 1 as a tree

@@ -344,6 +344,13 @@ class TestEvalRep:
         with pytest.raises(ResolventSingular):
             eval_rep(s, (ExactMatrix.zeros(1, 1),))
 
+    def test_float_point_rejected(self):
+        import numpy as np
+
+        s = compile_text("X1^-1", BasePoint.scalars([1]), g=1)
+        with pytest.raises(DimensionMismatch, match="exact matrices only"):
+            eval_rep(s, (np.eye(2),))
+
     def test_agrees_with_tree_evaluation(self):
         rng = random.Random(31)
         exprs = ["X1^-1", "X1*X2 - X2*X1", "(1 + X1*X2)^-1 * X1"]
