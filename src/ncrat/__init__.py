@@ -4,6 +4,12 @@ Decides vanishing and ideal membership through linear-representation
 (realization) arithmetic over the Gaussian rationals, with matching size
 bounds, structured random samplers for numeric falsification, and exact
 verification of sum-of-Hermitian-squares certificates.
+
+``import ncrat`` loads the layers that a verdict runs through (ratexpr,
+realization, ideals, sampler, positivity) and their kernel; the word
+walk (series), the Gram problem (gram) and the numpy samplers
+(float_samplers) load on first use, and their names are ``ncrat``
+attributes all the same.
 """
 
 from .core import ExactMatrix, Scalar, conjugate_transpose, matrix_inverse, matrix_product
@@ -31,7 +37,6 @@ from .realization import (
     rep_var,
     scalarize,
 )
-from .series import GenPoly, coefficient, eval_rep
 from .bounds import nss_bound, nss_degree_bound, pos_size, ri_bound, star_bound
 from .ideals import (
     MembershipVerdict,
@@ -44,25 +49,39 @@ from .ideals import (
     symbolic_matrix_inverse,
     witness_size,
 )
-from .sampler import (
-    SampleDomain,
-    Witness,
-    falsify,
-    haar_unitary,
-    partitioned_unitary,
-    sample_point,
-    spherical_isometry_tuple,
-    xgn_point,
-    zero_divisor_witness,
-)
-from .positivity import (
-    GramProblem,
-    SohsCertificate,
-    export_gram,
-    gram_constraints,
-    import_gram,
-    positivity_probe,
-    verify_certificate,
-)
+from .sampler import SampleDomain, Witness, falsify, sample_point, zero_divisor_witness
+from .positivity import SohsCertificate, positivity_probe, verify_certificate
 
 __version__ = "0.1.0"
+
+# name -> the module that defines it, imported on first access
+_LAZY = {
+    "GenPoly": "series",
+    "coefficient": "series",
+    "eval_rep": "series",
+    "haar_unitary": "float_samplers",
+    "partitioned_unitary": "float_samplers",
+    "spherical_isometry_tuple": "float_samplers",
+    "xgn_point": "float_samplers",
+    "GramProblem": "gram",
+    "export_gram": "gram",
+    "gram_constraints": "gram",
+    "import_gram": "gram",
+}
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name in _LAZY:
+        value = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    elif name in _LAZY.values():
+        value = import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY) | set(_LAZY.values()))

@@ -17,6 +17,7 @@ import numpy as np
 from . import bounds
 from .core import ExactMatrix, Scalar, Value
 from .errors import GOutOfRange
+from .gram import gram_constraints
 from .ideals import (
     builtin_ideal,
     is_member,
@@ -25,12 +26,7 @@ from .ideals import (
     zero_set_sampler,
 )
 from .ncpoly import Alphabet, Letter, NcPoly, words_up_to
-from .positivity import (
-    SohsCertificate,
-    gram_constraints,
-    positivity_probe,
-    verify_certificate,
-)
+from .positivity import SohsCertificate, positivity_probe, verify_certificate
 from .ratexpr import parse_expression, parse_poly
 from .realization import (
     BasePoint,

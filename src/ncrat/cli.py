@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from math import lcm
 
 from .core import ExactMatrix, FLOAT_TOL, Scalar, float_to_json
 from .errors import MALFORMED, BudgetExceeded, NcratError, SpecError
@@ -27,15 +27,9 @@ from .ideals import (
     zero_set_sampler,
 )
 from .ncpoly import Alphabet, Letter, NcPoly, word_count, words_up_to
-from .positivity import (
-    SohsCertificate,
-    export_gram,
-    gram_constraints,
-    verify_certificate,
-)
+from .positivity import SohsCertificate, verify_certificate
 from .ratexpr import _point_binding, parse_expression, parse_poly
 from .realization import BasePoint, compile_expression, minimize_scalar
-from .series import coefficient
 from .sampler import DOMAIN_KINDS, FALSIFY_MODES, SampleDomain, check_search, falsify, sample_point
 from . import bounds
 
@@ -59,19 +53,32 @@ def _resolve_ideal(args):
     raise NcratError("need --ideal or --ideal-file")
 
 
-def _parse_basepoint(spec: str, expr) -> BasePoint:
+def _scalar_value(text: str, what: str, spec: str) -> Scalar:
+    """A rational number of a ``scalar:`` spec, as Fraction reads it
+    (``2/3``, ``-2``, ``1.5``, ``1e-3``); anything else raises SpecError
+    naming the value and the cause."""
+    try:
+        return Scalar(text)
+    except ZeroDivisionError:
+        raise SpecError(f"malformed {what} {spec!r}: zero denominator in {text!r}") from None
+    except ValueError:
+        raise SpecError(f"malformed {what} {spec!r}: {text!r} is not a rational number") from None
+
+
+def _parse_basepoint(spec: str, expr, what: str = "base point") -> BasePoint:
     """The base point ``scalar:v[,v...]`` or ``file:PATH`` on the letters
     the expression uses.  Value or matrix k binds X(k+1), and a single
     scalar binds every letter; a file may instead map letter names to
     matrices, ignoring names the alphabet does not know.  A starred letter
-    that the spec leaves open takes the adjoint of its partner."""
+    that the spec leaves open takes the adjoint of its partner.  Errors
+    call the spec ``what``."""
     letters = sorted(expr.letters_used()) or [Letter(1, False)]
     kind, _, body = spec.partition(":")
     if kind not in ("scalar", "file"):
-        raise NcratError(f"bad base point spec {spec!r} (use scalar:... or file:...)")
+        raise NcratError(f"bad {what} spec {spec!r} (use scalar:... or file:...)")
     try:
         if kind == "scalar":
-            mats = [ExactMatrix(1, 1, [Scalar(Fraction(v))]) for v in body.split(",")]
+            mats = [ExactMatrix(1, 1, [_scalar_value(v, what, spec)]) for v in body.split(",")]
             if len(mats) == 1:
                 mats *= max(l.index for l in letters)
         else:
@@ -84,11 +91,11 @@ def _parse_basepoint(spec: str, expr) -> BasePoint:
             names = {expr.alphabet.letter_name(l): l for u in letters for l in (u, u.star)}
             given = {names[name]: ExactMatrix.from_json(m) for name, m in data.items() if name in names}
     except MALFORMED as exc:
-        raise SpecError(f"malformed base point {spec!r}: {exc}") from exc
+        raise SpecError(f"malformed {what} {spec!r}: {exc}") from exc
     binding = _point_binding(given, "adjoint")
     missing = [expr.alphabet.letter_name(l) for l in letters if l not in binding]
     if missing:
-        raise NcratError(f"base point {spec!r} gives no value for {', '.join(missing)}")
+        raise NcratError(f"{what} {spec!r} gives no value for {', '.join(missing)}")
     return BasePoint.from_mapping({l: binding[l] for l in letters})
 
 
@@ -130,7 +137,7 @@ def _word_text(alphabet, word):
 def cmd_eval(args) -> int:
     text = args.poly if args.expr is None else args.expr
     expr = parse_expression(text, _alphabet_for(args, text))
-    bp = _parse_basepoint(args.point, expr)
+    bp = _parse_basepoint(args.point, expr, "point")
     point = {l: bp[l] for l in sorted(expr.letters_used())}
     value = expr.eval(point)
     _emit(args, {"value": value.to_json()}, f"value = {value!r}")
@@ -143,6 +150,8 @@ EXPAND_WORD_CAP = 10_000
 
 
 def cmd_expand(args) -> int:
+    from .series import coefficient
+
     expr = parse_expression(args.expr, _alphabet_for(args, args.expr))
     bp = _parse_basepoint(args.basepoint, expr)
     rep = compile_expression(expr, bp)
@@ -194,7 +203,10 @@ def _witness_size(witness, mode: str = "nonzero") -> str:
     the value tells how far it is from PSD."""
     if mode != "nonzero" or not isinstance(witness.value, ExactMatrix):
         return f"score {witness.score:.3g}"
-    top = max(witness.value.entries, key=lambda x: x.re * x.re + x.im * x.im)
+    # |x|^2 over a common denominator: exact, and no Fraction is made
+    entries = witness.value.entries
+    den = lcm(*(x.d for x in entries))
+    top = max(entries, key=lambda x: (x.a * x.a + x.b * x.b) * (den // x.d) ** 2)
     return f"largest entry = {top}"
 
 
@@ -332,6 +344,8 @@ def cmd_verify_sohs(args) -> int:
 
 
 def cmd_gram_export(args) -> int:
+    from .gram import export_gram, gram_constraints
+
     alph = _alphabet_for(args, args.poly + (args.q or ""))
     f = parse_poly(args.poly, alph)
     q = parse_poly(args.q, alph) if args.q else NcPoly.zero(alph)
@@ -384,90 +398,116 @@ def _add_text(p):
     text.add_argument("--poly")
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: The subcommands, in the order of the usage line and the help listing.
+COMMANDS = ("eval", "expand", "zero-test", "member", "bound", "sample", "falsify",
+            "verify-sohs", "gram-export", "selftest")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser.  Given one of COMMANDS it builds only that
+    subcommand's parser, which parses that command and prints its help and
+    errors as the full parser does; otherwise it builds them all."""
     ap = argparse.ArgumentParser(
         prog="ncrat",
         description="Exact calculus for noncommutative rational functions: "
         "realizations, ideal membership, size bounds, samplers, SOHS checking.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    # the usage line lists every command, built or not
+    only = command if command in COMMANDS else None
+    sub = ap.add_subparsers(dest="command", required=True,
+                            metavar=None if only is None else "{" + ",".join(COMMANDS) + "}")
 
-    p = sub.add_parser("eval", help="evaluate an expression at an exact point")
-    _add_text(p)
-    p.add_argument("--g", type=int, default=2)
-    p.add_argument("--point", required=True, help="scalar:v[,v...] or file:PATH")
-    _add_common(p)
-    p.set_defaults(func=cmd_eval)
+    def wanted(name):
+        return only is None or only == name
 
-    p = sub.add_parser("expand", help="series coefficients of an expression")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--g", type=int, default=2)
-    p.add_argument("--basepoint", required=True)
-    p.add_argument("--order", type=int, default=3)
-    _add_common(p)
-    p.set_defaults(func=cmd_expand)
+    if wanted("eval"):
+        p = sub.add_parser("eval", help="evaluate an expression at an exact point")
+        _add_text(p)
+        p.add_argument("--g", type=int, default=2)
+        p.add_argument("--point", required=True, help="scalar:v[,v...] or file:PATH")
+        _add_common(p)
+        p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("zero-test", help="is the expression the zero series?")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--g", type=int, default=2)
-    p.add_argument("--basepoint", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_zero_test)
+    if wanted("expand"):
+        p = sub.add_parser("expand", help="series coefficients of an expression")
+        p.add_argument("--expr", required=True)
+        p.add_argument("--g", type=int, default=2)
+        p.add_argument("--basepoint", required=True)
+        p.add_argument("--order", type=int, default=3)
+        _add_common(p)
+        p.set_defaults(func=cmd_expand)
 
-    p = sub.add_parser("member", help="exact ideal membership")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--witness", action="store_true", help="search a counterexample")
-    _add_common(p, ideal=True, rand=True)
-    p.set_defaults(func=cmd_member)
+    if wanted("zero-test"):
+        p = sub.add_parser("zero-test", help="is the expression the zero series?")
+        p.add_argument("--expr", required=True)
+        p.add_argument("--g", type=int, default=2)
+        p.add_argument("--basepoint", required=True)
+        _add_common(p)
+        p.set_defaults(func=cmd_zero_test)
 
-    p = sub.add_parser("bound", help="print the applicable size bounds")
-    p.add_argument("--poly", required=True)
-    _add_common(p, ideal=True)
-    p.set_defaults(func=cmd_bound)
+    if wanted("member"):
+        p = sub.add_parser("member", help="exact ideal membership")
+        p.add_argument("--poly", required=True)
+        p.add_argument("--witness", action="store_true", help="search a counterexample")
+        _add_common(p, ideal=True, rand=True)
+        p.set_defaults(func=cmd_member)
 
-    p = sub.add_parser("sample", help="draw a structured random tuple")
-    p.add_argument("--domain", required=True,
-                   choices=DOMAIN_KINDS)
-    p.add_argument("--g", type=int, default=2)
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--index", type=int, default=0, help="trial index substream")
-    p.add_argument("--seed", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_sample)
+    if wanted("bound"):
+        p = sub.add_parser("bound", help="print the applicable size bounds")
+        p.add_argument("--poly", required=True)
+        _add_common(p, ideal=True)
+        p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("falsify", help="counterexample search")
-    _add_text(p)
-    p.add_argument("--domain", default="unitaries",
-                   choices=DOMAIN_KINDS)
-    p.add_argument("--sizes", help="e.g. 1..6 or 4")
-    p.add_argument("--mode", choices=FALSIFY_MODES, default="nonzero")
-    p.add_argument("--tol", type=float, default=FLOAT_TOL,
-                   help="float tolerance of --domain samples and --mode negative-eigenvalue")
-    _add_common(p, ideal=True, rand=True)
-    p.set_defaults(func=cmd_falsify)
+    if wanted("sample"):
+        p = sub.add_parser("sample", help="draw a structured random tuple")
+        p.add_argument("--domain", required=True,
+                       choices=DOMAIN_KINDS)
+        p.add_argument("--g", type=int, default=2)
+        p.add_argument("--size", type=int, required=True)
+        p.add_argument("--index", type=int, default=0, help="trial index substream")
+        p.add_argument("--seed", type=int, default=None)
+        _add_common(p)
+        p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("verify-sohs", help="check a sum-of-squares certificate")
-    p.add_argument("--cert", required=True, help="certificate JSON file")
-    _add_common(p, ideal=True)
-    p.set_defaults(func=cmd_verify_sohs)
+    if wanted("falsify"):
+        p = sub.add_parser("falsify", help="counterexample search")
+        _add_text(p)
+        p.add_argument("--domain", default="unitaries",
+                       choices=DOMAIN_KINDS)
+        p.add_argument("--sizes", help="e.g. 1..6 or 4")
+        p.add_argument("--mode", choices=FALSIFY_MODES, default="nonzero")
+        p.add_argument("--tol", type=float, default=FLOAT_TOL,
+                       help="float tolerance of --domain samples and --mode negative-eigenvalue")
+        _add_common(p, ideal=True, rand=True)
+        p.set_defaults(func=cmd_falsify)
 
-    p = sub.add_parser("gram-export", help="export the Gram feasibility problem")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--q", help="known ideal part to subtract")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--g", type=int, default=1)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_gram_export)
+    if wanted("verify-sohs"):
+        p = sub.add_parser("verify-sohs", help="check a sum-of-squares certificate")
+        p.add_argument("--cert", required=True, help="certificate JSON file")
+        _add_common(p, ideal=True)
+        p.set_defaults(func=cmd_verify_sohs)
 
-    p = sub.add_parser("selftest", help="run the acceptance checks")
-    p.add_argument("--quick", action="store_true", help="reduced trial counts")
-    p.set_defaults(func=cmd_selftest)
+    if wanted("gram-export"):
+        p = sub.add_parser("gram-export", help="export the Gram feasibility problem")
+        p.add_argument("--poly", required=True)
+        p.add_argument("--q", help="known ideal part to subtract")
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--g", type=int, default=1)
+        p.add_argument("--out", required=True)
+        _add_common(p)
+        p.set_defaults(func=cmd_gram_export)
+
+    if wanted("selftest"):
+        p = sub.add_parser("selftest", help="run the acceptance checks")
+        p.add_argument("--quick", action="store_true", help="reduced trial counts")
+        p.set_defaults(func=cmd_selftest)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command given first needs only its own parser
+    ap = build_parser(argv[0] if argv else None)
     args = ap.parse_args(argv)
     try:
         return args.func(args)

@@ -6,8 +6,9 @@ The scalar field is the Gaussian rationals.  A Scalar is (a + b*i)/d with
 Python ints a, b and one denominator d >= 1, in lowest terms, so its
 arithmetic is int arithmetic plus at most one gcd, and the elimination
 kernel reads a, b and d as they are.  ``re`` and ``im`` are read-only
-views: an int when the part is integral, else a reduced Fraction.  An
-integral Scalar has two slots; only a non-integral one also holds d.
+views: an int when the part is integral, else a reduced Fraction, and
+fractions is imported only to make one.  An integral Scalar has two
+slots; only a non-integral one also holds d.
 Every symbolic computation in the package runs over this field so that
 zero tests are exact decisions.
 Every exact elimination (the closures of zero tests and minimization, and
@@ -23,15 +24,12 @@ loads it, which keeps the start-up of exact CLI commands short.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import re as _re
+import sys
 from heapq import heapify, heappop, heappush
 from math import gcd, inf, isfinite, lcm
-from typing import TYPE_CHECKING
 
 from .errors import DimensionMismatch, SingularMatrixError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: tolerance for all float residual checks (configurable by callers)
 FLOAT_TOL = 1e-10
@@ -59,9 +57,50 @@ def _mk(re, im) -> "Scalar":
     # re + im*i from ints, Fractions, or strings and floats that Fraction reads
     if re.__class__ is int and im.__class__ is int:
         return gaussian_scalar(re, im)
-    x, y = Fraction(re), Fraction(im)
-    d = lcm(x.denominator, y.denominator)
-    return gaussian_scalar(x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d)
+    (p, q), (r, s) = _ratio_of(re), _ratio_of(im)
+    d = lcm(q, s)
+    return gaussian_scalar(p * (d // q), r * (d // s), d)
+
+
+_INT_RATIO = _re.compile(r"[-+]?[0-9]+(?:/[0-9]*[1-9][0-9]*)?")
+
+
+def _ratio_of(x) -> tuple:
+    """(numerator, denominator >= 1) of an int, a Fraction, or a string or
+    float that Fraction reads.  An integer or a ratio of integers with a
+    nonzero denominator is read without making a Fraction; anything else
+    goes through Fraction, which raises ValueError for what is not a
+    rational number and ZeroDivisionError for a zero denominator."""
+    if x.__class__ is int:
+        return x, 1
+    if x.__class__ is str and _INT_RATIO.fullmatch(x):
+        num, _, den = x.partition("/")
+        return int(num), int(den or 1)
+    from fractions import Fraction
+
+    x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _is_fraction(x) -> bool:
+    # no Fraction exists before fractions is imported
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(x, fractions.Fraction)
+
+
+def _part(n: int, d: int):
+    """The rational n/d as an int when it is integral, else a Fraction."""
+    if n % d:
+        from fractions import Fraction
+
+        return Fraction(n, d)
+    return n // d
+
+
+def _part_text(n: int, d: int) -> str:
+    """str(_part(n, d)), written without making a Fraction."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 class Scalar:
@@ -79,8 +118,8 @@ class Scalar:
     def __new__(cls, re=0, im=0):
         return _mk(re, im)
 
-    re = property(lambda s: Fraction(s.a, s.d) if s.a % s.d else s.a // s.d)
-    im = property(lambda s: Fraction(s.b, s.d) if s.b % s.d else s.b // s.d)
+    re = property(lambda s: _part(s.a, s.d))
+    im = property(lambda s: _part(s.b, s.d))
 
     # -- constructors ----------------------------------------------------
 
@@ -154,7 +193,7 @@ class Scalar:
     def __eq__(self, other):
         if isinstance(other, Scalar):
             return self.a == other.a and self.b == other.b and self.d == other.d
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or _is_fraction(other):
             return not self.b and self.re == other
         return NotImplemented
 
@@ -171,18 +210,19 @@ class Scalar:
         return complex(_ratio(self.a, self.d), _ratio(self.b, self.d))
 
     def to_json(self):
-        return [str(self.re), str(self.im)]
+        return [_part_text(self.a, self.d), _part_text(self.b, self.d)]
 
     def __repr__(self):
-        return f"Scalar({self.re!s}, {self.im!s})"
+        return f"Scalar({_part_text(self.a, self.d)}, {_part_text(self.b, self.d)})"
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re} {sign} {abs(self.im)}i)"
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            return _part_text(a, d)
+        if not a:
+            return f"{_part_text(b, d)}i"
+        sign = "+" if b > 0 else "-"
+        return f"({_part_text(a, d)} {sign} {_part_text(abs(b), d)}i)"
 
 
 def _ratio(n: int, d: int) -> float:
@@ -201,7 +241,7 @@ class _Fractional(Scalar):
 def _coerce(x) -> Scalar:
     if isinstance(x, Scalar):
         return x
-    if isinstance(x, (int, Fraction, str)):
+    if isinstance(x, (int, str)) or _is_fraction(x):
         return _mk(x, 0)
     raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
 
@@ -775,11 +815,3 @@ def float_to_json(a) -> dict:
         "cols": cols,
         "entries": [[json_float(float(z.real)), json_float(float(z.imag))] for z in values],
     }
-
-
-def float_from_json(obj) -> np.ndarray:
-    import numpy as np
-
-    r, c = int(obj["rows"]), int(obj["cols"])
-    flat = [complex(p[0], p[1]) for p in obj["entries"]]
-    return np.array(flat, dtype=complex).reshape(r, c)

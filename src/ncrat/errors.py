@@ -104,6 +104,6 @@ class DegreeTooHigh(NcratError):
 class BudgetExceeded(NcratError):
     """A step that grows exponentially in a user-chosen size would pass its
     documented cap (the basis words of a Gram problem,
-    ``positivity.GRAM_BASIS_CAP``, and the words ``expand --order`` walks,
+    ``gram.GRAM_BASIS_CAP``, and the words ``expand --order`` walks,
     ``cli.EXPAND_WORD_CAP``); the size is computed and refused before
     anything is enumerated."""

@@ -292,7 +292,7 @@ class NcPoly:
         chunks = []
         for w in self.support():
             c = self.terms[w]
-            negate = not c.im and c.re < 0
+            negate = not c.b and c.a < 0
             if negate:
                 c = -c
             body = "*".join(self.alphabet.letter_name(l) for l in w)

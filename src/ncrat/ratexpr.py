@@ -28,12 +28,20 @@ applies the formal adjoint to the subtree it follows.
 from __future__ import annotations
 
 import re as _re
-from fractions import Fraction
 from functools import reduce
 from operator import add, matmul, mul
 from typing import Mapping, Union
 
-from .core import FLOAT_TOL, ExactMatrix, Frozen, Scalar, _mk, conjugate_transpose, matrix_inverse
+from .core import (
+    FLOAT_TOL,
+    ExactMatrix,
+    Frozen,
+    I,
+    Scalar,
+    conjugate_transpose,
+    gaussian_scalar,
+    matrix_inverse,
+)
 from .errors import (
     DomainError,
     MissingLetter,
@@ -224,16 +232,17 @@ def _tokenize(text: str):
     return tokens
 
 
-def _num_value(text: str, offset: int) -> tuple[Fraction, bool]:
-    """The value of a number token and whether it ends in i; a zero
+def _num_value(text: str, offset: int) -> tuple[Scalar, bool]:
+    """The real value of a number token and whether it ends in i; a zero
     denominator raises ParseError at the token's offset."""
     imag = text.endswith("i")
     if imag:
         text = text[:-1]
-    try:
-        return Fraction(text), imag
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {text!r}", offset) from None
+    num, _, den = text.partition("/")
+    den = int(den or 1)
+    if not den:
+        raise ParseError(f"zero denominator in {text!r}", offset)
+    return gaussian_scalar(int(num), 0, den), imag
 
 
 class _Parser:
@@ -307,9 +316,9 @@ class _Parser:
             elif k == "num":
                 self.next()
                 value, imag = _num_value(v, off)
-                if imag or value.denominator != 1:
+                if imag or value.d != 1:
                     raise ParseError("power must be a nonnegative integer", off)
-                node = _power(node, int(value))
+                node = _power(node, value.a)
             else:
                 raise ParseError("expected -1, * or an integer after ^", caret[2])
         return node
@@ -326,7 +335,7 @@ class _Parser:
         if k == "num":
             self.next()
             value, imag = _num_value(v, off)
-            return Const(_mk(0, value) if imag else _mk(value, 0))
+            return Const(value * I if imag else value)
         if k == "(":
             lit = self._try_scalar_literal()
             if lit is not None:
@@ -353,8 +362,7 @@ class _Parser:
                     # "(3)" is an ordinary parenthesized expression
                     raise ParseError("not a literal", t[2])
                 self.next()
-                val = _mk(0, sign * v1) if imag1 else _mk(sign * v1, 0)
-                return Const(val)
+                return Const(sign * v1 * I if imag1 else sign * v1)
             if self.peek()[0] in ("+", "-") and not imag1:
                 s2 = 1 if self.next()[0] == "+" else -1
                 t2 = self.expect("num")
@@ -362,7 +370,7 @@ class _Parser:
                 if not imag2:
                     raise ParseError("not a literal", t2[2])
                 self.expect(")")
-                return Const(_mk(sign * v1, s2 * v2))
+                return Const(sign * v1 + s2 * v2 * I)
             raise ParseError("not a literal", self.peek()[2])
         except ParseError:
             self.pos = save
@@ -406,13 +414,9 @@ _PREC_ADD, _PREC_MUL, _PREC_POSTFIX, _PREC_ATOM = 1, 2, 3, 4
 
 
 def _fmt_scalar(s: Scalar) -> str:
-    re_, im = s.re, s.im
-    if not im:
-        return str(re_) if re_ >= 0 else f"(-{-re_})"
-    if not re_:
-        return f"{im}i" if im > 0 else f"(-{-im}i)"
-    sign = "+" if im > 0 else "-"
-    return f"({re_} {sign} {abs(im)}i)"
+    # a negative real or imaginary number is parenthesized, as a literal
+    text = str(s)
+    return f"({text})" if text.startswith("-") else text
 
 
 def _fmt(node: Node, alphabet: Alphabet, min_prec: int) -> str:

@@ -1,16 +1,16 @@
-"""Random structured matrix tuples in floats and the seeded witness search.
+"""Seeded samples of structured matrix tuples and the seeded witness search.
 
-Sampling is deterministic: every float draw comes from a counter-based
-Philox stream keyed by (seed, trial index, ...), so identical seeds
-reproduce bit-identical samples and distinct trials are independent
-substreams.  Structural residuals (unitarity, isometry, ...) are checked
-to 1e-10 after every draw.  These float samplers serve ``sample``,
-``falsify --domain`` and the positivity probe.  ``draws`` is the one
-(size, trial) loop of a seeded search, sampler -> eval_expression(f),
-and falsify and the positivity probe judge what it yields.  falsify
-also searches the exact points of ideals.zero_set_sampler (graph
-points, and Cayley points of the *-zero sets of star ideals) and in
-nonzero mode judges them without numpy.
+``sample_point`` draws a tuple from a SampleDomain through the numpy
+samplers of float_samplers.py, which it imports on its first draw.
+Sampling is deterministic: identical seeds reproduce bit-identical
+samples and distinct trials are independent substreams.  These samples
+serve ``sample``, ``falsify --domain`` and the positivity probe.
+``draws`` is the one (size, trial) loop of a seeded search, sampler ->
+eval_expression(f), and falsify and the positivity probe judge what it
+yields.  falsify also searches the exact points of
+ideals.zero_set_sampler (graph points, and Cayley points of the
+*-zero sets of star ideals) and in nonzero mode judges them without
+numpy.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from .ratexpr import RatExpr, eval_expression, poly_to_expression
 
 if TYPE_CHECKING:
     import numpy as np
-
-_COND_LIMIT = 1e8
 
 # The sample domains; the first three are the *-zero sets of star ideals.
 DOMAIN_KINDS = ("unitaries", "spherical", "partitioned", "xgn", "unrestricted")
@@ -72,81 +70,6 @@ def check_search(trials: int, sizes: Sequence[int] = (1,), tol: float = FLOAT_TO
     return sizes
 
 
-def _rng(seed: int, index) -> np.random.Generator:
-    import numpy as np
-
-    path = tuple(index) if isinstance(index, (tuple, list)) else (index,)
-    ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=tuple(int(i) for i in path))
-    return np.random.Generator(np.random.Philox(ss))
-
-
-def _complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    import numpy as np
-
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2)
-
-
-def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """A rows x cols matrix with orthonormal columns (rows >= cols): QR of
-    a complex Gaussian matrix with the phases of R's diagonal moved into Q,
-    which makes it Haar-distributed."""
-    import numpy as np
-
-    z = _complex_gaussian(rng, rows, cols)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    assert np.linalg.norm(q.conj().T @ q - np.eye(cols)) <= FLOAT_TOL
-    return q
-
-
-def haar_unitary(n: int, seed: int, index=0) -> np.ndarray:
-    """Haar-distributed n x n unitary (QR of a complex Gaussian matrix with
-    phase-corrected diagonal)."""
-    return _orthonormal_columns(_rng(seed, index), n, n)
-
-
-def unitary_tuple(g: int, n: int, seed: int, index=0) -> tuple:
-    rng = _rng(seed, index)
-    return tuple(_orthonormal_columns(rng, n, n) for _ in range(g))
-
-
-def spherical_isometry_tuple(g: int, n: int, seed: int, index=0) -> tuple:
-    """g matrices A_j with sum A_j^* A_j = I, from a QR-orthonormalized
-    (g*n) x n complex Gaussian split into n x n blocks."""
-    q = _orthonormal_columns(_rng(seed, index), g * n, n)
-    return tuple(q[j * n : (j + 1) * n, :] for j in range(g))
-
-
-def partitioned_unitary(g: int, n: int, seed: int, index=0) -> list:
-    """A g x g grid of n x n blocks assembling to a Haar unitary of size g*n."""
-    u = haar_unitary(g * n, seed, index)
-    grid = [[u[i * n : (i + 1) * n, j * n : (j + 1) * n] for j in range(g)] for i in range(g)]
-    return grid
-
-
-def xgn_point(g: int, n: int, seed: int, index=0) -> tuple:
-    """A point (A, B) with sum_k A_k B_k = I_n.
-
-    B_k and A_{k>=2} are complex Gaussians; A_1 is solved from the relation,
-    resampling B_1 until it is well conditioned (at most 20 attempts).
-    """
-    import numpy as np
-
-    rng = _rng(seed, index)
-    bs = [_complex_gaussian(rng, n, n) for _ in range(g)]
-    as_ = [None] + [_complex_gaussian(rng, n, n) for _ in range(g - 1)]
-    for _ in range(20):
-        if np.linalg.cond(bs[0]) < _COND_LIMIT:
-            rest = sum(as_[k] @ bs[k] for k in range(1, g)) if g > 1 else 0
-            as_[0] = (np.eye(n) - rest) @ np.linalg.inv(bs[0])
-            resid = sum(as_[k] @ bs[k] for k in range(g)) - np.eye(n)
-            if np.linalg.norm(resid) <= FLOAT_TOL:
-                return tuple(as_), tuple(bs)
-        bs[0] = _complex_gaussian(rng, n, n)
-    raise ConditioningFailure("no well-conditioned B_1 after 20 resamples")
-
-
 def sample_point(domain: SampleDomain, n: int, seed: int, index: int = 0) -> tuple:
     """One sample of size n >= 1 from the domain, flattened to a tuple in
     letter order; ``index`` >= 0 picks the trial substream.  A size or index
@@ -155,18 +78,20 @@ def sample_point(domain: SampleDomain, n: int, seed: int, index: int = 0) -> tup
         raise SpecError(f"sample size must be at least 1, got {n}")
     if index < 0:
         raise SpecError(f"sample index must be at least 0, got {index}")
+    from . import float_samplers as fs
+
     if domain.kind == "unitaries":
-        return unitary_tuple(domain.g, n, seed, index)
+        return fs.unitary_tuple(domain.g, n, seed, index)
     if domain.kind == "spherical":
-        return spherical_isometry_tuple(domain.g, n, seed, index)
+        return fs.spherical_isometry_tuple(domain.g, n, seed, index)
     if domain.kind == "partitioned":
-        grid = partitioned_unitary(domain.g, n, seed, index)
+        grid = fs.partitioned_unitary(domain.g, n, seed, index)
         return tuple(grid[i][j] for i in range(domain.g) for j in range(domain.g))
     if domain.kind == "xgn":
-        a, b = xgn_point(domain.g, n, seed, index)
+        a, b = fs.xgn_point(domain.g, n, seed, index)
         return a + b
-    rng = _rng(seed, index)
-    return tuple(_complex_gaussian(rng, n, n) for _ in range(domain.g))
+    rng = fs._rng(seed, index)
+    return tuple(fs._complex_gaussian(rng, n, n) for _ in range(domain.g))
 
 
 # ---------------------------------------------------------------------------

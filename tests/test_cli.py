@@ -6,15 +6,16 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 import ncrat
 from ncrat.cli import EXPAND_WORD_CAP, main
-from ncrat.core import ExactMatrix
+from ncrat.core import ExactMatrix, Scalar
+from ncrat.gram import import_gram
 from ncrat.ideals import builtin_ideal
 from ncrat.ncpoly import word_count
-from ncrat.positivity import import_gram
 from ncrat.ratexpr import parse_poly
 
 
@@ -232,6 +233,32 @@ class TestZeroTest:
         code, _, err = run_cli("zero-test", "--expr", "X1^-1",
                                "--g", "1", "--basepoint", "scalar:0")
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("command, option, noun", [
+        ("zero-test", "--basepoint", "base point"), ("eval", "--point", "point"),
+    ])
+    @pytest.mark.parametrize("value, cause", [
+        ("1/0", "zero denominator in '1/0'"),
+        ("", "'' is not a rational number"),
+        ("abc", "'abc' is not a rational number"),
+        ("1,2/0", "zero denominator in '2/0'"),
+    ])
+    def test_malformed_scalar_names_the_value_and_cause(self, command, option, noun, value, cause):
+        text = "--expr" if command == "zero-test" else "--poly"
+        code, out, err = run_cli(command, text, "X1 X2", "--g", "2", option, f"scalar:{value}")
+        assert code == 2 and out == ""
+        assert err == f"error: malformed {noun} 'scalar:{value}': {cause}\n"
+
+    @pytest.mark.parametrize("value", ["2/3", "-2", "1.5", "1e-3", "+4", "07/014"])
+    def test_scalar_forms_read_as_fractions(self, value):
+        code, out, _ = run_cli("eval", "--expr", "X1", "--g", "1", "--point", f"scalar:{value}", "--json")
+        assert code == 0
+        assert json.loads(out)["value"]["entries"] == [Scalar(Fraction(value)).to_json()]
+
+    def test_eval_calls_its_spec_a_point(self):
+        code, _, err = run_cli("eval", "--poly", "X1", "--g", "1", "--point", "bogus:1")
+        assert code == 2
+        assert err == "error: bad point spec 'bogus:1' (use scalar:... or file:...)\n"
 
     def test_deep_parentheses_are_a_usage_error(self):
         text = "(" * 1000 + "X1" + ")" * 1000

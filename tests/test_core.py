@@ -19,7 +19,6 @@ from ncrat.core import (
     block_matrix,
     conjugate_transpose,
     embed,
-    float_from_json,
     float_to_json,
     gaussian_rows,
     gaussian_scalar,
@@ -38,6 +37,13 @@ from ncrat.sampler import falsify
 
 from conftest import random_exact_matrix, random_scalar
 from fraction_closure import rref
+
+
+def float_from_json(obj) -> np.ndarray:
+    """The float matrix of a float_to_json object."""
+    r, c = int(obj["rows"]), int(obj["cols"])
+    flat = [complex(p[0], p[1]) for p in obj["entries"]]
+    return np.array(flat, dtype=complex).reshape(r, c)
 
 
 class TestScalar:
@@ -65,6 +71,29 @@ class TestScalar:
         s = Scalar.from_json(["1/2", "-3/4"])
         assert s == Scalar(Fraction(1, 2), Fraction(-3, 4))
         assert Scalar.from_json(s.to_json()) == s
+
+    @pytest.mark.parametrize("text", ["0", "-0", "+7", "12/8", "-3/9", "07/014", "1/0", "1/00",
+                                      "", "abc", " 2", "1_0", "1.5", "-1e-3", "1/-2", "2/ 3",
+                                      "\u0663/4"])
+    def test_text_reads_as_fraction_reads_it(self, text):
+        # integers and ratios are read without fractions, the rest through it
+        try:
+            expected = Scalar(Fraction(text))
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)):
+                Scalar(text)
+        else:
+            assert Scalar(text) == expected
+
+    def test_text_and_parts_are_the_fractions(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            re, im = (Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(2))
+            s = Scalar(re, im)
+            assert (s.re, s.im) == (re, im) and s == Scalar(str(re), str(im))
+            assert s.to_json() == [str(re), str(im)]
+            assert repr(s) == f"Scalar({re}, {im})"
+            assert hash(s) == (hash((re, im)) if im else hash(re))
 
     def test_zero_division(self):
         with pytest.raises(ZeroDivisionError):

@@ -9,17 +9,9 @@ from ncrat.errors import (
     AlphabetMismatch, BudgetExceeded, ConditioningFailure, DegreeTooHigh, SpecError,
 )
 from ncrat.ideals import builtin_ideal, zero_set_sampler
+from ncrat.gram import GRAM_BASIS_CAP, export_gram, gram_constraints, import_gram, word_basis
 from ncrat.ncpoly import Alphabet, Letter, NcPoly
-from ncrat.positivity import (
-    GRAM_BASIS_CAP,
-    SohsCertificate,
-    export_gram,
-    gram_constraints,
-    import_gram,
-    positivity_probe,
-    verify_certificate,
-    word_basis,
-)
+from ncrat.positivity import SohsCertificate, positivity_probe, verify_certificate
 from ncrat.ratexpr import parse_poly
 from ncrat.sampler import SampleDomain, sample_point
 

@@ -3,21 +3,17 @@ import pytest
 
 from ncrat.core import ExactMatrix
 from ncrat.errors import ConditioningFailure, GOutOfRange, SpecError
-from ncrat.ncpoly import Alphabet
-from ncrat import sampler
-from ncrat.ratexpr import parse_expression, parse_poly
-from ncrat.sampler import (
-    SampleDomain,
-    draws,
-    falsify,
+from ncrat.float_samplers import (
     haar_unitary,
     partitioned_unitary,
-    sample_point,
     spherical_isometry_tuple,
     unitary_tuple,
     xgn_point,
-    zero_divisor_witness,
 )
+from ncrat.ncpoly import Alphabet
+from ncrat import sampler
+from ncrat.ratexpr import parse_expression, parse_poly
+from ncrat.sampler import SampleDomain, draws, falsify, sample_point, zero_divisor_witness
 
 
 class TestStructuralResiduals:

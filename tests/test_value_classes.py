@@ -13,9 +13,10 @@ import pytest
 from ncrat.acceptance import CriterionResult
 from ncrat.core import ExactMatrix, Frozen, Scalar
 from ncrat.errors import GOutOfRange, SpecError
+from ncrat.gram import GramConstraint, GramProblem
 from ncrat.ideals import MembershipVerdict, RRIdeal, builtin_ideal, is_member
 from ncrat.ncpoly import Alphabet, Letter, NcPoly
-from ncrat.positivity import GramConstraint, GramProblem, ProbeReport, SohsCertificate, VerifyResult
+from ncrat.positivity import ProbeReport, SohsCertificate, VerifyResult
 from ncrat.ratexpr import Add, Const, Inv, Mul, Neg, RatExpr, Var, parse_poly
 from ncrat.realization import BasePoint
 from ncrat.sampler import SampleDomain, Witness
