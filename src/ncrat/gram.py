@@ -4,9 +4,9 @@ and their text export and import.
 f - q = sum_i p_i^* p_i with deg p_i <= d holds exactly when
 f - q = v^* G v for a Hermitian PSD matrix G on the vector v of words of
 degree <= d, and the squares are read off G = sum_i vec(p_i) vec(p_i)^*.
-``gram_constraints`` builds the linear constraints on G, one per word of
-f - q; ``export_gram`` writes them for an external SDP solver and
-``import_gram`` reads them back.  positivity.py verifies the certificates
+``gram_constraints`` builds the linear constraints on G, one per word
+u^* v of two basis words; ``export_gram`` writes them for an external
+SDP solver and ``import_gram`` reads them back.  positivity.py verifies the certificates
 that such a solver finds.
 """
 
