@@ -1,7 +1,8 @@
 """What a CLI process pays for before its command runs.
 
-Every ncrat command is a fresh process, and in this environment no
-bytecode cache is written, so each module it imports is compiled anew.
+Every ncrat command is a fresh process, and where no bytecode cache is
+written (as perfbench runs the CLI), each module it imports is compiled
+anew.
 ``import ncrat`` therefore loads only the layers a verdict runs through,
 the ones perfbench's tracer wraps, and their kernel; the Gram problem,
 the series word walk and the numpy samplers load on first use, and the
