@@ -2,11 +2,10 @@
 
 Every ncrat command is a fresh process, and where no bytecode cache is
 written (as perfbench runs the CLI), each module it imports is compiled
-anew.
-``import ncrat`` therefore loads only the layers a verdict runs through,
-the ones perfbench's tracer wraps, and their kernel; the Gram problem,
-the series word walk and the numpy samplers load on first use, and the
-CLI builds the argument parser of the one command it runs.
+anew.  ``import ncrat`` therefore loads only the layers a verdict runs
+through, the ones perfbench's tracer wraps, and their kernel; the Gram
+problem, the series word walk and the numpy samplers load on first use,
+and the CLI builds the argument parser of the one command it runs.
 """
 
 import contextlib
