@@ -16,7 +16,16 @@ import re as _re
 
 from .core import ExactMatrix, Scalar, Value, ZERO
 from .errors import MALFORMED, BudgetExceeded, DegreeTooHigh, SpecError
-from .ncpoly import Alphabet, Letter, NcPoly, grlex_key, word_count, word_star, words_up_to
+from .ncpoly import (
+    Alphabet,
+    Letter,
+    NcPoly,
+    check_word_length,
+    grlex_key,
+    word_count,
+    word_star,
+    words_up_to,
+)
 
 
 class GramConstraint(Value):
@@ -102,8 +111,9 @@ def gram_constraints(f: NcPoly, d: int, q: NcPoly | None = None) -> GramProblem:
     """The linear system whose Hermitian PSD solutions are exactly the
     Gram matrices of decompositions f - q = sum p_i^* p_i with deg p_i <= d.
 
-    A basis of more than GRAM_BASIS_CAP words raises BudgetExceeded before
-    any word is enumerated."""
+    A negative d raises SpecError, and a basis of more than GRAM_BASIS_CAP
+    words BudgetExceeded before any word is enumerated."""
+    check_word_length(d)
     if q is None:
         q = NcPoly.zero(f.alphabet)
     target = f - q

@@ -42,12 +42,17 @@ def grlex_key(w: Word):
     return (len(w), tuple((l.index, l.starred) for l in w))
 
 
+def check_word_length(d: int):
+    """A negative word length d raises SpecError."""
+    if d < 0:
+        raise SpecError(f"need a word length d >= 0, got {d}")
+
+
 def words_up_to(letters: Sequence[Letter], d: int) -> list:
     """All words of length <= d over ``letters``, shorter words first and
     words of one length in the order of their letters, which is grlex
     order when ``letters`` is.  A negative d raises SpecError."""
-    if d < 0:
-        raise SpecError(f"need a word length d >= 0, got {d}")
+    check_word_length(d)
     words, layer = [()], [()]
     for _ in range(d):
         layer = [w + (l,) for w in layer for l in letters]

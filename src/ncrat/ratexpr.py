@@ -21,14 +21,16 @@ concrete grammar (also emitted by the formatter) is
 plus one lexical convenience: a parenthesized signed scalar such as
 ``(1/2 + 1i)``, ``(-3)`` or ``(-2i)`` is a single constant atom, which is
 what the formatter emits for constants that are not plain nonnegative
-rationals.  ``^k`` unfolds into a k-fold product at parse time, and ``^*``
-applies the formal adjoint to the subtree it follows.
+rationals.  ``^k`` unfolds into a k-fold product at parse time, within
+EXPR_LEAF_CAP leaves, and ``^*`` applies the formal adjoint to the subtree
+it follows.
 """
 
 from __future__ import annotations
 
 import re as _re
 from functools import reduce
+from math import prod
 from operator import add, matmul, mul
 from typing import Mapping, Union
 
@@ -43,6 +45,7 @@ from .core import (
     matrix_inverse,
 )
 from .errors import (
+    BudgetExceeded,
     DomainError,
     MissingLetter,
     NotPolynomial,
@@ -52,7 +55,7 @@ from .errors import (
     SpecError,
     UnknownLetter,
 )
-from .ncpoly import Alphabet, Letter, NcPoly
+from .ncpoly import Alphabet, Letter, NcPoly, word_count
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +254,7 @@ class _Parser:
         self.alphabet = alphabet
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.leaves = 0  # of the atoms parsed so far, each ^k unfolded
 
     def peek(self):
         return self.tokens[self.pos]
@@ -300,6 +304,7 @@ class _Parser:
 
     # factor := atom postfix*
     def factor(self) -> Node:
+        start = self.leaves
         node = self.atom()
         while self.peek()[0] == "^":
             caret = self.next()
@@ -318,7 +323,10 @@ class _Parser:
                 value, imag = _num_value(v, off)
                 if imag or value.d != 1:
                     raise ParseError("power must be a nonnegative integer", off)
-                node = _power(node, value.a)
+                k = value.a
+                self.leaves = start + ((self.leaves - start) * k if k else 1)
+                _check_leaves(self.leaves)
+                node = _power(node, k)
             else:
                 raise ParseError("expected -1, * or an integer after ^", caret[2])
         return node
@@ -331,14 +339,17 @@ class _Parser:
             idx = self.alphabet.index_of(v)
             if idx is None:
                 raise UnknownLetter(f"letter {v!r} not in alphabet {list(self.alphabet.names)}", off)
+            self.leaves += 1
             return Var(Letter(idx, False))
         if k == "num":
             self.next()
             value, imag = _num_value(v, off)
+            self.leaves += 1
             return Const(value * I if imag else value)
         if k == "(":
             lit = self._try_scalar_literal()
             if lit is not None:
+                self.leaves += 1
                 return lit
             self.next()
             node = self.expr()
@@ -377,6 +388,21 @@ class _Parser:
             return None
 
 
+#: The most leaves (letters and numbers) an expression may have with every
+#: ``^k`` unfolded.  The compiled automaton has a few states per leaf, and
+#: its closure costs about the cube of its states: parse, compile and
+#: minimize of X1^k - X1^k (2k leaves) take about 1.2 s CPU at 400 leaves
+#: and 4 s at 600, and ``member --ideal T --g 1`` of X1^k about 1.6 s at
+#: 400 leaves and 21 s at 800.
+EXPR_LEAF_CAP = 400
+
+
+def _check_leaves(count: int):
+    if count > EXPR_LEAF_CAP:
+        raise BudgetExceeded(f"the expression reaches {count} leaves with its powers unfolded,"
+                             f" more than {EXPR_LEAF_CAP} (ratexpr.EXPR_LEAF_CAP)")
+
+
 def _power(node: Node, k: int) -> Node:
     if k == 0:
         return Const(Scalar(1))
@@ -391,7 +417,10 @@ def parse_expression(text: str, alphabet: Alphabet | int) -> RatExpr:
     ``alphabet`` may be an integer g, shorthand for the default alphabet
     X1..Xg.  Raises ParseError (with a byte offset) or UnknownLetter; the
     parser recurses once per level of parentheses, and nesting deeper than
-    Python's recursion limit is a ParseError too.
+    Python's recursion limit is a ParseError too.  The parser counts the
+    leaves as it reads them, each ``^k`` multiplying the count of its base,
+    and an expression of more than EXPR_LEAF_CAP leaves raises
+    BudgetExceeded; ``^k`` checks the count before it unfolds.
     """
     if isinstance(alphabet, int):
         alphabet = Alphabet.x(alphabet)
@@ -403,6 +432,7 @@ def parse_expression(text: str, alphabet: Alphabet | int) -> RatExpr:
     t = p.peek()
     if t[0] != "eof":
         raise ParseError(f"trailing input {t[1]!r}", t[2])
+    _check_leaves(p.leaves)
     return RatExpr(alphabet, node)
 
 
@@ -619,8 +649,39 @@ def _evaluate(roots, point, star_rule: str) -> list:
 # ---------------------------------------------------------------------------
 
 
+#: The most terms ``expression_to_poly`` may expand to, as bounded before
+#: it expands.  ``member --ideal T --g 2`` of (X1 + X2)^k, 2^k terms,
+#: takes about 0.9 s CPU at 2,048 terms, 2.2 s at 4,096 and 72 s at 65,536.
+POLY_TERM_CAP = 4096
+
+
 def expression_to_poly(e: RatExpr) -> NcPoly:
-    """Flatten an inverse-free expression into an NcPoly."""
+    """Flatten an inverse-free expression into an NcPoly.
+
+    One fold first bounds the number of terms of every node: a sum adds
+    its parts' bounds and a product multiplies them, and no node has more
+    terms than there are words of its degree over the letters e uses.  An
+    inverse raises NotPolynomial, and a bound over POLY_TERM_CAP
+    BudgetExceeded, before anything is expanded."""
+    letters = len(e.letters_used())
+
+    def bound(node, kids):  # (terms, degree)
+        if isinstance(node, (Const, Var)):
+            return 1, int(isinstance(node, Var))
+        if isinstance(node, Neg):
+            return kids[0]
+        if isinstance(node, Inv):
+            raise NotPolynomial("expression contains an inverse")
+        if isinstance(node, Add):
+            terms, degree = sum(t for t, _ in kids), max(d for _, d in kids)
+        else:
+            terms, degree = prod(t for t, _ in kids), sum(d for _, d in kids)
+        return min(terms, word_count(letters, degree, POLY_TERM_CAP)), degree
+
+    terms = fold([e.node], bound)[0][0]
+    if terms > POLY_TERM_CAP:
+        raise BudgetExceeded(f"the polynomial may expand to more than {POLY_TERM_CAP} terms"
+                             f" (ratexpr.POLY_TERM_CAP)")
 
     def combine(node, kids):
         if isinstance(node, Const):
@@ -631,9 +692,7 @@ def expression_to_poly(e: RatExpr) -> NcPoly:
             return reduce(add, kids)
         if isinstance(node, Neg):
             return -kids[0]
-        if isinstance(node, Mul):
-            return reduce(mul, kids)
-        raise NotPolynomial("expression contains an inverse")
+        return reduce(mul, kids)
 
     return fold([e.node], combine)[0]
 

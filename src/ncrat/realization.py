@@ -39,7 +39,9 @@ Sparse data has one format: a vector is ``{index: Scalar}`` over its
 nonzeros and a matrix ``{row: {col: Scalar}}`` over its nonzero rows
 (``_rows`` of an ExactMatrix, ``SparseMatrix.rows``, ``LinRep.c_rows``
 and ``LinRep.b_rows``), and ``_add_combination`` is the one
-row-times-matrix step.
+row-times-matrix step.  Every construction builds its LinRep from these
+rows with the one constructor, and an automaton given from outside enters
+through ``automaton_rep``, which checks its shapes and entries.
 """
 
 from __future__ import annotations
@@ -138,38 +140,36 @@ def _check_same_point(s1: "LinRep", s2: "LinRep"):
 class SparseMatrix:
     """Sparse square matrix over Scalar: ``rows`` holds its nonzero rows
     as {row: {col: value}}, the one sparse format, which
-    ``_add_combination`` multiplies by.
+    ``_add_combination`` multiplies by.  Its size is the ``states`` of the
+    LinRep that holds it.
 
     The letter matrices of a LinRep share row dicts with the operands they
-    were built from, and its empty letter matrices are one object, so they
+    were built from, and every empty letter matrix is ``_EMPTY``, so they
     must not be changed after construction.
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("rows",)
 
-    def __init__(self, n: int, rows=None):
-        self.n = n
-        self.rows = {} if rows is None else rows
-
-    def add_entry(self, i: int, j: int, value: Scalar):
-        """Add value at (i, j), for entries that may add up or cancel."""
-        if not value:
-            return
-        row = self.rows.setdefault(i, {})
-        s = row.get(j, ZERO) + value
-        if s:
-            row[j] = s
-        else:
-            del row[j]
-            if not row:
-                del self.rows[i]
+    def __init__(self, rows: dict):
+        self.rows = rows
 
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows.values())
 
 
-def _rows(a: ExactMatrix) -> dict:
-    """The nonzero rows of a as ``{row: {col: Scalar}}``."""
+_EMPTY = SparseMatrix({})
+
+
+def _matrix(rows: dict) -> SparseMatrix:
+    """The letter matrix with these nonzero rows."""
+    return SparseMatrix(rows) if rows else _EMPTY
+
+
+def _rows(a: ExactMatrix, shape: tuple | None = None) -> dict:
+    """The nonzero rows of a as ``{row: {col: Scalar}}``.  With ``shape``,
+    a must be shape[0] x shape[1], or DimensionMismatch is raised."""
+    if shape is not None and (a.rows, a.cols) != shape:
+        raise DimensionMismatch(f"expected a {shape[0]} x {shape[1]} matrix, got {a.rows} x {a.cols}")
     out = {}
     for i in range(a.rows):
         row = {j: x for j, x in enumerate(a.row(i)) if x}
@@ -217,7 +217,7 @@ def _add_combination(row: dict, u: dict, rows: dict) -> dict:
 
 class LinRep:
     """A series about a base point, stored as its scalar automaton: C
-    (m x D), one SparseMatrix of size D per scalar letter (``A``) and
+    (m x D), one D x D SparseMatrix per scalar letter (``A``) and
     B (D x m), with m and the letters those of the base point.
 
     C and B are stored in the one sparse format, as their nonzero rows:
@@ -226,25 +226,20 @@ class LinRep:
     empty row.  ``states`` is D and ``dim`` the dimension
     n = max(1, ceil(D/m)); a compiled representation has D = m*n states,
     a minimized one any number.  ``C`` and ``B`` are dense ExactMatrix
-    views, built on each access and never stored.  Instances are
-    immutable, and share row dicts with the operands they were built
-    from.
+    views, built on each access and never stored.
+
+    The constructor stores what it is given, unchecked: it is the one
+    constructor of the constructions, whose rows are built in range.  An
+    automaton given from outside enters through ``automaton_rep``, which
+    checks it.  Instances are immutable, and share row dicts with the
+    operands they were built from.
     """
 
     __slots__ = ("basepoint", "c_rows", "A", "b_rows", "states")
 
-    def __init__(self, basepoint: BasePoint, C: ExactMatrix, A, B: ExactMatrix):
-        A = tuple(A)
-        m, D = basepoint.m, C.cols
-        if (
-            C.rows != m
-            or (B.rows, B.cols) != (D, m)
-            or len(A) != m * m * len(basepoint.letters)
-            or any(a.n != D for a in A)
-        ):
-            raise DimensionMismatch("automaton does not fit the base point")
-        self.basepoint, self.A, self.states = basepoint, A, D
-        self.c_rows, self.b_rows = _rows(C), _rows(B)
+    def __init__(self, basepoint: BasePoint, c_rows: dict, A, b_rows: dict, states: int):
+        self.basepoint, self.A, self.states = basepoint, tuple(A), states
+        self.c_rows, self.b_rows = c_rows, b_rows
 
     @property
     def C(self) -> ExactMatrix:
@@ -270,24 +265,28 @@ class LinRep:
         return f"LinRep(m={self.m}, dim={self.dim}, letters={len(self.letters)})"
 
 
-def _rep(basepoint: BasePoint, c_rows: dict, A, b_rows: dict, states: int) -> LinRep:
-    """The LinRep with these rows of C and B, unchecked: the constructor of
-    the constructions, whose rows hold no zero and no empty row."""
-    rep = object.__new__(LinRep)
-    rep.basepoint, rep.A, rep.states = basepoint, tuple(A), states
-    rep.c_rows, rep.b_rows = c_rows, b_rows
-    return rep
-
-
 def automaton_rep(basepoint: BasePoint, C: ExactMatrix, entries, B: ExactMatrix) -> LinRep:
     """A representation given as an automaton: C (m x D), B (D x m) and the
     letter matrices as (letter, i, j, row, col, value) entries of scalar
-    letter (letter, i, j); entries at one place add up."""
-    m = basepoint.m
-    mats = [SparseMatrix(C.cols) for _ in range(m * m * len(basepoint.letters))]
+    letter (letter, i, j); entries at one place add up.  C or B of another
+    shape, or an entry whose (i, j) lies outside m x m or whose states lie
+    outside 0..D-1, raises DimensionMismatch."""
+    m, D = basepoint.m, C.cols
+    c_rows, b_rows = _rows(C, (m, D)), _rows(B, (D, m))
+    sums = {}
     for letter, i, j, row, col, value in entries:
-        mats[basepoint.slot(letter) * m * m + i * m + j].add_entry(row, col, _coerce(value))
-    return LinRep(basepoint, C, mats, B)
+        if not (0 <= i < m and 0 <= j < m and 0 <= row < D and 0 <= col < D):
+            raise DimensionMismatch(
+                f"entry ({i}, {j}) at states ({row}, {col}) is outside an automaton"
+                f" with m = {m} and {D} states"
+            )
+        key = (basepoint.slot(letter) * m * m + i * m + j, row, col)
+        sums[key] = sums.get(key, ZERO) + _coerce(value)
+    mats = [{} for _ in range(m * m * len(basepoint.letters))]
+    for (l, row, col), x in sums.items():
+        if x:
+            mats[l].setdefault(row, {})[col] = x
+    return LinRep(basepoint, c_rows, [_matrix(a) for a in mats], b_rows, D)
 
 
 def _identity_rows(m: int, offset: int = 0) -> dict:
@@ -298,8 +297,8 @@ def _identity_rows(m: int, offset: int = 0) -> dict:
 def rep_const(a: ExactMatrix, basepoint: BasePoint) -> LinRep:
     """Dimension-1 representation of the constant series a."""
     m = basepoint.m
-    mats = [SparseMatrix(m)] * (m * m * len(basepoint.letters))
-    return _rep(basepoint, _rows(a), mats, _identity_rows(m), m)
+    mats = [_EMPTY] * (m * m * len(basepoint.letters))
+    return LinRep(basepoint, _rows(a, (m, m)), mats, _identity_rows(m), m)
 
 
 def rep_var(letter: Letter, basepoint: BasePoint) -> LinRep:
@@ -307,13 +306,13 @@ def rep_var(letter: Letter, basepoint: BasePoint) -> LinRep:
     c = (1, p), b = (0, 1) and A^Y = [[0, Y], [0, 0]]."""
     m = basepoint.m
     slot = basepoint.slot(letter)
-    mats = [SparseMatrix(2 * m)] * (m * m * len(basepoint.letters))
+    mats = [_EMPTY] * (m * m * len(basepoint.letters))
     for i in range(m):
         for j in range(m):
-            mats[slot * m * m + i * m + j] = SparseMatrix(2 * m, {i: {m + j: ONE}})
+            mats[slot * m * m + i * m + j] = SparseMatrix({i: {m + j: ONE}})
     p = basepoint.mats[slot]
     c_rows = {i: {i: ONE, **{m + j: x for j, x in enumerate(p.row(i)) if x}} for i in range(m)}
-    return _rep(basepoint, c_rows, mats, _identity_rows(m, m), 2 * m)
+    return LinRep(basepoint, c_rows, mats, _identity_rows(m, m), 2 * m)
 
 
 def _sum(reps) -> LinRep:
@@ -332,7 +331,6 @@ def _sum(reps) -> LinRep:
             b_rows[offset + q] = row
         offset += x.states
     D = offset
-    empty = SparseMatrix(D)
     mats = []
     for letter_mats in zip(*(x.A for x in reps)):
         rows = dict(letter_mats[0].rows)
@@ -341,8 +339,8 @@ def _sum(reps) -> LinRep:
             for i, row in mat.rows.items():
                 rows[offset + i] = {offset + j: v for j, v in row.items()}
             offset += x.states
-        mats.append(SparseMatrix(D, rows) if rows else empty)
-    return _rep(first.basepoint, c_rows, mats, b_rows, D)
+        mats.append(_matrix(rows))
+    return LinRep(first.basepoint, c_rows, mats, b_rows, D)
 
 
 def _times_rows(a_rows: dict, rows: dict) -> dict:
@@ -359,7 +357,7 @@ def _times_rows(a_rows: dict, rows: dict) -> dict:
 def _scaled(a: ExactMatrix, s: LinRep) -> LinRep:
     """a*S for an m x m matrix a: C becomes a C, and the letter matrices
     and B are shared with s."""
-    return _rep(s.basepoint, _times_rows(_rows(a), s.c_rows), s.A, s.b_rows, s.states)
+    return LinRep(s.basepoint, _times_rows(_rows(a, (s.m, s.m)), s.c_rows), s.A, s.b_rows, s.states)
 
 
 def rep_add(s1: LinRep, a, s2: LinRep) -> LinRep:
@@ -385,14 +383,13 @@ def rep_mul(s1: LinRep, s2: LinRep) -> LinRep:
     # C = [C1, (C1 B1) C2], A = [[A1, (A1 B1) C2], [0, A2]] and B = [0; B2]
     c_rows = {i: _extended(row, b1, c2) for i, row in s1.c_rows.items()}
     b_rows = {D1 + q: row for q, row in s2.b_rows.items()}
-    empty = SparseMatrix(D)
     mats = []
     for A1, A2 in zip(s1.A, s2.A):
         rows = {i: _extended(row, b1, c2) for i, row in A1.rows.items()}
         for i, row in A2.rows.items():
             rows[D1 + i] = {D1 + j: v for j, v in row.items()}
-        mats.append(SparseMatrix(D, rows) if rows else empty)
-    return _rep(s1.basepoint, c_rows, mats, b_rows, D)
+        mats.append(_matrix(rows))
+    return LinRep(s1.basepoint, c_rows, mats, b_rows, D)
 
 
 def rep_inv(s: LinRep) -> LinRep:
@@ -414,13 +411,9 @@ def rep_inv(s: LinRep) -> LinRep:
     for i, row in _rows(a_inv).items():
         out = c_rows[i] = _add_combination({}, {k: -x for k, x in row.items()}, s.c_rows)
         out.update((D + j, x) for j, x in row.items())
-    empty = SparseMatrix(D + m)
-    mats = []
-    for A in s.A:
-        # A' = [[A - (A B) a^-1 C, (A B) a^-1], [0, 0]]: row i is A_i + (A_i B) C'
-        rows = {i: _extended(row, b_rows, c_rows) for i, row in A.rows.items()}
-        mats.append(SparseMatrix(D + m, rows) if rows else empty)
-    return _rep(s.basepoint, c_rows, mats, _identity_rows(m, D), D + m)
+    # A' = [[A - (A B) a^-1 C, (A B) a^-1], [0, 0]]: row i is A_i + (A_i B) C'
+    mats = [_matrix({i: _extended(row, b_rows, c_rows) for i, row in A.rows.items()}) for A in s.A]
+    return LinRep(s.basepoint, c_rows, mats, _identity_rows(m, D), D + m)
 
 
 # ---------------------------------------------------------------------------
@@ -527,60 +520,60 @@ def _transposed(rows: dict) -> dict:
     return out
 
 
-def _closure(s: LinRep, stop=None, coords=False):
+def _closure(s: LinRep, stop=None, rows=None):
     """Span of the columns of B under the letter matrices of s, on
     FractionFreeBasis.
 
     Each new basis row is first passed to ``stop``; the closure returns
-    None as soon as that is true.  Otherwise it returns (basis, found).
-    With ``coords``, found[(None, j)] and found[(l, k)] map basis indices to
-    the Scalar coordinates of start vector j and of letter l applied to
-    basis row k; without, found is empty.  The queue holds (letter, basis
-    index) pairs, and a letter matrix is converted to Gaussian-integer
-    columns when first popped, so a closure that stops at a start vector
-    converts none.  Every vector is sparse: a step costs the nonzeros of
-    the basis row and of the columns they select, not D.
+    None as soon as that is true, and otherwise the basis.  ``rows``, when
+    given, is a list of len(s.A) + 1 empty dicts, and the closure writes
+    into it the automaton restricted to its span while it reduces:
+    rows[l][i][k] is coordinate i of letter l applied to basis row k, and
+    rows[-1][i][j] coordinate i of start vector j, so rows[l] are the rows
+    of the restricted A_l and rows[-1] those of the restricted B.  The
+    queue holds (letter, basis index) pairs, -1 for a start vector, and a
+    letter matrix is converted to Gaussian-integer columns when first
+    popped, so a closure that stops at a start vector converts none.  Every
+    vector is sparse: a step costs the nonzeros of the basis row and of the
+    columns they select, not D.
     """
     b_cols = _transposed(s.b_rows)
     starts = [gaussian_vector(b_cols.get(j, {})) for j in range(s.m)]
     letters = [l for l, mat in enumerate(s.A) if mat.rows]
     basis = FractionFreeBasis(s.states)
-    found, converted = {}, {}
-    queue = deque((None, j) for j in range(len(starts)))
+    converted = {}
+    queue = deque((-1, j) for j in range(len(starts)))
     while queue:
         l, k = queue.popleft()
-        if l is None:
+        if l < 0:
             d, v = starts[k]
         else:
             if l not in converted:
                 converted[l] = gaussian_rows(s.A[l].rows)
             d, cols = converted[l]
             v = gaussian_matvec(cols, basis.vectors[k])
-        steps = [] if coords else None
+        steps = None if rows is None else []
         new = basis.add(v, steps)
         if new is not None:
             if stop is not None and stop(basis.vectors[new]):
                 return None
             queue.extend((letter, new) for letter in letters)
-        if coords:
-            found[(l, k)] = {j: gaussian_scalar(re, im, den * d) for j, re, im, den in steps}
-    return basis, found
+        if steps:
+            target = rows[l]
+            for i, re, im, den in steps:
+                target.setdefault(i, {})[k] = gaussian_scalar(re, im, den * d)
+    return basis
 
 
 def _reachable(s: LinRep) -> LinRep:
     """The automaton restricted to its reachable space, the closure of the
     columns of B, with the closure's basis V: B = V B1, A_l V = V A1_l and
     C1 = C V.  The closure's reductions already give the coordinates of B
-    and of every A_l v, each once, so they are written straight into the
-    rows of B1 and of the A1_l."""
-    basis, found = _closure(s, coords=True)
-    r = len(basis)
-    rows = [{} for _ in s.A]
-    b_rows = {}
-    for (l, k), coords in found.items():
-        target = b_rows if l is None else rows[l]
-        for j, x in coords.items():
-            target.setdefault(j, {})[k] = x
+    and of every A_l v, each once, and it writes them as the rows of B1
+    and of the A1_l."""
+    rows = [{} for _ in range(len(s.A) + 1)]
+    basis = _closure(s, rows=rows)
+    b_rows = rows.pop()
     d, c_cols = gaussian_rows(s.c_rows)
     c_rows = {}
     for k, v in enumerate(basis.vectors):
@@ -588,15 +581,15 @@ def _reachable(s: LinRep) -> LinRep:
         im = im or {}
         for i in re.keys() | im.keys():
             c_rows.setdefault(i, {})[k] = gaussian_scalar(re.get(i, 0), im.get(i, 0), d)
-    return _rep(s.basepoint, c_rows, [SparseMatrix(r, a) for a in rows], b_rows, r)
+    return LinRep(s.basepoint, c_rows, [_matrix(a) for a in rows], b_rows, len(basis))
 
 
 def _transpose(s: LinRep) -> LinRep:
     """The transposed automaton (B^T, {A_l^T}, C^T), which reads every word
     backwards and transposes its coefficient; its reachable space is the
     observable space of s."""
-    mats = [SparseMatrix(s.states, _transposed(a.rows)) for a in s.A]
-    return _rep(s.basepoint, _transposed(s.b_rows), mats, _transposed(s.c_rows), s.states)
+    mats = [_matrix(_transposed(a.rows)) for a in s.A]
+    return LinRep(s.basepoint, _transposed(s.b_rows), mats, _transposed(s.c_rows), s.states)
 
 
 def minimize_scalar(s: LinRep):
@@ -610,6 +603,6 @@ def minimize_scalar(s: LinRep):
     """
     mid = _reachable(s)
     if not mid.c_rows:
-        return _rep(s.basepoint, {}, [SparseMatrix(0)] * len(s.A), {}, 0), 0
+        return LinRep(s.basepoint, {}, [_EMPTY] * len(s.A), {}, 0), 0
     out = _transpose(_reachable(_transpose(mid)))
     return out, out.states

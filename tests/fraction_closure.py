@@ -87,7 +87,7 @@ class EchelonBasis:
 
 def _matvec(mat, v):
     """A SparseMatrix times a column of Scalars."""
-    out = [ZERO] * mat.n
+    out = [ZERO] * len(v)
     for i, row in mat.rows.items():
         out[i] = _dot(row.values(), (v[j] for j in row))
     return out
@@ -95,7 +95,7 @@ def _matvec(mat, v):
 
 def _vecmat(mat, u):
     """A row of Scalars times a SparseMatrix."""
-    out = [ZERO] * mat.n
+    out = [ZERO] * len(u)
     for i, row in mat.rows.items():
         x = u[i]
         if x:
@@ -180,6 +180,6 @@ def vstack(parts) -> ExactMatrix:
     return ExactMatrix(sum(p.rows for p in parts), parts[0].cols, [x for p in parts for x in p.entries])
 
 
-def dense(mat) -> ExactMatrix:
-    """A SparseMatrix as an n x n ExactMatrix."""
-    return ExactMatrix(mat.n, mat.n, [mat.rows.get(i, {}).get(j, ZERO) for i in range(mat.n) for j in range(mat.n)])
+def dense(mat, n: int) -> ExactMatrix:
+    """A SparseMatrix of size n as an n x n ExactMatrix."""
+    return ExactMatrix(n, n, [mat.rows.get(i, {}).get(j, ZERO) for i in range(n) for j in range(n)])

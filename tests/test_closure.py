@@ -11,8 +11,7 @@ from ncrat.core import ExactMatrix, Scalar, matrix_inverse
 from ncrat.ncpoly import Letter
 from ncrat.realization import (
     BasePoint,
-    LinRep,
-    SparseMatrix,
+    automaton_rep,
     minimize_scalar,
     rep_add,
     scalar_rep_is_zero,
@@ -79,17 +78,14 @@ def _block(draw, m, letters, k, h, zero, letter_entry, change):
 
 def _rep(m, base_letters, C, A, B):
     """The LinRep (C, A, B) about the zero base point."""
-    mats = []
-    for a in A:
-        sm = SparseMatrix(a.rows)
-        for i in range(a.rows):
-            for j in range(a.cols):
-                sm.add_entry(i, j, a[i, j])
-        mats.append(sm)
     bp = BasePoint.from_mapping(
         {Letter(i + 1, False): ExactMatrix.zeros(m, m) for i in range(base_letters)}
     )
-    return LinRep(bp, C, mats, B)
+    entries = [
+        (bp.letters[l // (m * m)], l // m % m, l % m, row, col, a[row, col])
+        for l, a in enumerate(A) for row in range(a.rows) for col in range(a.cols)
+    ]
+    return automaton_rep(bp, C, entries, B)
 
 
 @st.composite

@@ -1,13 +1,16 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from ncrat.core import ExactMatrix, Scalar
-from ncrat.errors import DomainError, NotPolynomial, ParseError, SpecError, UnknownLetter
+from ncrat.errors import BudgetExceeded, DomainError, NotPolynomial, ParseError, SpecError, UnknownLetter
 from ncrat.ncpoly import Alphabet, Letter
 from ncrat import realization
 from ncrat.ratexpr import (
+    EXPR_LEAF_CAP,
+    POLY_TERM_CAP,
     Add,
     Const,
     Inv,
@@ -356,3 +359,35 @@ class TestPolyConversion:
     def test_not_polynomial(self):
         with pytest.raises(NotPolynomial):
             expression_to_poly(parse_expression("X1^-1", A1))
+
+
+class TestBudgets:
+    @pytest.mark.parametrize("text", [
+        "X1^100000000", "X1^1000000000000 - X1^1000000000000", "((X1 X2)^30)^30",
+        # each power is under the cap, the expression is not
+        "X1^300 X2^300",
+    ])
+    def test_over_the_leaf_cap_is_refused_before_unfolding(self, text):
+        start = time.process_time()
+        with pytest.raises(BudgetExceeded, match="EXPR_LEAF_CAP"):
+            parse_expression(text, A2)
+        assert time.process_time() - start < 1.0
+
+    def test_leaf_cap_is_inclusive(self):
+        assert len(parse_expression(f"X1^{EXPR_LEAF_CAP}", A1).node.children) == EXPR_LEAF_CAP
+        with pytest.raises(BudgetExceeded):
+            parse_expression(f"X1^{EXPR_LEAF_CAP} + 1", A1)
+
+    def test_over_the_term_cap_is_refused_before_expanding(self):
+        start = time.process_time()
+        with pytest.raises(BudgetExceeded, match="POLY_TERM_CAP"):
+            parse_poly("(X1 + X2)^16", A2)
+        assert time.process_time() - start < 1.0
+        assert len(parse_poly("(X1 + X2)^12", A2).terms) == 4096 == POLY_TERM_CAP
+        # an inverse is found before the bound is compared with the cap
+        with pytest.raises(NotPolynomial):
+            parse_poly("(X1 + X2)^16 X1^-1", A2)
+
+    def test_term_bound_counts_the_words_of_each_degree(self):
+        # over one letter there is one word per degree: 2^150 products, 151 words
+        assert len(parse_poly("(1 + X1)^150", A1).terms) == 151

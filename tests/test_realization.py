@@ -18,6 +18,7 @@ from ncrat import realization, series
 from ncrat.ratexpr import Add, Const, Inv, Mul, RatExpr, Var, format_expression, parse_expression
 from ncrat.realization import (
     BasePoint,
+    automaton_rep,
     compile_expression,
     is_zero,
     minimize_scalar,
@@ -62,6 +63,8 @@ class TestConstructors:
         assert coefficient(s, (L1,)).is_zero()
         assert not is_zero(s)
         assert is_zero(rep_const(ExactMatrix.zeros(1, 1), BP1))
+        with pytest.raises(DimensionMismatch, match="1 x 1"):
+            rep_const(ExactMatrix.identity(2), BP1)
 
     def test_var(self):
         s = rep_var(L1, BP1)
@@ -79,6 +82,24 @@ class TestConstructors:
             [[c0[i][j].coeff(()) for j in range(2)] for i in range(2)]
         ) == E12
 
+    @pytest.mark.parametrize("C, entries, B", [
+        (ExactMatrix.zeros(2, 2), [], ExactMatrix.zeros(2, 1)),
+        (ExactMatrix.zeros(1, 2), [], ExactMatrix.zeros(3, 1)),
+        (ExactMatrix.zeros(1, 2), [(L1, 0, 0, 5, 0, 1)], ExactMatrix.zeros(2, 1)),
+        (ExactMatrix.zeros(1, 2), [(L2, 0, 0, 0, -1, 1)], ExactMatrix.zeros(2, 1)),
+        (ExactMatrix.zeros(1, 2), [(L1, 0, 1, 0, 0, 1)], ExactMatrix.zeros(2, 1)),
+    ], ids=["C-rows", "B-rows", "state-5", "state-minus-1", "scalar-position"])
+    def test_automaton_outside_the_base_point(self, C, entries, B):
+        with pytest.raises(DimensionMismatch):
+            automaton_rep(BP1, C, entries, B)
+
+    def test_automaton_entries_add_up(self):
+        C, B = ExactMatrix.from_rows([[1, 0]]), ExactMatrix.from_rows([[0], [1]])
+        s = automaton_rep(BP1, C, [(L1, 0, 0, 0, 1, 2), (L1, 0, 0, 0, 1, 1), (L2, 0, 0, 0, 1, 1),
+                                   (L2, 0, 0, 0, 1, -1)], B)
+        assert s.A[0].rows == {0: {1: Scalar(3)}} and s.A[1].rows == {}
+        assert (s.C, s.B, s.states) == (C, B, 2)
+
     def test_empty_base_point_rejected(self):
         with pytest.raises(SpecError, match="at least one letter"):
             BasePoint.from_mapping({})
@@ -95,6 +116,10 @@ class TestArithmeticOps:
     def test_basepoint_mismatch(self):
         with pytest.raises(BasepointMismatch):
             rep_add(rep_var(L1, BP1), ExactMatrix.identity(1), rep_var(L1, BasePoint.scalars([3, 3])))
+
+    def test_weight_of_another_size(self):
+        with pytest.raises(DimensionMismatch, match="1 x 1"):
+            rep_add(rep_var(L1, BP1), ExactMatrix.identity(2), rep_var(L1, BP1))
 
     def test_add_cancellation(self):
         s = compile_text("X1*X2", BP1)
