@@ -68,10 +68,10 @@ def _scalar_value(text: str, what: str, spec: str) -> Scalar:
 def _parse_basepoint(spec: str, expr, what: str = "base point") -> BasePoint:
     """The base point ``scalar:v[,v...]`` or ``file:PATH`` on the letters
     the expression uses.  Value or matrix k binds X(k+1), and a single
-    scalar binds every letter; a file may instead map letter names to
-    matrices, ignoring names the alphabet does not know.  A starred letter
-    that the spec leaves open takes the adjoint of its partner.  Errors
-    call the spec ``what``."""
+    scalar binds every letter; a file may instead map letter names, as
+    Alphabet.letter reads them, to matrices, ignoring names of no letter
+    the expression uses.  A starred letter that the spec leaves open
+    takes the adjoint of its partner.  Errors call the spec ``what``."""
     letters = sorted(expr.letters_used()) or [Letter(1, False)]
     kind, _, body = spec.partition(":")
     if kind not in ("scalar", "file"):
@@ -88,8 +88,9 @@ def _parse_basepoint(spec: str, expr, what: str = "base point") -> BasePoint:
         if mats is not None:
             given = {Letter(k, False): m for k, m in enumerate(mats, 1)}
         else:
-            names = {expr.alphabet.letter_name(l): l for u in letters for l in (u, u.star)}
-            given = {names[name]: ExactMatrix.from_json(m) for name, m in data.items() if name in names}
+            used = {l.index for l in letters}
+            given = {l: ExactMatrix.from_json(m) for name, m in data.items()
+                     if (l := expr.alphabet.letter(name)) is not None and l.index in used}
     except MALFORMED as exc:
         raise SpecError(f"malformed {what} {spec!r}: {exc}") from exc
     binding = _point_binding(given, "adjoint")
@@ -123,10 +124,6 @@ def _emit(args, data: dict, human: str):
         print(json.dumps(data, indent=2))
     else:
         print(human)
-
-
-def _word_text(alphabet, word):
-    return "*".join(alphabet.letter_name(l) for l in word) if word else "1"
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +164,8 @@ def cmd_expand(args) -> int:
         if gp.is_zero():
             continue
         body = "; ".join(", ".join(str(p) for p in row) for row in gp.entries)
-        lines.append(f"[S, {_word_text(alph, w)}] = [{body}]")
-        rows.append({"word": _word_text(alph, w), "entries": body})
+        lines.append(f"[S, {alph.word_name(w)}] = [{body}]")
+        rows.append({"word": alph.word_name(w), "entries": body})
     _emit(
         args,
         {"dimension": rep.dim, "coefficients": rows},

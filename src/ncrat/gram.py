@@ -17,6 +17,7 @@ import re as _re
 from .core import ExactMatrix, Scalar, Value, ZERO
 from .errors import MALFORMED, BudgetExceeded, DegreeTooHigh, SpecError
 from .ncpoly import (
+    LETTER_NAME,
     Alphabet,
     Letter,
     NcPoly,
@@ -138,30 +139,20 @@ def gram_constraints(f: NcPoly, d: int, q: NcPoly | None = None) -> GramProblem:
 # Text export / import of Gram problems
 # ---------------------------------------------------------------------------
 
-_WORD_TOKEN = _re.compile(r"([XY]\d+)(\^\*)?")
-
-
-def _word_to_text(alphabet: Alphabet, word) -> str:
-    if not word:
-        return "1"
-    return "".join(alphabet.letter_name(l) for l in word)
+#: One letter of a word in a Gram file, its adjoint written ^* or *.
+_WORD_TOKEN = _re.compile(rf"{LETTER_NAME}(?:\^?\*)?")
 
 
 def _word_from_text(alphabet: Alphabet, text: str):
     if text == "1":
         return ()
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _WORD_TOKEN.match(text, pos)
-        if m is None:
-            raise SpecError(f"bad word token in {text!r}")
-        idx = alphabet.index_of(m.group(1))
-        if idx is None:
-            raise SpecError(f"unknown letter {m.group(1)!r}")
-        out.append(Letter(idx, m.group(2) is not None))
-        pos = m.end()
-    return tuple(out)
+    names = _WORD_TOKEN.findall(text)
+    if "".join(names) != text:
+        raise SpecError(f"bad word token in {text!r}")
+    word = tuple(map(alphabet.letter, names))
+    if None in word:
+        raise SpecError(f"unknown letter in {text!r}")
+    return word
 
 
 def export_gram(problem: GramProblem, path: str):
@@ -175,14 +166,14 @@ def export_gram(problem: GramProblem, path: str):
         fh.write("alphabet " + " ".join(problem.alphabet.names) + "\n")
         for c in problem.constraints:
             parts = [
-                _word_to_text(problem.alphabet, c.word),
+                problem.alphabet.word_name(c.word, sep=""),
                 str(c.rhs.re),
                 str(c.rhs.im),
                 str(len(c.pairs)),
             ]
             for iu, iv in c.pairs:
-                parts.append(_word_to_text(problem.alphabet, problem.basis[iu]))
-                parts.append(_word_to_text(problem.alphabet, problem.basis[iv]))
+                parts.append(problem.alphabet.word_name(problem.basis[iu], sep=""))
+                parts.append(problem.alphabet.word_name(problem.basis[iv], sep=""))
                 parts.append("1")
                 parts.append("0")
             fh.write(" ".join(parts) + "\n")

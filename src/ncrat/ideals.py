@@ -33,11 +33,13 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from functools import lru_cache
 
 from . import bounds as _bounds
 from .core import ExactMatrix, Frozen, Scalar, Value, matrix_inverse, split_blocks
 from .errors import (
+    BudgetExceeded,
     ConditioningFailure,
     DomainError,
     GOutOfRange,
@@ -45,7 +47,7 @@ from .errors import (
     ResolventNotVanishing,
     SpecError,
 )
-from .ncpoly import Alphabet, Letter, NcPoly, check_same_alphabet
+from .ncpoly import LETTER_NAME, Alphabet, Letter, NcPoly, check_same_alphabet
 from .ratexpr import (
     Add,
     Inv,
@@ -199,45 +201,42 @@ def _make_ideal(name: str, alphabet: Alphabet, g: int, generators, resolvent: di
     except MALFORMED as exc:
         raise SpecError(f"malformed ideal spec: {exc}") from exc
 
+    def names(letters):
+        return [alphabet.letter_name(l) for l in sorted(letters)]
+
     if domain_kind is None and any(l.starred for l in resolvent):
         raise SpecError("starred resolvent letter in a non-star ideal")
     if set(resolvent) != resolved:
         raise SpecError("resolvent must map exactly the resolved letters")
     overlap = resolved & set(bp.letters)
     if overlap:
-        raise SpecError(f"letters {sorted(overlap)} are both resolved and in x'")
+        raise SpecError(f"letters {names(overlap)} are both resolved and in x'")
     for l, expr in resolvent.items():
-        bad = [u for u in expr.letters_used() if u in resolved]
+        bad = names(u for u in expr.letters_used() if u in resolved)
         if bad:
-            raise SpecError(f"resolvent of {l} uses resolved letters {bad}")
+            raise SpecError(f"resolvent of {alphabet.letter_name(l)} uses resolved letters {bad}")
     missing = {
         l for f in gens for w in f.terms for l in w if l not in resolved and l not in bp.letters
     }
     if missing:
-        raise SpecError(f"base point misses x' letters {sorted(missing)}")
+        raise SpecError(f"base point misses x' letters {names(missing)}")
     # f may use every letter, and in a star ideal every adjoint, but the
     # oracle and the graph sampler bind only the letters of x' and x''
     kinds = (False, True) if domain_kind else (False,)
-    outside = [
-        alphabet.letter_name(Letter(i, starred))
-        for i in range(1, alphabet.size + 1)
-        for starred in kinds
-        if Letter(i, starred) not in resolved and Letter(i, starred) not in bp.letters
-    ]
+    every = [Letter(i, starred) for i in range(1, alphabet.size + 1) for starred in kinds]
+    outside = [l for l in every if l not in resolved and l not in bp.letters]
     if outside:
-        raise SpecError(f"letters {outside} are neither in the base point nor resolved")
+        raise SpecError(f"letters {names(outside)} are neither in the base point nor resolved")
 
     reps = {l: minimize_scalar(compile_expression(expr, bp))[0] for l, expr in resolvent.items()}
     return _validate(RRIdeal(name, alphabet, gens, resolvent, bp, g, domain_kind, reps))
 
 
 def _letter_from_name(alphabet: Alphabet, name: str) -> Letter:
-    starred = name.endswith("^*") or name.endswith("*")
-    base = name[:-2] if name.endswith("^*") else (name[:-1] if name.endswith("*") else name)
-    idx = alphabet.index_of(base)
-    if idx is None:
+    letter = alphabet.letter(name)
+    if letter is None:
         raise SpecError(f"unknown letter name {name!r}")
-    return Letter(idx, starred)
+    return letter
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +244,21 @@ def _letter_from_name(alphabet: Alphabet, name: str) -> Letter:
 # ---------------------------------------------------------------------------
 
 
+#: The largest g at which U and Uprime are built.  Cold builds, one run
+#: each (Python 3.11.7, shared 2-core machine): U(5) 2.2 s CPU and 29 MB,
+#: U(6) 29.6 s and 213 MB, U(7) unfinished at 600 s; Uprime(5) 1.9 s and
+#: 29 MB, Uprime(6) 30.4 s and 213 MB, Uprime(7) past 2.7 GB at 250 s.
+#: From g = 7 a build passes 60 s CPU and 1 GB.
+UNITARY_G_CAP = 6
+
+
 def builtin_ideal(kind: str, g: int) -> RRIdeal:
     """One of the named ideals; results are cached per (kind, g).
 
     A kind outside BUILTIN_KINDS raises SpecError; g >= 1 is checked by
     _make_ideal and g <= 9 for U and Uprime by Alphabet.matrix, both as
-    GOutOfRange.
+    GOutOfRange.  U and Uprime above UNITARY_G_CAP raise BudgetExceeded
+    before any building.
     """
     if kind not in BUILTIN_KINDS:
         raise SpecError(f"unknown builtin ideal {kind!r}; choose from {BUILTIN_KINDS}")
@@ -258,6 +266,10 @@ def builtin_ideal(kind: str, g: int) -> RRIdeal:
         # g = 1 would be the ideal (1 - X Y), which fails the
         # Nullstellensatz property; the oracle would overpromise.
         raise GOutOfRange(f"{kind} requires g >= 2")
+    if kind in ("U", "Uprime") and g > UNITARY_G_CAP:
+        Alphabet.matrix(g)  # g > 9 has no letter names: GOutOfRange first
+        raise BudgetExceeded(f"{kind} is built for g <= {UNITARY_G_CAP}: the build of {kind}(g={g})"
+                             f" would pass 60 s CPU and 1 GB (ideals.UNITARY_G_CAP)")
     return _builtin_cached(kind, g)
 
 
@@ -566,6 +578,8 @@ def custom_ideal(spec) -> RRIdeal:
     star), "letters": optional [names], "generators": [expr],
     "resolved": [letter], "resolvent": {letter: expr},
     "basepoint": {"m": optional m, "matrices": {letter: matrix-json}}}.
+    Each name of "letters" is X or Y and a number, and a letter Xk is
+    written Xk, its adjoint Xk^* or Xk*.
     The spec is read into the data the built-ins are given as, and goes
     through the same constructor and checks.  Each resolvent is compiled
     about the base point and minimized; the resolvent dimension n is the
@@ -583,6 +597,9 @@ def custom_ideal(spec) -> RRIdeal:
                 spec = json.load(fh)
         g = int(spec["g"])
         alph = Alphabet(spec["letters"]) if "letters" in spec else Alphabet.x(g)
+        for lname in alph.names:
+            if not re.fullmatch(LETTER_NAME, str(lname)):
+                raise SpecError(f"letter name {lname!r} is not X or Y and a number")
         bp_spec = spec["basepoint"]
         basepoint = {
             lname: ExactMatrix.from_json(mj) for lname, mj in bp_spec["matrices"].items()

@@ -75,8 +75,14 @@ def word_count(n: int, d: int, cap: int) -> int:
     return count
 
 
+#: A letter name in text, X or Y and a number: the expression tokenizer and
+#: the Gram word token read names with it, and spec files' letters match it.
+LETTER_NAME = r"[XY]\d+"
+
+
 class Alphabet:
-    """An ordered list of base letter names, e.g. ("X1", "X2", "Y1", "Y2")."""
+    """An ordered list of base letter names, e.g. ("X1", "X2", "Y1", "Y2"),
+    with their one reader, ``letter``, and writers, ``letter_name`` and ``word_name``."""
 
     __slots__ = ("names", "_lookup")
 
@@ -118,9 +124,20 @@ class Alphabet:
     def index_of(self, name: str) -> int | None:
         return self._lookup.get(name)
 
+    def letter(self, name: str) -> Letter | None:
+        """The letter a name reads as: ``Xk`` is the letter Xk, and ``Xk^*``
+        or ``Xk*`` its adjoint.  None when the name belongs to no letter."""
+        starred = name.endswith("*")
+        index = self._lookup.get(name[:-1].removesuffix("^") if starred else name)
+        return None if index is None else Letter(index, starred)
+
     def letter_name(self, letter: Letter) -> str:
         base = self.names[letter.index - 1]
         return base + "^*" if letter.starred else base
+
+    def word_name(self, word, sep: str = "*") -> str:
+        """The names of the word's letters joined by ``sep``, or "1"."""
+        return sep.join(map(self.letter_name, word)) if word else "1"
 
     def __eq__(self, other):
         return isinstance(other, Alphabet) and self.names == other.names
@@ -300,7 +317,7 @@ class NcPoly:
             negate = not c.b and c.a < 0
             if negate:
                 c = -c
-            body = "*".join(self.alphabet.letter_name(l) for l in w)
+            body = self.alphabet.word_name(w)
             if not w:
                 text = str(c)
             elif c == ONE:

@@ -55,7 +55,7 @@ from .errors import (
     SpecError,
     UnknownLetter,
 )
-from .ncpoly import Alphabet, Letter, NcPoly, word_count
+from .ncpoly import LETTER_NAME, Alphabet, Letter, NcPoly, word_count
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +211,7 @@ def _rebuild(node: Node, kids: list) -> Node:
 
 _TOKEN = _re.compile(
     r"(?P<ws>\s+)"
-    r"|(?P<name>[XY]\d+)"
+    rf"|(?P<name>{LETTER_NAME})"
     r"|(?P<num>\d+(?:/\d+)?i?)"
     r"|(?P<op>\^|\+|-|\*|\(|\))"
 )
@@ -336,11 +336,11 @@ class _Parser:
         k, v, off = self.peek()
         if k == "name":
             self.next()
-            idx = self.alphabet.index_of(v)
-            if idx is None:
+            letter = self.alphabet.letter(v)
+            if letter is None:
                 raise UnknownLetter(f"letter {v!r} not in alphabet {list(self.alphabet.names)}", off)
             self.leaves += 1
-            return Var(Letter(idx, False))
+            return Var(letter)
         if k == "num":
             self.next()
             value, imag = _num_value(v, off)

@@ -115,21 +115,15 @@ class GenPoly(Value):
 
 
 def scalar_alphabet(m: int, letters, alphabet=None) -> Alphabet:
-    """Alphabet of the m^2 * len(letters) scalarized letters."""
-    names = []
-    for letter in letters:
-        base = (
-            alphabet.letter_name(letter)
-            if alphabet is not None
-            else (f"X{letter.index}" + ("^*" if letter.starred else ""))
-        )
-        if m == 1:
-            names.append(base)
-        else:
-            for i in range(1, m + 1):
-                for j in range(1, m + 1):
-                    names.append(f"{base}_{i}{j}")
-    return Alphabet(names)
+    """Alphabet of the m^2 * len(letters) scalarized letters, named after
+    the letters' names in ``alphabet`` (by default letter k is Xk)."""
+    if alphabet is None:
+        alphabet = Alphabet.x(max((l.index for l in letters), default=0))
+    bases = [alphabet.letter_name(l) for l in letters]
+    if m == 1:
+        return Alphabet(bases)
+    cells = [f"_{i}{j}" for i in range(1, m + 1) for j in range(1, m + 1)]
+    return Alphabet([base + cell for base in bases for cell in cells])
 
 
 def coefficient(s: LinRep, word, alphabet: Alphabet | None = None) -> GenPoly:

@@ -359,6 +359,10 @@ class TestExpandAndEval:
         assert code == 0
         # (-i E21) B = [[0, 0], [-i, -i]]
         assert json.loads(out)["value"]["entries"] == [["0", "0"], ["0", "0"], ["0", "-1"], ["0", "-1"]]
+        # X1* names X1's adjoint as X1^* does
+        path.write_text(json.dumps({"X1": _matrix([[(2, 0)]]), "X1*": _matrix([[(5, 0)]])}))
+        code, out, _ = run_cli("eval", "--expr", "X1^* - X1", "--g", "1", "--point", f"file:{path}")
+        assert (code, out) == (0, "value = ExactMatrix([[3]])\n")
 
 
 class TestSampleAndFalsify:

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -7,6 +8,7 @@ from ncrat.core import ExactMatrix, Scalar
 from ncrat.acceptance import comminv_resolvent_rep, sprime_resolvent_rep
 from ncrat.errors import (
     AlphabetMismatch,
+    BudgetExceeded,
     DomainError,
     GOutOfRange,
     ResolventNotVanishing,
@@ -14,6 +16,7 @@ from ncrat.errors import (
 )
 from ncrat.ideals import (
     BUILTIN_KINDS,
+    UNITARY_G_CAP,
     RRIdeal,
     builtin_ideal,
     custom_ideal,
@@ -66,6 +69,13 @@ class TestBuiltins:
         # g >= 1 is checked by the ideal constructor, g <= 9 by the matrix alphabet
         with pytest.raises(GOutOfRange):
             builtin_ideal(kind, g)
+
+    @pytest.mark.parametrize("kind, g", [("U", UNITARY_G_CAP + 1), ("U", 9), ("Uprime", 9)])
+    def test_unitary_ideals_above_the_cap_are_refused_at_once(self, kind, g):
+        start = time.process_time()
+        with pytest.raises(BudgetExceeded, match="UNITARY_G_CAP"):
+            builtin_ideal(kind, g)
+        assert time.process_time() - start < 1.0
 
     def test_every_builtin_passes_its_construction_check(self):
         # construction re-runs the graph condition on every generator
@@ -489,7 +499,13 @@ class TestCustomIdeals:
     def test_base_point_must_bind_the_x_prime_letters(self):
         spec = json.loads(json.dumps(ONE_RELATOR))
         del spec["basepoint"]["matrices"]["X2"]
-        with pytest.raises(SpecError, match="base point misses x' letters"):
+        with pytest.raises(SpecError, match=r"base point misses x' letters \['X2'\]"):
+            custom_ideal(spec)
+
+    def test_resolvent_may_not_use_resolved_letters(self):
+        spec = json.loads(json.dumps(ONE_RELATOR))
+        spec["resolvent"] = {"X3": "X3 X1"}
+        with pytest.raises(SpecError, match=r"resolvent of X3 uses resolved letters \['X3'\]"):
             custom_ideal(spec)
 
     def test_every_letter_is_in_x_prime_or_resolved(self):
@@ -514,7 +530,14 @@ class TestCustomIdeals:
         with pytest.raises(SpecError, match=r"letters \['X2\^\*'\] are neither"):
             custom_ideal(spec)
         spec["basepoint"]["matrices"]["X2^*"] = one
-        assert custom_ideal(spec).resolved == (Letter(1, True),)
+        ideal = custom_ideal(spec)
+        assert ideal.resolved == (Letter(1, True),)
+        # X1* and X2* name the adjoints as X1^* and X2^* do
+        spec.update(resolved=["X1*"], resolvent={"X1*": "X1^-1"})
+        spec["basepoint"]["matrices"]["X2*"] = spec["basepoint"]["matrices"].pop("X2^*")
+        again = custom_ideal(spec)
+        assert (again.n, again.resolved) == (ideal.n, ideal.resolved)
+        assert again.basepoint == ideal.basepoint
 
     def test_starred_resolvent_letter_needs_a_star_ideal(self):
         spec = json.loads(json.dumps(ONE_RELATOR))
@@ -571,6 +594,11 @@ class TestCustomIdeals:
     def test_malformed_spec(self):
         with pytest.raises(SpecError):
             custom_ideal({"name": "nope", "g": 2})
+        # a letter name the parser cannot read is refused at load
+        spec = json.loads(json.dumps(ONE_RELATOR))
+        spec["letters"] = ["x1", "X2", "X3"]
+        with pytest.raises(SpecError, match="'x1'"):
+            custom_ideal(spec)
 
     def test_g_zero_rejected(self):
         spec = json.loads(json.dumps(ONE_RELATOR))

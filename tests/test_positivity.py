@@ -169,6 +169,9 @@ class TestExport:
         assert len(again.constraints) == len(problem.constraints)
         for a, b in zip(problem.constraints, again.constraints):
             assert a.word == b.word and a.pairs == b.pairs and a.rhs == b.rhs
+        # a word token X1* reads as X1^* does
+        path.write_text(path.read_text().replace("X1^*", "X1*"))
+        assert import_gram(str(path)).constraints == again.constraints
 
     @pytest.mark.parametrize("old, new", [
         ("X1^* -1 0 2 1 X1^* 1 0 X1 1 1 0", "X1^* -1 0 2 1 X1^* 1 0 X1"),
