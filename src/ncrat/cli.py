@@ -17,7 +17,7 @@ import sys
 from math import lcm
 
 from .core import ExactMatrix, FLOAT_TOL, Scalar, float_to_json
-from .errors import MALFORMED, BudgetExceeded, NcratError, SpecError
+from .errors import MALFORMED, NcratError, SpecError
 from .ideals import (
     BUILTIN_KINDS,
     builtin_ideal,
@@ -26,9 +26,9 @@ from .ideals import (
     witness_size,
     zero_set_sampler,
 )
-from .ncpoly import Alphabet, Letter, NcPoly, word_count, words_up_to
+from .ncpoly import Alphabet, Letter, NcPoly
 from .positivity import SohsCertificate, verify_certificate
-from .ratexpr import _point_binding, parse_expression, parse_poly
+from .ratexpr import _point_binding, parse_expression, parse_poly, poly_to_expression
 from .realization import BasePoint, compile_expression, minimize_scalar
 from .sampler import DOMAIN_KINDS, FALSIFY_MODES, SampleDomain, check_search, falsify, sample_point
 from . import bounds
@@ -133,7 +133,9 @@ def _emit(args, data: dict, human: str):
 
 def cmd_eval(args) -> int:
     text = args.poly if args.expr is None else args.expr
-    expr = parse_expression(text, _alphabet_for(args, text))
+    alph = _alphabet_for(args, text)
+    expr = (poly_to_expression(parse_poly(text, alph)) if args.expr is None
+            else parse_expression(text, alph))
     bp = _parse_basepoint(args.point, expr, "point")
     point = {l: bp[l] for l in sorted(expr.letters_used())}
     value = expr.eval(point)
@@ -141,36 +143,19 @@ def cmd_eval(args) -> int:
     return 0
 
 
-#: The most scalar words ``expand`` may walk, sum_{k<=order} (m^2 L)^k over
-#: L base letters; 9,841 (order 8, three scalar letters) take about 2 s.
-EXPAND_WORD_CAP = 10_000
-
-
 def cmd_expand(args) -> int:
-    from .series import coefficient
+    from .series import coefficients
 
     expr = parse_expression(args.expr, _alphabet_for(args, args.expr))
     bp = _parse_basepoint(args.basepoint, expr)
     rep = compile_expression(expr, bp)
-    letters = rep.m * rep.m * len(rep.letters)
-    if word_count(letters, args.order, EXPAND_WORD_CAP) > EXPAND_WORD_CAP:
-        raise BudgetExceeded(f"expand --order {args.order} over {letters} scalar letters walks"
-                             f" more than {EXPAND_WORD_CAP} words (cli.EXPAND_WORD_CAP)")
     alph = expr.alphabet
-    lines = []
-    rows = []
-    for w in words_up_to(rep.letters, args.order):
-        gp = coefficient(rep, w, alph)
-        if gp.is_zero():
-            continue
-        body = "; ".join(", ".join(str(p) for p in row) for row in gp.entries)
-        lines.append(f"[S, {alph.word_name(w)}] = [{body}]")
-        rows.append({"word": alph.word_name(w), "entries": body})
-    _emit(
-        args,
-        {"dimension": rep.dim, "coefficients": rows},
-        f"dimension {rep.dim}\n" + "\n".join(lines),
-    )
+    rows = [{"word": alph.word_name(w),
+             "entries": "; ".join(", ".join(map(str, row)) for row in gp.entries)}
+            for w, gp in coefficients(rep, args.order, alph).items()]
+    lines = [f"[S, {r['word']}] = [{r['entries']}]" for r in rows]
+    _emit(args, {"dimension": rep.dim, "coefficients": rows},
+          f"dimension {rep.dim}\n" + "\n".join(lines))
     return 0
 
 

@@ -105,7 +105,7 @@ class BudgetExceeded(NcratError):
     """A step whose cost grows fast in a user-chosen size would pass its
     documented cap (the basis words of a Gram problem,
     ``gram.GRAM_BASIS_CAP``, the words ``expand --order`` walks,
-    ``cli.EXPAND_WORD_CAP``, the leaves of a parsed expression with its
+    ``series.EXPAND_WORD_CAP``, the leaves of a parsed expression with its
     powers unfolded, ``ratexpr.EXPR_LEAF_CAP``, and the terms a polynomial
     text expands to, ``ratexpr.POLY_TERM_CAP``); the size is computed and
     refused before anything is enumerated, unfolded or expanded."""

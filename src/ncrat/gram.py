@@ -196,7 +196,7 @@ def import_gram(path: str) -> GramProblem:
         alph_line = lines[1].split()
         if alph_line[0] != "alphabet":
             raise SpecError("missing alphabet line")
-        alphabet = Alphabet(alph_line[1:])
+        alphabet = Alphabet.named(alph_line[1:])
         if g != alphabet.size:
             raise SpecError(f"header gives {g} letters, the alphabet line {alphabet.size}")
         # compare the basis count with the header, then with the cap,

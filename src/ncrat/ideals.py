@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import random
-import re
 from functools import lru_cache
 
 from . import bounds as _bounds
@@ -47,7 +46,7 @@ from .errors import (
     ResolventNotVanishing,
     SpecError,
 )
-from .ncpoly import LETTER_NAME, Alphabet, Letter, NcPoly, check_same_alphabet
+from .ncpoly import Alphabet, Letter, NcPoly, check_same_alphabet
 from .ratexpr import (
     Add,
     Inv,
@@ -596,10 +595,7 @@ def custom_ideal(spec) -> RRIdeal:
             with open(spec) as fh:
                 spec = json.load(fh)
         g = int(spec["g"])
-        alph = Alphabet(spec["letters"]) if "letters" in spec else Alphabet.x(g)
-        for lname in alph.names:
-            if not re.fullmatch(LETTER_NAME, str(lname)):
-                raise SpecError(f"letter name {lname!r} is not X or Y and a number")
+        alph = Alphabet.named(spec["letters"]) if "letters" in spec else Alphabet.x(g)
         bp_spec = spec["basepoint"]
         basepoint = {
             lname: ExactMatrix.from_json(mj) for lname, mj in bp_spec["matrices"].items()

@@ -8,6 +8,7 @@ reproducible printing and tests.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .core import Scalar, ZERO, ONE, _coerce
@@ -119,6 +120,15 @@ class Alphabet:
         names = [f"X{i}{j}" for i in range(1, g + 1) for j in range(1, g + 1)]
         if with_y:
             names += [f"Y{i}{j}" for i in range(1, g + 1) for j in range(1, g + 1)]
+        return Alphabet(names)
+
+    @staticmethod
+    def named(names: Sequence[str]) -> "Alphabet":
+        """The alphabet of names read from a file; a name that is not
+        LETTER_NAME, X or Y and a number, raises SpecError naming it."""
+        for name in names:
+            if not re.fullmatch(LETTER_NAME, str(name)):
+                raise SpecError(f"letter name {name!r} is not X or Y and a number")
         return Alphabet(names)
 
     def index_of(self, name: str) -> int | None:

@@ -4,12 +4,12 @@ A LinRep (see realization.py) stores a series as a weighted automaton
 (C, {A_l}, B), and the coefficient of a scalar word w is C A^w B.  This
 module reads those coefficients by one depth-first walk over words,
 ``_word_values``, which shares none of the arithmetic of the reachability
-closure of realization.py and so checks it independently: ``coefficient``
-gives the generalized-polynomial coefficient [S, w] at a word of base letters,
-``coefficient_table`` every nonzero coefficient up to a length, and
-``is_zero_by_enumeration`` the zero verdict by brute force.  ``eval_rep``
-evaluates the series at exact matrices through the closed form of the
-automaton.
+closure of realization.py and so checks it independently.  ``_grids`` groups
+its words by base word into the coefficients [S, w] that ``coefficient`` (one
+word), ``coefficients`` (the nonzero ones up to an order) and
+``coefficient_table`` (their m = 1 scalars) read; ``is_zero_by_enumeration``
+is the zero verdict by brute force.  ``eval_rep`` evaluates the series at
+exact matrices through the closed form of the automaton.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from .core import ZERO, ExactMatrix, Value, block_matrix, embed, matrix_inverse, split_blocks
-from .errors import DimensionMismatch, MissingLetter, ResolventSingular, SingularMatrixError
-from .ncpoly import Alphabet, Letter, NcPoly
+from .errors import (BudgetExceeded, DimensionMismatch, MissingLetter, ResolventSingular,
+                     SingularMatrixError)
+from .ncpoly import Alphabet, Letter, NcPoly, check_word_length, word_count
 from .ratexpr import _evaluate, poly_to_expression
 from .realization import LinRep, _add_combination
 
@@ -126,45 +127,61 @@ def scalar_alphabet(m: int, letters, alphabet=None) -> Alphabet:
     return Alphabet([base + cell for base in bases for cell in cells])
 
 
+def _grids(s: LinRep, choices, alphabet: Alphabet | None = None, keep=()) -> dict:
+    """The walk ``_word_values(s, choices)`` grouped by base word w, as {w: [S, w]}
+    (see ``coefficient``) in ``words_up_to`` order; a w of coefficient 0 is
+    left out unless its slots in s.letters are in ``keep``."""
+    m, mm = s.m, s.m * s.m
+    grids = {w: [{} for _ in range(mm)] for w in keep}
+    for v, value in _word_values(s, choices):
+        if not value.is_zero():
+            monomial = tuple(Letter(l + 1, False) for l in v)
+            grid = grids.setdefault(tuple(l // mm for l in v), [{} for _ in range(mm)])
+            for k, x in enumerate(value.entries):
+                grid[k][monomial] = x
+    galph = scalar_alphabet(m, s.letters, alphabet)
+    return {tuple(s.letters[k] for k in w): GenPoly(m, s.letters, tuple(
+                tuple(NcPoly(galph, grids[w][r * m + c]) for c in range(m)) for r in range(m)))
+            for w in sorted(grids, key=lambda w: (len(w), w))}
+
+
 def coefficient(s: LinRep, word, alphabet: Alphabet | None = None) -> GenPoly:
     """The exact coefficient [S, w] at a word of base letters: entry (r, c)
     is the sum of (C A^v B)[r, c] v over the scalar words v of the fiber
     of w, which take one of the m^2 scalar letters of each base letter.
     ``alphabet`` names the base letters in them (by default letter k is Xk)."""
-    galph = scalar_alphabet(s.m, s.letters, alphabet)
-    m, mm = s.m, s.m * s.m
-    choices = []
-    for letter in word:
-        try:
-            slot = s.letters.index(letter)
-        except ValueError:
-            raise MissingLetter(f"letter {letter} not in the representation") from None
-        choices.append(range(slot * mm, (slot + 1) * mm))
-    terms = [{} for _ in range(mm)]
-    for v, value in _word_values(s, choices):
-        if len(v) == len(choices):
-            monomial = tuple(Letter(l + 1, False) for l in v)
-            for k, x in enumerate(value.entries):
-                if x:
-                    terms[k][monomial] = x
-    grid = tuple(tuple(NcPoly(galph, terms[r * m + c]) for c in range(m)) for r in range(m))
-    return GenPoly(m, s.letters, grid)
+    missing = [letter for letter in word if letter not in s.letters]
+    if missing:
+        raise MissingLetter(f"letter {missing[0]} not in the representation")
+    mm = s.m * s.m
+    slots = tuple(s.letters.index(letter) for letter in word)
+    return _grids(s, [range(k * mm, (k + 1) * mm) for k in slots], alphabet, [slots])[tuple(word)]
 
 
 def coefficient_table(s: LinRep, max_len: int):
-    """All nonzero coefficients [S, w] with |w| <= max_len, for m = 1.
-
-    Returns {word: Scalar}; the scalar is the coefficient of the monomial
-    w itself (for m = 1 every coefficient is a multiple of its word).
-    """
+    """{w: the coefficient of the monomial w in [S, w]} for m = 1, where [S, w]
+    is a multiple of w, over the w with |w| <= max_len and [S, w] != 0."""
     if s.m != 1:
         raise DimensionMismatch("coefficient_table requires a scalar base point")
-    every_letter = range(len(s.letters))
-    return {
-        tuple(s.letters[l] for l in w): v.entries[0]
-        for w, v in _word_values(s, [every_letter] * max_len)
-        if v.entries[0]
-    }
+    return {w: x for w, gp in _grids(s, [range(len(s.letters))] * max_len).items()
+            for x in gp.entries[0][0].terms.values()}
+
+
+#: The most scalar words ``coefficients`` walks, sum_{k<=order} (m^2 L)^k over L letters.
+EXPAND_WORD_CAP = 10_000
+
+
+def coefficients(s: LinRep, order: int, alphabet: Alphabet | None = None) -> dict:
+    """{w: [S, w]} for the words w of base letters with |w| <= order and a
+    nonzero coefficient, in ``words_up_to`` order, read in one walk.  A
+    negative order raises SpecError, and one whose walk passes
+    EXPAND_WORD_CAP scalar words BudgetExceeded, before any word is walked."""
+    check_word_length(order)
+    n = s.m * s.m * len(s.letters)
+    if word_count(n, order, EXPAND_WORD_CAP) > EXPAND_WORD_CAP:
+        raise BudgetExceeded(f"expand --order {order} over {n} scalar letters walks"
+                             f" more than {EXPAND_WORD_CAP} words (series.EXPAND_WORD_CAP)")
+    return _grids(s, [range(n)] * order, alphabet)
 
 
 # ---------------------------------------------------------------------------

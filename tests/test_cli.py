@@ -11,12 +11,13 @@ from fractions import Fraction
 import pytest
 
 import ncrat
-from ncrat.cli import EXPAND_WORD_CAP, main
+from ncrat.cli import main
 from ncrat.core import ExactMatrix, Scalar
 from ncrat.gram import import_gram
 from ncrat.ideals import builtin_ideal
 from ncrat.ncpoly import word_count
 from ncrat.ratexpr import parse_poly
+from ncrat.series import EXPAND_WORD_CAP
 
 
 def run_cli(*argv):
@@ -305,6 +306,11 @@ class TestExpandAndEval:
         assert code == 0
         data = json.loads(out)
         assert data["value"]["entries"][0] == ["1/2", "0"]
+        # --poly reads a polynomial, as in every other command
+        code, out, err = run_cli("eval", "--poly", "X1^-1", "--g", "1", "--point", "scalar:2")
+        assert (code, out) == (2, "") and "contains an inverse" in err
+        code, out, _ = run_cli("eval", "--poly", "X1 X2 - 2 X2 X1", "--g", "2", "--point", "scalar:1,2")
+        assert (code, out) == (0, "value = ExactMatrix([[-2]])\n")
 
     def test_basepoint_file_list_form(self, tmp_path):
         # entry k binds X(k+1); a starred letter takes the conjugate transpose

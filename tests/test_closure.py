@@ -8,7 +8,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from ncrat.core import ExactMatrix, Scalar, matrix_inverse
-from ncrat.ncpoly import Letter
+from ncrat.ncpoly import Letter, words_up_to
 from ncrat.realization import (
     BasePoint,
     automaton_rep,
@@ -16,7 +16,7 @@ from ncrat.realization import (
     rep_add,
     scalar_rep_is_zero,
 )
-from ncrat.series import coefficient, is_zero_by_enumeration
+from ncrat.series import coefficient, coefficients, is_zero_by_enumeration
 
 from fraction_closure import reference_is_zero, reference_minimal_dimension, reference_word_value
 
@@ -187,3 +187,7 @@ def test_coefficient_matches_word_values_on_the_fiber(case):
                 for c in range(m):
                     assert gp.entries[r][c].coeff(monomials[v]) == value[r, c]
         assert all(set(p.terms) <= set(monomials.values()) for row in gp.entries for p in row)
+    # the one walk of coefficients reads what coefficient reads word by word
+    loop = [(w, gp) for w in words_up_to(rep.letters, 2)
+            if not (gp := coefficient(rep, w)).is_zero()]
+    assert list(coefficients(rep, 2).items()) == loop

@@ -190,6 +190,16 @@ class TestExport:
         with pytest.raises(SpecError):
             import_gram(str(path))
 
+    @pytest.mark.parametrize("head", ["d 0 letters 1 basis 1", "d 1 letters 1 basis 3"])
+    def test_alphabet_names_must_be_letter_names(self, tmp_path, head):
+        # with no word token to trip on, the name itself is refused
+        path = tmp_path / "problem.gram"
+        path.write_text(f"gram-problem {head} constraints 0\nalphabet x1\n")
+        with pytest.raises(SpecError, match="'x1'"):
+            import_gram(str(path))
+        path.write_text(f"gram-problem {head} constraints 0\nalphabet X1\n")
+        assert import_gram(str(path)).alphabet == Alphabet.x(1)
+
     def test_wrong_basis_count_fails_before_the_basis_is_built(self, tmp_path):
         # d 16 over one letter has 2^17 - 1 basis words; the header's count
         # is checked before any of them is enumerated

@@ -1,10 +1,12 @@
 import random
+import time
 
 import pytest
 
 from ncrat.core import ExactMatrix, Scalar
 from ncrat.errors import (
     BasepointMismatch,
+    BudgetExceeded,
     DimensionMismatch,
     DomainError,
     MissingLetter,
@@ -33,6 +35,7 @@ from ncrat.series import (
     GenPoly,
     coefficient,
     coefficient_table,
+    coefficients,
     eval_rep,
     is_zero_by_enumeration,
     scalar_alphabet,
@@ -507,6 +510,39 @@ class TestCoefficientLaws:
             for w in words_up_to((L1, L2), 4):
                 expect = t1.get(w, Scalar(0)) + a.entries[0] * t2.get(w, Scalar(0))
                 assert t.get(w, Scalar(0)) == expect
+
+
+    @pytest.mark.parametrize("text, bp, order", [
+        ("(2 - X1 - X2)^-1 X1", BP1, 4),
+        ("(X1*X2 - X2*X1)^-1", BP2x2, 3),
+        ("(3 - X1^* X1 + X2)^-1", BasePoint.scalars([1, 1, 1], [L1, Letter(1, True), L2]), 4),
+        ("X1*X2 - X1*X2", BP1, 3),
+    ], ids=["scalar", "E12-E21", "starred", "zero"])
+    def test_coefficients_read_as_the_per_word_loop(self, text, bp, order):
+        # one walk gives what coefficient gives word by word, in order
+        s = compile_text(text, bp)
+        loop = [(w, gp) for w in words_up_to(s.letters, order)
+                if not (gp := coefficient(s, w)).is_zero()]
+        assert list(coefficients(s, order).items()) == loop
+        assert (coefficients(s, order) == {}) == (text == "X1*X2 - X1*X2")
+
+    def test_coefficients_refuse_before_walking(self, monkeypatch):
+        s = compile_text("(4 - X1 - X2 - X3)^-1", BasePoint.scalars([0, 0, 0]), g=3)
+        two = compile_text("(1 + X1)^-1", BasePoint.from_mapping({L1: E12}), g=1)
+
+        def walk(*args):
+            raise AssertionError("a word was walked")
+
+        monkeypatch.setattr(series, "_word_values", walk)
+        start = time.process_time()
+        # sum_{k<=30} 3^k words, and at a 2 x 2 point 21,845 words to order 7
+        with pytest.raises(BudgetExceeded, match="over 3 scalar letters.*EXPAND_WORD_CAP"):
+            coefficients(s, 30)
+        with pytest.raises(BudgetExceeded, match="over 4 scalar letters"):
+            coefficients(two, 7)
+        assert time.process_time() - start < 1.0
+        with pytest.raises(SpecError, match="-1"):
+            coefficients(s, -1)
 
 
 class TestGenPoly:
