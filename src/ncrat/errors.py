@@ -104,8 +104,9 @@ class DegreeTooHigh(NcratError):
 class BudgetExceeded(NcratError):
     """A step whose cost grows fast in a user-chosen size would pass its
     documented cap (the basis words of a Gram problem,
-    ``gram.GRAM_BASIS_CAP``, the words ``expand --order`` walks,
-    ``series.EXPAND_WORD_CAP``, the leaves of a parsed expression with its
+    ``gram.GRAM_BASIS_CAP``, the leaves of a parsed expression with its
     powers unfolded, ``ratexpr.EXPR_LEAF_CAP``, and the terms a polynomial
-    text expands to, ``ratexpr.POLY_TERM_CAP``); the size is computed and
-    refused before anything is enumerated, unfolded or expanded."""
+    text expands to, ``ratexpr.POLY_TERM_CAP``, whose sizes are computed and
+    refused before anything is enumerated, unfolded or expanded; and the
+    words the series word walk visits, ``series.WORD_WALK_CAP``, which it
+    prunes as it runs, so it counts them and stops at the cap)."""

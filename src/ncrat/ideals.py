@@ -440,7 +440,10 @@ def is_member(f: NcPoly, ideal: RRIdeal) -> MembershipVerdict:
 
 
 def witness_size(f: NcPoly, ideal: RRIdeal) -> int:
-    """The matrix size at which vanishing on the zero set decides membership."""
+    """The matrix size at which vanishing on the zero set decides membership;
+    1 for the zero polynomial, which vanishes at every size."""
+    if not f:
+        return 1
     u, v = f.degree_and_terms()
     # A nonzero constant has degree 0.  The bounds grow with u, so the size
     # for degree 1 is also a valid test size for it.
@@ -583,7 +586,9 @@ def custom_ideal(spec) -> RRIdeal:
     through the same constructor and checks.  Each resolvent is compiled
     about the base point and minimized; the resolvent dimension n is the
     largest of those dimensions.  A malformed file or spec raises
-    SpecError, a resolvent undefined at the base point DomainError.
+    SpecError, a resolvent undefined at the base point DomainError.  A star
+    spec's generators must vanish exactly at the draws of its domain_kind
+    at sizes 1 and 2, and those draws must bind every letter (SpecError).
 
     The oracle for a custom ideal decides vanishing on the graph of the
     resolvent (equivalently on the Zariski closure of the zero set it
@@ -608,4 +613,17 @@ def custom_ideal(spec) -> RRIdeal:
                  basepoint, spec["resolved"], domain_kind)
     except MALFORMED as exc:
         raise SpecError(f"malformed ideal spec: {exc}") from exc
-    return _make_ideal(*parts)
+    ideal = _make_ideal(*parts)
+    # a domain_kind whose zero set the generators do not cut out would give
+    # witnesses off it; the draws come from _star_sampler, not the traced
+    # zero_set_sampler, so sampler.points_tried counts search draws only
+    for n in (1, 2) if ideal.star else ():
+        point = _star_sampler(domain_kind, g)(n, 0, 0)
+        if len(point) < alph.size:
+            name = alph.letter_name(Letter(len(point) + 1, False))
+            raise SpecError(f"a {domain_kind} draw at g = {g} does not bind {name}")
+        for f in ideal.generators:
+            if not f.eval(point).is_zero():
+                raise SpecError(f"domain_kind {domain_kind!r}: generator {f} does not vanish"
+                                " on its zero set")
+    return ideal

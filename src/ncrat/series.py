@@ -4,12 +4,12 @@ A LinRep (see realization.py) stores a series as a weighted automaton
 (C, {A_l}, B), and the coefficient of a scalar word w is C A^w B.  This
 module reads those coefficients by one depth-first walk over words,
 ``_word_values``, which shares none of the arithmetic of the reachability
-closure of realization.py and so checks it independently.  ``_grids`` groups
-its words by base word into the coefficients [S, w] that ``coefficient`` (one
-word), ``coefficients`` (the nonzero ones up to an order) and
-``coefficient_table`` (their m = 1 scalars) read; ``is_zero_by_enumeration``
-is the zero verdict by brute force.  ``eval_rep`` evaluates the series at
-exact matrices through the closed form of the automaton.
+closure of realization.py and so checks it independently; it alone holds a
+word budget.  ``_grids`` groups its words by base word into the coefficients
+[S, w] that ``coefficient`` (one word) and ``coefficients`` (the nonzero ones
+up to an order) read; ``coefficient_table`` (their m = 1 scalars) and
+``is_zero_by_enumeration`` (the zero verdict by brute force) view the latter.
+``eval_rep`` evaluates the series at exact matrices by the automaton's closed form.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Sequence
 from .core import ZERO, ExactMatrix, Value, block_matrix, embed, matrix_inverse, split_blocks
 from .errors import (BudgetExceeded, DimensionMismatch, MissingLetter, ResolventSingular,
                      SingularMatrixError)
-from .ncpoly import Alphabet, Letter, NcPoly, check_word_length, word_count
+from .ncpoly import Alphabet, Letter, NcPoly, check_word_length
 from .ratexpr import _evaluate, poly_to_expression
 from .realization import LinRep, _add_combination
 
@@ -27,6 +27,10 @@ from .realization import LinRep, _add_combination
 # ---------------------------------------------------------------------------
 # The word walk
 # ---------------------------------------------------------------------------
+
+
+#: The most words ``_word_values`` yields: sum_{k<=d} n^k to length d over n dense letters.
+WORD_WALK_CAP = 10_000
 
 
 def _word_values(s: LinRep, choices):
@@ -37,15 +41,21 @@ def _word_values(s: LinRep, choices):
     The m rows of C A^w are kept as sparse {state: value} dicts, and every
     step, row @ A_l to extend a word and row @ B to read it, is one
     ``_add_combination``.  A word whose rows all vanish is pruned with its
-    extensions, so every word left out has coefficient 0.
+    extensions, so every word left out has coefficient 0.  Its size shows
+    only as it runs: past WORD_WALK_CAP words it raises BudgetExceeded.
     """
     m, last = s.m, len(choices)
     b_rows = s.b_rows
     stack = [((), [s.c_rows.get(r, {}) for r in range(m)])]
+    walked = 0
     while stack:
         word, rows = stack.pop()
         if not any(rows):
             continue
+        walked += 1
+        if walked > WORD_WALK_CAP:
+            raise BudgetExceeded(f"the word walk to length {last} over {len(set().union(*choices))}"
+                                 f" scalar letters passes {WORD_WALK_CAP} words (series.WORD_WALK_CAP)")
         value = [ZERO] * (m * m)
         for r, row in enumerate(rows):
             for k, x in _add_combination({}, row, b_rows).items():
@@ -56,16 +66,6 @@ def _word_values(s: LinRep, choices):
         for l in reversed(choices[len(word)]):
             arows = s.A[l].rows
             stack.append((word + (l,), [_add_combination({}, row, arows) for row in rows]))
-
-
-def is_zero_by_enumeration(s: LinRep) -> bool:
-    """Cross-check oracle: test all scalar words of length < D, the number
-    of states, directly.
-
-    Exponential in D; intended for D <= 4 desk checks.
-    """
-    every_letter = range(len(s.A))
-    return all(v.is_zero() for _, v in _word_values(s, [every_letter] * (s.states - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +132,12 @@ def _grids(s: LinRep, choices, alphabet: Alphabet | None = None, keep=()) -> dic
     (see ``coefficient``) in ``words_up_to`` order; a w of coefficient 0 is
     left out unless its slots in s.letters are in ``keep``."""
     m, mm = s.m, s.m * s.m
+    scalar = [Letter(l + 1, False) for l in range(len(s.A))]
     grids = {w: [{} for _ in range(mm)] for w in keep}
     for v, value in _word_values(s, choices):
         if not value.is_zero():
-            monomial = tuple(Letter(l + 1, False) for l in v)
-            grid = grids.setdefault(tuple(l // mm for l in v), [{} for _ in range(mm)])
+            grid = grids.setdefault(tuple([l // mm for l in v]), [{} for _ in range(mm)])
+            monomial = tuple([scalar[l] for l in v])
             for k, x in enumerate(value.entries):
                 grid[k][monomial] = x
     galph = scalar_alphabet(m, s.letters, alphabet)
@@ -158,30 +159,29 @@ def coefficient(s: LinRep, word, alphabet: Alphabet | None = None) -> GenPoly:
     return _grids(s, [range(k * mm, (k + 1) * mm) for k in slots], alphabet, [slots])[tuple(word)]
 
 
+def coefficients(s: LinRep, order: int, alphabet: Alphabet | None = None) -> dict:
+    """{w: [S, w]} for the words w of base letters with |w| <= order and a
+    nonzero coefficient, in ``words_up_to`` order, read in one walk.  A
+    negative order raises SpecError, and a walk past WORD_WALK_CAP
+    words BudgetExceeded."""
+    check_word_length(order)
+    return _grids(s, [range(len(s.A))] * order, alphabet)
+
+
 def coefficient_table(s: LinRep, max_len: int):
     """{w: the coefficient of the monomial w in [S, w]} for m = 1, where [S, w]
     is a multiple of w, over the w with |w| <= max_len and [S, w] != 0."""
     if s.m != 1:
         raise DimensionMismatch("coefficient_table requires a scalar base point")
-    return {w: x for w, gp in _grids(s, [range(len(s.letters))] * max_len).items()
+    return {w: x for w, gp in coefficients(s, max_len).items()
             for x in gp.entries[0][0].terms.values()}
 
 
-#: The most scalar words ``coefficients`` walks, sum_{k<=order} (m^2 L)^k over L letters.
-EXPAND_WORD_CAP = 10_000
-
-
-def coefficients(s: LinRep, order: int, alphabet: Alphabet | None = None) -> dict:
-    """{w: [S, w]} for the words w of base letters with |w| <= order and a
-    nonzero coefficient, in ``words_up_to`` order, read in one walk.  A
-    negative order raises SpecError, and one whose walk passes
-    EXPAND_WORD_CAP scalar words BudgetExceeded, before any word is walked."""
-    check_word_length(order)
-    n = s.m * s.m * len(s.letters)
-    if word_count(n, order, EXPAND_WORD_CAP) > EXPAND_WORD_CAP:
-        raise BudgetExceeded(f"expand --order {order} over {n} scalar letters walks"
-                             f" more than {EXPAND_WORD_CAP} words (series.EXPAND_WORD_CAP)")
-    return _grids(s, [range(n)] * order, alphabet)
+def is_zero_by_enumeration(s: LinRep) -> bool:
+    """Cross-check oracle: zero when every scalar word shorter than D, the
+    number of states, has coefficient 0, read by ``coefficients`` (so past
+    WORD_WALK_CAP words BudgetExceeded); a 0-state automaton is zero."""
+    return not coefficients(s, max(s.states - 1, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from ncrat.gram import import_gram
 from ncrat.ideals import builtin_ideal
 from ncrat.ncpoly import word_count
 from ncrat.ratexpr import parse_poly
-from ncrat.series import EXPAND_WORD_CAP
+from ncrat.series import WORD_WALK_CAP
 
 
 def run_cli(*argv):
@@ -323,26 +323,34 @@ class TestExpandAndEval:
         assert json.loads(out)["value"]["entries"] == [["0", "-1"], ["0", "0"], ["0", "-2"], ["0", "0"]]
 
     def test_expand_order_over_the_word_cap_is_refused_at_once(self):
-        # sum_{k<=30} 3^k words: refused from the count, before any is listed
+        # every one of the sum_{k<=30} 3^k words is nonzero: the walk stops
+        # at the cap, and nothing is listed
         start = time.process_time()
         code, out, err = run_cli("expand", "--expr", "(4 - X1 - X2 - X3)^-1", "--g", "3",
                                  "--basepoint", "scalar:0", "--order", "30")
-        assert code == 2 and out == "" and "EXPAND_WORD_CAP" in err
+        assert code == 2 and out == "" and "WORD_WALK_CAP" in err
         assert time.process_time() - start < 1.0
         # order 8 walks 9,841 words, under the cap
-        assert word_count(3, 8, EXPAND_WORD_CAP) == 9841 <= EXPAND_WORD_CAP
+        assert word_count(3, 8, WORD_WALK_CAP) == 9841 <= WORD_WALK_CAP
 
     def test_expand_cap_counts_scalar_letters(self, tmp_path):
         # at a 2 x 2 base point X1 has four scalar letters: order 7 walks
-        # 21,845 words, over the cap, and order 5 walks 1,365
+        # 4,373 of its 21,845 words, under the cap, and order 10 passes it
         path = tmp_path / "point.json"
         path.write_text(json.dumps([E12]))
-        code, _, err = run_cli("expand", "--expr", "(1 + X1)^-1", "--g", "1",
-                               "--basepoint", f"file:{path}", "--order", "7")
-        assert code == 2 and "over 4 scalar letters" in err
         code, out, _ = run_cli("expand", "--expr", "(1 + X1)^-1", "--g", "1",
-                               "--basepoint", f"file:{path}", "--order", "5")
+                               "--basepoint", f"file:{path}", "--order", "7")
         assert code == 0 and "X1_12" in out
+        code, out, err = run_cli("expand", "--expr", "(1 + X1)^-1", "--g", "1",
+                                 "--basepoint", f"file:{path}", "--order", "10")
+        assert code == 2 and out == "" and "over 4 scalar letters" in err
+
+    def test_expand_walks_only_the_words_it_visits(self):
+        # the walk prunes every word that no monomial of X1 X2 begins with:
+        # it visits 3 words, not sum_{k<=20} 2^k
+        code, out, _ = run_cli("expand", "--expr", "X1 X2", "--g", "2",
+                               "--basepoint", "scalar:0", "--order", "20")
+        assert (code, out) == (0, "dimension 4\n[S, X1*X2] = [X1*X2]\n")
 
     def test_expand_names_letters_from_the_expression_alphabet(self, tmp_path):
         code, out, _ = run_cli("expand", "--expr", "Y1^-1 + X1", "--g", "1",
@@ -390,6 +398,14 @@ class TestSampleAndFalsify:
                                "--poly", "1 - X1^* X1",
                                "--sizes", "1..4", "--seed", "6", "--trials", "20")
         assert code == 0 and "no witness" in out
+
+    @pytest.mark.parametrize("text", ["0", "X1 - X1"])
+    def test_falsify_ideal_takes_the_zero_polynomial(self, text):
+        # it vanishes at every size, so its witness size is 1
+        code, out, err = run_cli("falsify", "--ideal", "T", "--g", "2", "--poly", text, "--seed", "1")
+        assert (code, out, err) == (0, "no witness found\n", "")
+        code, _, err = run_cli("bound", "--ideal", "T", "--g", "2", "--poly", text)
+        assert code == 2 and "degree of the zero polynomial" in err
 
     @pytest.mark.parametrize("text, code", [("X1^* X1", 0), ("- X1^* X1", 1)])
     def test_falsify_ideal_honours_mode(self, text, code):

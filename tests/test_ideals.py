@@ -14,6 +14,7 @@ from ncrat.errors import (
     ResolventNotVanishing,
     SpecError,
 )
+from ncrat import ideals
 from ncrat.ideals import (
     BUILTIN_KINDS,
     UNITARY_G_CAP,
@@ -32,7 +33,7 @@ from ncrat.ratexpr import (
     Add, Const, Inv, Mul, Neg, RatExpr, Var, eval_expression, format_expression, parse_poly,
 )
 from ncrat.realization import BasePoint, compile_expression, is_zero
-from ncrat.series import coefficient, coefficient_table
+from ncrat.series import coefficient, coefficient_table, coefficients
 from ncrat.sampler import falsify
 
 
@@ -539,6 +540,27 @@ class TestCustomIdeals:
         assert (again.n, again.resolved) == (ideal.n, ideal.resolved)
         assert again.basepoint == ideal.basepoint
 
+    def test_star_spec_domain_kind_must_fit_its_generators(self, monkeypatch):
+        # T(2) declared spherical: at the size-1 draw 1 - X1^* X1 is 13/58
+        one = {"rows": 1, "cols": 1, "entries": [["1", "0"]]}
+        spec = {
+            "g": 2, "star": True, "domain_kind": "spherical",
+            "generators": [f"1 - X{j}^* X{j}" for j in (1, 2)] + [f"1 - X{j} X{j}^*" for j in (1, 2)],
+            "resolved": ["X1^*", "X2^*"], "resolvent": {"X1^*": "X1^-1", "X2^*": "X2^-1"},
+            "basepoint": {"matrices": {"X1": one, "X2": one}},
+        }
+        # the check draws from _star_sampler, never from the traced sampler
+        monkeypatch.setattr(ideals, "zero_set_sampler", None)
+        with pytest.raises(SpecError, match=r"domain_kind 'spherical': generator 1 - X1\^\*\*X1 "):
+            custom_ideal(spec)
+        spec["domain_kind"] = "unitaries"
+        assert custom_ideal(spec).domain_kind == "unitaries"
+        # a third letter that a draw of two unitaries does not bind
+        spec.update(letters=["X1", "X2", "X3"])
+        spec["basepoint"]["matrices"].update(X3=one, **{"X3^*": one})
+        with pytest.raises(SpecError, match="unitaries draw at g = 2 does not bind X3"):
+            custom_ideal(spec)
+
     def test_starred_resolvent_letter_needs_a_star_ideal(self):
         spec = json.loads(json.dumps(ONE_RELATOR))
         spec["resolved"] = ["X3^*"]
@@ -582,6 +604,18 @@ class TestCustomIdeals:
         worked = sprime_resolvent_rep(g, ideal.basepoint)
         assert rep.dim == worked.dim == g + 1
         assert coefficient_table(rep, 6) == coefficient_table(worked, 6)
+
+    def test_sprime_resolvent_coefficients_read_as_the_per_word_loop(self):
+        # criterion 2's table of the Sprime(3) resolvent: 19,531 words of
+        # five letters to length 6, of which the walk visits 29
+        ideal = builtin_ideal("Sprime", 3)
+        s = compile_expression(ideal.resolvent[Letter(4, False)], ideal.basepoint)
+        loop = [(w, gp) for w in words_up_to(s.letters, 6)
+                if not (gp := coefficient(s, w)).is_zero()]
+        assert list(coefficients(s, 6).items()) == loop
+        table = {w: x for w, gp in loop for x in gp.entries[0][0].terms.values()}
+        assert coefficient_table(s, 6) == table
+        assert table == coefficient_table(sprime_resolvent_rep(3, ideal.basepoint), 6)
 
     def test_comminv_resolvent_is_the_worked_realization(self):
         ideal = builtin_ideal("CommInv", 3)

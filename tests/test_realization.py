@@ -512,37 +512,55 @@ class TestCoefficientLaws:
                 assert t.get(w, Scalar(0)) == expect
 
 
-    @pytest.mark.parametrize("text, bp, order", [
-        ("(2 - X1 - X2)^-1 X1", BP1, 4),
-        ("(X1*X2 - X2*X1)^-1", BP2x2, 3),
-        ("(3 - X1^* X1 + X2)^-1", BasePoint.scalars([1, 1, 1], [L1, Letter(1, True), L2]), 4),
-        ("X1*X2 - X1*X2", BP1, 3),
-    ], ids=["scalar", "E12-E21", "starred", "zero"])
-    def test_coefficients_read_as_the_per_word_loop(self, text, bp, order):
+    @pytest.mark.parametrize("text, bp, order, loop_order", [
+        ("(2 - X1 - X2)^-1 X1", BP1, 4, 4),
+        ("(X1*X2 - X2*X1)^-1", BP2x2, 3, 3),
+        ("(3 - X1^* X1 + X2)^-1", BasePoint.scalars([1, 1, 1], [L1, Letter(1, True), L2]), 4, 4),
+        ("X1*X2 - X1*X2", BP1, 3, 3),
+        # a polynomial of degree 2: no longer word has a nonzero coefficient
+        ("X1 X2", BasePoint.scalars([0, 0]), 20, 3),
+        # sum_{k<=7} 4^k = 21,845 scalar words, of which the walk visits 4,373
+        ("(1 + X1)^-1", BasePoint.from_mapping({L1: E12}), 7, 7),
+    ], ids=["scalar", "E12-E21", "starred", "zero", "polynomial", "E12"])
+    def test_coefficients_read_as_the_per_word_loop(self, text, bp, order, loop_order):
         # one walk gives what coefficient gives word by word, in order
         s = compile_text(text, bp)
-        loop = [(w, gp) for w in words_up_to(s.letters, order)
+        loop = [(w, gp) for w in words_up_to(s.letters, loop_order)
                 if not (gp := coefficient(s, w)).is_zero()]
         assert list(coefficients(s, order).items()) == loop
         assert (coefficients(s, order) == {}) == (text == "X1*X2 - X1*X2")
 
-    def test_coefficients_refuse_before_walking(self, monkeypatch):
-        s = compile_text("(4 - X1 - X2 - X3)^-1", BasePoint.scalars([0, 0, 0]), g=3)
-        two = compile_text("(1 + X1)^-1", BasePoint.from_mapping({L1: E12}), g=1)
+    def test_every_reader_refuses_past_the_walk_cap(self, monkeypatch):
+        dense = compile_text("(4 - X1 - X2 - X3)^-1", BasePoint.scalars([0, 0, 0]), g=3)
+        point = {L1: ExactMatrix.from_rows([[1, 2], [3, 5]]),
+                 L2: ExactMatrix.from_rows([[2, 1], [1, 1]])}
+        two = compile_text("(X1 X2 + 7)^-1", BasePoint.from_mapping(point))
+        assert (two.states, len(two.A)) == (12, 8)
+        walk, yielded = series._word_values, []
 
-        def walk(*args):
-            raise AssertionError("a word was walked")
+        def counted(*args):
+            for item in walk(*args):
+                yielded[-1] += 1
+                yield item
 
-        monkeypatch.setattr(series, "_word_values", walk)
-        start = time.process_time()
-        # sum_{k<=30} 3^k words, and at a 2 x 2 point 21,845 words to order 7
-        with pytest.raises(BudgetExceeded, match="over 3 scalar letters.*EXPAND_WORD_CAP"):
-            coefficients(s, 30)
-        with pytest.raises(BudgetExceeded, match="over 4 scalar letters"):
-            coefficients(two, 7)
-        assert time.process_time() - start < 1.0
+        monkeypatch.setattr(series, "_word_values", counted)
+        for read in (lambda: coefficients(dense, 30),
+                     lambda: is_zero_by_enumeration(two),
+                     lambda: coefficient(two, (L1,) * 10),
+                     lambda: coefficient_table(dense, 40)):
+            yielded.append(0)
+            start = time.process_time()
+            with pytest.raises(BudgetExceeded, match="WORD_WALK_CAP"):
+                read()
+            assert time.process_time() - start < 1.0
+            assert yielded[-1] == series.WORD_WALK_CAP
         with pytest.raises(SpecError, match="-1"):
-            coefficients(s, -1)
+            coefficients(dense, -1)
+
+    def test_a_dense_walk_to_the_cap_passes(self):
+        # sum_{k<=8} 3^k = 9,841 words: every one is walked, under the cap
+        s = compile_text("(4 - X1 - X2 - X3)^-1", BasePoint.scalars([0, 0, 0]), g=3)
+        assert len(coefficients(s, 8)) == 9841 <= series.WORD_WALK_CAP
 
 
 class TestGenPoly:
