@@ -93,7 +93,7 @@ def _parse_basepoint(spec: str, expr, what: str = "base point") -> BasePoint:
                      if (l := expr.alphabet.letter(name)) is not None and l.index in used}
     except MALFORMED as exc:
         raise SpecError(f"malformed {what} {spec!r}: {exc}") from exc
-    binding = _point_binding(given, "adjoint")
+    binding = _point_binding(given)
     missing = [expr.alphabet.letter_name(l) for l in letters if l not in binding]
     if missing:
         raise NcratError(f"{what} {spec!r} gives no value for {', '.join(missing)}")

@@ -21,7 +21,7 @@ class ZeroPolynomialError(NcratError):
     """Degree/term statistics of the zero polynomial are undefined."""
 
 
-class SizeMismatch(NcratError):
+class SizeMismatch(DimensionMismatch):
     """Evaluation point matrices do not all have the same (square) size."""
 
 
@@ -77,7 +77,7 @@ class SpecError(NcratError):
     """An input file (ideal spec, certificate, base point) or an ideal spec
     dict is malformed, or an argument is out of range (a search or sample
     setting, a size bound's parameter) or not one of its named choices (an
-    ideal kind, a search mode, a star rule)."""
+    ideal kind, a search mode)."""
 
 
 # The errors malformed file data raises while it is read (ZeroDivisionError

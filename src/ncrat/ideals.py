@@ -203,8 +203,16 @@ def _make_ideal(name: str, alphabet: Alphabet, g: int, generators, resolvent: di
     def names(letters):
         return [alphabet.letter_name(l) for l in sorted(letters)]
 
-    if domain_kind is None and any(l.starred for l in resolvent):
-        raise SpecError("starred resolvent letter in a non-star ideal")
+    if domain_kind is None:
+        if any(l.starred for l in resolvent):
+            raise SpecError("starred resolvent letter in a non-star ideal")
+        # the graph sampler draws only unstarred letters, and a witness
+        # search reads a starred one as its partner's adjoint
+        used = {l for f in gens for w in f.terms for l in w}.union(
+            bp.letters, *(expr.letters_used() for expr in resolvent.values()))
+        starred = [l for l in used if l.starred]
+        if starred:
+            raise SpecError(f"starred letters {names(starred)} in a non-star ideal")
     if set(resolvent) != resolved:
         raise SpecError("resolvent must map exactly the resolved letters")
     overlap = resolved & set(bp.letters)
@@ -449,8 +457,8 @@ def witness_size(f: NcPoly, ideal: RRIdeal) -> int:
     # for degree 1 is also a valid test size for it.
     u = max(u, 1)
     if ideal.star:
-        # a 1 x 1 grid of unitaries is one unitary
-        one_block = ideal.domain_kind == "partitioned" and ideal.g == 1
+        # a 1 x 1 grid of unitaries, and one isometry of a square size, is one unitary
+        one_block = ideal.g == 1 and ideal.domain_kind in ("partitioned", "spherical")
         return _bounds.star_bound("unitaries" if one_block else ideal.domain_kind, ideal.g, u, v)
     return _bounds.nss_bound(ideal.m, ideal.n, u, v)
 
@@ -524,7 +532,7 @@ def zero_set_sampler(ideal: RRIdeal):
             rng = random.Random(f"graph/{seed}/{n}/{trial}/{attempt}")
             binding = {l: _gaussian_integer_matrix(rng, n) for l in xprime}
             try:
-                binding.update(zip(ideal.resolved, _evaluate(roots, binding, "formal")))
+                binding.update(zip(ideal.resolved, _evaluate(roots, binding)))
             except DomainError:
                 continue
             return tuple(binding[Letter(i, False)] for i in range(1, size + 1))

@@ -295,18 +295,18 @@ class NcPoly:
 
     # -- evaluation -------------------------------------------------------
 
-    def eval(self, point, star_rule: str = "adjoint"):
+    def eval(self, point):
         """Evaluate at a tuple of square matrices (exact or float).
 
         ``point`` binds the unstarred letters in alphabet order; it may also
-        be a mapping from Letter to matrix.  Under the adjoint rule a starred
-        letter evaluates to the conjugate transpose of its partner; under the
-        formal rule every starred letter must be bound explicitly.  The value
-        is that of ratexpr.poly_to_expression(self) under eval_expression.
+        be a mapping from Letter to matrix.  A starred letter the point
+        leaves unbound evaluates to the conjugate transpose of its partner.
+        The value is that of ratexpr.poly_to_expression(self) under
+        eval_expression.
         """
         from .ratexpr import eval_expression, poly_to_expression
 
-        return eval_expression(poly_to_expression(self), point, star_rule)
+        return eval_expression(poly_to_expression(self), point)
 
     # -- structure --------------------------------------------------------
 

@@ -137,8 +137,8 @@ class RatExpr(Frozen):
     def height(self) -> int:
         return height(self)
 
-    def eval(self, point, star_rule: str = "adjoint"):
-        return eval_expression(self, point, star_rule)
+    def eval(self, point):
+        return eval_expression(self, point)
 
     def letters_used(self) -> set:
         out = set()
@@ -292,7 +292,12 @@ class _Parser:
         while True:
             k = self.peek()[0]
             if k == "*":
-                self.next()
+                (kind, name, start), (_, _, off) = self.tokens[self.pos - 1], self.next()
+                # a file key reads "X1*" as X1's adjoint, so "X1* X2" is refused
+                after = self.text[off + 1:off + 2]
+                if kind == "name" and start + len(name) == off and after.isspace():
+                    raise ParseError(f"'{name}*' before a space: write {name}^* for the adjoint,"
+                                     f" or {name}*Y or {name} Y for a product", off)
                 children.append(self.factor())
             elif k in ("name", "num", "("):
                 children.append(self.factor())
@@ -534,39 +539,32 @@ def substitute_letters(e: RatExpr, mapping: Mapping[Letter, "RatExpr | Node"]) -
 # Evaluation
 # ---------------------------------------------------------------------------
 
-# How an evaluation point binds a starred letter: to the conjugate transpose
-# of its partner, or only to a matrix the point gives for it.
-STAR_RULES = ("adjoint", "formal")
-
-
-def _point_binding(point, star_rule) -> dict:
+def _point_binding(point) -> dict:
     """Letter -> matrix for a point tuple (unstarred letters in alphabet
-    order) or mapping.  Under the adjoint rule each unstarred letter whose
-    starred partner the point does not bind also binds that partner, to
-    its conjugate transpose.  A rule outside STAR_RULES raises SpecError."""
-    if star_rule not in STAR_RULES:
-        raise SpecError(f"unknown star rule {star_rule!r}; choose from {STAR_RULES}")
+    order) or mapping.  Each unstarred letter whose starred partner the
+    point does not bind also binds that partner, to its conjugate
+    transpose; a letter the point binds keeps its binding."""
     if isinstance(point, Mapping):
         binding = dict(point)
     else:
         binding = {Letter(i + 1, False): m for i, m in enumerate(point)}
-    if star_rule == "adjoint":
-        for l, m in list(binding.items()):
-            if not l.starred and l.star not in binding:
-                binding[l.star] = conjugate_transpose(m)
+    for l, m in list(binding.items()):
+        if not l.starred and l.star not in binding:
+            binding[l.star] = conjugate_transpose(m)
     if not binding:
         raise SizeMismatch("empty evaluation point")
     return binding
 
 
-def _point_size(binding) -> int:
-    """The common size n of a binding's matrices, which must all be square
-    and either all exact or all float: a point that mixes the two raises
-    SpecError, as no arithmetic combines them."""
-    if len({isinstance(m, ExactMatrix) for m in binding.values()}) > 1:
+def _point_size(mats) -> int:
+    """The common size n of a point's matrices, which must all be square
+    (else SizeMismatch) and either all exact or all float: a point that
+    mixes the two raises SpecError, as no arithmetic combines them.  This
+    is the one check of a point's shape, for series and base points too."""
+    if len({isinstance(m, ExactMatrix) for m in mats}) > 1:
         raise SpecError("evaluation point mixes exact and float matrices")
     sizes = set()
-    for m in binding.values():
+    for m in mats:
         if isinstance(m, ExactMatrix):
             if not m.is_square:
                 raise SizeMismatch("evaluation point matrices must be square")
@@ -590,24 +588,25 @@ def _lookup(binding, letter: Letter):
         raise MissingLetter(f"letter {letter} not bound by evaluation point") from None
 
 
-def eval_expression(e: RatExpr, point, star_rule: str = "adjoint"):
+def eval_expression(e: RatExpr, point):
     """Evaluate at a tuple (or Letter mapping) of square matrices.
 
-    Exact matrices give an exact value; numpy arrays evaluate in floats,
-    and a point that mixes the two raises SpecError.  A singular inverse
-    raises DomainError carrying the path of child indices from the root
-    to the offending Inv node.  In floats, an argument whose smallest
-    singular value is at most FLOAT_TOL * max(1, largest) counts as
-    singular.
+    A starred letter the point leaves unbound evaluates to the conjugate
+    transpose of its partner's matrix.  Exact matrices give an exact value;
+    numpy arrays evaluate in floats, and a point that mixes the two raises
+    SpecError.  A singular inverse raises DomainError carrying the path of
+    child indices from the root to the offending Inv node.  In floats, an
+    argument whose smallest singular value is at most
+    FLOAT_TOL * max(1, largest) counts as singular.
     """
-    return _evaluate([e.node], point, star_rule)[0]
+    return _evaluate([e.node], point)[0]
 
 
-def _evaluate(roots, point, star_rule: str) -> list:
+def _evaluate(roots, point) -> list:
     """The values of the nodes ``roots`` at a point, in one fold, so a node
     they share is evaluated once."""
-    binding = _point_binding(point, star_rule)
-    n = _point_size(binding)
+    binding = _point_binding(point)
+    n = _point_size(binding.values())
     exact = isinstance(next(iter(binding.values())), ExactMatrix)
     if exact:
         ident = ExactMatrix.identity(n)

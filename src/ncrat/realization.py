@@ -74,7 +74,7 @@ from .errors import (
     SpecError,
 )
 from .ncpoly import Letter
-from .ratexpr import Add, Const, Mul, Neg, RatExpr, Var, fold
+from .ratexpr import Add, Const, Mul, Neg, RatExpr, Var, _point_size, fold
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +101,9 @@ class BasePoint(Frozen):
             raise SpecError("base point needs at least one letter")
         letters = tuple(sorted(mapping))
         mats = tuple(mapping[l] for l in letters)
-        m = mats[0].rows
-        for mat in mats:
-            if not mat.is_square or mat.rows != m:
-                raise DimensionMismatch("base point matrices must all be m x m")
-        return BasePoint(letters, mats, m)
+        if not all(isinstance(mat, ExactMatrix) for mat in mats):
+            raise DimensionMismatch("base point matrices must be exact")
+        return BasePoint(letters, mats, _point_size(mats))
 
     @staticmethod
     def scalars(values, letters=None) -> "BasePoint":

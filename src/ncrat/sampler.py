@@ -178,7 +178,7 @@ def draws(f, sample: Callable, sizes: Sequence[int], trials: int, seed: int,
             except ConditioningFailure:
                 break
             try:
-                value = eval_expression(expr, point, "adjoint")
+                value = eval_expression(expr, point)
             except DomainError:
                 continue
             yield n, trial, point, value

@@ -20,7 +20,7 @@ from .core import ZERO, ExactMatrix, Value, block_matrix, embed, matrix_inverse,
 from .errors import (BudgetExceeded, DimensionMismatch, MissingLetter, ResolventSingular,
                      SingularMatrixError)
 from .ncpoly import Alphabet, Letter, NcPoly, check_word_length
-from .ratexpr import _evaluate, poly_to_expression
+from .ratexpr import _evaluate, _point_size, poly_to_expression
 from .realization import LinRep, _add_combination
 
 
@@ -107,8 +107,7 @@ class GenPoly(Value):
         m = self.m
         blocks = [b for mat in point for row in split_blocks(mat, m) for b in row]
         binding = {Letter(k, False): b for k, b in enumerate(blocks, 1)}
-        values = _evaluate([poly_to_expression(p).node for row in self.entries for p in row],
-                           binding, "formal")
+        values = _evaluate([poly_to_expression(p).node for row in self.entries for p in row], binding)
         return block_matrix([values[i * m : (i + 1) * m] for i in range(m)])
 
     def __str__(self):
@@ -200,13 +199,10 @@ def eval_rep(s: LinRep, point) -> ExactMatrix:
     if not all(isinstance(p, ExactMatrix) for p in point):
         raise DimensionMismatch("cannot evaluate a series at float matrices: exact matrices only")
     m = s.m
-    size = point[0].rows
+    size = _point_size(point)
     if size % m:
         raise DimensionMismatch(f"point size {size} is not a multiple of m={m}")
     sfac = size // m
-    for mat in point:
-        if not mat.is_square or mat.rows != size:
-            raise DimensionMismatch("point matrices must be square of equal size")
     N = s.states * sfac
     entries = list(ExactMatrix.identity(N).entries)
     for slot in range(len(s.letters)):

@@ -142,7 +142,7 @@ class TestMember:
         assert None in witness["value"]["entries"][0]
         point = tuple(ExactMatrix.from_json(m) for m in witness["exact_point"])
         ideal = builtin_ideal(kind, 1)
-        assert value == parse_poly(f"{10 ** 400} X1", ideal.alphabet).eval(point, star_rule="adjoint")
+        assert value == parse_poly(f"{10 ** 400} X1", ideal.alphabet).eval(point)
 
     @pytest.mark.parametrize("witness", [[], ["--witness", "--seed", "1"]], ids=["verdict", "witness"])
     @pytest.mark.parametrize("poly", ["1 - X1 X1^*", "X1 X2 - X2 X1"], ids=["member", "non-member"])
@@ -178,10 +178,10 @@ class TestMember:
         witness = json.loads(out)["witness"]
         point = tuple(ExactMatrix.from_json(m) for m in witness["exact_point"])
         ideal = builtin_ideal(kind, g)
-        assert all(f.eval(point, star_rule="adjoint").is_zero() for f in ideal.generators)
+        assert all(f.eval(point).is_zero() for f in ideal.generators)
         value = ExactMatrix.from_json(witness["exact_value"])
         assert not value.is_zero()
-        assert parse_poly(text, ideal.alphabet).eval(point, star_rule="adjoint") == value
+        assert parse_poly(text, ideal.alphabet).eval(point) == value
 
     def test_negative_eigenvalue_witness_prints_its_score(self):
         # the score is how far the Hermitian part is from PSD; the largest
@@ -311,6 +311,16 @@ class TestExpandAndEval:
         assert (code, out) == (2, "") and "contains an inverse" in err
         code, out, _ = run_cli("eval", "--poly", "X1 X2 - 2 X2 X1", "--g", "2", "--point", "scalar:1,2")
         assert (code, out) == (0, "value = ExactMatrix([[-2]])\n")
+
+    @pytest.mark.parametrize("text", ["X1*X2", "X1 * X2", "X1 *X2", "X1^* X2"])
+    def test_product_spellings(self, text):
+        code, out, _ = run_cli("eval", "--expr", text, "--g", "2", "--point", "scalar:2,3")
+        assert (code, out) == (0, "value = ExactMatrix([[6]])\n")
+
+    def test_letter_star_before_a_space_is_refused(self):
+        # a point file reads the key X1* as X1's adjoint; text does not read X1* X2 as X1 X2
+        code, out, err = run_cli("eval", "--expr", "X1* X2", "--g", "2", "--point", "scalar:2,3")
+        assert (code, out) == (2, "") and "write X1^* for the adjoint" in err
 
     def test_basepoint_file_list_form(self, tmp_path):
         # entry k binds X(k+1); a starred letter takes the conjugate transpose
@@ -509,7 +519,44 @@ def _one_relator(x1="1"):
     }
 
 
+ONE = {"rows": 1, "cols": 1, "entries": [["1", "0"]]}
+# X1^* is bound apart from X1, which a non-star ideal refuses
+NONSTAR_ADJOINT = {
+    "g": 2, "generators": ["X2 - X1^* X1"], "resolved": ["X2"], "resolvent": {"X2": "X1^* X1"},
+    "basepoint": {"matrices": {"X1": ONE, "X1^*": {"rows": 1, "cols": 1, "entries": [["2", "0"]]}}},
+}
+SPHERE1 = {
+    "g": 1, "star": True, "domain_kind": "spherical", "generators": ["1 - X1^* X1"],
+    "resolved": ["X1^*"], "resolvent": {"X1^*": "X1^-1"}, "basepoint": {"matrices": {"X1": ONE}},
+}
+
+
 class TestCustomIdealFile:
+    def test_starred_letter_in_a_non_star_ideal_is_refused(self, tmp_path):
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps(NONSTAR_ADJOINT))
+        code, out, err = run_cli("member", "--ideal-file", str(path), "--poly", "X1 - X1^*",
+                                 "--witness", "--seed", "1")
+        assert (code, out, err) == (2, "", "error: starred letters ['X1^*'] in a non-star ideal\n")
+
+    def test_spherical_spec_at_g1(self, tmp_path):
+        # one isometry of a square size is a unitary, so the unitaries bound applies
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps(SPHERE1))
+        code, out, _ = run_cli("bound", "--ideal-file", str(path), "--poly", "X1 - X1^*")
+        assert code == 0 and "membership test size: 2\n" in out
+        code, out, _ = run_cli("member", "--ideal-file", str(path), "--poly", "X1 - X1^*",
+                               "--witness", "--seed", "1")
+        assert code == 1 and "witness at size 1, trial 0, largest entry = 24/37i\n" in out
+        code, out, _ = run_cli("member", "--ideal-file", str(path), "--poly", "X1 - X1^*",
+                               "--witness", "--seed", "1", "--json")
+        witness = json.loads(out)["witness"]
+        point = tuple(ExactMatrix.from_json(m) for m in witness["exact_point"])
+        value = ExactMatrix.from_json(witness["exact_value"])
+        alphabet = builtin_ideal("T", 1).alphabet
+        assert code == 1 and parse_poly("1 - X1^* X1", alphabet).eval(point).is_zero()
+        assert parse_poly("X1 - X1^*", alphabet).eval(point) == value and not value.is_zero()
+
     def test_member_against_ideal_file(self, tmp_path):
         path = tmp_path / "ideal.json"
         path.write_text(json.dumps(_one_relator()))

@@ -318,6 +318,12 @@ class TestWitnessSize:
         p = parse_poly("X11 X12 X21^* + X22", U2.alphabet)
         assert witness_size(p, U2) == 6
 
+    def test_spherical_g1_uses_the_unitaries_bound(self):
+        # one isometry of a square size is a unitary
+        ideal = custom_ideal(SPHERE1)
+        f = parse_poly("X1 - X1^*", ideal.alphabet)
+        assert witness_size(f, ideal) == 2 == witness_size(f, builtin_ideal("T", 1))
+
     def test_constant_uses_the_degree_one_size(self):
         T2 = builtin_ideal("T", 2)
         assert witness_size(NcPoly.constant(T2.alphabet, 3), T2) == 1
@@ -337,7 +343,7 @@ def graph_point_by_letter(ideal, n, seed, trial):
         }
         try:
             for l, expr in ideal.resolvent.items():
-                binding[l] = eval_expression(expr, binding, star_rule="formal")
+                binding[l] = eval_expression(expr, binding)
         except DomainError:
             continue
         return tuple(binding[Letter(i, False)] for i in range(1, ideal.alphabet.size + 1))
@@ -350,7 +356,7 @@ class TestZeroSetSampling:
             sampler = zero_set_sampler(ideal)
             point = sampler(3, 11, 0)
             for f in ideal.generators:
-                value = f.eval(point, star_rule="formal")
+                value = f.eval(point)
                 assert value.is_zero(), ideal.name
 
     def test_graph_point_evaluates_each_resolvent(self):
@@ -372,7 +378,7 @@ class TestZeroSetSampling:
                     point = sampler(n, 11, 0)
                     assert all(isinstance(p, ExactMatrix) and p.rows == n for p in point)
                     for f in ideal.generators:
-                        value = f.eval(point, star_rule="adjoint")
+                        value = f.eval(point)
                         assert value.is_zero(), (ideal.name, n)
 
     def test_member_vanishes_numerically(self):
@@ -381,7 +387,7 @@ class TestZeroSetSampling:
         sampler = zero_set_sampler(S2)
         for n in (1, 2, 5):
             for trial in range(5):
-                value = f.eval(sampler(n, 500, trial), star_rule="adjoint")
+                value = f.eval(sampler(n, 500, trial))
                 assert value.is_zero()
 
     def test_star_points_are_seeded_per_draw(self):
@@ -468,6 +474,17 @@ COMMINV = {
     "resolved": ["X3"],
     "resolvent": {"X3": "(X1*X2 - X2*X1)^-1"},
     "basepoint": {"m": 2, "matrices": {"X1": _unit_json(0, 1), "X2": _unit_json(1, 0)}},
+}
+
+
+def _one_by_one(value):
+    return {"rows": 1, "cols": 1, "entries": [[value, "0"]]}
+
+
+SPHERE1 = {
+    "g": 1, "star": True, "domain_kind": "spherical", "generators": ["1 - X1^* X1"],
+    "resolved": ["X1^*"], "resolvent": {"X1^*": "X1^-1"},
+    "basepoint": {"matrices": {"X1": _one_by_one("1")}},
 }
 
 
@@ -566,6 +583,21 @@ class TestCustomIdeals:
         spec["resolved"] = ["X3^*"]
         spec["resolvent"] = {"X3^*": "X1^-1 X2^-1 X1 X2"}
         with pytest.raises(SpecError, match="starred resolvent letter"):
+            custom_ideal(spec)
+
+    @pytest.mark.parametrize("generators, resolvent, starred_point", [
+        (["X2 - X1^* X1"], "X1^* X1", True),
+        (["X2 - X1 X1 - X1^*"], "X1 X1", False),
+        (["X2 - X1 X1"], "X1 X1 + X1^* - X1^*", False),
+        (["X2 - X1 X1"], "X1 X1", True),
+    ], ids=["everywhere", "generator", "resolvent-text", "base-point"])
+    def test_non_star_ideal_has_no_starred_letter(self, generators, resolvent, starred_point):
+        # a graph point binds no starred letter, and a search would read
+        # X1^* as X1's adjoint, off the zero set
+        matrices = {"X1": _one_by_one("1"), **({"X1^*": _one_by_one("2")} if starred_point else {})}
+        spec = {"g": 2, "generators": generators, "resolved": ["X2"], "resolvent": {"X2": resolvent},
+                "basepoint": {"matrices": matrices}}
+        with pytest.raises(SpecError, match=r"starred letters \['X1\^\*'\] in a non-star ideal"):
             custom_ideal(spec)
 
     def test_comminv_spec_matches_the_builtin(self):

@@ -9,14 +9,13 @@ from ncrat.core import ExactMatrix, Scalar
 from ncrat.errors import (
     AlphabetMismatch,
     GOutOfRange,
-    MissingLetter,
     SizeMismatch,
     SpecError,
     ZeroPolynomialError,
 )
 from ncrat.ncpoly import (Alphabet, Letter, NcPoly, grlex_key, word_count, word_star,
                           words_up_to)
-from ncrat.ratexpr import STAR_RULES, _lookup, _point_binding, _point_size
+from ncrat.ratexpr import _lookup, _point_binding, _point_size
 
 from conftest import random_exact_matrix
 
@@ -147,23 +146,30 @@ class TestEvaluation:
             point = (random_exact_matrix(rng, 2), random_exact_matrix(rng, 2))
             assert f.star().eval(point) == f.eval(point).conjugate_transpose()
 
-    def test_formal_rule_requires_star_binding(self):
+    def test_bound_starred_letter_keeps_its_binding(self):
+        # a starred letter the point binds is not replaced by its partner's adjoint
         f = NcPoly.var(A2, 1, starred=True)
         m = ExactMatrix.identity(2)
-        with pytest.raises(MissingLetter):
-            f.eval((m, m), star_rule="formal")
-        bound = {Letter(1, True): m}
-        assert f.eval(bound, star_rule="formal") == m
-
-    def test_unknown_star_rule_rejected(self):
-        m = ExactMatrix.identity(2)
-        with pytest.raises(SpecError):
-            NcPoly.var(A2, 1).eval((m, m), star_rule="transpose")
+        assert f.eval({Letter(1, True): m}) == m
+        a = ExactMatrix(2, 2, [Scalar(1), Scalar(2), Scalar(0), Scalar(1)])
+        assert f.eval({Letter(1): a, Letter(1, True): m}) == m
+        assert f.eval({Letter(1): a}) == a.conjugate_transpose()
 
     def test_mixed_sizes_rejected(self):
         f = NcPoly.var(A2, 1) + NcPoly.var(A2, 2)
         with pytest.raises(SizeMismatch):
             f.eval((ExactMatrix.identity(2), ExactMatrix.identity(3)))
+
+    def test_point_shape_is_checked(self):
+        f = NcPoly.var(A2, 1)
+        with pytest.raises(SizeMismatch, match="empty evaluation point"):
+            _point_binding(())
+        exact = ExactMatrix.zeros(2, 3)
+        with pytest.raises(SizeMismatch, match="square"):
+            f.eval({Letter(1): exact, Letter(1, True): exact})
+        flat = np.zeros((2, 3), dtype=complex)
+        with pytest.raises(SizeMismatch, match="square"):
+            f.eval({Letter(1): flat, Letter(1, True): flat})
 
     def test_float_evaluation(self):
         f = NcPoly.var(A2, 1) * NcPoly.var(A2, 2)
@@ -172,12 +178,12 @@ class TestEvaluation:
         assert np.allclose(f.eval((a, b)), a @ b)
 
 
-def reference_eval(f: NcPoly, point, star_rule="adjoint"):
+def reference_eval(f: NcPoly, point):
     """f at a point, word by word: each word multiplied out from the
     identity and scaled by its coefficient, exactly at exact points and in
     complex floats otherwise."""
-    binding = _point_binding(point, star_rule)
-    n = _point_size(binding)
+    binding = _point_binding(point)
+    n = _point_size(binding.values())
     if isinstance(next(iter(binding.values())), ExactMatrix):
         acc = ExactMatrix.zeros(n, n)
         for w, c in f.terms.items():
@@ -209,12 +215,12 @@ SOME_ENTRIES = [Scalar(k, k % 3 - 1) for k in range(16)]
 
 @settings(max_examples=300)
 @given(polys, st.integers(1, 2), st.lists(gaussian_ints, min_size=16, max_size=16),
-       st.sampled_from(POINT_FORMS), st.sampled_from(STAR_RULES), st.booleans())
-@example(NcPoly.zero(A2), 2, SOME_ENTRIES, "tuple", "adjoint", True)
-@example(NcPoly.zero(A2), 2, SOME_ENTRIES, "starred mapping", "formal", False)
-@example(NcPoly.constant(A2, Scalar(Fraction(1, 3), -1)), 2, SOME_ENTRIES, "mapping", "formal", True)
-@example(NcPoly.constant(A2, Scalar(Fraction(1, 3), -1)), 2, SOME_ENTRIES, "tuple", "adjoint", False)
-def test_eval_matches_word_by_word_reference(f, n, entries, form, star_rule, exact):
+       st.sampled_from(POINT_FORMS), st.booleans())
+@example(NcPoly.zero(A2), 2, SOME_ENTRIES, "tuple", True)
+@example(NcPoly.zero(A2), 2, SOME_ENTRIES, "starred mapping", False)
+@example(NcPoly.constant(A2, Scalar(Fraction(1, 3), -1)), 2, SOME_ENTRIES, "mapping", True)
+@example(NcPoly.constant(A2, Scalar(Fraction(1, 3), -1)), 2, SOME_ENTRIES, "tuple", False)
+def test_eval_matches_word_by_word_reference(f, n, entries, form, exact):
     chunks = [entries[4 * k : 4 * k + n * n] for k in range(4)]
     if exact:
         mats = [ExactMatrix(n, n, chunk) for chunk in chunks]
@@ -226,17 +232,8 @@ def test_eval_matches_word_by_word_reference(f, n, entries, form, star_rule, exa
         point = dict(zip(LETTERS4[::2] + LETTERS4[1::2], mats))
         if form == "mapping":
             point = {l: m for l, m in point.items() if not l.starred}
-
-    def outcome(evaluate):
-        try:
-            return evaluate(f, point, star_rule)
-        except MissingLetter:  # a starred letter the formal rule leaves unbound
-            return MissingLetter
-
-    want, got = outcome(reference_eval), outcome(NcPoly.eval)
-    if want is MissingLetter or got is MissingLetter:
-        assert got is want
-    elif exact:
+    want, got = reference_eval(f, point), f.eval(point)
+    if exact:
         assert got == want
     else:
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)

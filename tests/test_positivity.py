@@ -190,6 +190,23 @@ class TestExport:
         with pytest.raises(SpecError):
             import_gram(str(path))
 
+    @pytest.mark.parametrize("old, new, match", [
+        ("gram-problem d", "gram-problems d", "not a gram-problem file"),
+        ("alphabet X1", "alphabets X1", "missing alphabet line"),
+        ("X1X1 0 0 1", "X1x 0 0 1", "bad word token in 'X1x'"),
+        ("X1X1 0 0 1", "X2 0 0 1", "unknown letter in 'X2'"),
+        ("\nX1^*X1^* 0 0 1 X1 X1^* 1 0", "", "constraint count mismatch"),
+    ], ids=["first-word", "no-alphabet-line", "bad-word-token", "letter-outside-alphabet",
+            "constraint-line-missing"])
+    def test_each_refusal_names_its_fault(self, tmp_path, old, new, match):
+        path = tmp_path / "problem.gram"
+        export_gram(gram_constraints(parse_poly("(1 - X1)^*(1 - X1)", AL), 1), str(path))
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        with pytest.raises(SpecError, match=match):
+            import_gram(str(path))
+
     @pytest.mark.parametrize("head", ["d 0 letters 1 basis 1", "d 1 letters 1 basis 3"])
     def test_alphabet_names_must_be_letter_names(self, tmp_path, head):
         # with no word token to trip on, the name itself is refused

@@ -12,6 +12,7 @@ from ncrat.errors import (
     MissingLetter,
     ResolventSingular,
     SingularConstantTerm,
+    SizeMismatch,
     SpecError,
 )
 from ncrat.ncpoly import Alphabet, Letter, NcPoly, words_up_to
@@ -53,6 +54,21 @@ BP2x2 = BasePoint.from_mapping({L1: E12, L2: E21})
 
 def compile_text(text, bp, g=2):
     return compile_expression(parse_expression(text, Alphabet.x(g)), bp)
+
+
+class TestBasePoint:
+    def test_matrices_share_one_square_size(self):
+        with pytest.raises(SizeMismatch, match=r"mixed matrix sizes \[1, 2\]"):
+            BasePoint.from_mapping({L1: ExactMatrix.identity(1), L2: ExactMatrix.identity(2)})
+        with pytest.raises(SizeMismatch, match="square"):
+            BasePoint.from_mapping({L1: ExactMatrix.zeros(1, 2)})
+        assert BasePoint.from_mapping({L1: E12, L2: E21}).m == 2
+
+    def test_float_matrix_is_refused(self):
+        import numpy as np
+
+        with pytest.raises(DimensionMismatch, match="exact"):
+            BasePoint.from_mapping({L1: np.eye(1)})
 
 
 class TestConstructors:
@@ -379,6 +395,19 @@ class TestEvalRep:
         with pytest.raises(DimensionMismatch, match="exact matrices only"):
             eval_rep(s, (np.eye(2),))
 
+    def test_point_shape_is_checked(self):
+        # ratexpr._point_size is the one shape check; every refusal is a DimensionMismatch
+        s = compile_text("X1*X2", BP1)
+        with pytest.raises(DimensionMismatch, match="one point matrix per letter"):
+            eval_rep(s, (ExactMatrix.identity(2),))
+        with pytest.raises(SizeMismatch, match=r"mixed matrix sizes \[2, 3\]"):
+            eval_rep(s, (ExactMatrix.identity(2), ExactMatrix.identity(3)))
+        with pytest.raises(SizeMismatch, match="square"):
+            eval_rep(s, (ExactMatrix.zeros(2, 3), ExactMatrix.zeros(2, 3)))
+        s2 = compile_text("X1*X2", BP2x2)
+        with pytest.raises(DimensionMismatch, match="point size 3 is not a multiple of m=2"):
+            eval_rep(s2, (ExactMatrix.identity(3), ExactMatrix.identity(3)))
+
     def test_agrees_with_tree_evaluation(self):
         rng = random.Random(31)
         exprs = ["X1^-1", "X1*X2 - X2*X1", "(1 + X1*X2)^-1 * X1"]
@@ -576,6 +605,12 @@ class TestGenPoly:
             [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12], [13, 14, 15, 16]]
         )
         assert gp.eval((point,)) == point
+
+    def test_eval_needs_one_matrix_per_base_letter(self):
+        letters = (L1, L2)
+        entries = ((NcPoly.var(scalar_alphabet(1, letters), 1),),)
+        with pytest.raises(DimensionMismatch, match="one point matrix per base letter"):
+            GenPoly(1, letters, entries).eval((ExactMatrix.identity(2),))
 
     def test_eval_needs_exact_point(self):
         letters = (L1,)
