@@ -28,7 +28,7 @@ from .ideals import (
 )
 from .ncpoly import Alphabet, Letter, NcPoly
 from .positivity import SohsCertificate, verify_certificate
-from .ratexpr import _point_binding, parse_expression, parse_poly, poly_to_expression
+from .ratexpr import _bound, _point_binding, parse_expression, parse_poly, poly_to_expression
 from .realization import BasePoint, compile_expression, minimize_scalar
 from .sampler import DOMAIN_KINDS, FALSIFY_MODES, SampleDomain, check_search, falsify, sample_point
 from . import bounds
@@ -94,10 +94,11 @@ def _parse_basepoint(spec: str, expr, what: str = "base point") -> BasePoint:
     except MALFORMED as exc:
         raise SpecError(f"malformed {what} {spec!r}: {exc}") from exc
     binding = _point_binding(given)
-    missing = [expr.alphabet.letter_name(l) for l in letters if l not in binding]
+    point = {l: _bound(binding, l) for l in letters}
+    missing = [expr.alphabet.letter_name(l) for l, m in point.items() if m is None]
     if missing:
         raise NcratError(f"{what} {spec!r} gives no value for {', '.join(missing)}")
-    return BasePoint.from_mapping({l: binding[l] for l in letters})
+    return BasePoint.from_mapping(point)
 
 
 def _parse_sizes(spec: str) -> range:

@@ -526,6 +526,21 @@ def conjugate_transpose(a):
 # the scale beside it.
 
 
+class GaussianRatio:
+    """(a + b*i)/d for ints a, b and d > 0, not reduced, as the kernel's
+    reductions return a coordinate.  It has no arithmetic: gaussian_rows
+    reads its a, b and d as it reads a Scalar's, so a coordinate goes back
+    into the kernel without the gcd and the Scalar it would cost."""
+
+    __slots__ = ("a", "b", "d")
+
+
+def gaussian_ratio(a: int, b: int, d: int) -> GaussianRatio:
+    r = _new(GaussianRatio)
+    r.a, r.b, r.d = a, b, d
+    return r
+
+
 def _common_denominator(values) -> int:
     return lcm(*{x.d for x in values})
 
@@ -540,8 +555,8 @@ def gaussian_vector(values: dict):
 
 
 def gaussian_rows(rows):
-    """Clear the denominators of a sparse matrix ``{row: {col: Scalar}}`` and
-    turn it into columns.
+    """Clear the denominators of a sparse matrix ``{row: {col: x}}`` of
+    Scalars or GaussianRatios and turn it into columns.
 
     Returns (d, cols): d > 0 is the least common denominator, and ``cols``
     maps each nonzero column j of d * the matrix to a pair (re, im) of

@@ -541,16 +541,13 @@ def substitute_letters(e: RatExpr, mapping: Mapping[Letter, "RatExpr | Node"]) -
 
 def _point_binding(point) -> dict:
     """Letter -> matrix for a point tuple (unstarred letters in alphabet
-    order) or mapping.  Each unstarred letter whose starred partner the
-    point does not bind also binds that partner, to its conjugate
-    transpose; a letter the point binds keeps its binding."""
+    order) or mapping, as the point gives it.  Read it through ``_bound``
+    or ``_lookup``, which also give a starred letter the point leaves
+    unbound."""
     if isinstance(point, Mapping):
         binding = dict(point)
     else:
         binding = {Letter(i + 1, False): m for i, m in enumerate(point)}
-    for l, m in list(binding.items()):
-        if not l.starred and l.star not in binding:
-            binding[l.star] = conjugate_transpose(m)
     if not binding:
         raise SizeMismatch("empty evaluation point")
     return binding
@@ -581,11 +578,25 @@ def _point_size(mats) -> int:
     return sizes.pop()
 
 
-def _lookup(binding, letter: Letter):
-    try:
-        return binding[letter]
-    except KeyError:
-        raise MissingLetter(f"letter {letter} not bound by evaluation point") from None
+def _bound(binding: dict, letter: Letter):
+    """The matrix a ``_point_binding`` gives a letter, or None.  A letter
+    the point binds keeps its binding; a starred letter it leaves unbound
+    reads the conjugate transpose of its partner's matrix, made on the
+    first read and kept in the binding, so a point whose starred letters
+    are never read makes none."""
+    m = binding.get(letter)
+    if m is None and letter.starred:
+        partner = binding.get(letter.star)
+        if partner is not None:
+            m = binding[letter] = conjugate_transpose(partner)
+    return m
+
+
+def _lookup(binding: dict, letter: Letter):
+    m = _bound(binding, letter)
+    if m is None:
+        raise MissingLetter(f"letter {letter} not bound by evaluation point")
+    return m
 
 
 def eval_expression(e: RatExpr, point):

@@ -25,15 +25,17 @@ which the series is c (I_n - sum_l A^{Y_l})^{-1} b: block q, entry
 slot(l)*m^2 + i*m + j.  Each construction reads and builds the rows of
 C, B and the letter matrices directly: C1 B1, (C1 B1) C2, a^-1 C and
 a C are _add_combination steps, a block B = [0; B2] is the rows of B2
-under shifted keys, and no block of zeros is ever built.
+under shifted keys, no block of zeros is ever built, and a negation
+changes the sign of C and shares the rest.
 
 Zero testing is a reachability closure on the automaton, run on the
 sparse fraction-free kernel of core.py.  Minimization is one reachable
 pass run twice: it restricts the automaton to its reachable space, then
 to the reachable space of the transposed automaton (B^T, {A_l^T}, C^T),
-which is the observable space.  Coefficients are read by the word walk
-of series.py, which lives apart from the closure, shares none of its
-arithmetic and so checks it independently.
+which is the observable space; only the minimal automaton is made of
+Scalars.  Coefficients are read by the word walk of series.py, which
+lives apart from the closure, shares none of its arithmetic and so
+checks it independently.
 
 Sparse data has one format: a vector is ``{index: Scalar}`` over its
 nonzeros and a matrix ``{row: {col: Scalar}}`` over its nonzero rows
@@ -59,6 +61,7 @@ from .core import (
     ZERO,
     _coerce,
     gaussian_matvec,
+    gaussian_ratio,
     gaussian_rows,
     gaussian_scalar,
     gaussian_vector,
@@ -367,7 +370,9 @@ def rep_add(s1: LinRep, a, s2: LinRep) -> LinRep:
 
 def _extended(row: dict, b_rows: dict, c_rows: dict) -> dict:
     """row + (row B) C for the rows of B and of C: row itself when row B
-    vanishes, else a new dict."""
+    vanishes, as when row meets no row of B, else a new dict."""
+    if b_rows.keys().isdisjoint(row):
+        return row
     u = _add_combination({}, row, b_rows)
     return _add_combination(dict(row), u, c_rows) if u else row
 
@@ -395,18 +400,17 @@ def rep_inv(s: LinRep) -> LinRep:
 
     Requires the constant term a = [S, 1] = CB to be invertible in M_m(k);
     raises SingularConstantTerm otherwise (base point outside the domain
-    at this nesting level).
-    """
+    at this nesting level).  At m = 1, a is one Scalar, with no row when
+    it is zero, and a larger a is inverted by core.matrix_inverse."""
     m, D, b_rows = s.m, s.states, s.b_rows
+    a = _times_rows(s.c_rows, b_rows)
     try:
-        a_inv = matrix_inverse(_dense(_times_rows(s.c_rows, b_rows), m, m))
-    except SingularMatrixError:
-        raise SingularConstantTerm(
-            "constant term of the series is singular"
-        ) from None
+        a_inv = {0: {0: a[0][0].inverse()}} if m == 1 else _rows(matrix_inverse(_dense(a, m, m)))
+    except (KeyError, SingularMatrixError):
+        raise SingularConstantTerm("constant term of the series is singular") from None
     # C' = [-a^-1 C, a^-1] and B' = [0; I]
     c_rows = {}
-    for i, row in _rows(a_inv).items():
+    for i, row in a_inv.items():
         out = c_rows[i] = _add_combination({}, {k: -x for k, x in row.items()}, s.c_rows)
         out.update((D + j, x) for j, x in row.items())
     # A' = [[A - (A B) a^-1 C, (A B) a^-1], [0, 0]]: row i is A_i + (A_i B) C'
@@ -449,8 +453,10 @@ def compile_expression(e: RatExpr, basepoint: BasePoint, letter_reps: Mapping | 
             return rep
         if isinstance(node, Add):
             return _sum(kids)
-        if isinstance(node, Neg):
-            return _scaled(ExactMatrix.scalar(m, -1), kids[0])
+        if isinstance(node, Neg):  # C changes sign; A, B and the states are shared
+            s = kids[0]
+            c_rows = {i: {j: -x for j, x in row.items()} for i, row in s.c_rows.items()}
+            return LinRep(basepoint, c_rows, s.A, s.b_rows, s.states)
         if isinstance(node, Mul):
             return reduce(rep_mul, kids)
         try:
@@ -497,12 +503,8 @@ def scalar_rep_is_zero(s: LinRep) -> bool:
     expects to be present when ``scalarize`` is deleted.
     """
     _, c_cols = gaussian_rows(s.c_rows)
-
-    def observed(row):
-        re, im = gaussian_matvec(c_cols, row)
-        return bool(re or im)
-
-    return _closure(s, stop=observed) is not None
+    # stop at the first basis row that C does not annihilate
+    return _closure_of(s, stop=lambda row: any(gaussian_matvec(c_cols, row))) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -518,27 +520,22 @@ def _transposed(rows: dict) -> dict:
     return out
 
 
-def _closure(s: LinRep, stop=None, rows=None):
-    """Span of the columns of B under the letter matrices of s, on
-    FractionFreeBasis.
+def _closure(n: int, starts: list, letters: dict, stop=None, rows=None, entry=gaussian_scalar):
+    """Span of the start vectors, Gaussian-integer vectors (d, v), under
+    the letter matrices, on FractionFreeBasis(n).
 
-    Each new basis row is first passed to ``stop``; the closure returns
-    None as soon as that is true, and otherwise the basis.  ``rows``, when
-    given, is a list of len(s.A) + 1 empty dicts, and the closure writes
-    into it the automaton restricted to its span while it reduces:
-    rows[l][i][k] is coordinate i of letter l applied to basis row k, and
-    rows[-1][i][j] coordinate i of start vector j, so rows[l] are the rows
-    of the restricted A_l and rows[-1] those of the restricted B.  The
-    queue holds (letter, basis index) pairs, -1 for a start vector, and a
-    letter matrix is converted to Gaussian-integer columns when first
-    popped, so a closure that stops at a start vector converts none.  Every
-    vector is sparse: a step costs the nonzeros of the basis row and of the
-    columns they select, not D.
-    """
-    b_cols = _transposed(s.b_rows)
-    starts = [gaussian_vector(b_cols.get(j, {})) for j in range(s.m)]
-    letters = [l for l, mat in enumerate(s.A) if mat.rows]
-    basis = FractionFreeBasis(s.states)
+    ``letters`` maps each letter with a nonzero matrix to its rows, of
+    Scalars or GaussianRatios, which gaussian_rows turns into columns when
+    the letter is first popped.  Each new basis row is first passed to
+    ``stop``; the closure returns None as soon as that is true, and
+    otherwise the basis.  ``rows``, when given, is a dict into which the
+    closure writes the automaton restricted to its span, transposed, while
+    it reduces: rows[l][k] = {i: entry(re, im, den)} over the nonzero
+    coordinates i of letter l applied to basis row k (row k of the
+    restricted A_l^T), and rows[-1][j] those of start vector j (row j of
+    the restricted B^T).  The queue holds (letter, basis index) pairs, -1
+    for a start vector.  A step costs the nonzeros it touches, not n."""
+    basis = FractionFreeBasis(n)
     converted = {}
     queue = deque((-1, j) for j in range(len(starts)))
     while queue:
@@ -547,7 +544,7 @@ def _closure(s: LinRep, stop=None, rows=None):
             d, v = starts[k]
         else:
             if l not in converted:
-                converted[l] = gaussian_rows(s.A[l].rows)
+                converted[l] = gaussian_rows(letters[l])
             d, cols = converted[l]
             v = gaussian_matvec(cols, basis.vectors[k])
         steps = None if rows is None else []
@@ -557,37 +554,15 @@ def _closure(s: LinRep, stop=None, rows=None):
                 return None
             queue.extend((letter, new) for letter in letters)
         if steps:
-            target = rows[l]
-            for i, re, im, den in steps:
-                target.setdefault(i, {})[k] = gaussian_scalar(re, im, den * d)
+            rows.setdefault(l, {})[k] = {i: entry(re, im, den * d) for i, re, im, den in steps}
     return basis
 
 
-def _reachable(s: LinRep) -> LinRep:
-    """The automaton restricted to its reachable space, the closure of the
-    columns of B, with the closure's basis V: B = V B1, A_l V = V A1_l and
-    C1 = C V.  The closure's reductions already give the coordinates of B
-    and of every A_l v, each once, and it writes them as the rows of B1
-    and of the A1_l."""
-    rows = [{} for _ in range(len(s.A) + 1)]
-    basis = _closure(s, rows=rows)
-    b_rows = rows.pop()
-    d, c_cols = gaussian_rows(s.c_rows)
-    c_rows = {}
-    for k, v in enumerate(basis.vectors):
-        re, im = gaussian_matvec(c_cols, v)
-        im = im or {}
-        for i in re.keys() | im.keys():
-            c_rows.setdefault(i, {})[k] = gaussian_scalar(re.get(i, 0), im.get(i, 0), d)
-    return LinRep(s.basepoint, c_rows, [_matrix(a) for a in rows], b_rows, len(basis))
-
-
-def _transpose(s: LinRep) -> LinRep:
-    """The transposed automaton (B^T, {A_l^T}, C^T), which reads every word
-    backwards and transposes its coefficient; its reachable space is the
-    observable space of s."""
-    mats = [_matrix(_transposed(a.rows)) for a in s.A]
-    return LinRep(s.basepoint, _transposed(s.b_rows), mats, _transposed(s.c_rows), s.states)
+def _closure_of(s: LinRep, **options):
+    """_closure of the columns of B under the letter matrices of s."""
+    b_cols = _transposed(s.b_rows)
+    starts = [gaussian_vector(b_cols.get(j, {})) for j in range(s.m)]
+    return _closure(s.states, starts, {l: a.rows for l, a in enumerate(s.A) if a.rows}, **options)
 
 
 def minimize_scalar(s: LinRep):
@@ -595,12 +570,34 @@ def minimize_scalar(s: LinRep):
 
     Returns (reduced LinRep, D_min), D_min its number of states.
     Coefficients are unchanged, and the result is a minimal automaton of
-    the series, about the same base point.  When C annihilates the
-    reachable subspace, which is the zero verdict, the automaton with no
-    states is returned at once.
+    the series, about the same base point.
+
+    The reachable pass, the closure V of the columns of B, writes the
+    restricted automaton (C V, {A1_l}, B1) transposed, as GaussianRatios.
+    When C V is zero, the zero verdict, the automaton with no states is
+    returned before any Scalar is made.  The observable pass is the
+    reachable pass of (B1^T, {A1_l^T}, (C V)^T): it starts from the rows
+    of C V, reads the rows of A1_l the first pass wrote as the columns of
+    A1_l^T, and writes its own restriction transposed, the minimal
+    automaton.
     """
-    mid = _reachable(s)
-    if not mid.c_rows:
+    rows = {}
+    basis = _closure_of(s, rows=rows, entry=gaussian_ratio)
+    d, c_cols = gaussian_rows(s.c_rows)
+    cv = [gaussian_matvec(c_cols, v) for v in basis.vectors]  # d * C V, by columns
+    cv_re = _transposed(dict(enumerate(re for re, _ in cv)))
+    cv_im = _transposed({k: im for k, (_, im) in enumerate(cv) if im})
+    if not cv_re and not cv_im:
         return LinRep(s.basepoint, {}, [_EMPTY] * len(s.A), {}, 0), 0
-    out = _transpose(_reachable(_transpose(mid)))
-    return out, out.states
+    starts = [(d, (cv_re.get(i, {}), cv_im.get(i))) for i in range(s.m)]
+    out = {}
+    basis = _closure(len(basis), starts, {l: rows[l] for l in sorted(rows) if l >= 0}, rows=out)
+    e, b1_cols = gaussian_rows(rows[-1])  # row k of B is B1^T applied to basis row k
+    b_rows = {}
+    for k, v in enumerate(basis.vectors):
+        re, im = gaussian_matvec(b1_cols, v)
+        im = im or {}
+        if re or im:
+            b_rows[k] = {j: gaussian_scalar(re.get(j, 0), im.get(j, 0), e) for j in re.keys() | im.keys()}
+    mats = [_matrix(out.get(l, {})) for l in range(len(s.A))]
+    return LinRep(s.basepoint, out.get(-1, {}), mats, b_rows, len(basis)), len(basis)

@@ -104,6 +104,7 @@ class GenPoly(Value):
         """
         if len(point) != len(self.letters):
             raise DimensionMismatch("one point matrix per base letter required")
+        _point_size(point)  # the one shape check, before the point is split
         m = self.m
         blocks = [b for mat in point for row in split_blocks(mat, m) for b in row]
         binding = {Letter(k, False): b for k, b in enumerate(blocks, 1)}

@@ -10,11 +10,27 @@ C A^w B with ``reference_word_value``.  Its products ``_matvec``,
 data types, and ``hstack``, ``vstack`` and ``dense`` build the block
 formulas of the automaton constructions that tests compare ncrat's sparse
 rows with.
+
+``reference_minimize`` is the minimization ncrat ran before it kept the
+intermediate automaton in the kernel's form: a reachable pass that writes
+Scalars, run on the automaton and then on its transpose, with every
+transpose built as a LinRep.  It shares the fraction-free kernel with
+ncrat, so it picks the same bases, and tests compare the two entry for
+entry.
 """
 
 from collections import deque
 
-from ncrat.core import ZERO, ExactMatrix
+from ncrat.core import (
+    ZERO,
+    ExactMatrix,
+    FractionFreeBasis,
+    gaussian_matvec,
+    gaussian_rows,
+    gaussian_scalar,
+    gaussian_vector,
+)
+from ncrat.realization import _EMPTY, LinRep, _matrix
 
 
 def rref(rows):
@@ -183,3 +199,73 @@ def vstack(parts) -> ExactMatrix:
 def dense(mat, n: int) -> ExactMatrix:
     """A SparseMatrix of size n as an n x n ExactMatrix."""
     return ExactMatrix(n, n, [mat.rows.get(i, {}).get(j, ZERO) for i in range(n) for j in range(n)])
+
+
+def _transposed(rows: dict) -> dict:
+    out = {}
+    for i, row in rows.items():
+        for j, x in row.items():
+            out.setdefault(j, {})[i] = x
+    return out
+
+
+def _scalar_closure(s, rows):
+    """The closure of B's columns under the letter matrices of s on
+    FractionFreeBasis, writing rows[l][i][k] = coordinate i of letter l
+    applied to basis row k (rows[-1] for the start vectors) as Scalars."""
+    b_cols = _transposed(s.b_rows)
+    starts = [gaussian_vector(b_cols.get(j, {})) for j in range(s.m)]
+    letters = [l for l, mat in enumerate(s.A) if mat.rows]
+    basis = FractionFreeBasis(s.states)
+    converted = {}
+    queue = deque((-1, j) for j in range(len(starts)))
+    while queue:
+        l, k = queue.popleft()
+        if l < 0:
+            d, v = starts[k]
+        else:
+            if l not in converted:
+                converted[l] = gaussian_rows(s.A[l].rows)
+            d, cols = converted[l]
+            v = gaussian_matvec(cols, basis.vectors[k])
+        steps = []
+        new = basis.add(v, steps)
+        if new is not None:
+            queue.extend((letter, new) for letter in letters)
+        target = rows[l]
+        for i, re, im, den in steps:
+            target.setdefault(i, {})[k] = gaussian_scalar(re, im, den * d)
+    return basis
+
+
+def _reachable(s):
+    """s restricted to the closure V of B's columns: B = V B1,
+    A_l V = V A1_l and C1 = C V."""
+    rows = [{} for _ in range(len(s.A) + 1)]
+    basis = _scalar_closure(s, rows)
+    b_rows = rows.pop()
+    d, c_cols = gaussian_rows(s.c_rows)
+    c_rows = {}
+    for k, v in enumerate(basis.vectors):
+        re, im = gaussian_matvec(c_cols, v)
+        im = im or {}
+        for i in re.keys() | im.keys():
+            c_rows.setdefault(i, {})[k] = gaussian_scalar(re.get(i, 0), im.get(i, 0), d)
+    return LinRep(s.basepoint, c_rows, [_matrix(a) for a in rows], b_rows, len(basis))
+
+
+def _transpose(s):
+    """(B^T, {A_l^T}, C^T), whose reachable space is the observable space of s."""
+    mats = [_matrix(_transposed(a.rows)) for a in s.A]
+    return LinRep(s.basepoint, _transposed(s.b_rows), mats, _transposed(s.c_rows), s.states)
+
+
+def reference_minimize(s):
+    """(LinRep, states): s restricted to its reachable, then its
+    observable space, or the automaton with no states when C annihilates
+    the reachable space."""
+    mid = _reachable(s)
+    if not mid.c_rows:
+        return LinRep(s.basepoint, {}, [_EMPTY] * len(s.A), {}, 0), 0
+    out = _transpose(_reachable(_transpose(mid)))
+    return out, out.states

@@ -155,6 +155,20 @@ class TestEvaluation:
         assert f.eval({Letter(1): a, Letter(1, True): m}) == m
         assert f.eval({Letter(1): a}) == a.conjugate_transpose()
 
+    def test_partner_adjoint_is_made_only_when_read(self, monkeypatch):
+        import ncrat.ratexpr as ratexpr
+
+        made = []
+        adjoint = ratexpr.conjugate_transpose
+        monkeypatch.setattr(ratexpr, "conjugate_transpose", lambda m: made.append(m) or adjoint(m))
+        a = ExactMatrix(2, 2, [Scalar(1), Scalar(2), Scalar(0), Scalar(1)])
+        b = ExactMatrix.identity(2)
+        f = NcPoly.var(A2, 1) * NcPoly.var(A2, 2)
+        assert f.eval((a, b)) == a and made == []
+        g = NcPoly.var(A2, 1, starred=True) * NcPoly.var(A2, 1) * NcPoly.var(A2, 1, starred=True)
+        adj = a.conjugate_transpose()
+        assert g.eval((a, b)) == adj * a * adj and made == [a]
+
     def test_mixed_sizes_rejected(self):
         f = NcPoly.var(A2, 1) + NcPoly.var(A2, 2)
         with pytest.raises(SizeMismatch):

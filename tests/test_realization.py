@@ -259,6 +259,16 @@ class TestCompile:
             compile_text("X2*(X1^-1)", BasePoint.scalars([0, 1]))
         assert err.value.path == (1,)
 
+    def test_inner_singular_inverse_reports_its_path(self):
+        # the constant term of (X1 - X1) is one zero Scalar at m = 1 and the
+        # 2 x 2 zero matrix at E12; that of X1 at E12 is singular, not zero
+        e12 = BasePoint.from_mapping({L1: E12})
+        for text, bp in (("X1 + (X1 - X1)^-1", BasePoint.scalars([1])),
+                         ("X1 + (X1 - X1)^-1", e12), ("X1 + X1^-1", e12)):
+            with pytest.raises(DomainError) as err:
+                compile_text(text, bp, g=1)
+            assert err.value.path == (1,)
+
     def test_shared_subtree_compiles_once(self, monkeypatch):
         # one node object used three times compiles to the same automaton
         # as three separate copies, with a single inverse construction
@@ -611,6 +621,17 @@ class TestGenPoly:
         entries = ((NcPoly.var(scalar_alphabet(1, letters), 1),),)
         with pytest.raises(DimensionMismatch, match="one point matrix per base letter"):
             GenPoly(1, letters, entries).eval((ExactMatrix.identity(2),))
+
+    def test_non_square_point_is_refused_as_by_eval_rep(self):
+        letters = (L1,)
+        gp = GenPoly(1, letters, ((NcPoly.var(scalar_alphabet(1, letters), 1),),))
+        s = compile_text("X1", BasePoint.scalars([1]), g=1)
+        messages = []
+        for evaluate in (gp.eval, lambda point: eval_rep(s, point)):
+            with pytest.raises(SizeMismatch) as err:
+                evaluate((ExactMatrix.zeros(2, 3),))
+            messages.append(str(err.value))
+        assert messages == ["evaluation point matrices must be square"] * 2
 
     def test_eval_needs_exact_point(self):
         letters = (L1,)

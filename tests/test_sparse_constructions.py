@@ -3,8 +3,10 @@
 ``rep_mul``, ``rep_inv``, ``_sum`` and ``_scaled`` build the rows of C, B
 and the letter matrices directly.  Here their results are compared, entry
 for entry, with the block formulas of the realization docstring computed
-on dense matrices, and every automaton that compile and minimization
-return is checked to hold only nonzero entries and no empty row."""
+on dense matrices, minimization is compared with the Scalar-form
+reference of fraction_closure.py, and every automaton that compile and
+minimization return is checked to hold only nonzero entries and no empty
+row."""
 
 import os
 import shlex
@@ -28,7 +30,7 @@ from ncrat.realization import (
     rep_mul,
 )
 
-from fraction_closure import dense, hstack, rref, vstack
+from fraction_closure import dense, hstack, reference_minimize, rref, vstack
 from test_closure import VALUES, _block, _rep, _triangular_change
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -97,7 +99,7 @@ def test_product_matches_block_formulas(case):
 
 
 def test_inverse_matches_block_formulas():
-    invertible = []
+    invertible, reached = [], set()
 
     @settings(max_examples=80)
     @given(operands(zero=st.just(False)))
@@ -106,6 +108,7 @@ def test_inverse_matches_block_formulas():
         m, D = s.m, C.cols
         a_inv = _inverse(C * B)
         invertible.append(a_inv is not None)
+        reached.add((m, a_inv is not None))
         try:
             inv = rep_inv(s)
         except SingularConstantTerm:
@@ -117,6 +120,28 @@ def test_inverse_matches_block_formulas():
 
     check()
     assert sum(invertible) >= len(invertible) // 4
+    # a one-Scalar constant term at m = 1 and a 2 x 2 one, each invertible and singular
+    assert reached == {(1, True), (1, False), (2, True), (2, False)}
+
+
+def test_minimization_matches_the_scalar_reference():
+    zeros = []
+
+    @settings(max_examples=80)
+    @given(operands())
+    def check(case):
+        ((s1, _), (s2, _)), a = case
+        for s in (s1, s2, rep_mul(s1, s2), _sum([s1, _scaled(a, s2)])):
+            small, states = minimize_scalar(s)
+            ref, ref_states = reference_minimize(s)
+            assert states == small.states == ref_states
+            assert small.basepoint is s.basepoint
+            assert small.c_rows == ref.c_rows and small.b_rows == ref.b_rows
+            assert [x.rows for x in small.A] == [x.rows for x in ref.A]
+            zeros.append(states == 0)
+
+    check()
+    assert any(zeros) and not all(zeros)
 
 
 def _readme_commands():
