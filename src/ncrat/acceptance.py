@@ -384,7 +384,7 @@ def criterion_7(full: bool = True) -> CriterionResult:
             ideal = builtin_ideal(kind, g)
             # the float samplers of the *-zero sets; the witness searches
             # below draw exact points
-            sampler = SampleDomain(ideal.domain_kind, g)
+            sampler = ideal.domain
             for i, f in enumerate(_small_star_members(ideal, members, seed=7000 + g)):
                 sizes = range(1, witness_size(f, ideal) + 1)
                 worst = max(float(np.max(np.abs(value)))
@@ -518,11 +518,10 @@ ALL_CRITERIA = (
 )
 
 
-def run_all(full: bool = True, echo=print):
+def run_all(full: bool = True):
     results = []
     for crit in ALL_CRITERIA:
         res = crit(full)
         results.append(res)
-        if echo:
-            echo(res.line())
+        print(res.line())
     return results

@@ -16,7 +16,7 @@ import json
 import sys
 from math import lcm
 
-from .core import ExactMatrix, FLOAT_TOL, Scalar, float_to_json
+from .core import ExactMatrix, Scalar, float_to_json
 from .errors import MALFORMED, NcratError, SpecError
 from .ideals import (
     BUILTIN_KINDS,
@@ -35,14 +35,8 @@ from . import bounds
 
 
 def _alphabet_for(args, text: str) -> Alphabet:
-    """Pick the alphabet: matrix letters for partitioned domains, X/Y pairs
-    when the text mentions Y letters, plain X letters otherwise."""
-    g = args.g
-    if getattr(args, "domain", None) == "partitioned":
-        return Alphabet.matrix(g)
-    if getattr(args, "domain", None) == "xgn" or "Y" in text:
-        return Alphabet.xy(g)
-    return Alphabet.x(g)
+    """X/Y pairs when the text mentions Y letters, plain X letters otherwise."""
+    return Alphabet.xy(args.g) if "Y" in text else Alphabet.x(args.g)
 
 
 def _resolve_ideal(args):
@@ -266,16 +260,16 @@ def cmd_falsify(args) -> int:
         ideal = _resolve_ideal(args)
         f = parse_poly(text, ideal.alphabet)
         sizes = _parse_sizes(args.sizes) if args.sizes else range(1, witness_size(f, ideal) + 1)
-        sizes = check_search(args.trials, sizes, args.tol, args.mode)
+        sizes = check_search(args.trials, sizes)
         # where f vanishes on the zero set no point can witness anything
         witness = None if is_member(f, ideal) else falsify(
-            f, zero_set_sampler(ideal), sizes, args.trials, seed, args.mode, args.tol)
+            f, zero_set_sampler(ideal), sizes, args.trials, seed, args.mode)
     else:
-        alph = _alphabet_for(args, text)
-        f = parse_poly(text, alph) if args.expr is None else parse_expression(text, alph)
         domain = SampleDomain(args.domain, args.g)
+        alph = domain.alphabet
+        f = parse_poly(text, alph) if args.expr is None else parse_expression(text, alph)
         sizes = _parse_sizes(args.sizes) if args.sizes else range(1, 7)
-        witness = falsify(f, domain, sizes, args.trials, seed, args.mode, args.tol)
+        witness = falsify(f, domain, sizes, args.trials, seed, args.mode)
     if witness is None:
         _emit(args, {"witness": None, "seed": seed}, "no witness found")
         return 0
@@ -459,8 +453,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                        choices=DOMAIN_KINDS)
         p.add_argument("--sizes", help="e.g. 1..6 or 4")
         p.add_argument("--mode", choices=FALSIFY_MODES, default="nonzero")
-        p.add_argument("--tol", type=float, default=FLOAT_TOL,
-                       help="float tolerance of --domain samples and --mode negative-eigenvalue")
         _add_common(p, ideal=True, rand=True)
         p.set_defaults(func=cmd_falsify)
 

@@ -36,7 +36,7 @@ import random
 from functools import lru_cache
 
 from . import bounds as _bounds
-from .core import ExactMatrix, Frozen, Scalar, Value, matrix_inverse, split_blocks
+from .core import ExactMatrix, Frozen, Scalar, Value
 from .errors import (
     BudgetExceeded,
     ConditioningFailure,
@@ -67,7 +67,7 @@ from .realization import (
     is_zero,
     minimize_scalar,
 )
-from .sampler import DOMAIN_KINDS
+from .sampler import STAR_KINDS, SampleDomain, _gaussian_integer_matrix
 
 
 _set = object.__setattr__
@@ -108,6 +108,11 @@ class RRIdeal(Frozen):
         """Whether the ideal lives in the free *-algebra; exactly the
         ideals with a structured *-zero set to sample."""
         return self.domain_kind is not None
+
+    @property
+    def domain(self) -> SampleDomain | None:
+        """The structured *-zero set of a star ideal, None for the others."""
+        return SampleDomain(self.domain_kind, self.g) if self.star else None
 
     @property
     def resolved(self) -> tuple:
@@ -163,10 +168,6 @@ def _validate(ideal: RRIdeal) -> RRIdeal:
     return ideal
 
 
-# The structured *-zero sets a star ideal samples.
-_STAR_DOMAIN_KINDS = DOMAIN_KINDS[:3]
-
-
 def _make_ideal(name: str, alphabet: Alphabet, g: int, generators, resolvent: dict,
                 basepoint: dict, resolved=None, domain_kind: str | None = None) -> RRIdeal:
     """The one constructor of an RRIdeal, for the built-ins and spec files.
@@ -184,8 +185,8 @@ def _make_ideal(name: str, alphabet: Alphabet, g: int, generators, resolvent: di
     """
     if g < 1:
         raise GOutOfRange(f"need g >= 1, got {g}")
-    if domain_kind not in (None, *_STAR_DOMAIN_KINDS):
-        raise SpecError(f"a star ideal needs domain_kind {', '.join(_STAR_DOMAIN_KINDS)}")
+    if domain_kind not in (None, *STAR_KINDS):
+        raise SpecError(f"a star ideal needs domain_kind {', '.join(STAR_KINDS)}")
     try:
         gens = tuple(parse_poly(text, alphabet) for text in generators)
         resolvent = {
@@ -457,63 +458,21 @@ def witness_size(f: NcPoly, ideal: RRIdeal) -> int:
     # for degree 1 is also a valid test size for it.
     u = max(u, 1)
     if ideal.star:
-        # a 1 x 1 grid of unitaries, and one isometry of a square size, is one unitary
-        one_block = ideal.g == 1 and ideal.domain_kind in ("partitioned", "spherical")
-        return _bounds.star_bound("unitaries" if one_block else ideal.domain_kind, ideal.g, u, v)
+        return _bounds.star_bound(ideal.domain.bound_kind, ideal.g, u, v)
     return _bounds.nss_bound(ideal.m, ideal.n, u, v)
-
-
-def _gaussian_integer_matrix(rng: random.Random, n: int) -> ExactMatrix:
-    """An n x n matrix of Gaussian integers with real and imaginary parts
-    in -3..3, drawn row by row, real part first."""
-    return ExactMatrix(n, n, [Scalar(rng.randint(-3, 3), rng.randint(-3, 3))
-                              for _ in range(n * n)])
-
-
-def _cayley_unitary(rng: random.Random, n: int) -> ExactMatrix:
-    """The Cayley transform (I - K)(I + K)^-1 of K = G - G^* for a drawn
-    Gaussian-integer G.  K is skew-Hermitian, so I + K is invertible and
-    the result is an exact unitary with Gaussian-rational entries."""
-    g = _gaussian_integer_matrix(rng, n)
-    k = g - g.conjugate_transpose()
-    eye = ExactMatrix.identity(n)
-    return (eye - k) * matrix_inverse(eye + k)
-
-
-def _star_sampler(kind: str, g: int):
-    """Exact points of a structured *-zero set, one Cayley unitary or g of
-    them per draw, from the stream random.Random(f"star/{seed}/{n}/{trial}")."""
-
-    def sample(n, seed, trial):
-        rng = random.Random(f"star/{seed}/{n}/{trial}")
-        if kind == "unitaries":
-            return tuple(_cayley_unitary(rng, n) for _ in range(g))
-        blocks = split_blocks(_cayley_unitary(rng, g * n), g)
-        if kind == "spherical":
-            # the first n columns of a unitary: sum_j A_j^* A_j = I
-            return tuple(row[0] for row in blocks)
-        return tuple(block for row in blocks for block in row)
-
-    return sample
 
 
 def zero_set_sampler(ideal: RRIdeal):
     """A callable (n, seed, trial) -> point tuple of ExactMatrix in
     alphabet order, a point of the ideal's zero set.
 
-    A star ideal draws from its structured *-zero set through the Cayley
-    transform U = (I - K)(I + K)^-1 of K = G - G^*, G an n x n (for
-    ``unitaries``) or gn x gn Gaussian-integer matrix with parts in
-    -3..3: g independent unitaries (T), the first n columns of one
-    gn x gn unitary cut into g blocks (S), or one gn x gn unitary cut
-    into its g x g grid of blocks, row by row (U).  Every draw succeeds,
-    and these points are dense in the *-zero set.  The stream is
-    random.Random(f"star/{seed}/{n}/{trial}").
+    A star ideal draws from its structured *-zero set, SampleDomain.exact
+    of its domain (T unitaries, S spherical, U partitioned).
 
     Other ideals give exact points of the graph of the resolvent, which
     is their zero set: every x' letter an n x n Gaussian-integer matrix
-    drawn the same way, and x'' = r(x') evaluated exactly, all resolvents
-    in one fold over their shared DAG.  A graph point takes up to 20
+    drawn as SampleDomain.exact draws one, and x'' = r(x') evaluated
+    exactly, all resolvents in one fold over their shared DAG.  A graph point takes up to 20
     draws of x', each from its own stdlib stream
     random.Random(f"graph/{seed}/{n}/{trial}/{attempt}").  When r is
     undefined at all of them, the sampler raises ConditioningFailure and
@@ -521,7 +480,7 @@ def zero_set_sampler(ideal: RRIdeal):
     (CommInv has no 1 x 1 points, because scalars commute).
     """
     if ideal.star:
-        return _star_sampler(ideal.domain_kind, ideal.g)
+        return ideal.domain.exact
 
     xprime = ideal.basepoint.letters
     size = ideal.alphabet.size
@@ -532,7 +491,7 @@ def zero_set_sampler(ideal: RRIdeal):
             rng = random.Random(f"graph/{seed}/{n}/{trial}/{attempt}")
             binding = {l: _gaussian_integer_matrix(rng, n) for l in xprime}
             try:
-                binding.update(zip(ideal.resolved, _evaluate(roots, binding)))
+                binding.update(zip(ideal.resolved, _evaluate(roots, binding, ideal.alphabet)))
             except DomainError:
                 continue
             return tuple(binding[Letter(i, False)] for i in range(1, size + 1))
@@ -546,14 +505,11 @@ def random_ideal_element(
 ) -> NcPoly:
     """A random two-sided combination sum_i a_i f_{j_i} b_i of generators.
 
-    ``complexity`` = (max cofactor word length, number of terms); the
-    special case (0, 1) returns a generator itself.  Deterministic in the
-    seed.
+    ``complexity`` = (max cofactor word length, number of terms).
+    Deterministic in the seed.
     """
     max_len, nterms = complexity
     rng = random.Random(seed)
-    if (max_len, nterms) == (0, 1):
-        return rng.choice(ideal.generators)
     alph = ideal.alphabet
     coeff_pool = [Scalar(1), Scalar(-1), Scalar(2), Scalar(0, 1)]
 
@@ -622,14 +578,14 @@ def custom_ideal(spec) -> RRIdeal:
     except MALFORMED as exc:
         raise SpecError(f"malformed ideal spec: {exc}") from exc
     ideal = _make_ideal(*parts)
-    # a domain_kind whose zero set the generators do not cut out would give
-    # witnesses off it; the draws come from _star_sampler, not the traced
-    # zero_set_sampler, so sampler.points_tried counts search draws only
-    for n in (1, 2) if ideal.star else ():
-        point = _star_sampler(domain_kind, g)(n, 0, 0)
-        if len(point) < alph.size:
-            name = alph.letter_name(Letter(len(point) + 1, False))
-            raise SpecError(f"a {domain_kind} draw at g = {g} does not bind {name}")
+    domain = ideal.domain
+    if domain and domain.alphabet.size < alph.size:
+        name = alph.letter_name(Letter(domain.alphabet.size + 1, False))
+        raise SpecError(f"a {domain_kind} draw at g = {g} does not bind {name}")
+    # generators that do not vanish on the domain would give witnesses off the zero
+    # set; drawn outside the traced zero_set_sampler, which counts search draws only
+    for n in (1, 2) if domain else ():
+        point = domain.exact(n, 0, 0)
         for f in ideal.generators:
             if not f.eval(point).is_zero():
                 raise SpecError(f"domain_kind {domain_kind!r}: generator {f} does not vanish"

@@ -396,9 +396,9 @@ class _Parser:
 #: The most leaves (letters and numbers) an expression may have with every
 #: ``^k`` unfolded.  The compiled automaton has a few states per leaf, and
 #: its closure costs about the cube of its states: parse, compile and
-#: minimize of X1^k - X1^k (2k leaves) take about 1.2 s CPU at 400 leaves
-#: and 4 s at 600, and ``member --ideal T --g 1`` of X1^k about 1.6 s at
-#: 400 leaves and 21 s at 800.
+#: minimize of X1^k - X1^k (2k leaves) take about 1.5 s CPU at 400 leaves
+#: and 5.8 s at 600, and ``member --ideal T --g 1`` of X1^k about 0.2 s at
+#: 400 leaves and 0.8 s at 800 (Python 3.11.7, one core of a 2-core Xeon).
 EXPR_LEAF_CAP = 400
 
 
@@ -592,10 +592,10 @@ def _bound(binding: dict, letter: Letter):
     return m
 
 
-def _lookup(binding: dict, letter: Letter):
+def _lookup(binding: dict, letter: Letter, alphabet):
     m = _bound(binding, letter)
     if m is None:
-        raise MissingLetter(f"letter {letter} not bound by evaluation point")
+        raise MissingLetter(f"letter {alphabet.letter_name(letter)} not bound by evaluation point")
     return m
 
 
@@ -610,12 +610,12 @@ def eval_expression(e: RatExpr, point):
     argument whose smallest singular value is at most
     FLOAT_TOL * max(1, largest) counts as singular.
     """
-    return _evaluate([e.node], point)[0]
+    return _evaluate([e.node], point, e.alphabet)[0]
 
 
-def _evaluate(roots, point) -> list:
-    """The values of the nodes ``roots`` at a point, in one fold, so a node
-    they share is evaluated once."""
+def _evaluate(roots, point, alphabet) -> list:
+    """The values of the nodes ``roots``, over ``alphabet``, at a point, in
+    one fold, so a node they share is evaluated once."""
     binding = _point_binding(point)
     n = _point_size(binding.values())
     exact = isinstance(next(iter(binding.values())), ExactMatrix)
@@ -630,7 +630,7 @@ def _evaluate(roots, point) -> list:
         if isinstance(node, Const):
             return ident.scale(node.value) if exact else node.value.to_complex() * ident
         if isinstance(node, Var):
-            return _lookup(binding, node.letter)
+            return _lookup(binding, node.letter, alphabet)
         if isinstance(node, Add):
             return reduce(add, kids)
         if isinstance(node, Neg):

@@ -431,8 +431,8 @@ def compile_expression(e: RatExpr, basepoint: BasePoint, letter_reps: Mapping | 
     base point (the resolvent representations of an ideal's eliminated
     letters); every other letter used by the expression must be bound by
     the base point and compiles to one rep_var shared by all its
-    occurrences.  A letter bound by neither raises MissingLetter, from
-    BasePoint.slot when the walk reaches it.  A singular constant term at
+    occurrences.  A letter bound by neither raises MissingLetter when the
+    walk reaches it.  A singular constant term at
     some inverse raises DomainError with the path to that node.  The walk
     is one ``ratexpr.fold``: each distinct node object of the expression
     DAG is compiled once, without recursion, whatever its depth.
@@ -449,6 +449,8 @@ def compile_expression(e: RatExpr, basepoint: BasePoint, letter_reps: Mapping | 
         if isinstance(node, Var):
             rep = reps.get(node.letter)
             if rep is None:
+                if node.letter not in basepoint.letters:
+                    raise MissingLetter(f"base point does not bind {e.alphabet.letter_name(node.letter)}")
                 rep = reps[node.letter] = rep_var(node.letter, basepoint)
             return rep
         if isinstance(node, Add):
@@ -457,8 +459,10 @@ def compile_expression(e: RatExpr, basepoint: BasePoint, letter_reps: Mapping | 
             s = kids[0]
             c_rows = {i: {j: -x for j, x in row.items()} for i, row in s.c_rows.items()}
             return LinRep(basepoint, c_rows, s.A, s.b_rows, s.states)
-        if isinstance(node, Mul):
-            return reduce(rep_mul, kids)
+        if isinstance(node, Mul):  # pairwise: a left fold of k factors takes about k^3 steps
+            while len(kids) > 1:
+                kids = [reduce(rep_mul, kids[i:i + 2]) for i in range(0, len(kids), 2)]
+            return kids[0]
         try:
             return rep_inv(kids[0])
         except SingularConstantTerm:

@@ -108,7 +108,8 @@ class GenPoly(Value):
         m = self.m
         blocks = [b for mat in point for row in split_blocks(mat, m) for b in row]
         binding = {Letter(k, False): b for k, b in enumerate(blocks, 1)}
-        values = _evaluate([poly_to_expression(p).node for row in self.entries for p in row], binding)
+        values = _evaluate([poly_to_expression(p).node for row in self.entries for p in row], binding,
+                           self.entries[0][0].alphabet)
         return block_matrix([values[i * m : (i + 1) * m] for i in range(m)])
 
     def __str__(self):
@@ -153,7 +154,8 @@ def coefficient(s: LinRep, word, alphabet: Alphabet | None = None) -> GenPoly:
     ``alphabet`` names the base letters in them (by default letter k is Xk)."""
     missing = [letter for letter in word if letter not in s.letters]
     if missing:
-        raise MissingLetter(f"letter {missing[0]} not in the representation")
+        name = (alphabet or Alphabet.x(missing[0].index)).letter_name(missing[0])
+        raise MissingLetter(f"letter {name} not in the representation")
     mm = s.m * s.m
     slots = tuple(s.letters.index(letter) for letter in word)
     return _grids(s, [range(k * mm, (k + 1) * mm) for k in slots], alphabet, [slots])[tuple(word)]

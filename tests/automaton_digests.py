@@ -96,7 +96,7 @@ def zero_test_groups(seed):
     for item in corpus.zero_test_corpus(seed, inverse_entries):
         alph = alphabets[item.alphabet]
         bp = ncrat.BasePoint.from_mapping({
-            ncrat.Letter(alph.index_of(name), False): ncrat.ExactMatrix.from_rows(rows)
+            alph.letter(name): ncrat.ExactMatrix.from_rows(rows)
             for name, rows in item.basepoint.items()
         })
         rep = ncrat.compile_expression(ncrat.parse_expression(item.text, alph), bp)

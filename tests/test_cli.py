@@ -702,10 +702,6 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["falsify", "--poly", "X1 X2 - X2 X1", "--g", "2", "--trials", "0"],
         ["member", "--ideal", "T", "--g", "1", "--poly", "X1", "--witness", "--trials", "-2"],
-        ["falsify", "--poly", "X1 X1^* - 1", "--g", "1", "--sizes", "1", "--tol", "-1"],
-        ["falsify", "--poly", "X1 X1^* - 1", "--g", "1", "--sizes", "1", "--tol", "0"],
-        ["falsify", "--poly", "X1 X1^* - 1", "--g", "1", "--sizes", "1", "--tol", "nan"],
-        ["falsify", "--ideal", "T", "--g", "1", "--poly", "X1", "--tol", "inf"],
         ["sample", "--domain", "unitaries", "--g", "0", "--size", "2"],
         ["sample", "--domain", "unitaries", "--g", "1", "--size", "2", "--index", "-1"],
         ["falsify", "--poly", "X11", "--domain", "partitioned", "--g", "10"],
@@ -713,6 +709,12 @@ class TestUsageErrors:
     def test_out_of_range_settings(self, argv):
         code, out, err = run_cli(*argv, "--seed", "1")
         assert code == 2 and err.startswith("error:") and out == ""
+
+    def test_letter_no_domain_draw_binds_is_refused_at_parse_time(self):
+        # the text is read over the letters a unitaries draw binds
+        code, out, err = run_cli("falsify", "--domain", "unitaries", "--g", "1", "--poly", "X1 Y1",
+                                 "--seed", "1")
+        assert (code, out, err) == (2, "", "error: letter 'Y1' not in alphabet ['X1'] (at offset 3)\n")
 
     @pytest.mark.parametrize("argv", [
         ["member", "--ideal", "T", "--g", "1", "--poly", "1/0"],
@@ -859,7 +861,7 @@ class TestImportBoundary:
         assert not report["numpy"]
 
     def test_unknown_falsify_mode_leaves_numpy_unloaded(self):
-        # the library checks the mode with the other search settings
+        # falsify checks its mode before the first draw
         _, report = _fresh(
             "from ncrat.errors import SpecError\n"
             "from ncrat.ncpoly import Alphabet\n"

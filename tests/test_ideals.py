@@ -289,11 +289,6 @@ class TestRandomElements:
         assert random_ideal_element(Tp, seed=5) == random_ideal_element(Tp, seed=5)
         assert random_ideal_element(Tp, seed=5) != random_ideal_element(Tp, seed=6)
 
-    def test_unit_cofactors_yield_a_generator(self):
-        Tp = builtin_ideal("Tprime", 2)
-        f = random_ideal_element(Tp, seed=1, complexity=(0, 1))
-        assert f in Tp.generators
-
     def test_membership_of_random_elements(self):
         for kind, g in (("Tprime", 2), ("Sprime", 2), ("CommInv", 3), ("T", 2)):
             ideal = builtin_ideal(kind, g)
@@ -566,7 +561,7 @@ class TestCustomIdeals:
             "resolved": ["X1^*", "X2^*"], "resolvent": {"X1^*": "X1^-1", "X2^*": "X2^-1"},
             "basepoint": {"matrices": {"X1": one, "X2": one}},
         }
-        # the check draws from _star_sampler, never from the traced sampler
+        # the check draws from SampleDomain.exact, never from the traced sampler
         monkeypatch.setattr(ideals, "zero_set_sampler", None)
         with pytest.raises(SpecError, match=r"domain_kind 'spherical': generator 1 - X1\^\*\*X1 "):
             custom_ideal(spec)

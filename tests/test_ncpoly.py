@@ -203,14 +203,14 @@ def reference_eval(f: NcPoly, point):
         for w, c in f.terms.items():
             val = ExactMatrix.identity(n)
             for l in w:
-                val = val * _lookup(binding, l)
+                val = val * _lookup(binding, l, f.alphabet)
             acc = acc + val.scale(c)
         return acc
     acc = np.zeros((n, n), dtype=complex)
     for w, c in f.terms.items():
         val = np.eye(n, dtype=complex)
         for l in w:
-            val = val @ _lookup(binding, l)
+            val = val @ _lookup(binding, l, f.alphabet)
         acc = acc + c.to_complex() * val
     return acc
 

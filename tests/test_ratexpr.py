@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from ncrat.core import ExactMatrix, Scalar
-from ncrat.errors import BudgetExceeded, DomainError, NotPolynomial, ParseError, SpecError, UnknownLetter
+from ncrat.errors import (BudgetExceeded, DomainError, MissingLetter, NotPolynomial, ParseError, SpecError,
+                          UnknownLetter)
 from ncrat.ncpoly import Alphabet, Letter
 from ncrat import realization
 from ncrat.ratexpr import (
@@ -178,6 +179,11 @@ class TestEvaluation:
         for scale in (1e-6, 1e9):
             value = e.eval((scale * np.eye(2, dtype=complex),))
             assert np.allclose(value, np.eye(2) / scale, rtol=1e-12, atol=0)
+
+    def test_unbound_letter_is_named_as_the_alphabet_writes_it(self):
+        e = parse_expression("X1 Y1", Alphabet.xy(1))
+        with pytest.raises(MissingLetter, match="^letter Y1 not bound by evaluation point$"):
+            e.eval((ExactMatrix.identity(1),))
 
     def test_inverse_law(self):
         rng = random.Random(42)

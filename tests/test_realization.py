@@ -312,11 +312,22 @@ class TestCompile:
         expr = parse_expression("X1 Y1 - 1", alph)
         assert is_zero(compile_expression(expr, bp, {y1: y_rep}))
         assert not is_zero(compile_expression(parse_expression("Y1 X1 - 2", alph), bp, {y1: y_rep}))
-        with pytest.raises(MissingLetter):
+        with pytest.raises(MissingLetter, match="^base point does not bind Y1$"):
             compile_expression(expr, bp)
         other = compile_expression(inverse, BasePoint.scalars([3], letters=[x1]))
         with pytest.raises(BasepointMismatch):
             compile_expression(expr, bp, {y1: other})
+
+    def test_unbound_letter_is_named_as_the_alphabet_writes_it(self):
+        with pytest.raises(MissingLetter, match="^base point does not bind X2$"):
+            compile_text("X1 X2", BasePoint.scalars([1]))
+
+    def test_long_product_compiles_in_balanced_order(self):
+        # a left fold of the 399 factors took about 4 s CPU
+        start = time.process_time()
+        s = compile_text("X1^399", BP1)
+        assert time.process_time() - start < 1.0
+        assert s.dim == 2 * 399
 
     def test_commutator_inverse_constant_term(self):
         s = compile_text("(X1*X2 - X2*X1)^-1", BP2x2)
@@ -537,6 +548,13 @@ class TestMinimize:
 
 
 class TestCoefficientLaws:
+    def test_letter_outside_the_representation_is_named(self):
+        s = compile_text("X1", BasePoint.scalars([1]))
+        with pytest.raises(MissingLetter, match=r"^letter X2\^\* not in the representation$"):
+            coefficient(s, (Letter(2, True),))
+        with pytest.raises(MissingLetter, match="^letter Y1 not in the representation$"):
+            coefficient(s, (Letter(2, False),), Alphabet.xy(1))
+
     def test_additivity_and_words(self):
         rng = random.Random(33)
         pool = ["X1", "X1*X2", "2 - X2", "X1^-1"]

@@ -13,7 +13,8 @@ from ncrat.float_samplers import (
 from ncrat.ncpoly import Alphabet
 from ncrat import sampler
 from ncrat.ratexpr import parse_expression, parse_poly
-from ncrat.sampler import SampleDomain, draws, falsify, sample_point, zero_divisor_witness
+from ncrat.sampler import (DOMAIN_KINDS, STAR_KINDS, SampleDomain, draws, falsify, sample_point,
+                           zero_divisor_witness)
 
 
 class TestStructuralResiduals:
@@ -85,6 +86,14 @@ class TestDomainErrors:
         with pytest.raises(SpecError):
             SampleDomain("orthogonal", 2)
 
+    def test_only_star_kinds_draw_exact_points(self):
+        for kind in DOMAIN_KINDS:
+            domain = SampleDomain(kind, 2)
+            assert domain.star == (kind in STAR_KINDS)
+            if not domain.star:
+                with pytest.raises(SpecError):
+                    domain.exact(1, 1, 0)
+
     @pytest.mark.parametrize("size, index", [(0, 0), (-1, 0), (1, -1)])
     def test_sample_point_ranges(self, size, index):
         with pytest.raises(SpecError):
@@ -92,17 +101,31 @@ class TestDomainErrors:
 
     @pytest.mark.parametrize("settings", [
         {"trials": 0}, {"trials": -1},
-        {"tol": 0.0}, {"tol": -1e-3}, {"tol": float("inf")}, {"tol": float("nan")},
         {"sizes": []}, {"sizes": [0]}, {"sizes": range(3, 1)}, {"sizes": [2, 0]},
         {"mode": "x"},
     ], ids=repr)
     def test_search_that_cannot_sample_is_rejected(self, settings):
-        # each of these samples nothing, counts rounding noise as a witness
-        # or names no kind of witness
+        # each of these samples nothing or names no kind of witness
         f = parse_poly("X1 X2 - X2 X1", Alphabet.x(2))
         kwargs = {"sizes": [2], "trials": 5, "seed": 1, **settings}
         with pytest.raises(SpecError):
             falsify(f, SampleDomain("unitaries", 2), **kwargs)
+
+
+class TestDomainAlphabet:
+    def test_names(self):
+        assert SampleDomain("partitioned", 2).alphabet == Alphabet.matrix(2)
+        assert SampleDomain("xgn", 2).alphabet == Alphabet.xy(2)
+        for kind in ("unitaries", "spherical", "unrestricted"):
+            assert SampleDomain(kind, 2).alphabet == Alphabet.x(2)
+
+    @pytest.mark.parametrize("kind", DOMAIN_KINDS)
+    @pytest.mark.parametrize("g", [1, 3])
+    def test_every_draw_binds_exactly_its_letters(self, kind, g):
+        domain = SampleDomain(kind, g)
+        assert len(domain(2, 5, 0)) == domain.alphabet.size
+        if domain.star:
+            assert len(domain.exact(2, 5, 0)) == domain.alphabet.size
 
 
 # a point of size 2 where the commutator X1 X2 - X2 X1 does not vanish
