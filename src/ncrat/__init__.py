@@ -7,9 +7,9 @@ verification of sum-of-Hermitian-squares certificates.
 
 ``import ncrat`` loads the layers that a verdict runs through (ratexpr,
 realization, ideals, sampler, positivity) and their kernel; the word
-walk (series), the Gram problem (gram) and the numpy samplers
-(float_samplers) load on first use, and their names are ``ncrat``
-attributes all the same.
+walk (series), the Gram problem (gram), the numpy samplers
+(float_samplers) and the paper's fixtures (acceptance) load on first
+use, and their names are ``ncrat`` attributes all the same.
 """
 
 from .core import ExactMatrix, Scalar, conjugate_transpose, matrix_inverse, matrix_product
@@ -49,7 +49,7 @@ from .ideals import (
     symbolic_matrix_inverse,
     witness_size,
 )
-from .sampler import SampleDomain, Witness, falsify, sample_point, zero_divisor_witness
+from .sampler import SampleDomain, Witness, falsify, sample_point
 from .positivity import SohsCertificate, positivity_probe, verify_certificate
 
 __version__ = "0.1.0"
@@ -67,6 +67,7 @@ _LAZY = {
     "export_gram": "gram",
     "gram_constraints": "gram",
     "import_gram": "gram",
+    "zero_divisor_witness": "acceptance",
 }
 
 

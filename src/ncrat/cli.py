@@ -211,7 +211,8 @@ def cmd_member(args) -> int:
 def cmd_bound(args) -> int:
     ideal = _resolve_ideal(args)
     f = parse_poly(args.poly, ideal.alphabet)
-    u, v = f.degree_and_terms()
+    # the zero polynomial: degree 0, no terms, and witness_size gives 1
+    u, v = f.degree_and_terms() if f else (0, 0)
     n = witness_size(f, ideal)
     data = {
         "ideal": ideal.name,
@@ -346,7 +347,7 @@ def cmd_gram_export(args) -> int:
 def cmd_selftest(args) -> int:
     from .acceptance import run_all
 
-    results = run_all(full=not args.quick)
+    results = run_all()
     passed = sum(r.ok for r in results)
     print(f"{passed}/{len(results)} criteria passed")
     return 0 if passed == len(results) else 1
@@ -474,7 +475,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     if wanted("selftest"):
         p = sub.add_parser("selftest", help="run the acceptance checks")
-        p.add_argument("--quick", action="store_true", help="reduced trial counts")
         p.set_defaults(func=cmd_selftest)
     return ap
 

@@ -31,7 +31,7 @@ from math import gcd, inf, isfinite, lcm
 
 from .errors import DimensionMismatch, SingularMatrixError
 
-#: tolerance for all float residual checks (configurable by callers)
+#: tolerance for all float residual checks
 FLOAT_TOL = 1e-10
 
 

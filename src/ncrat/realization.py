@@ -76,7 +76,7 @@ from .errors import (
     SingularMatrixError,
     SpecError,
 )
-from .ncpoly import Letter
+from .ncpoly import Alphabet, Letter
 from .ratexpr import Add, Const, Mul, Neg, RatExpr, Var, _point_size, fold
 
 
@@ -122,7 +122,9 @@ class BasePoint(Frozen):
         try:
             return self.letters.index(letter)
         except ValueError:
-            raise MissingLetter(f"base point does not bind {letter}") from None
+            # a base point has no alphabet: letter k is named Xk
+            name = Alphabet.x(letter.index).letter_name(letter)
+            raise MissingLetter(f"base point does not bind {name}") from None
 
     def __getitem__(self, letter: Letter) -> ExactMatrix:
         return self.mats[self.slot(letter)]

@@ -18,7 +18,7 @@ import math
 import random
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .core import (ExactMatrix, FLOAT_TOL, ONE, Frozen, Scalar, Value, float_to_json, json_float,
+from .core import (ExactMatrix, FLOAT_TOL, Frozen, Scalar, Value, float_to_json, json_float,
                    matrix_inverse, split_blocks)
 from .errors import ConditioningFailure, DomainError, GOutOfRange, SpecError
 from .ncpoly import Alphabet
@@ -258,47 +258,3 @@ def falsify(
         if (not value.is_zero()) if exact else _score(value, mode) > FLOAT_TOL:
             return Witness(n, trial, seed, point, value, _score(value, mode))
     return None
-
-
-# ---------------------------------------------------------------------------
-# Exact counterexample fixture (zero divisors in the quotient by (XY))
-# ---------------------------------------------------------------------------
-
-
-def zero_divisor_witness(m: int, n: int) -> tuple[ExactMatrix, ExactMatrix]:
-    """Exact (m+n+1)-sized matrices with B^m A^n != 0, AB = 0 and
-    B^{m+1} = 0 = A^{n+1}.
-
-    A is the shift along 1 -> 2 -> ... -> n+1; B shifts n+2 -> ... -> m+n+1
-    and wraps m+n+1 -> 1.  For m = 0 the wrap term would break B^{m+1} = 0,
-    so B is the zero matrix there.
-    """
-    if m < 0 or n < 0 or m + n < 1:
-        raise SpecError("need m, n >= 0 with m + n >= 1")
-    size = m + n + 1
-    ae = list(ExactMatrix.zeros(size, size).entries)
-    for i in range(1, n + 1):
-        ae[(i - 1) * size + i] = ONE
-    a = ExactMatrix(size, size, ae)
-    b = ExactMatrix.zeros(size, size)
-    if m >= 1:
-        be = list(b.entries)
-        for i in range(n + 2, n + m + 1):
-            be[(i - 1) * size + i] = ONE
-        be[(size - 1) * size + 0] = ONE
-        b = ExactMatrix(size, size, be)
-    _check_zero_divisor(a, b, m, n)
-    return a, b
-
-
-def _check_zero_divisor(a: ExactMatrix, b: ExactMatrix, m: int, n: int):
-    def power(x, k):
-        acc = ExactMatrix.identity(x.rows)
-        for _ in range(k):
-            acc = acc * x
-        return acc
-
-    assert not (power(b, m) * power(a, n)).is_zero()
-    assert (a * b).is_zero()
-    assert power(b, m + 1).is_zero()
-    assert power(a, n + 1).is_zero()

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import ncrat
+from ncrat import acceptance
 from ncrat.cli import main
 from ncrat.core import ExactMatrix, Scalar
 from ncrat.gram import import_gram
@@ -218,6 +219,21 @@ class TestBound:
         assert code == 0
         assert "degree u = 0, terms v = 1" in out and "membership test size: 1" in out
 
+    @pytest.mark.parametrize("poly", ["0", "X1 - X1"])
+    def test_zero_polynomial(self, poly):
+        # degree 0 and no terms; witness_size gives 1, and d = deg+1 = 1
+        code, out, err = run_cli("bound", "--ideal", "T", "--g", "2", "--poly", poly)
+        assert (code, err) == (0, "")
+        assert out == ("polynomial degree u = 0, terms v = 0\n"
+                       "membership test size: 1\n"
+                       "rational identity test size for the resolvent: 1\n"
+                       "positivity certificate size (d = deg+1 = 1): 5"
+                       " -- far beyond desk scale; printed only, never sampled\n")
+        code, out, _ = run_cli("bound", "--ideal", "T", "--g", "2", "--poly", poly, "--json")
+        assert code == 0
+        assert json.loads(out) == {"ideal": "T(g=2)", "degree": 0, "terms": 0, "witness_size": 1,
+                                   "ri_bound": 1, "pos_size": 5}
+
 
 class TestZeroTest:
     def test_zero_series(self):
@@ -266,6 +282,13 @@ class TestZeroTest:
         code, out, err = run_cli("zero-test", "--expr", text, "--g", "1", "--basepoint", "scalar:1")
         assert code == 2 and not out
         assert err.startswith("error: parentheses nested too deeply")
+
+    def test_basepoint_file_that_misses_a_letter(self, tmp_path):
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps({"X1": ExactMatrix.identity(1).to_json()}))
+        spec = f"file:{path}"
+        code, out, err = run_cli("zero-test", "--expr", "X1 X2", "--g", "2", "--basepoint", spec)
+        assert (code, out, err) == (2, "", f"error: base point {spec!r} gives no value for X2\n")
 
     def test_minimal_dimension_is_n_for_matrix_base_points(self, tmp_path):
         # about (E12, E21), m = 2: the compiled rep has 18 states (n = 9) and
@@ -414,8 +437,9 @@ class TestSampleAndFalsify:
         # it vanishes at every size, so its witness size is 1
         code, out, err = run_cli("falsify", "--ideal", "T", "--g", "2", "--poly", text, "--seed", "1")
         assert (code, out, err) == (0, "no witness found\n", "")
-        code, _, err = run_cli("bound", "--ideal", "T", "--g", "2", "--poly", text)
-        assert code == 2 and "degree of the zero polynomial" in err
+        # and bound gives the same size
+        code, out, err = run_cli("bound", "--ideal", "T", "--g", "2", "--poly", text)
+        assert (code, err) == (0, "") and "membership test size: 1\n" in out
 
     @pytest.mark.parametrize("text, code", [("X1^* X1", 0), ("- X1^* X1", 1)])
     def test_falsify_ideal_honours_mode(self, text, code):
@@ -573,6 +597,21 @@ class TestCustomIdealFile:
         assert code == 2 and out == ""
         assert "base point outside dom r [subtree path [1]]" in err
 
+    @pytest.mark.parametrize("change, message", [
+        ({"resolvent": {"X2": "X1"}}, "resolvent must map exactly the resolved letters\n"),
+        ({"resolved": ["Z9"]}, "unknown letter name 'Z9'\n"),
+        ({"resolvent": {"X2": 5}}, "malformed ideal spec: "),
+        ({"basepoint": {**_one_relator()["basepoint"], "m": 2}},
+         "declared m does not match base point matrices\n"),
+    ], ids=["resolvent-of-another-letter", "unknown-resolved-letter", "resolvent-not-text",
+            "declared-m"])
+    def test_refused_spec(self, tmp_path, change, message):
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps({**_one_relator(), **change}))
+        code, out, err = run_cli("member", "--ideal-file", str(path), "--poly", "X1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command", [
         ["member", "--witness"],
         ["falsify"],
@@ -620,11 +659,38 @@ class TestReadmeExamples:
 
 
 class TestSelftest:
-    def test_quick_selftest_passes(self):
-        code, out, _ = run_cli("selftest", "--quick")
-        assert code == 0
-        assert "10/10 criteria passed" in out
-        assert out.count("PASS") == 10
+    def test_prints_a_line_per_criterion_and_the_count(self, monkeypatch):
+        # two of the criteria, the two fastest, stand for all ten
+        monkeypatch.setattr(acceptance, "ALL_CRITERIA", [acceptance.criterion_5, acceptance.criterion_10])
+        code, out, err = run_cli("selftest")
+        lines = out.splitlines()
+        assert (code, err, len(lines)) == (0, "", 3)
+        assert lines[0].startswith("ACCEPTANCE  5 size bound formulas: PASS [")
+        assert lines[1].startswith("ACCEPTANCE 10 zero divisor fixture relations: PASS [")
+        assert lines[2] == "2/2 criteria passed"
+
+    def test_quick_is_a_usage_error(self):
+        # every criterion runs at its one budget
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc:
+                main(["selftest", "--quick"])
+        assert exc.value.code == 2 and "unrecognized arguments: --quick" in err.getvalue()
+
+    @pytest.mark.parametrize("flags, env", [(["-O"], {}), ([], {"PYTHONOPTIMIZE": "1"})],
+                             ids=["-O", "PYTHONOPTIMIZE"])
+    def test_fails_when_assert_statements_are_off(self, flags, env):
+        # every check of a criterion is an assert statement, which -O strips
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ncrat.__file__)))
+        env = dict(os.environ, **env,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, *flags, "-m", "ncrat.cli", "selftest"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        lines = proc.stdout.splitlines()
+        assert (proc.returncode, proc.stderr, len(lines)) == (1, "", 11)
+        assert all(line.endswith(": FAIL [0.00s] (assert statements are off (python -O))")
+                   for line in lines[:10])
+        assert lines[10] == "0/10 criteria passed"
 
 
 def _cofactor_cert(j):

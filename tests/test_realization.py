@@ -123,6 +123,25 @@ class TestConstructors:
         with pytest.raises(SpecError, match="at least one letter"):
             BasePoint.from_mapping({})
 
+    # a base point has no alphabet: it names letter k as Xk, as coefficient does
+    MISSING = [(L2, "X2"), (Letter(2, True), r"X2\^\*")]
+
+    @pytest.mark.parametrize("letter, name", MISSING, ids=["X2", "X2*"])
+    def test_base_point_names_a_missing_letter(self, letter, name):
+        with pytest.raises(MissingLetter, match=f"^base point does not bind {name}$"):
+            BasePoint.scalars([1])[letter]
+
+    @pytest.mark.parametrize("letter, name", MISSING, ids=["X2", "X2*"])
+    def test_rep_var_names_a_missing_letter(self, letter, name):
+        with pytest.raises(MissingLetter, match=f"^base point does not bind {name}$"):
+            rep_var(letter, BasePoint.scalars([1]))
+
+    @pytest.mark.parametrize("letter, name", MISSING, ids=["X2", "X2*"])
+    def test_automaton_rep_names_a_missing_letter(self, letter, name):
+        with pytest.raises(MissingLetter, match=f"^base point does not bind {name}$"):
+            automaton_rep(BasePoint.scalars([1]), ExactMatrix.zeros(1, 2), [(letter, 0, 0, 0, 1, 1)],
+                          ExactMatrix.zeros(2, 1))
+
 
 class TestArithmeticOps:
     def test_dimensions(self):
@@ -548,6 +567,10 @@ class TestMinimize:
 
 
 class TestCoefficientLaws:
+    def test_coefficient_table_needs_a_scalar_base_point(self):
+        with pytest.raises(DimensionMismatch, match="^coefficient_table requires a scalar base point$"):
+            coefficient_table(rep_var(L1, BP2x2), 2)
+
     def test_letter_outside_the_representation_is_named(self):
         s = compile_text("X1", BasePoint.scalars([1]))
         with pytest.raises(MissingLetter, match=r"^letter X2\^\* not in the representation$"):

@@ -13,8 +13,8 @@ from ncrat.float_samplers import (
 from ncrat.ncpoly import Alphabet
 from ncrat import sampler
 from ncrat.ratexpr import parse_expression, parse_poly
-from ncrat.sampler import (DOMAIN_KINDS, STAR_KINDS, SampleDomain, draws, falsify, sample_point,
-                           zero_divisor_witness)
+from ncrat.acceptance import zero_divisor_witness
+from ncrat.sampler import DOMAIN_KINDS, STAR_KINDS, SampleDomain, draws, falsify, sample_point
 
 
 class TestStructuralResiduals:
@@ -262,6 +262,8 @@ class TestFalsify:
 
 
 class TestZeroDivisorWitness:
+    """The zero-divisor pair of the acceptance fixtures."""
+
     def test_reference_case(self):
         a, b = zero_divisor_witness(1, 1)
         assert a == ExactMatrix.unit(3, 0, 1)
@@ -277,5 +279,15 @@ class TestZeroDivisorWitness:
             with pytest.raises(SpecError):
                 zero_divisor_witness(m, n)
             return
-        a, b = zero_divisor_witness(m, n)  # relations are checked on build
+        a, b = zero_divisor_witness(m, n)
         assert a.rows == m + n + 1 and b.rows == m + n + 1
+
+        def power(x, k):
+            acc = ExactMatrix.identity(x.rows)
+            for _ in range(k):
+                acc = acc * x
+            return acc
+
+        assert not (power(b, m) * power(a, n)).is_zero()
+        assert (a * b).is_zero()
+        assert power(b, m + 1).is_zero() and power(a, n + 1).is_zero()
